@@ -188,9 +188,6 @@ struct KernelRecord {
   std::string name;
   double ns_per_op = 0.0;
   double bytes_per_op = 0.0;
-  /// Largest relative residual a mixed-precision benchmark observed against
-  /// its double reference; negative when the benchmark reports none.
-  double max_residual = -1.0;
 };
 
 /// Writes the records as a flat JSON object keyed by benchmark name, headed
@@ -211,9 +208,6 @@ inline bool write_kernel_json(const std::string& path,
     std::fprintf(f, "  \"%s\": {\"ns_per_op\": %.3f, \"bytes_per_op\": %.1f",
                  records[i].name.c_str(), records[i].ns_per_op,
                  records[i].bytes_per_op);
-    if (records[i].max_residual >= 0.0) {
-      std::fprintf(f, ", \"max_residual\": %.3e", records[i].max_residual);
-    }
     std::fprintf(f, "}%s\n", i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "}\n");

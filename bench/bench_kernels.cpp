@@ -297,54 +297,6 @@ BENCHMARK(BM_PctCovariance_Tiled)
     ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-void BM_PctCovariance_MixedTile(benchmark::State& state) {
-  // The gated mixed-precision tile path on the same strip: float syrk into
-  // a private triangle, one double fold per tile.  The max_residual counter
-  // records the observed relative error against the double kernel, so the
-  // --json artifact tracks accuracy next to speed.
-  const linalg::ScopedKernelThreads threads(
-      static_cast<std::size_t>(state.range(0)));
-  const std::size_t bands = 224;
-  const std::size_t strip = 64;
-  const std::size_t tri_n = bands * (bands + 1) / 2;
-  Xoshiro256 rng(14);
-  std::vector<float> centered(strip * bands);
-  for (auto& v : centered) v = static_cast<float>(rng.uniform(-0.5, 0.5));
-  std::vector<float> ftri(tri_n, 0.0f);
-  std::vector<double> tri(tri_n, 0.0);
-  for (auto _ : state) {
-    std::fill(ftri.begin(), ftri.end(), 0.0f);
-    linalg::syrk_tri_update_f32(centered.data(), strip, bands, ftri.data());
-    for (std::size_t k = 0; k < tri_n; ++k) {
-      tri[k] += static_cast<double>(ftri[k]);
-    }
-    benchmark::DoNotOptimize(tri.data());
-  }
-  // One double-kernel pass of the identical strip bounds the fast path's
-  // error; the a-priori gate (mixed_tile_admissible) must dominate it.
-  std::vector<double> dcentered(centered.begin(), centered.end());
-  std::vector<double> ref(tri_n, 0.0);
-  linalg::syrk_tri_update(dcentered.data(), strip, bands, ref.data());
-  std::fill(ftri.begin(), ftri.end(), 0.0f);
-  linalg::syrk_tri_update_f32(centered.data(), strip, bands, ftri.data());
-  double max_abs = 0.0;
-  double max_err = 0.0;
-  for (std::size_t k = 0; k < tri_n; ++k) {
-    max_abs = std::max(max_abs, std::abs(ref[k]));
-    max_err =
-        std::max(max_err, std::abs(static_cast<double>(ftri[k]) - ref[k]));
-  }
-  // Max-norm relative residual -- the quantity the a-priori gate
-  // (mixed_tile_admissible) bounds by eps32 * chain length.
-  state.counters["max_residual"] = max_err / std::max(max_abs, 1e-30);
-  state.counters["bytes_per_op"] =
-      static_cast<double>(strip * bands) * sizeof(float) +
-      static_cast<double>(tri_n) * (sizeof(float) + sizeof(double));
-}
-BENCHMARK(BM_PctCovariance_MixedTile)
-    ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_OspSweep(benchmark::State& state, bool reference) {
   // ATDCA's per-round argmax of the OSP score over a 32x32 block with nine
   // current targets.
@@ -424,10 +376,6 @@ class KernelJsonCollector : public benchmark::ConsoleReporter {
       const auto it = run.counters.find("bytes_per_op");
       if (it != run.counters.end()) {
         rec.bytes_per_op = static_cast<double>(it->second);
-      }
-      const auto res = run.counters.find("max_residual");
-      if (res != run.counters.end()) {
-        rec.max_residual = static_cast<double>(res->second);
       }
       records.push_back(std::move(rec));
     }

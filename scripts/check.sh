@@ -61,8 +61,8 @@ if [[ "$run_sanitizers" == "1" ]]; then
   done
 
   echo "== tier 1e: threaded kernels under TSan (HPRS_KERNEL_THREADS=4) =="
-  # The tile-graph suite rides along: the streamed tiled driver and the
-  # mixed-precision tile kernels must stay race-free at 4 kernel threads.
+  # The tile-graph suite rides along: the streamed tiled driver must stay
+  # race-free at 4 kernel threads.
   kernel_tests=(linalg_thread_pool_test linalg_blocked_test
                 morph_sad_cache_test linalg_tile_graph_test
                 fastpath_equivalence_test)

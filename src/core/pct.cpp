@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <any>
-#include <cmath>
 #include <limits>
 #include <memory>
 
@@ -13,7 +12,6 @@
 #include "linalg/eigen.hpp"
 #include "linalg/flops.hpp"
 #include "linalg/vec.hpp"
-#include "obs/metrics.hpp"
 #include "vmpi/comm.hpp"
 
 namespace hprs::core {
@@ -256,72 +254,6 @@ CovOut local_cov_sums(const hsi::HsiCube& cube, std::size_t row_begin,
   out.flops =
       accum_cov_rows(cube, row_begin, row_end, mean, out.tri.data());
   return out;
-}
-
-/// Per-sweep mixed-precision bookkeeping (published as core.pct.mp_*
-/// metrics only when the gate is on, so golden runs never see the keys).
-struct MpCounters {
-  std::uint64_t mixed_tiles = 0;
-  std::uint64_t fallback_tiles = 0;
-};
-
-/// One covariance tile under the mixed-precision gate: if the a-priori
-/// accuracy check admits the tile, accumulate its syrk update in float into
-/// a private triangle and fold once into the running double triangle
-/// (charging the float path's halved accumulate cost); otherwise fall back
-/// to the exact double path for this tile.  The fallback is per tile, so an
-/// adversarial block degrades precision nowhere and performance only where
-/// the bound fails.
-Count accum_cov_tile_mixed(const hsi::HsiCube& cube,
-                           const linalg::TileDesc& tile,
-                           const std::vector<double>& mean, double* tri,
-                           MpCounters& mp) {
-  const std::size_t bands = cube.bands();
-  const std::size_t cols = cube.cols();
-  const std::size_t tri_n = bands * (bands + 1) / 2;
-  const std::size_t chain = tile.rows() * cols;
-  // Bound |centered| over the tile: max raw magnitude plus max |mean|.
-  double amax_raw = 0.0;
-  for (std::size_t r = tile.row_begin; r < tile.row_end; ++r) {
-    const float* row = cube.pixel(r, 0).data();
-    for (std::size_t k = 0; k < cols * bands; ++k) {
-      const double v = std::abs(static_cast<double>(row[k]));
-      if (v > amax_raw) amax_raw = v;
-    }
-  }
-  double amax_mean = 0.0;
-  for (const double m : mean) amax_mean = std::max(amax_mean, std::abs(m));
-  if (!linalg::mixed_tile_admissible(amax_raw + amax_mean, chain)) {
-    ++mp.fallback_tiles;
-    return accum_cov_rows(cube, tile.row_begin, tile.row_end, mean, tri);
-  }
-  ++mp.mixed_tiles;
-  constexpr std::size_t kStrip = 64;
-  std::vector<float> fstrip(kStrip * bands);
-  std::vector<float> ftri(tri_n, 0.0f);
-  Count flops = 0;
-  for (std::size_t r = tile.row_begin; r < tile.row_end; ++r) {
-    const float* row = cube.pixel(r, 0).data();
-    for (std::size_t c0 = 0; c0 < cols; c0 += kStrip) {
-      const std::size_t m = std::min(kStrip, cols - c0);
-      const float* x = row + c0 * bands;
-      for (std::size_t p = 0; p < m; ++p) {
-        for (std::size_t b = 0; b < bands; ++b) {
-          fstrip[p * bands + b] = static_cast<float>(
-              static_cast<double>(x[p * bands + b]) - mean[b]);
-        }
-      }
-      linalg::syrk_tri_update_f32(fstrip.data(), m, bands, ftri.data());
-      // Centering still runs per band; the float accumulate models twice
-      // the syrk throughput of the double path (tri_n instead of 2*tri_n).
-      flops += static_cast<Count>(m) * (bands + tri_n);
-    }
-  }
-  for (std::size_t k = 0; k < tri_n; ++k) {
-    tri[k] += static_cast<double>(ftri[k]);
-  }
-  flops += tri_n;
-  return flops;
 }
 
 /// Step 7 (master): folds the covariance parts (partition order), solves
@@ -679,35 +611,15 @@ void pct_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
   const std::vector<double>& mean = *mean_view;
 
   // Upper-triangle covariance accumulation over owned pixels, tiled like
-  // the mean.  Under the (default-off) mixed-precision gate each tile may
-  // accumulate in float and fold once into the shared double triangle,
-  // falling back per tile when the a-priori accuracy bound fails.
+  // the mean.
   const std::size_t tri = bands * (bands + 1) / 2;
-  const bool mixed =
-      linalg::use_mixed_precision() && !linalg::use_reference_kernels();
-  MpCounters mp;
   CovOut local_c;
   local_c.tri.assign(tri, 0.0);
   detail::tiled_sweep(comm, tiles, config.replication,
                       [&](const linalg::TileDesc& t) {
-                        if (mixed) {
-                          return accum_cov_tile_mixed(cube, t, mean,
-                                                      local_c.tri.data(), mp);
-                        }
                         return accum_cov_rows(cube, t.row_begin, t.row_end,
                                               mean, local_c.tri.data());
                       });
-  if (mixed) {
-    auto& metrics = obs::Metrics::instance();
-    if (metrics.enabled()) {
-      // Only ever recorded while the mixed gate is on, so golden-compared
-      // runs keep their exact stable key sets.
-      metrics.add("core.pct.mp_tiles", mp.mixed_tiles, obs::Domain::kStable,
-                  comm.world_rank());
-      metrics.add("core.pct.mp_fallback_tiles", mp.fallback_tiles,
-                  obs::Domain::kStable, comm.world_rank());
-    }
-  }
   auto cov_parts = comm.gather(comm.root(), std::move(local_c.tri),
                                tri * sizeof(double));
 

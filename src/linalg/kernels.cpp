@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "linalg/thread_pool.hpp"
 #include "obs/metrics.hpp"
@@ -23,12 +22,6 @@ bool reference_from_env() {
 
 std::atomic<bool>& reference_flag() {
   static std::atomic<bool> flag{reference_from_env()};
-  return flag;
-}
-
-std::atomic<bool>& mixed_flag() {
-  static std::atomic<bool> flag{env_int_or("HPRS_MIXED_PRECISION", 0, 0, 1) !=
-                                0};
   return flag;
 }
 
@@ -301,70 +294,6 @@ void syrk_tri_update(const double* x, std::size_t m, std::size_t n,
   const std::size_t tiles = (n + 3) / 4;
   parallel_region(tiles, [&](std::size_t worker, std::size_t workers) {
     syrk_tri_update_impl(x, m, n, tri, worker, workers);
-  });
-}
-
-bool use_mixed_precision() {
-  return mixed_flag().load(std::memory_order_relaxed);
-}
-
-void set_mixed_precision(bool enabled) {
-  mixed_flag().store(enabled, std::memory_order_relaxed);
-}
-
-ScopedMixedPrecision::ScopedMixedPrecision(bool enabled)
-    : saved_(use_mixed_precision()) {
-  set_mixed_precision(enabled);
-}
-
-ScopedMixedPrecision::~ScopedMixedPrecision() { set_mixed_precision(saved_); }
-
-bool mixed_tile_admissible(double amax, std::size_t chain_len) {
-  // float unit roundoff; the worst-case relative residual of a length-L
-  // float accumulation chain is ~eps32 * L.
-  constexpr double kEps32 = 1.1920928955078125e-07;
-  constexpr double kRelTol = 1e-2;
-  // Partial sums can reach amax^2 * L; keep orders of magnitude below
-  // FLT_MAX (~3.4e38) so no chain can round to infinity.
-  constexpr double kOverflowGuard = 1e30;
-  if (!(amax >= 0.0) || chain_len == 0) return false;  // NaN bound: fallback
-  const double chain = static_cast<double>(chain_len);
-  if (kEps32 * chain > kRelTol) return false;
-  return amax * amax * chain <= kOverflowGuard;
-}
-
-namespace {
-
-/// Same disjoint row-tile ownership as the double kernel: triangle rows
-/// [i0, i0 + 4) per worker stride, every element's p-chain private to one
-/// worker -- so the float result is bit-identical at every thread count.
-void syrk_tri_update_f32_impl(const float* x, std::size_t m, std::size_t n,
-                              float* tri, std::size_t worker,
-                              std::size_t workers) {
-  constexpr std::size_t kTi = 4;
-  const auto offset = [n](std::size_t i) { return i * n - i * (i - 1) / 2; };
-  for (std::size_t i0 = worker * kTi; i0 < n; i0 += workers * kTi) {
-    const std::size_t i1 = std::min(i0 + kTi, n);
-    for (std::size_t i = i0; i < i1; ++i) {
-      for (std::size_t j = i; j < n; ++j) {
-        float acc = tri[offset(i) + (j - i)];
-        for (std::size_t p = 0; p < m; ++p) {
-          const float* r = x + p * n;
-          acc += r[i] * r[j];
-        }
-        tri[offset(i) + (j - i)] = acc;
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void syrk_tri_update_f32(const float* x, std::size_t m, std::size_t n,
-                         float* tri) {
-  const std::size_t tiles = (n + 3) / 4;
-  parallel_region(tiles, [&](std::size_t worker, std::size_t workers) {
-    syrk_tri_update_f32_impl(x, m, n, tri, worker, workers);
   });
 }
 

@@ -110,10 +110,7 @@ JobEstimate estimate_job(const simnet::Platform& platform,
       const double work = total_mflops * cycle;
       const double staging =
           image_bytes * 8e-6 * p.stage_ms_per_mbit * 1e-3;
-      // Streamed tiling overlaps a member's host<->device copies with its
-      // compute (the engine's per-tile staging pipe), so the dominant term
-      // bounds the round instead of their sum.
-      d[i] = spec.tile_stream ? std::max(work, staging) : work + staging;
+      d[i] = work + staging;
       sum_inv_d += 1.0 / d[i];
       sum_l_over_d += (p.stage_latency_ms * 1e-3) / d[i];
     }

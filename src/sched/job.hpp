@@ -59,10 +59,6 @@ struct JobSpec {
   double memory_fraction = 0.5;
   core::PartitionPolicy policy = core::PartitionPolicy::kHeterogeneous;
   bool charge_data_staging = false;
-  /// Streamed per-tile staging (core tile driver): the cost model then
-  /// overlaps a member's host->device copy with its compute instead of
-  /// summing them.  Default false keeps historic estimates bit-identical.
-  bool tile_stream = false;
 
   /// Scene override; the scheduler's shared scene when null.
   const hsi::HsiCube* scene = nullptr;
@@ -86,11 +82,37 @@ struct JobSpec {
 /// for bit.  Guards batching against batch-key hash collisions.
 [[nodiscard]] bool compute_equivalent(const JobSpec& a, const JobSpec& b);
 
-/// Terminal disposition of a job.  The base scheduler only produces
-/// kCompleted / kRejected; the resilient mode (SchedulerConfig::resilience)
-/// adds kDegraded (retries exhausted but checkpointed progress exists) and
-/// kFailed (retries exhausted with nothing saved) instead of aborting the
-/// whole schedule.
+/// The one JobSpec -> algorithm config mapping (core::AtdcaConfig,
+/// UfclsConfig, PctConfig, MorphConfig, PpiConfig): copies every algorithm
+/// parameter and partitioning knob the config has a same-named field for.
+/// Both gang runtimes build from it -- the base scheduler's SPMD bodies and
+/// make_job_program's ft::Programs.
+template <typename Config>
+[[nodiscard]] Config job_config(const JobSpec& spec) {
+  Config c;
+  c.policy = spec.policy;
+  c.memory_fraction = spec.memory_fraction;
+  c.replication = spec.replication;
+  c.charge_data_staging = spec.charge_data_staging;
+  if constexpr (requires { c.targets; }) c.targets = spec.targets;
+  if constexpr (requires { c.classes; }) c.classes = spec.classes;
+  if constexpr (requires { c.iterations; }) c.iterations = spec.iterations;
+  if constexpr (requires { c.kernel_radius; }) {
+    c.kernel_radius = spec.kernel_radius;
+  }
+  if constexpr (requires { c.skewers; }) c.skewers = spec.skewers;
+  if constexpr (requires { c.seed; }) c.seed = spec.seed;
+  if constexpr (requires { c.sad_threshold; }) {
+    c.sad_threshold = spec.sad_threshold;
+  }
+  return c;
+}
+
+/// Terminal disposition of a job.  Every job ends kCompleted or kRejected
+/// (memory admission or a tenant rank cap), or under
+/// SchedulerConfig::resilience kDegraded (retries exhausted but
+/// checkpointed progress exists) or kFailed (retries exhausted with
+/// nothing saved) instead of aborting the whole schedule.
 enum class JobState : std::uint8_t {
   kPending,
   kCompleted,
@@ -167,15 +189,15 @@ struct JobRecord {
   std::string tenant;
   /// Nonzero for a batched rider: the id of the leader job whose gang
   /// computed this request's result (serve/batcher.hpp).  The rider's
-  /// output is the leader's, copied after the run; its busy_s is 0 (it
-  /// held no ranks).
+  /// output is the leader's, copied after the run; its busy_s counts only
+  /// its own earlier attempts (0 unless a resilient retry rode a gang).
   std::uint64_t batched_into = 0;
   /// On a batch leader: how many riders its gang's single computation
   /// served in addition to itself.
   std::size_t batch_fanout = 0;
   /// Attempt history under the resilient scheduler; empty in base mode.
   /// `dispatch_s` / `members` above describe the attempt that completed
-  /// the job (the last one).
+  /// the job (the last one), or for a rider the gang it rode.
   std::vector<JobAttempt> attempts;
 
   [[nodiscard]] bool completed() const { return finish_s >= 0.0; }

@@ -37,8 +37,7 @@ bool compute_equivalent(const JobSpec& a, const JobSpec& b) {
          a.seed == b.seed && a.sad_threshold == b.sad_threshold &&
          a.replication == b.replication &&
          a.memory_fraction == b.memory_fraction && a.policy == b.policy &&
-         a.charge_data_staging == b.charge_data_staging &&
-         a.tile_stream == b.tile_stream && a.scene == b.scene;
+         a.charge_data_staging == b.charge_data_staging && a.scene == b.scene;
 }
 
 const char* to_string(JobState state) {
@@ -67,34 +66,6 @@ Policy parse_policy(std::string_view name) {
   if (name == "hetero") return Policy::kHeteroBestFit;
   throw Error("unknown scheduling policy '" + std::string(name) +
               "' (expected fifo, sjf, or hetero)");
-}
-
-std::vector<std::size_t> policy_order(Policy policy,
-                                      const std::vector<PendingJob>& ready) {
-  std::vector<std::size_t> order(ready.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  const auto by_arrival = [&ready](std::size_t a, std::size_t b) {
-    if (ready[a].arrival_s != ready[b].arrival_s) {
-      return ready[a].arrival_s < ready[b].arrival_s;
-    }
-    return ready[a].id < ready[b].id;
-  };
-  const auto by_estimate = [&ready](std::size_t a, std::size_t b) {
-    if (ready[a].est_seconds != ready[b].est_seconds) {
-      return ready[a].est_seconds < ready[b].est_seconds;
-    }
-    return ready[a].id < ready[b].id;
-  };
-  switch (policy) {
-    case Policy::kFifo:
-    case Policy::kHeteroBestFit:
-      std::sort(order.begin(), order.end(), by_arrival);
-      break;
-    case Policy::kSjf:
-      std::sort(order.begin(), order.end(), by_estimate);
-      break;
-  }
-  return order;
 }
 
 std::vector<int> pick_members(Policy policy, const simnet::Platform& platform,
@@ -129,8 +100,7 @@ std::vector<int> pick_members(Policy policy, const simnet::Platform& platform,
 }
 
 ReadyQueue::OrderKey ReadyQueue::key_of(const PendingJob& job) const {
-  // The same primary keys policy_order sorts by; ids are unique, so the
-  // total order (and hence every schedule) matches the vector-based sort.
+  // The policy's primary key; the id tie-break makes the order total.
   const double primary =
       policy_ == Policy::kSjf ? job.est_seconds : job.arrival_s;
   return OrderKey{primary, job.id};
@@ -244,27 +214,6 @@ std::optional<QueueSelection> try_select(
                                          job.width, speed_scale)};
     }
   }
-  return std::nullopt;
-}
-
-std::optional<Selection> try_select(Policy policy,
-                                    const simnet::Platform& platform,
-                                    const std::vector<PendingJob>& ready,
-                                    const std::vector<int>& free_ranks,
-                                    const std::vector<RunningJob>& running,
-                                    double now,
-                                    const std::vector<double>* speed_scale) {
-  ReadyQueue queue(policy);
-  for (const PendingJob& job : ready) queue.push(job);
-  auto sel = try_select(policy, platform, queue, free_ranks, running, now,
-                        speed_scale);
-  if (!sel.has_value()) return std::nullopt;
-  for (std::size_t pos = 0; pos < ready.size(); ++pos) {
-    if (ready[pos].id == sel->id) {
-      return Selection{pos, std::move(sel->members)};
-    }
-  }
-  HPRS_ASSERT(false);  // the queue only holds entries of `ready`
   return std::nullopt;
 }
 

@@ -74,11 +74,8 @@ struct RunningJob {
 
 /// Indexed ready queue: the dispatcher's pending set, kept permanently in
 /// the policy's dispatch-preference order (FIFO/hetero by (arrival, id),
-/// SJF by (estimate, id)) with O(log n) insert/erase, plus a batch-key
-/// index for the rider attach.  Replaces the O(n log n)-per-event re-sort
-/// of a flat vector, which turned 1000+-job streams quadratic; the total
-/// order is identical (ids are unique), so schedules are bit-identical to
-/// the vector-based dispatcher.
+/// SJF by (estimate, id); ids are unique, so the order is total) with
+/// O(log n) insert/erase, plus a batch-key index for the rider attach.
 class ReadyQueue {
  public:
   /// Sort key inside the ordered map: the policy's primary key with the
@@ -122,11 +119,6 @@ class ReadyQueue {
   std::multimap<std::uint64_t, std::uint64_t> by_batch_key_;
 };
 
-/// Positions of `ready` in the policy's dispatch-preference order (FIFO and
-/// the hetero policy order by (arrival, id); SJF by (estimate, id)).
-[[nodiscard]] std::vector<std::size_t> policy_order(
-    Policy policy, const std::vector<PendingJob>& ready);
-
 /// The rank subset the policy assigns to a gang of `width` from
 /// `free_ranks` (engine ranks, ascending).  kHeteroBestFit takes the
 /// fastest ranks (smallest w_i, id tie-break); the others the lowest ids.
@@ -146,14 +138,8 @@ class ReadyQueue {
                                       std::size_t free_now, int width,
                                       double now);
 
-struct Selection {
-  /// Position in the `ready` vector handed to try_select.
-  std::size_t ready_pos = 0;
-  std::vector<int> members;
-};
-
-/// try_select result over a ReadyQueue: the selected job's id and stream
-/// index instead of a vector position.
+/// try_select result: the selected job's id and stream index, plus the
+/// rank subset it is placed on.
 struct QueueSelection {
   std::uint64_t id = 0;
   std::size_t index = 0;
@@ -166,14 +152,6 @@ struct QueueSelection {
 [[nodiscard]] std::optional<QueueSelection> try_select(
     Policy policy, const simnet::Platform& platform, const ReadyQueue& ready,
     const std::vector<int>& free_ranks,
-    const std::vector<RunningJob>& running, double now,
-    const std::vector<double>* speed_scale = nullptr);
-
-/// Vector-based convenience overload (unit tests, callers without a
-/// persistent queue): same decision, reported as a position in `ready`.
-[[nodiscard]] std::optional<Selection> try_select(
-    Policy policy, const simnet::Platform& platform,
-    const std::vector<PendingJob>& ready, const std::vector<int>& free_ranks,
     const std::vector<RunningJob>& running, double now,
     const std::vector<double>* speed_scale = nullptr);
 

@@ -133,51 +133,23 @@ ProgramBundle make_job_program(const JobSpec& spec, const hsi::HsiCube& scene) {
   ProgramBundle bundle;
   bundle.algorithm = spec.algorithm;
   switch (spec.algorithm) {
-    case JobAlgorithm::kAtdca: {
-      core::AtdcaConfig config;
-      config.targets = spec.targets;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
+    case JobAlgorithm::kAtdca:
       bundle.target = std::make_shared<core::TargetDetectionResult>();
-      bundle.program = core::atdca_ft_program(scene, config, *bundle.target);
+      bundle.program = core::atdca_ft_program(
+          scene, job_config<core::AtdcaConfig>(spec), *bundle.target);
       break;
-    }
-    case JobAlgorithm::kUfcls: {
-      core::UfclsConfig config;
-      config.targets = spec.targets;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
+    case JobAlgorithm::kUfcls:
       bundle.target = std::make_shared<core::TargetDetectionResult>();
-      bundle.program = core::ufcls_ft_program(scene, config, *bundle.target);
+      bundle.program = core::ufcls_ft_program(
+          scene, job_config<core::UfclsConfig>(spec), *bundle.target);
       break;
-    }
-    case JobAlgorithm::kPct: {
-      core::PctConfig config;
-      config.classes = spec.classes;
-      config.sad_threshold = spec.sad_threshold;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
+    case JobAlgorithm::kPct:
       bundle.classification = std::make_shared<core::ClassificationResult>();
-      bundle.program =
-          core::pct_ft_program(scene, config, *bundle.classification);
+      bundle.program = core::pct_ft_program(
+          scene, job_config<core::PctConfig>(spec), *bundle.classification);
       break;
-    }
     case JobAlgorithm::kMorph: {
-      core::MorphConfig config;
-      config.classes = spec.classes;
-      config.iterations = spec.iterations;
-      config.kernel_radius = spec.kernel_radius;
-      config.sad_threshold = spec.sad_threshold;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
+      core::MorphConfig config = job_config<core::MorphConfig>(spec);
       // The master/worker protocol has no worker-to-worker halo exchange;
       // chunks must carry their own borders.
       config.overlap_borders = true;
@@ -186,19 +158,11 @@ ProgramBundle make_job_program(const JobSpec& spec, const hsi::HsiCube& scene) {
           core::morph_ft_program(scene, config, *bundle.classification);
       break;
     }
-    case JobAlgorithm::kPpi: {
-      core::PpiConfig config;
-      config.targets = spec.targets;
-      config.skewers = spec.skewers;
-      config.seed = spec.seed;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
+    case JobAlgorithm::kPpi:
       bundle.ppi = std::make_shared<core::PpiResult>();
-      bundle.program = core::ppi_ft_program(scene, config, *bundle.ppi);
+      bundle.program = core::ppi_ft_program(
+          scene, job_config<core::PpiConfig>(spec), *bundle.ppi);
       break;
-    }
   }
   return bundle;
 }

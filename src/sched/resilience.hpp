@@ -158,9 +158,9 @@ struct ProgramBundle {
   void harvest(JobOutput& out);
 };
 
-/// Builds the job's ft::Program from its spec, with configs derived
-/// exactly as the base scheduler's run_job builds them (MORPH additionally
-/// forces overlap_borders, which the master/worker protocol requires).
+/// Builds the job's ft::Program from its spec via job_config, the mapping
+/// the base scheduler's SPMD gangs use too (MORPH additionally forces
+/// overlap_borders, which the master/worker protocol requires).
 [[nodiscard]] ProgramBundle make_job_program(const JobSpec& spec,
                                              const hsi::HsiCube& scene);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -143,7 +144,7 @@ class DispatcherPvars {
 
   void maybe_sample(double now, std::size_t ready, std::size_t running,
                     std::size_t free, std::size_t retry_queue,
-                    const TenantMap* tenants = nullptr) {
+                    const TenantMap* tenants) {
     if (!enabled_ || !cadence_.due(now)) return;
     cadence_.advance_past(now);
     obs::PvarSet set;
@@ -193,50 +194,42 @@ class DispatcherPvars {
   return (kCmdBaseBytes + 4 * members) * members;
 }
 
-/// Runs one job on a fresh sub-communicator over the commanded members and
-/// reports completion to the dispatcher.  Every member executes this; only
-/// the gang leader (members[0]) writes `out` and messages the dispatcher.
-void run_job(vmpi::Comm& world, const Cmd& cmd, const JobSpec& spec,
-             const hsi::HsiCube& scene, JobOutput& out) {
+/// Sub-communicator uid of one resilient attempt: retries of a job must
+/// build a *fresh* communicator (the previous one may contain dead ranks
+/// and half-matched state), so the attempt number is mixed in.
+[[nodiscard]] std::uint64_t attempt_uid(std::uint64_t job_id,
+                                        std::uint32_t attempt) {
+  return job_id + (static_cast<std::uint64_t>(attempt) << 32);
+}
+
+/// Base gang runtime: the algorithm's paper SPMD body on a fresh
+/// sub-communicator over the commanded members.  Every member executes
+/// this; only the gang leader (members[0]) writes `out` and reports the
+/// job's single Done to the dispatcher.
+void run_spmd_gang(vmpi::Comm& world, const Cmd& cmd, const JobSpec& spec,
+                   const hsi::HsiCube& scene, JobOutput& out) {
   vmpi::Comm sub = world.subset(cmd.members, spec.id);
   if (world.snapshots_enabled()) sub.label_snapshots(job_snapshot_scope(spec));
   const vmpi::RankStats before = sub.stats();
 
   switch (spec.algorithm) {
     case JobAlgorithm::kAtdca: {
-      core::AtdcaConfig config;
-      config.targets = spec.targets;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
       core::TargetDetectionResult result;
-      core::atdca_body(sub, scene, config, result);
+      core::atdca_body(sub, scene, job_config<core::AtdcaConfig>(spec),
+                       result);
       if (sub.is_root()) out.targets = std::move(result.targets);
       break;
     }
     case JobAlgorithm::kUfcls: {
-      core::UfclsConfig config;
-      config.targets = spec.targets;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
       core::TargetDetectionResult result;
-      core::ufcls_body(sub, scene, config, result);
+      core::ufcls_body(sub, scene, job_config<core::UfclsConfig>(spec),
+                       result);
       if (sub.is_root()) out.targets = std::move(result.targets);
       break;
     }
     case JobAlgorithm::kPct: {
-      core::PctConfig config;
-      config.classes = spec.classes;
-      config.sad_threshold = spec.sad_threshold;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
       core::ClassificationResult result;
-      core::pct_body(sub, scene, config, result);
+      core::pct_body(sub, scene, job_config<core::PctConfig>(spec), result);
       if (sub.is_root()) {
         out.labels = std::move(result.labels);
         out.label_count = result.label_count;
@@ -244,17 +237,9 @@ void run_job(vmpi::Comm& world, const Cmd& cmd, const JobSpec& spec,
       break;
     }
     case JobAlgorithm::kMorph: {
-      core::MorphConfig config;
-      config.classes = spec.classes;
-      config.iterations = spec.iterations;
-      config.kernel_radius = spec.kernel_radius;
-      config.sad_threshold = spec.sad_threshold;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
       core::ClassificationResult result;
-      core::morph_body(sub, scene, config, result);
+      core::morph_body(sub, scene, job_config<core::MorphConfig>(spec),
+                       result);
       if (sub.is_root()) {
         out.labels = std::move(result.labels);
         out.label_count = result.label_count;
@@ -262,16 +247,8 @@ void run_job(vmpi::Comm& world, const Cmd& cmd, const JobSpec& spec,
       break;
     }
     case JobAlgorithm::kPpi: {
-      core::PpiConfig config;
-      config.targets = spec.targets;
-      config.skewers = spec.skewers;
-      config.seed = spec.seed;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
       core::PpiResult result;
-      core::ppi_body(sub, scene, config, result);
+      core::ppi_body(sub, scene, job_config<core::PpiConfig>(spec), result);
       if (sub.is_root()) {
         out.targets = std::move(result.targets);
         out.scores = std::move(result.scores);
@@ -297,26 +274,96 @@ void run_job(vmpi::Comm& world, const Cmd& cmd, const JobSpec& spec,
   }
 }
 
+/// Resilient gang runtime: one attempt of the job's ft::Program under a
+/// ResilientDriver, on a per-attempt sub-communicator.  The leader reports
+/// the attempt (RDone), then every member reports itself free
+/// (WorkerFree); a crashed leader reports nothing.
+void run_resilient_gang(vmpi::Comm& world, const Cmd& cmd, const JobSpec& spec,
+                        const hsi::HsiCube& scene, JobOutput& out,
+                        const ResilienceConfig& rc, CheckpointStore* store) {
+  vmpi::Comm sub = world.subset(cmd.members, attempt_uid(spec.id, cmd.attempt));
+  if (world.snapshots_enabled()) {
+    sub.label_snapshots(job_snapshot_scope(spec) + "#" +
+                        std::to_string(cmd.attempt));
+  }
+  const vmpi::RankStats before = sub.stats();
+  if (sub.is_root()) {
+    AttemptOutcome oc =
+        run_resilient_leader(sub, spec, scene, static_cast<int>(cmd.attempt),
+                             rc, store, out);
+    RDone done;
+    done.index = cmd.index;
+    done.attempt = cmd.attempt;
+    done.status = static_cast<std::uint32_t>(oc.status);
+    done.finish_s = sub.stats().clock;
+    done.resumed_seq = oc.resumed_seq;
+    done.checkpoints = oc.checkpoints;
+    done.checkpoint_s = oc.checkpoint_s;
+    done.checkpoint_at_s = std::move(oc.checkpoint_at_s);
+    done.error = std::move(oc.error);
+    const std::size_t bytes = rdone_bytes(done);
+    world.send(world.root(), std::move(done), bytes, kDoneTag);
+  } else {
+    // Released by the leader or detected it dead; either way this rank
+    // is free again and says so below.
+    (void)run_resilient_worker(sub, spec, scene);
+  }
+  WorkerFree free_msg;
+  free_msg.index = cmd.index;
+  free_msg.attempt = cmd.attempt;
+  free_msg.busy_s = sub.stats().busy() - before.busy();
+  world.send(world.root(), free_msg, kFreeBytes, kFreeTag);
+}
+
 void worker_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
-                 const hsi::HsiCube& scene, std::vector<JobOutput>& outputs) {
+                 const hsi::HsiCube& scene, std::vector<JobOutput>& outputs,
+                 const ResilienceConfig& rc, CheckpointStore* store) {
   while (true) {
     const Cmd cmd = comm.recv<Cmd>(comm.root(), kCmdTag);
     if (cmd.shutdown) break;
     const JobSpec& spec = stream[cmd.index];
     const hsi::HsiCube& job_scene = spec.scene != nullptr ? *spec.scene : scene;
-    run_job(comm, cmd, spec, job_scene, outputs[cmd.index]);
+    if (rc.enabled) {
+      run_resilient_gang(comm, cmd, spec, job_scene, outputs[cmd.index], rc,
+                         store);
+    } else {
+      run_spmd_gang(comm, cmd, spec, job_scene, outputs[cmd.index]);
+    }
   }
 }
 
+/// One queued retry: the job may start again at `retry_at_s`.
+struct RetryEntry {
+  double retry_at_s = 0.0;
+  std::size_t index = 0;
+  double backoff_s = 0.0;
+};
+
+/// The control plane: admission, the retry queue, placement, gang
+/// dispatch with compute-once batching, and outcome handling, for both
+/// gang runtimes.  SchedulerConfig::resilience only changes how a finished
+/// attempt reports back (Done vs RDone + WorkerFree) and enables the
+/// resilient-only bookkeeping (attempt history, speed feedback).
 void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
                      const hsi::HsiCube& scene, const SchedulerConfig& config,
-                     std::vector<JobRecord>& records) {
+                     std::vector<JobRecord>& records, CheckpointStore& store,
+                     std::vector<int>& lost_ranks) {
   const simnet::Platform& platform = comm.platform();
   const Policy policy = config.policy;
-  std::vector<int> pool;  // the worker ranks, ascending
+  const bool resilient = config.resilience.enabled;
+  const RetryPolicy& retry = config.resilience.retry;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  std::vector<int> pool;  // surviving worker ranks, ascending
   for (int r = 0; r < comm.size(); ++r) {
     if (r != comm.root()) pool.push_back(r);
   }
+  std::set<int> free(pool.begin(), pool.end());
+  // Online w_i re-estimation: measured-vs-estimated spans of completed
+  // resilient attempts nudge a per-rank speed multiplier the placement and
+  // estimates consult.  Seeded entirely by virtual-time observations ->
+  // deterministic; all-ones (hence exact) in base mode.
+  std::vector<double> speed_scale(platform.size(), 1.0);
 
   // Arrival order over admitted jobs: (arrival, id), the event order the
   // dispatcher paces virtual time with.
@@ -333,13 +380,15 @@ void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
             });
 
   // Per-tenant live accounting, pre-seeded from the stream so every tenant
-  // has a pvar series from the first dispatcher sample on.  Untenanted
-  // streams keep the map empty and sample exactly the historic scope set.
+  // has a pvar series from the first dispatcher sample on.  Only base mode
+  // samples the series: untenanted streams and resilient runs emit exactly
+  // the historic scope set.
   TenantMap tenants;
   for (std::size_t i : arrivals) {
     if (!stream[i].tenant.empty()) tenants[stream[i].tenant];
   }
-  const TenantMap* tenant_view = tenants.empty() ? nullptr : &tenants;
+  const TenantMap* tenant_view =
+      resilient || tenants.empty() ? nullptr : &tenants;
   const auto live_of = [&tenants](const JobSpec& spec) -> TenantLive* {
     if (spec.tenant.empty()) return nullptr;
     const auto it = tenants.find(spec.tenant);
@@ -349,23 +398,99 @@ void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
   std::size_t next_arrival = 0;
   ReadyQueue ready(policy);
   std::vector<RunningJob> running;
-  std::set<int> free(pool.begin(), pool.end());
-  std::size_t terminal = 0;  // completed + quota-rejected + riders served
+  std::vector<RetryEntry> retryq;
+  std::size_t terminal = 0;  // quota-rejected + settled jobs
   DispatcherPvars pvars(comm);
+
+  // Every terminal path of an admitted job ends here: it drops the job's
+  // checkpoints and releases the tenant's in-flight ranks.
+  const auto settle = [&](std::size_t idx, JobState state) {
+    records[idx].state = state;
+    store.erase(stream[idx].id);
+    if (TenantLive* live = live_of(stream[idx])) {
+      live->inflight_ranks -= stream[idx].ranks;
+      if (state == JobState::kCompleted) ++live->completed;
+    }
+    ++terminal;
+  };
+  const auto finalize = [&](std::size_t idx, const std::string& why) {
+    records[idx].error = why;
+    settle(idx, store.committed_count(stream[idx].id) > 0
+                    ? JobState::kDegraded
+                    : JobState::kFailed);
+  };
+
+  // A rank detected dead leaves the pool for good; ready widths re-clamp
+  // so queued jobs elastically resize to whatever survives.  Idempotent: a
+  // rank found dead at dispatch is probed again when its gang reports.
+  const auto remove_rank = [&](int rank) {
+    const auto it = std::find(pool.begin(), pool.end(), rank);
+    if (it == pool.end()) return;
+    pool.erase(it);
+    free.erase(rank);
+    lost_ranks.push_back(rank);
+    pvars.on_worker_lost();
+    ready.clamp_widths(static_cast<int>(pool.size()));
+  };
+
+  // Compute-once batching: rider `ridx` takes `host`'s result instead of
+  // running itself.
+  const auto attach_rider = [&](RunningJob& host, std::size_t ridx,
+                                double now) {
+    JobRecord& rider = records[ridx];
+    rider.dispatch_s = now;  // joined the in-flight computation
+    rider.members = records[host.index].members;
+    rider.est_seconds = records[host.index].est_seconds;
+    rider.batched_into = host.id;
+    host.riders.push_back(ridx);
+    if (TenantLive* live = live_of(stream[ridx])) ++live->riders;
+  };
+
+  // The one entry path of arrivals, due retries, and riders released by a
+  // failed attempt: ride a running compute-equivalent gang when one exists
+  // (the lowest job id hosts -- a deterministic rule), else join the ready
+  // queue at a width the surviving pool can hold.
+  const auto enqueue = [&](std::size_t idx, double now, double backoff_s,
+                           const char* purpose) {
+    const JobSpec& spec = stream[idx];
+    if (pool.empty()) {
+      finalize(idx, std::string("no surviving workers to ") + purpose +
+                        " the job");
+      return;
+    }
+    if (config.batch_shared_keys && spec.batch_key != 0) {
+      RunningJob* host = nullptr;
+      for (RunningJob& run : running) {
+        if (run.batch_key == spec.batch_key &&
+            compute_equivalent(stream[run.index], spec) &&
+            (host == nullptr || run.id < host->id)) {
+          host = &run;
+        }
+      }
+      if (host != nullptr) {
+        attach_rider(*host, idx, now);
+        return;
+      }
+    }
+    PendingJob pending{spec.id, idx, spec.arrival_s, records[idx].est_seconds,
+                       std::min(spec.ranks, static_cast<int>(pool.size()))};
+    pending.batch_key = config.batch_shared_keys ? spec.batch_key : 0;
+    pending.backoff_s = backoff_s;
+    ready.push(pending);
+    if (TenantLive* live = live_of(spec)) ++live->ready;
+  };
 
   while (terminal < arrivals.size()) {
     const double now = comm.now();
 
-    // Admit everything that has arrived by now.
+    // Admit everything that has arrived by now.  The tenant cap on
+    // in-flight ranks is enforced at the arrival event, before the job can
+    // hold a queue slot.
     while (next_arrival < arrivals.size() &&
            stream[arrivals[next_arrival]].arrival_s <= now) {
       const std::size_t idx = arrivals[next_arrival++];
       const JobSpec& spec = stream[idx];
-      TenantLive* live = live_of(spec);
-
-      // Tenant quota: the cap on in-flight ranks is enforced at the
-      // arrival event, before the job can hold a queue slot.
-      if (live != nullptr) {
+      if (TenantLive* live = live_of(spec)) {
         const auto cap = config.tenant_rank_caps.find(spec.tenant);
         if (cap != config.tenant_rank_caps.end() && cap->second > 0 &&
             live->inflight_ranks + spec.ranks > cap->second) {
@@ -383,45 +508,27 @@ void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
         }
         live->inflight_ranks += spec.ranks;
       }
-
-      // Compute-once batching, arrival side: a request arriving while a
-      // gang is already computing the identical work attaches to it as a
-      // rider instead of queueing.  Among several matching gangs (possible
-      // only with batching off earlier in the stream) the lowest job id
-      // hosts -- a deterministic rule.
-      if (config.batch_shared_keys && spec.batch_key != 0) {
-        RunningJob* host = nullptr;
-        for (RunningJob& run : running) {
-          if (run.batch_key == spec.batch_key &&
-              compute_equivalent(stream[run.index], spec) &&
-              (host == nullptr || run.id < host->id)) {
-            host = &run;
-          }
-        }
-        if (host != nullptr) {
-          JobRecord& record = records[idx];
-          record.dispatch_s = now;  // joined the in-flight computation
-          record.members = records[host->index].members;
-          record.est_seconds = records[host->index].est_seconds;
-          record.batched_into = host->id;
-          host->riders.push_back(idx);
-          if (live != nullptr) ++live->riders;
-          continue;
-        }
-      }
-
-      PendingJob pending{spec.id,  idx, spec.arrival_s,
-                         records[idx].est_seconds, spec.ranks};
-      pending.batch_key = config.batch_shared_keys ? spec.batch_key : 0;
-      ready.push(pending);
-      if (live != nullptr) ++live->ready;
+      enqueue(idx, now, 0.0, "run");
     }
-    pvars.maybe_sample(now, ready.size(), running.size(), free.size(), 0,
-                       tenant_view);
+    // Due retries re-enter in deterministic (retry_at, id) order.
+    std::sort(retryq.begin(), retryq.end(),
+              [&stream](const RetryEntry& a, const RetryEntry& b) {
+                if (a.retry_at_s != b.retry_at_s) {
+                  return a.retry_at_s < b.retry_at_s;
+                }
+                return stream[a.index].id < stream[b.index].id;
+              });
+    while (!retryq.empty() && retryq.front().retry_at_s <= now) {
+      const RetryEntry entry = retryq.front();
+      retryq.erase(retryq.begin());
+      enqueue(entry.index, now, entry.backoff_s, "retry");
+    }
+    pvars.maybe_sample(now, ready.size(), running.size(), free.size(),
+                       retryq.size(), tenant_view);
 
     const std::vector<int> free_ranks(free.begin(), free.end());
     if (auto sel = try_select(policy, platform, ready, free_ranks, running,
-                              now)) {
+                              now, &speed_scale)) {
       const std::size_t idx = sel->index;
       const JobSpec& spec = stream[idx];
       const hsi::HsiCube& job_scene =
@@ -438,19 +545,32 @@ void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
       record.dispatch_s = now;
       record.members = members;
       record.est_seconds =
-          estimate_job(platform, members, spec, job_scene).seconds;
+          estimate_job(platform, members, spec, job_scene, &speed_scale)
+              .seconds;
+      Cmd cmd;
+      cmd.index = static_cast<std::uint32_t>(idx);
+      cmd.members = members;
+      if (resilient) {
+        JobAttempt attempt;
+        attempt.attempt = static_cast<int>(record.attempts.size()) + 1;
+        attempt.dispatch_s = now;
+        attempt.backoff_s = ready.find(sel->id)->backoff_s;
+        attempt.width = static_cast<int>(members.size());
+        attempt.members = members;
+        cmd.attempt = static_cast<std::uint32_t>(attempt.attempt);
+        record.attempts.push_back(std::move(attempt));
+      }
+      ready.erase(sel->id);
+      if (TenantLive* live = live_of(spec)) {
+        --live->ready;
+        ++live->running;
+      }
       RunningJob run;
       run.id = spec.id;
       run.index = idx;
       run.est_finish_s = now + record.est_seconds;
       run.members = members;
       run.batch_key = config.batch_shared_keys ? spec.batch_key : 0;
-      ready.erase(sel->id);
-      if (TenantLive* live = live_of(spec)) {
-        --live->ready;
-        ++live->running;
-      }
-
       // Compute-once batching, dispatch side: every queued
       // compute-equivalent request with the same key skips its own
       // dispatch and takes this gang's result.
@@ -461,322 +581,35 @@ void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
           const std::size_t ridx = pending->index;
           if (!compute_equivalent(stream[ridx], spec)) continue;
           ready.erase(peer);
-          JobRecord& rider = records[ridx];
-          rider.dispatch_s = now;
-          rider.members = members;
-          rider.est_seconds = record.est_seconds;
-          rider.batched_into = spec.id;
-          run.riders.push_back(ridx);
-          if (TenantLive* rlive = live_of(stream[ridx])) {
-            --rlive->ready;
-            ++rlive->riders;
-          }
+          if (TenantLive* rlive = live_of(stream[ridx])) --rlive->ready;
+          attach_rider(run, ridx, now);
         }
       }
       running.push_back(std::move(run));
       for (int m : members) free.erase(m);
-      Cmd cmd;
-      cmd.index = static_cast<std::uint32_t>(idx);
-      cmd.members = members;
+      // A member that crashed idle after reporting itself free cannot take
+      // the command: it leaves the pool here, and the gang runtime absorbs
+      // its absence like any crash inside an attempt.
       const std::size_t bytes = cmd_bytes(cmd);
       for (int m : members) {
-        comm.send(m, cmd, bytes, kCmdTag);
+        if (!comm.try_send(m, cmd, bytes, kCmdTag)) remove_rank(m);
       }
       pvars.on_dispatch(gang_wire_bytes(members.size()));
       continue;
     }
 
-    // Nothing may start: advance virtual time to the next event.  Arrival
-    // times are known exactly; completions are consumed in the cost
-    // model's (est_finish, id) order -- a deterministic rule, so the
-    // schedule cannot depend on host timing even when an estimate is off.
-    const bool have_arrival = next_arrival < arrivals.size();
-    const double arrival_t =
-        have_arrival ? stream[arrivals[next_arrival]].arrival_s : 0.0;
-    if (running.empty()) {
-      HPRS_ASSERT(have_arrival);  // else the stream would be drained
-      comm.sleep_until(arrival_t);
-      continue;
-    }
-    std::size_t next = 0;
-    for (std::size_t i = 1; i < running.size(); ++i) {
-      const bool earlier =
-          running[i].est_finish_s != running[next].est_finish_s
-              ? running[i].est_finish_s < running[next].est_finish_s
-              : running[i].id < running[next].id;
-      if (earlier) next = i;
-    }
-    if (have_arrival && arrival_t <= running[next].est_finish_s) {
-      comm.sleep_until(arrival_t);
-      continue;
-    }
-    const int leader = running[next].members.front();
-    const Done done = comm.recv<Done>(leader, kDoneTag);
-    HPRS_ASSERT(done.index == running[next].index);
-    JobRecord& record = records[done.index];
-    record.finish_s = done.finish_s;
-    record.busy_s = done.busy_s;
-    record.batch_fanout = running[next].riders.size();
-    if (TenantLive* live = live_of(stream[done.index])) {
-      --live->running;
-      ++live->completed;
-      live->inflight_ranks -= stream[done.index].ranks;
-    }
-    ++terminal;
-    // Fan the completion out to the riders: their result is the leader's
-    // (run_schedule copies the output after the run); available at the
-    // gang's finish, or at the rider's own attach instant if the gang's
-    // actual finish predates it (estimate skew).
-    for (std::size_t ridx : running[next].riders) {
-      JobRecord& rider = records[ridx];
-      rider.finish_s = std::max(done.finish_s, rider.dispatch_s);
-      if (TenantLive* rlive = live_of(stream[ridx])) {
-        --rlive->riders;
-        ++rlive->completed;
-        ++rlive->batched;
-        rlive->inflight_ranks -= stream[ridx].ranks;
-      }
-      ++terminal;
-    }
-    for (int m : running[next].members) free.insert(m);
-    pvars.on_complete(gang_wire_bytes(running[next].members.size()));
-    running.erase(running.begin() + static_cast<std::ptrdiff_t>(next));
-  }
-
-  // Drain the pool: one shutdown command per worker.
-  Cmd bye;
-  bye.shutdown = true;
-  for (int m : pool) {
-    comm.send(m, bye, kCmdBaseBytes, kCmdTag);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Resilient mode (SchedulerConfig::resilience.enabled)
-// ---------------------------------------------------------------------------
-
-/// Sub-communicator uid of one attempt: retries of a job must build a
-/// *fresh* communicator (the previous one may contain dead ranks and
-/// half-matched state), so the attempt number is mixed in.
-[[nodiscard]] std::uint64_t attempt_uid(std::uint64_t job_id,
-                                        std::uint32_t attempt) {
-  return job_id + (static_cast<std::uint64_t>(attempt) << 32);
-}
-
-void resilient_worker_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
-                           const hsi::HsiCube& scene,
-                           std::vector<JobOutput>& outputs,
-                           const ResilienceConfig& rc, CheckpointStore* store) {
-  while (true) {
-    const Cmd cmd = comm.recv<Cmd>(comm.root(), kCmdTag);
-    if (cmd.shutdown) break;
-    const JobSpec& spec = stream[cmd.index];
-    const hsi::HsiCube& job_scene = spec.scene != nullptr ? *spec.scene : scene;
-    vmpi::Comm sub =
-        comm.subset(cmd.members, attempt_uid(spec.id, cmd.attempt));
-    if (comm.snapshots_enabled()) {
-      sub.label_snapshots(job_snapshot_scope(spec) + "#" +
-                          std::to_string(cmd.attempt));
-    }
-    const vmpi::RankStats before = sub.stats();
-    if (sub.is_root()) {
-      AttemptOutcome oc = run_resilient_leader(
-          sub, spec, job_scene, static_cast<int>(cmd.attempt), rc, store,
-          outputs[cmd.index]);
-      const vmpi::RankStats after = sub.stats();
-      RDone done;
-      done.index = cmd.index;
-      done.attempt = cmd.attempt;
-      done.status = static_cast<std::uint32_t>(oc.status);
-      done.finish_s = after.clock;
-      done.resumed_seq = oc.resumed_seq;
-      done.checkpoints = oc.checkpoints;
-      done.checkpoint_s = oc.checkpoint_s;
-      done.checkpoint_at_s = std::move(oc.checkpoint_at_s);
-      done.error = std::move(oc.error);
-      const std::size_t bytes = rdone_bytes(done);
-      comm.send(comm.root(), std::move(done), bytes, kDoneTag);
-    } else {
-      // Released by the leader or detected it dead; either way this rank
-      // is free again and says so below.
-      (void)run_resilient_worker(sub, spec, job_scene);
-    }
-    const vmpi::RankStats after = sub.stats();
-    WorkerFree free_msg;
-    free_msg.index = cmd.index;
-    free_msg.attempt = cmd.attempt;
-    free_msg.busy_s = after.busy() - before.busy();
-    comm.send(comm.root(), free_msg, kFreeBytes, kFreeTag);
-  }
-}
-
-/// One queued retry: the job may start again at `retry_at_s`.
-struct RetryEntry {
-  double retry_at_s = 0.0;
-  std::size_t index = 0;
-  double backoff_s = 0.0;
-};
-
-void resilient_dispatcher_loop(vmpi::Comm& comm,
-                               const std::vector<JobSpec>& stream,
-                               const hsi::HsiCube& scene,
-                               const SchedulerConfig& config,
-                               std::vector<JobRecord>& records,
-                               CheckpointStore& store,
-                               std::vector<int>& lost_ranks) {
-  const simnet::Platform& platform = comm.platform();
-  const ResilienceConfig& rc = config.resilience;
-  const Policy policy = config.policy;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  std::vector<int> pool;  // surviving worker ranks, ascending
-  for (int r = 0; r < comm.size(); ++r) {
-    if (r != comm.root()) pool.push_back(r);
-  }
-  std::set<int> free(pool.begin(), pool.end());
-  // Online w_i re-estimation: measured-vs-estimated spans of completed
-  // attempts nudge a per-rank speed multiplier the placement and estimates
-  // consult.  Seeded entirely by virtual-time observations -> deterministic.
-  std::vector<double> speed_scale(platform.size(), 1.0);
-
-  std::vector<std::size_t> arrivals;
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    if (!records[i].rejected) arrivals.push_back(i);
-  }
-  std::sort(arrivals.begin(), arrivals.end(),
-            [&stream](std::size_t a, std::size_t b) {
-              if (stream[a].arrival_s != stream[b].arrival_s) {
-                return stream[a].arrival_s < stream[b].arrival_s;
-              }
-              return stream[a].id < stream[b].id;
-            });
-
-  std::size_t next_arrival = 0;
-  ReadyQueue ready(policy);
-  std::vector<RunningJob> running;
-  std::vector<RetryEntry> retryq;
-  std::size_t terminal = 0;
-  DispatcherPvars pvars(comm);
-
-  const auto finalize = [&](std::size_t idx, const std::string& why) {
-    JobRecord& record = records[idx];
-    record.state = store.committed_count(stream[idx].id) > 0
-                       ? JobState::kDegraded
-                       : JobState::kFailed;
-    record.error = why;
-    store.erase(stream[idx].id);
-    ++terminal;
-  };
-
-  // A rank detected dead leaves the pool for good; ready widths re-clamp
-  // so queued jobs elastically resize to whatever survives.
-  const auto remove_rank = [&](int rank) {
-    pool.erase(std::remove(pool.begin(), pool.end(), rank), pool.end());
-    free.erase(rank);
-    lost_ranks.push_back(rank);
-    pvars.on_worker_lost();
-    ready.clamp_widths(static_cast<int>(pool.size()));
-  };
-
-  while (terminal < arrivals.size()) {
-    const double now = comm.now();
-
-    while (next_arrival < arrivals.size() &&
-           stream[arrivals[next_arrival]].arrival_s <= now) {
-      const std::size_t idx = arrivals[next_arrival++];
-      if (pool.empty()) {
-        finalize(idx, "no surviving workers to run the job");
-        continue;
-      }
-      const int width =
-          std::min(stream[idx].ranks, static_cast<int>(pool.size()));
-      ready.push(PendingJob{stream[idx].id, idx, stream[idx].arrival_s,
-                            records[idx].est_seconds, width});
-    }
-    // Due retries re-enter the queue in deterministic (retry_at, id) order.
-    std::sort(retryq.begin(), retryq.end(),
-              [&stream](const RetryEntry& a, const RetryEntry& b) {
-                if (a.retry_at_s != b.retry_at_s) {
-                  return a.retry_at_s < b.retry_at_s;
-                }
-                return stream[a.index].id < stream[b.index].id;
-              });
-    while (!retryq.empty() && retryq.front().retry_at_s <= now) {
-      const RetryEntry entry = retryq.front();
-      retryq.erase(retryq.begin());
-      if (pool.empty()) {
-        finalize(entry.index, "no surviving workers to retry the job");
-        continue;
-      }
-      const int width =
-          std::min(stream[entry.index].ranks, static_cast<int>(pool.size()));
-      PendingJob retry{stream[entry.index].id, entry.index,
-                       stream[entry.index].arrival_s,
-                       records[entry.index].est_seconds, width};
-      retry.backoff_s = entry.backoff_s;
-      ready.push(retry);
-    }
-    pvars.maybe_sample(now, ready.size(), running.size(), free.size(),
-                       retryq.size());
-
-    const std::vector<int> free_ranks(free.begin(), free.end());
-    if (auto sel = try_select(policy, platform, ready, free_ranks, running,
-                              now, &speed_scale)) {
-      const std::size_t idx = sel->index;
-      const double sel_backoff_s = ready.find(sel->id)->backoff_s;
-      const JobSpec& spec = stream[idx];
-      const hsi::HsiCube& job_scene =
-          spec.scene != nullptr ? *spec.scene : scene;
-      std::vector<int> members = sel->members;
-      if (policy == Policy::kHeteroBestFit) {
-        members = refine_members(platform, free_ranks, std::move(members),
-                                 spec, job_scene);
-      }
-      JobRecord& record = records[idx];
-      record.dispatch_s = now;
-      record.members = members;
-      record.est_seconds =
-          estimate_job(platform, members, spec, job_scene, &speed_scale)
-              .seconds;
-      JobAttempt attempt;
-      attempt.attempt = static_cast<int>(record.attempts.size()) + 1;
-      attempt.dispatch_s = now;
-      attempt.backoff_s = sel_backoff_s;
-      attempt.width = static_cast<int>(members.size());
-      attempt.members = members;
-      record.attempts.push_back(std::move(attempt));
-      RunningJob run;
-      run.id = spec.id;
-      run.index = idx;
-      run.est_finish_s = now + record.est_seconds;
-      run.members = members;
-      running.push_back(std::move(run));
-      for (int m : members) free.erase(m);
-      ready.erase(sel->id);
-      Cmd cmd;
-      cmd.index = static_cast<std::uint32_t>(idx);
-      cmd.attempt =
-          static_cast<std::uint32_t>(records[idx].attempts.back().attempt);
-      cmd.members = members;
-      const std::size_t bytes = cmd_bytes(cmd);
-      for (int m : members) {
-        comm.send(m, cmd, bytes, kCmdTag);
-      }
-      pvars.on_dispatch(gang_wire_bytes(members.size()));
-      continue;
-    }
-
-    // Nothing may start: advance to the next arrival, due retry, or
-    // completion -- all deterministic virtual-time quantities.
-    const double arrival_t = next_arrival < arrivals.size()
-                                 ? stream[arrivals[next_arrival]].arrival_s
-                                 : kInf;
-    double retry_t = kInf;
+    // Nothing may start: advance virtual time to the next arrival, due
+    // retry, or completion.  Arrival and retry times are known exactly;
+    // completions are consumed in the cost model's (est_finish, id) order
+    // -- a deterministic rule, so the schedule cannot depend on host
+    // timing even when an estimate is off.
+    double wake = next_arrival < arrivals.size()
+                      ? stream[arrivals[next_arrival]].arrival_s
+                      : kInf;
     for (const RetryEntry& entry : retryq) {
-      retry_t = std::min(retry_t, entry.retry_at_s);
+      wake = std::min(wake, entry.retry_at_s);
     }
     if (running.empty()) {
-      const double wake = std::min(arrival_t, retry_t);
       HPRS_ASSERT(wake < kInf);  // else the stream would be drained
       comm.sleep_until(wake);
       continue;
@@ -789,75 +622,102 @@ void resilient_dispatcher_loop(vmpi::Comm& comm,
               : running[i].id < running[next].id;
       if (earlier) next = i;
     }
-    if (std::min(arrival_t, retry_t) <= running[next].est_finish_s) {
-      comm.sleep_until(std::min(arrival_t, retry_t));
+    if (wake <= running[next].est_finish_s) {
+      comm.sleep_until(wake);
       continue;
     }
 
-    // Consume the attempt: the leader's report (nullopt = leader crashed),
-    // then every member's free notification (nullopt = member crashed and
-    // leaves the pool).  All try_recv detection time is charged to the
-    // dispatcher in virtual time, so the schedule stays deterministic.
-    const RunningJob run = running[next];
+    // Consume the attempt.  Its report is the one mode-specific step: a
+    // base leader (immortal -- crash plans are refused) sends one Done
+    // with the gang's summed busy time, read into a completed RDone; a
+    // resilient leader sends RDone and every member a WorkerFree, where
+    // silence means the rank crashed and leaves the pool.  All try_recv
+    // detection time is charged to the dispatcher in virtual time, so the
+    // schedule stays deterministic.
+    const RunningJob run = std::move(running[next]);
     running.erase(running.begin() + static_cast<std::ptrdiff_t>(next));
     pvars.on_complete(gang_wire_bytes(run.members.size()));
-    const int leader = run.members.front();
-    std::optional<RDone> report = comm.try_recv<RDone>(leader, kDoneTag);
-    double busy = 0.0;
-    for (int m : run.members) {
-      if (m == leader && !report.has_value()) {
-        // A dead leader posted nothing (RDone precedes its WorkerFree);
-        // skip the redundant probe and drop it from the pool directly.
-        remove_rank(m);
-        continue;
-      }
-      std::optional<WorkerFree> free_msg =
-          comm.try_recv<WorkerFree>(m, kFreeTag);
-      if (free_msg.has_value()) {
-        free.insert(m);
-        busy += free_msg->busy_s;
-      } else {
-        remove_rank(m);
-      }
-    }
+    if (TenantLive* live = live_of(stream[run.index])) --live->running;
     JobRecord& record = records[run.index];
-    record.busy_s += busy;
-    JobAttempt& attempt = record.attempts.back();
-    attempt.end_s = report.has_value() ? report->finish_s : comm.now();
-    if (report.has_value()) {
-      attempt.resumed_seq = report->resumed_seq;
-      attempt.checkpoints = report->checkpoints;
-      attempt.checkpoint_s = report->checkpoint_s;
-      attempt.checkpoint_at_s = std::move(report->checkpoint_at_s);
+    const int leader = run.members.front();
+    std::optional<RDone> report;
+    double busy = 0.0;
+    if (!resilient) {
+      const Done done = comm.try_recv<Done>(leader, kDoneTag).value();
+      HPRS_ASSERT(done.index == run.index);
+      report.emplace();
+      report->finish_s = done.finish_s;
+      busy = done.busy_s;
+      for (int m : run.members) free.insert(m);
+    } else {
+      report = comm.try_recv<RDone>(leader, kDoneTag);
+      for (int m : run.members) {
+        // A dead leader posted nothing (RDone precedes its WorkerFree);
+        // skip the redundant probe.
+        std::optional<WorkerFree> free_msg;
+        if (m != leader || report.has_value()) {
+          free_msg = comm.try_recv<WorkerFree>(m, kFreeTag);
+        }
+        if (free_msg.has_value()) {
+          free.insert(m);
+          busy += free_msg->busy_s;
+        } else {
+          remove_rank(m);
+        }
+      }
+      JobAttempt& attempt = record.attempts.back();
+      attempt.end_s = report.has_value() ? report->finish_s : comm.now();
+      if (report.has_value()) {
+        attempt.resumed_seq = report->resumed_seq;
+        attempt.checkpoints = report->checkpoints;
+        attempt.checkpoint_s = report->checkpoint_s;
+        attempt.checkpoint_at_s = std::move(report->checkpoint_at_s);
+      }
     }
+    record.busy_s += busy;
 
     if (report.has_value() && report->status == 0) {
-      attempt.outcome = "completed";
       record.finish_s = report->finish_s;
-      record.state = JobState::kCompleted;
-      store.erase(stream[run.index].id);
-      ++terminal;
-      // Feed the measured span back into the speed estimates: ratio > 1
-      // means the gang beat its estimate (its ranks run faster than the
-      // platform w_i claims), < 1 the opposite.  Clamps keep one noisy
-      // attempt from swinging placements wildly.
-      const double measured = report->finish_s - attempt.dispatch_s;
-      if (measured > 0.0) {
-        const double ratio =
-            std::clamp(record.est_seconds / measured, 0.25, 4.0);
-        for (int m : run.members) {
-          auto& scale = speed_scale[static_cast<std::size_t>(m)];
-          scale = std::clamp(scale * (0.7 + 0.3 * ratio), 0.1, 10.0);
+      record.batch_fanout = run.riders.size();
+      settle(run.index, JobState::kCompleted);
+      if (resilient) {
+        JobAttempt& attempt = record.attempts.back();
+        attempt.outcome = "completed";
+        // Feed the measured span back into the speed estimates: ratio > 1
+        // means the gang beat its estimate (its ranks run faster than the
+        // platform w_i claims), < 1 the opposite.  Clamps keep one noisy
+        // attempt from swinging placements wildly.
+        const double measured = report->finish_s - attempt.dispatch_s;
+        if (measured > 0.0) {
+          const double ratio =
+              std::clamp(record.est_seconds / measured, 0.25, 4.0);
+          for (int m : run.members) {
+            auto& scale = speed_scale[static_cast<std::size_t>(m)];
+            scale = std::clamp(scale * (0.7 + 0.3 * ratio), 0.1, 10.0);
+          }
         }
+      }
+      // Fan the completion out to the riders: their result is the leader's
+      // (run_schedule copies the output after the run); available at the
+      // gang's finish, or at the rider's own attach instant if the gang's
+      // actual finish predates it (estimate skew).
+      for (std::size_t ridx : run.riders) {
+        JobRecord& rider = records[ridx];
+        rider.finish_s = std::max(report->finish_s, rider.dispatch_s);
+        if (TenantLive* rlive = live_of(stream[ridx])) {
+          --rlive->riders;
+          ++rlive->batched;
+        }
+        settle(ridx, JobState::kCompleted);
       }
     } else {
       const bool preempted = report.has_value() && report->status == 1;
       const std::string why = !report.has_value()
                                   ? "leader crashed"
                                   : (preempted ? "preempted" : report->error);
-      attempt.outcome = why;
+      record.attempts.back().outcome = why;
       const int attempts_done = static_cast<int>(record.attempts.size());
-      if (pool.empty() || attempts_done >= rc.retry.max_attempts) {
+      if (pool.empty() || attempts_done >= retry.max_attempts) {
         finalize(run.index,
                  pool.empty()
                      ? "no surviving workers to retry the job (" + why + ")"
@@ -871,24 +731,36 @@ void resilient_dispatcher_loop(vmpi::Comm& comm,
         double backoff = 0.0;
         if (!preempted) {
           const int next_attempt = attempts_done + 1;
-          SplitMix64 rng(rc.retry.backoff_seed ^ stream[run.index].id ^
+          SplitMix64 rng(retry.backoff_seed ^ stream[run.index].id ^
                          static_cast<std::uint64_t>(next_attempt));
           const double u =
               static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
-          backoff = rc.retry.backoff_base_s *
-                    std::pow(rc.retry.backoff_factor, next_attempt - 2) *
+          backoff = retry.backoff_base_s *
+                    std::pow(retry.backoff_factor, next_attempt - 2) *
                     (0.5 + u);
         }
         retryq.push_back(RetryEntry{comm.now() + backoff, run.index, backoff});
         pvars.on_retry();
       }
+      // The failed attempt releases its riders: with their rider fields
+      // cleared they re-enter like arrivals, re-attaching to the next
+      // compute-equivalent gang.
+      for (std::size_t ridx : run.riders) {
+        JobRecord& rider = records[ridx];
+        rider.dispatch_s = -1.0;
+        rider.members.clear();
+        rider.batched_into = 0;
+        if (TenantLive* rlive = live_of(stream[ridx])) --rlive->riders;
+        enqueue(ridx, comm.now(), 0.0, "run");
+      }
     }
 
     // A completion that killed the last workers strands everything still
-    // queued; resolve those jobs now instead of spinning.
+    // queued; resolve those jobs now instead of spinning.  Gangs still
+    // running on dead ranks resolve at their own completion.
     if (pool.empty()) {
-      HPRS_ASSERT(running.empty());
       for (const auto& [key, job] : ready.ordered()) {
+        if (TenantLive* live = live_of(stream[job.index])) --live->ready;
         finalize(job.index, "no surviving workers to run the job");
       }
       ready = ReadyQueue(policy);
@@ -899,13 +771,13 @@ void resilient_dispatcher_loop(vmpi::Comm& comm,
     }
   }
 
-  // Drain the survivors; crashed ranks get nothing (they can no longer
-  // match a message, and an idle rank merely *scheduled* to crash still
-  // completes the receive, so every pool member is safe to address).
+  // Drain the survivors, one shutdown command each.  A rank that crashed
+  // idle after reporting itself free can no longer match a message;
+  // try_send detects it instead of aborting the run.
   Cmd bye;
   bye.shutdown = true;
-  for (int m : pool) {
-    comm.send(m, bye, kCmdBaseBytes, kCmdTag);
+  for (int m : std::vector<int>(pool)) {
+    if (!comm.try_send(m, bye, kCmdBaseBytes, kCmdTag)) remove_rank(m);
   }
 }
 
@@ -961,12 +833,6 @@ ScheduleResult run_schedule(const simnet::Platform& platform,
     // Fail fast at schedule construction: a crash aimed at the dispatcher
     // or a nonexistent rank is a plan bug, not a survivable fault.
     validate_cluster_fault_plan(options, platform.size());
-    // Batching fan-out and quota admission are base-dispatcher features;
-    // the retry control plane would need per-attempt rider re-attachment
-    // to combine with them.  Tenant *labels* pass through either mode.
-    HPRS_REQUIRE(!config.batch_shared_keys && config.tenant_rank_caps.empty(),
-                 "batch_shared_keys / tenant_rank_caps cannot be combined "
-                 "with SchedulerConfig::resilience");
   } else {
     HPRS_REQUIRE(options.fault_plan.crashes.empty(),
                  "the base scheduler cannot survive rank crashes; enable "
@@ -1017,26 +883,14 @@ ScheduleResult run_schedule(const simnet::Platform& platform,
   vmpi::Engine engine(platform, options);
   result.report = engine.run([&](vmpi::Comm& comm) {
     if (comm.rank() == comm.root()) {
-      if (config.resilience.enabled) {
-        resilient_dispatcher_loop(comm, stream, scene, config, result.records,
-                                  store, result.lost_ranks);
-      } else {
-        dispatcher_loop(comm, stream, scene, config, result.records);
-      }
-    } else if (config.resilience.enabled) {
-      resilient_worker_loop(comm, stream, scene, result.outputs,
-                            config.resilience, gang_store);
+      dispatcher_loop(comm, stream, scene, config, result.records, store,
+                      result.lost_ranks);
     } else {
-      worker_loop(comm, stream, scene, result.outputs);
+      worker_loop(comm, stream, scene, result.outputs, config.resilience,
+                  gang_store);
     }
   });
   std::sort(result.lost_ranks.begin(), result.lost_ranks.end());
-  for (JobRecord& record : result.records) {
-    if (record.state == JobState::kPending) {
-      record.state =
-          record.completed() ? JobState::kCompleted : JobState::kFailed;
-    }
-  }
 
   // Fan batched results out: a rider's output is its leader's, bit for bit
   // (compute_equivalent guarantees the leader's run equals a solo run of

@@ -4,13 +4,16 @@
 // SPMD control program on it: the engine's root rank becomes the
 // *dispatcher* (it never computes); every other rank is a *worker*.  The
 // dispatcher paces the stream's virtual-time arrivals with sleep_until,
-// picks the next job and its rank subset with the pluggable policy
-// (sched/policy.hpp), and gang-dispatches the job by sending each member a
-// command message; the members build a sub-communicator with Comm::subset
-// and run the algorithm's unmodified SPMD body on it.  The gang leader
-// reports completion (aligned finish time + summed busy time) back to the
-// dispatcher, which frees the ranks and keeps going until the stream
-// drains.  See DESIGN.md section 11 for the determinism argument.
+// admits them (tenant rank caps, compute-once batching), picks the next
+// job and its rank subset with the pluggable policy (sched/policy.hpp),
+// and gang-dispatches the job by sending each member a command message;
+// the members build a sub-communicator with Comm::subset and run the job
+// on it.  One dispatcher loop serves both gang runtimes: by default a gang
+// runs the algorithm's unmodified SPMD body and its leader reports one
+// completion (aligned finish time + summed busy time); under
+// SchedulerConfig::resilience it runs the job's ft::Program with
+// checkpoints, and failed or preempted attempts go through the same loop's
+// retry queue.  See DESIGN.md section 11 for the determinism argument.
 #pragma once
 
 #include <map>
@@ -32,28 +35,30 @@ struct SchedulerConfig {
   /// Publish per-job Domain::kStable metrics (queue wait, makespan,
   /// utilization) into the obs registry after the run.
   bool record_metrics = true;
-  /// Cluster resilience (sched/resilience.hpp).  When enabled the
-  /// dispatcher runs the checkpoint/retry control plane: gang leaders are
-  /// mortal, crashed ranks leave the pool, preempted or failed jobs are
-  /// retried (elastically resized, resumed from their last checkpoint)
-  /// with seeded backoff, and jobs exhausting their attempts go
-  /// kDegraded / kFailed instead of aborting the schedule.  Off by
-  /// default: the base path stays bit-identical to previous releases.
+  /// Cluster resilience (sched/resilience.hpp).  When enabled gangs run the
+  /// checkpointing ft::Program runtime: gang leaders are mortal, crashed
+  /// ranks leave the pool, preempted or failed jobs are retried
+  /// (elastically resized, resumed from their last checkpoint) with seeded
+  /// backoff, and jobs exhausting their attempts go kDegraded / kFailed
+  /// instead of aborting the schedule.  Off by default: gangs then run the
+  /// paper's SPMD bodies and crash plans are refused.
   ResilienceConfig resilience;
   /// Compute-once batching (serve/batcher.hpp): when a job with a nonzero
   /// JobSpec::batch_key is dispatched or running, compute-equivalent jobs
   /// sharing the key attach to its gang as *riders* instead of dispatching
   /// -- the gang computes once and the scheduler fans the result out to
   /// every rider at completion (JobRecord::batched_into / batch_fanout).
-  /// Base scheduler only; off by default (streams with zero keys are
-  /// unaffected either way).
+  /// A failed or preempted attempt releases its riders, which re-enter
+  /// like arrivals.  Off by default (streams with zero keys are unaffected
+  /// either way).
   bool batch_shared_keys = false;
   /// Per-tenant admission cap on in-flight ranks: the summed requested
   /// gang widths of a tenant's admitted, not-yet-finished jobs (queued +
   /// running + riders) may not exceed its cap.  A job arriving over the
   /// cap is rejected at its arrival event with a named
   /// "quota:inflight_ranks ..." reason.  Tenants without an entry (and
-  /// entries <= 0) are unlimited.  Base scheduler only.
+  /// entries <= 0) are unlimited.  Retries keep their ranks in flight;
+  /// every terminal state releases them.
   std::map<std::string, int> tenant_rank_caps;
 };
 
@@ -81,10 +86,12 @@ struct ScheduleResult {
 };
 
 /// Admits, places, and runs `stream` on `platform` under `config.policy`.
-/// Jobs that fail memory-bound admission are marked rejected (with the
-/// AdmissionError message) and never dispatch; everything else completes.
-/// Deterministic: identical streams produce bit-identical records,
-/// outputs, and stable metrics across runs and both executor modes.
+/// Jobs that fail memory-bound admission or a tenant rank cap are marked
+/// rejected (with the named reason) and never dispatch; every other job
+/// ends in exactly one terminal state -- completed, or under resilience
+/// degraded / failed.  Deterministic: identical streams produce
+/// bit-identical records, outputs, and stable metrics across runs and
+/// both executor modes.
 [[nodiscard]] ScheduleResult run_schedule(const simnet::Platform& platform,
                                           const hsi::HsiCube& scene,
                                           const std::vector<JobSpec>& stream,

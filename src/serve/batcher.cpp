@@ -43,7 +43,6 @@ std::uint64_t batch_key(const sched::JobSpec& spec, std::uint64_t scene_uid) {
   mix_double(h, spec.memory_fraction);
   mix(h, static_cast<std::uint64_t>(spec.policy));
   mix(h, static_cast<std::uint64_t>(spec.charge_data_staging));
-  mix(h, static_cast<std::uint64_t>(spec.tile_stream));
   // Scene overrides contribute presence only -- a pointer value would make
   // keys run-dependent and unserializable.  Distinct overrides colliding is
   // fine: the dispatcher re-checks compute_equivalent (which compares the

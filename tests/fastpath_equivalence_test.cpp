@@ -384,73 +384,5 @@ TEST(TileEquivalenceTest, StreamingIsDeterministicAcrossExecutorModes) {
   }
 }
 
-TEST(MixedPrecisionEquivalenceTest, AdversarialCubeFallsBackBitIdentical) {
-  // An adversarial cube whose magnitudes blow the float headroom: the
-  // a-priori gate must reject every tile, and the run with the mixed
-  // fast path enabled must equal the double run bit for bit.
-  hsi::Scene scene = small_scene();
-  for (float& v : scene.cube.samples()) v *= 1e17f;
-  const simnet::Platform platform = simnet::fully_heterogeneous();
-  const core::RunnerConfig cfg = config_for(core::Algorithm::kPct);
-
-  const core::RunnerOutput plain =
-      core::run_algorithm(platform, scene.cube, cfg);
-  core::RunnerOutput mixed;
-  obs::Metrics::Snapshot stable;
-  {
-    const obs::ScopedMetrics metrics;
-    const linalg::ScopedMixedPrecision mp(true);
-    mixed = core::run_algorithm(platform, scene.cube, cfg);
-    stable = obs::Metrics::stable_subset(obs::Metrics::instance().snapshot());
-  }
-  expect_identical_runs(plain, mixed, "adversarial mixed");
-  // Every tile fell back: zero mixed tiles, a positive fallback count.
-  for (const auto& [name, value] : stable) {
-    if (name == "core.pct.mp_tiles") {
-      EXPECT_EQ(value.count, 0u);
-    }
-    if (name == "core.pct.mp_fallback_tiles") {
-      EXPECT_GT(value.count, 0u);
-    }
-  }
-}
-
-TEST(MixedPrecisionEquivalenceTest, BenignCubeTakesTheFastPath) {
-  // On a well-conditioned scene the gate admits tiles, the covariance
-  // sweep charges the cheaper float flop count, and the classification
-  // stays essentially unchanged.  A single-node platform keeps the run
-  // compute-bound, so the flop saving must show up in the makespan (on a
-  // networked gang it hides in NIC-serialization slack).
-  const hsi::Scene scene = small_scene();
-  const simnet::Platform platform = simnet::thunderhead(1);
-  const core::RunnerConfig cfg = config_for(core::Algorithm::kPct);
-
-  const core::RunnerOutput plain =
-      core::run_algorithm(platform, scene.cube, cfg);
-  core::RunnerOutput mixed;
-  obs::Metrics::Snapshot stable;
-  {
-    const obs::ScopedMetrics metrics;
-    const linalg::ScopedMixedPrecision mp(true);
-    mixed = core::run_algorithm(platform, scene.cube, cfg);
-    stable = obs::Metrics::stable_subset(obs::Metrics::instance().snapshot());
-  }
-  std::uint64_t mixed_tiles = 0;
-  for (const auto& [name, value] : stable) {
-    if (name == "core.pct.mp_tiles") mixed_tiles = value.count;
-  }
-  EXPECT_GT(mixed_tiles, 0u);
-  EXPECT_LT(mixed.report.total_time, plain.report.total_time);
-  // The float accumulation may flip borderline pixels, but the gate bounds
-  // the damage: the label images agree almost everywhere.
-  ASSERT_EQ(plain.labels.size(), mixed.labels.size());
-  std::size_t diff = 0;
-  for (std::size_t i = 0; i < plain.labels.size(); ++i) {
-    diff += plain.labels[i] != mixed.labels[i] ? 1u : 0u;
-  }
-  EXPECT_LE(diff, plain.labels.size() / 10);
-  EXPECT_EQ(plain.label_count, mixed.label_count);
-}
-
 }  // namespace
 }  // namespace hprs

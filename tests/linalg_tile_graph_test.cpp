@@ -1,17 +1,12 @@
-// Unit coverage of the tile DAG (linalg/tile_graph) and the gated
-// mixed-precision tile kernels: tiling bookkeeping, the deterministic ready
-// order that creates stage/compute overlap, cycle detection, the a-priori
-// accuracy gate, and the float syrk companion's thread-count determinism.
+// Unit coverage of the tile DAG (linalg/tile_graph): tiling bookkeeping,
+// the deterministic ready order that creates stage/compute overlap, and
+// cycle detection.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdlib>
-#include <random>
 #include <vector>
 
 #include "common/error.hpp"
-#include "linalg/kernels.hpp"
-#include "linalg/thread_pool.hpp"
 #include "linalg/tile_graph.hpp"
 
 namespace hprs::linalg {
@@ -97,74 +92,6 @@ TEST(TileStreamTest, ScopedOverrideRestoresTheDefault) {
     EXPECT_TRUE(tile_stream_enabled());
   }
   EXPECT_EQ(tile_stream_enabled(), before);
-}
-
-TEST(MixedPrecisionGateTest, DefaultsOffAndScopedOverrideRestores) {
-  const bool before = use_mixed_precision();
-  {
-    ScopedMixedPrecision on(true);
-    EXPECT_TRUE(use_mixed_precision());
-  }
-  EXPECT_EQ(use_mixed_precision(), before);
-}
-
-TEST(MixedPrecisionGateTest, AdmissibilityBoundsChainAndMagnitude) {
-  // Benign tile: moderate magnitudes, short chains.
-  EXPECT_TRUE(mixed_tile_admissible(1e3, 1024));
-  // Chain long enough that eps32 * chain exceeds the relative tolerance.
-  EXPECT_FALSE(mixed_tile_admissible(1.0, 200'000));
-  // Adversarial magnitude: amax^2 * chain would overflow float headroom.
-  EXPECT_FALSE(mixed_tile_admissible(1e17, 64));
-  // Degenerate inputs always fall back.
-  EXPECT_FALSE(mixed_tile_admissible(std::nan(""), 64));
-  EXPECT_FALSE(mixed_tile_admissible(1.0, 0));
-}
-
-TEST(MixedPrecisionKernelTest, SyrkF32TracksDoubleWithinGateTolerance) {
-  const std::size_t m = 96, n = 12;
-  std::mt19937 rng(20010916);
-  std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
-  std::vector<float> xf(m * n);
-  std::vector<double> xd(m * n);
-  for (std::size_t i = 0; i < xf.size(); ++i) {
-    xf[i] = dist(rng);
-    xd[i] = static_cast<double>(xf[i]);
-  }
-  const std::size_t tri = n * (n + 1) / 2;
-  std::vector<double> dtri(tri, 0.0);
-  std::vector<float> ftri(tri, 0.0f);
-  syrk_tri_update(xd.data(), m, n, dtri.data());
-  syrk_tri_update_f32(xf.data(), m, n, ftri.data());
-  ASSERT_TRUE(mixed_tile_admissible(2.0, m));
-  double max_rel = 0.0;
-  for (std::size_t k = 0; k < tri; ++k) {
-    const double denom = std::max(1.0, std::abs(dtri[k]));
-    max_rel = std::max(
-        max_rel, std::abs(static_cast<double>(ftri[k]) - dtri[k]) / denom);
-  }
-  // The gate admits this tile, so the float result must stay within the
-  // gate's promised relative tolerance.
-  EXPECT_LT(max_rel, 1e-2);
-}
-
-TEST(MixedPrecisionKernelTest, SyrkF32IsThreadCountInvariant) {
-  const std::size_t m = 64, n = 23;
-  std::mt19937 rng(42);
-  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
-  std::vector<float> x(m * n);
-  for (auto& v : x) v = dist(rng);
-  const std::size_t tri = n * (n + 1) / 2;
-  std::vector<float> one(tri, 0.0f);
-  {
-    const ScopedKernelThreads threads(1);
-    syrk_tri_update_f32(x.data(), m, n, one.data());
-  }
-  for (const std::size_t t : {2u, 4u, 7u}) {
-    std::vector<float> many(tri, 0.0f);
-    const ScopedKernelThreads threads(t);
-    syrk_tri_update_f32(x.data(), m, n, many.data());
-    EXPECT_EQ(one, many) << t << " threads";
-  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // backfill, and the memory-bound admission error.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,34 +28,44 @@ simnet::Platform pool_platform(std::size_t n, std::size_t memory_mb = 1024) {
   return simnet::Platform("pool", std::move(procs), {{10.0}});
 }
 
+/// The dispatcher's ready queue under `policy`, holding `jobs`.
+ReadyQueue queue_of(Policy policy, const std::vector<PendingJob>& jobs) {
+  ReadyQueue queue(policy);
+  for (const PendingJob& job : jobs) queue.push(job);
+  return queue;
+}
+
+/// Job ids in the queue's dispatch-preference order.
+std::vector<std::uint64_t> order_of(const ReadyQueue& queue) {
+  std::vector<std::uint64_t> ids;
+  for (const auto& [key, job] : queue.ordered()) ids.push_back(job.id);
+  return ids;
+}
+
 TEST(SchedPolicyTest, EqualKeysBreakTiesOnJobId) {
   // Same arrival everywhere and same estimate everywhere, submitted in a
   // shuffled order: every policy must settle on ascending job id.
-  std::vector<PendingJob> ready{
+  const std::vector<PendingJob> ready{
       {/*id=*/7, /*index=*/0, /*arrival=*/1.0, /*est=*/5.0, /*width=*/1},
       {/*id=*/3, /*index=*/1, /*arrival=*/1.0, /*est=*/5.0, /*width=*/1},
       {/*id=*/5, /*index=*/2, /*arrival=*/1.0, /*est=*/5.0, /*width=*/1},
   };
   for (Policy policy :
        {Policy::kFifo, Policy::kSjf, Policy::kHeteroBestFit}) {
-    const auto order = policy_order(policy, ready);
-    ASSERT_EQ(order.size(), 3u) << to_string(policy);
-    EXPECT_EQ(ready[order[0]].id, 3u) << to_string(policy);
-    EXPECT_EQ(ready[order[1]].id, 5u) << to_string(policy);
-    EXPECT_EQ(ready[order[2]].id, 7u) << to_string(policy);
+    EXPECT_EQ(order_of(queue_of(policy, ready)),
+              (std::vector<std::uint64_t>{3, 5, 7}))
+        << to_string(policy);
   }
 }
 
 TEST(SchedPolicyTest, SjfOrdersByEstimateThenId) {
-  std::vector<PendingJob> ready{
-      {/*id=*/1, 0, 0.0, /*est=*/9.0, 1},
-      {/*id=*/2, 1, 0.0, /*est=*/2.0, 1},
-      {/*id=*/3, 2, 5.0, /*est=*/2.0, 1},  // later arrival, equal estimate
-  };
-  const auto order = policy_order(Policy::kSjf, ready);
-  EXPECT_EQ(ready[order[0]].id, 2u);
-  EXPECT_EQ(ready[order[1]].id, 3u);  // equal estimate: id 2 before id 3
-  EXPECT_EQ(ready[order[2]].id, 1u);
+  const ReadyQueue queue =
+      queue_of(Policy::kSjf, {{/*id=*/1, 0, 0.0, /*est=*/9.0, 1},
+                              {/*id=*/2, 1, 0.0, /*est=*/2.0, 1},
+                              // later arrival, equal estimate
+                              {/*id=*/3, 2, 5.0, /*est=*/2.0, 1}});
+  // Equal estimate: id 2 before id 3.
+  EXPECT_EQ(order_of(queue), (std::vector<std::uint64_t>{2, 3, 1}));
 }
 
 TEST(SchedPolicyTest, HeteroPicksFastestFreeRanks) {
@@ -88,38 +99,40 @@ TEST(SchedPolicyTest, ConservativeBackfillRespectsHeadReservation) {
   const simnet::Platform platform = pool_platform(6);
   // Head (id 1) wants 4 ranks; only {4, 5} are free; the running job's
   // estimated finish sets the head's reservation at t=10.
-  std::vector<PendingJob> ready{
+  const std::vector<PendingJob> ready{
       {/*id=*/1, 0, /*arrival=*/0.0, /*est=*/3.0, /*width=*/4},
       {/*id=*/2, 1, /*arrival=*/1.0, /*est=*/4.0, /*width=*/2},
   };
+  const ReadyQueue hetero = queue_of(Policy::kHeteroBestFit, ready);
   std::vector<RunningJob> running{{/*id=*/9, 2, /*est_finish=*/10.0,
                                    {0, 1, 2, 3}, /*batch_key=*/0, {}}};
   // now=5: 5 + 4 <= 10, so job 2 backfills onto the free ranks.
-  auto sel = try_select(Policy::kHeteroBestFit, platform, ready, {4, 5},
+  auto sel = try_select(Policy::kHeteroBestFit, platform, hetero, {4, 5},
                         running, /*now=*/5.0);
   ASSERT_TRUE(sel.has_value());
-  EXPECT_EQ(ready[sel->ready_pos].id, 2u);
+  EXPECT_EQ(sel->id, 2u);
+  EXPECT_EQ(sel->index, 1u);
   EXPECT_EQ(sel->members, (std::vector<int>{4, 5}));
   // now=7: 7 + 4 > 10 would delay the head's start -- no backfill.
-  EXPECT_FALSE(try_select(Policy::kHeteroBestFit, platform, ready, {4, 5},
+  EXPECT_FALSE(try_select(Policy::kHeteroBestFit, platform, hetero, {4, 5},
                           running, /*now=*/7.0)
                    .has_value());
   // FIFO never backfills: the head blocks the line at any time.
-  EXPECT_FALSE(try_select(Policy::kFifo, platform, ready, {4, 5}, running,
+  EXPECT_FALSE(try_select(Policy::kFifo, platform,
+                          queue_of(Policy::kFifo, ready), {4, 5}, running,
                           /*now=*/5.0)
                    .has_value());
 }
 
 TEST(SchedPolicyTest, HeadDispatchesAsSoonAsItFits) {
   const simnet::Platform platform = pool_platform(6);
-  std::vector<PendingJob> ready{
-      {/*id=*/1, 0, 0.0, 3.0, /*width=*/2},
-      {/*id=*/2, 1, 1.0, 1.0, /*width=*/1},
-  };
+  const ReadyQueue ready =
+      queue_of(Policy::kHeteroBestFit, {{/*id=*/1, 0, 0.0, 3.0, /*width=*/2},
+                                        {/*id=*/2, 1, 1.0, 1.0, /*width=*/1}});
   auto sel = try_select(Policy::kHeteroBestFit, platform, ready, {2, 3, 4},
                         {}, /*now=*/5.0);
   ASSERT_TRUE(sel.has_value());
-  EXPECT_EQ(ready[sel->ready_pos].id, 1u);  // head first, never skipped
+  EXPECT_EQ(sel->id, 1u);  // head first, never skipped
   EXPECT_EQ(sel->members, (std::vector<int>{2, 3}));  // fastest free ranks
 }
 

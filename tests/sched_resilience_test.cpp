@@ -14,7 +14,10 @@
 //    resized gang all keep the invariants;
 //  * verdicts and guardrails -- retries exhaust into kDegraded (with
 //    checkpoints) or kFailed (without), and malformed cluster fault plans
-//    are rejected at schedule construction with the offending plan key.
+//    are rejected at schedule construction with the offending plan key;
+//  * composition -- a rank that dies idle right after reporting itself
+//    free is detected instead of aborting the run, and batching riders
+//    plus tenant rank caps survive a leader crash with solo-equal outputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,10 +27,13 @@
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "core/ft.hpp"
+#include "hsi/scene.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "sched/resilience.hpp"
 #include "sched/scheduler.hpp"
+#include "serve/batcher.hpp"
+#include "serve/traffic.hpp"
 #include "test_scenes.hpp"
 #include "vmpi/comm.hpp"
 #include "vmpi/engine.hpp"
@@ -208,6 +214,21 @@ const std::vector<int>& chunk_owner_members(const JobRecord& record,
                                             bool resumed) {
   return resumed ? record.attempts.front().members
                  : record.attempts.back().members;
+}
+
+/// Every admitted job ends in exactly one terminal state; quota and
+/// admission rejections are the only kRejected records.
+void expect_terminal_once(const ScheduleResult& result) {
+  for (const JobRecord& record : result.records) {
+    EXPECT_EQ(record.rejected, record.state == JobState::kRejected)
+        << "job " << record.id;
+    EXPECT_EQ(record.completed(), record.state == JobState::kCompleted)
+        << "job " << record.id;
+    EXPECT_NE(record.state, JobState::kPending) << "job " << record.id;
+  }
+  EXPECT_EQ(result.completed() + result.rejected() + result.degraded() +
+                result.failed(),
+            result.records.size());
 }
 
 TEST(SchedResilienceTest, NoFaultRunCompletesEverythingInOneAttempt) {
@@ -753,6 +774,174 @@ TEST(SchedResilienceTest, StressManyRanksBitIdenticalAcrossModes) {
   EXPECT_EQ(first.lost_ranks, threads.lost_ranks);
   EXPECT_EQ(first.makespan_s, threads.makespan_s);
   EXPECT_EQ(first.completed(), stream.size());
+}
+
+TEST(SchedResilienceTest, CrashJustAfterReportingFreeLeavesThePool) {
+  // A bursty 40-request tenant-mix trace on the fully heterogeneous NOW.
+  hsi::SceneConfig scene_cfg;
+  scene_cfg.rows = 32;
+  scene_cfg.cols = 32;
+  scene_cfg.bands = 32;
+  const hsi::Scene scene = hsi::generate_wtc_scene(scene_cfg);
+  const simnet::Platform platform = simnet::fully_heterogeneous();
+  serve::TraceConfig trace;
+  trace.shape = serve::TrafficShape::kBursty;
+  trace.jobs = 40;
+  trace.duration_s = 40.0 / 30.0;
+  trace.seed = 7;
+  trace.tenants = serve::default_tenant_mix();
+  for (serve::TenantProfile& tenant : trace.tenants) {
+    tenant.targets = 4;
+    tenant.classes = 3;
+    tenant.skewers = 32;
+    tenant.replication = 8;
+    tenant.max_ranks = std::min(tenant.max_ranks, 6);
+    tenant.min_ranks = std::min(tenant.min_ranks, tenant.max_ranks);
+  }
+  const std::vector<JobSpec> stream = serve::generate_trace(trace);
+  SchedulerConfig config;
+  config.resilience.enabled = true;
+
+  const ScheduleResult probe =
+      run_schedule(platform, scene.cube, stream, config, vmpi::Options{});
+  ASSERT_EQ(probe.completed(), stream.size());
+  // Job 2's second member reports itself free at its attempt's end and
+  // dies a hair later: at its next engine operation, the receive of its
+  // next command.  The dispatcher still counts it free, so the crash
+  // surfaces when it is commanded again (or drained at shutdown).
+  const JobRecord& job2 = probe.records[1];
+  ASSERT_EQ(job2.members.size(), 2u);
+  const int victim = job2.members[1];
+  const double crash_s = job2.attempts.front().end_s + 1e-4;
+
+  std::vector<ScheduleResult> runs;
+  for (const vmpi::ExecMode mode :
+       {vmpi::ExecMode::kBoundedExecutor, vmpi::ExecMode::kThreadPerRank}) {
+    vmpi::Options faulty;
+    faulty.exec_mode = mode;
+    faulty.fault_plan.crashes.push_back({victim, crash_s});
+    ScheduleResult result;
+    ASSERT_NO_THROW(
+        result = run_schedule(platform, scene.cube, stream, config, faulty));
+    EXPECT_EQ(result.lost_ranks, (std::vector<int>{victim}));
+    expect_terminal_once(result);
+    EXPECT_EQ(result.completed(), stream.size());
+    runs.push_back(std::move(result));
+  }
+  expect_records_equal(runs[0].records, runs[1].records);
+  expect_outputs_equal(runs[0].outputs, runs[1].outputs);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const JobRecord& record = runs[0].records[i];
+    if (!record.completed()) continue;
+    const JobOutput solo =
+        run_solo_ft(platform, scene.cube, stream[i],
+                    chunk_owner_members(record, /*resumed=*/true));
+    expect_output_matches_solo(runs[0].outputs[i], solo, record.id);
+  }
+}
+
+TEST(SchedResilienceTest, BatchedRidersAndTenantCapsSurviveALeaderCrash) {
+  const simnet::Platform platform = cluster(7);  // dispatcher + 6 workers
+  const hsi::HsiCube scene = test_scene();
+  // Five "survey" requests for one shared computation (the first leads,
+  // the next three ride its gang) under a cap of eight in-flight ranks,
+  // which refuses the fifth; "tasking" traffic keeps other ranks busy.
+  std::vector<JobSpec> stream;
+  for (std::size_t k = 0; k < 5; ++k) {
+    JobSpec spec = long_job(2).front();
+    spec.id = k + 1;
+    spec.arrival_s = 1e-4 * static_cast<double>(k);
+    spec.tenant = "survey";
+    stream.push_back(spec);
+  }
+  for (JobSpec spec : mixed_stream()) {
+    spec.id += 10;
+    spec.ranks = 2;
+    spec.tenant = "tasking";
+    stream.push_back(spec);
+  }
+  serve::stamp_batch_keys(stream, /*scene_uid=*/0xfeed);
+  SchedulerConfig config = resilient_config();
+  config.batch_shared_keys = true;
+  config.tenant_rank_caps["survey"] = 8;
+  // A short backoff brings the crashed job's retry back while its former
+  // riders' new gang still runs.
+  config.resilience.retry.backoff_base_s = 1e-3;
+
+  const ScheduleResult probe =
+      run_schedule(platform, scene, stream, config, fast_options());
+  const JobRecord& host = probe.records[0];
+  ASSERT_EQ(host.state, JobState::kCompleted);
+  ASSERT_EQ(host.batch_fanout, 3u);
+  // A late "survey" request is admitted: every terminal path returned its
+  // tenant's in-flight ranks.
+  JobSpec late = stream[1];
+  late.id = 99;
+  late.arrival_s = probe.makespan_s + 1.0;
+  stream.push_back(late);
+
+  // Kill the batch host's leader mid-attempt: its riders are released and
+  // re-enter like arrivals -- the earliest (job 2) leads a new gang and the
+  // others, job 1's retry included, re-attach to it.
+  vmpi::Options faulty = fast_options();
+  faulty.fault_plan.crashes.push_back(
+      {host.members.front(),
+       host.dispatch_s + 0.5 * (host.finish_s - host.dispatch_s)});
+
+  std::vector<ScheduleResult> runs;
+  for (const vmpi::ExecMode mode :
+       {vmpi::ExecMode::kBoundedExecutor, vmpi::ExecMode::kThreadPerRank}) {
+    faulty.exec_mode = mode;
+    ScheduleResult result;
+    ASSERT_NO_THROW(result = run_schedule(platform, scene, stream, config,
+                                          faulty));
+    runs.push_back(std::move(result));
+  }
+  expect_records_equal(runs[0].records, runs[1].records);
+  expect_outputs_equal(runs[0].outputs, runs[1].outputs);
+
+  const ScheduleResult& result = runs[0];
+  expect_terminal_once(result);
+  EXPECT_EQ(result.lost_ranks, (std::vector<int>{host.members.front()}));
+  EXPECT_EQ(result.records[0].attempts.front().outcome, "leader crashed");
+  ASSERT_EQ(result.rejected(), 1u);
+  EXPECT_TRUE(result.records[4].rejected);
+  EXPECT_EQ(result.records[4].error.rfind("quota:inflight_ranks", 0), 0u)
+      << result.records[4].error;
+  EXPECT_EQ(result.records.back().state, JobState::kCompleted);
+  EXPECT_EQ(result.completed(), stream.size() - 1);
+
+  std::size_t riders = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const JobRecord& record = result.records[i];
+    if (!record.completed()) continue;
+    // A rider's output is its leader's, and both equal the solo program
+    // run on the gang that froze the leader's chunks.
+    std::size_t owner = i;
+    if (record.batched_into != 0) {
+      ++riders;
+      owner = static_cast<std::size_t>(
+          std::find_if(stream.begin(), stream.end(),
+                       [&](const JobSpec& s) {
+                         return s.id == record.batched_into;
+                       }) -
+          stream.begin());
+      ASSERT_LT(owner, stream.size()) << "job " << record.id;
+      EXPECT_EQ(result.records[owner].batched_into, 0u) << "job " << record.id;
+      expect_output_matches_solo(result.outputs[i], result.outputs[owner],
+                                 record.id);
+    }
+    const JobOutput solo =
+        run_solo_ft(platform, scene, stream[i],
+                    chunk_owner_members(result.records[owner], true));
+    expect_output_matches_solo(result.outputs[i], solo, record.id);
+  }
+  EXPECT_EQ(riders, 3u);
+  EXPECT_EQ(result.records[1].batched_into, 0u);
+  EXPECT_EQ(result.records[1].batch_fanout, 3u);
+  for (const std::size_t i : {0u, 2u, 3u}) {
+    EXPECT_EQ(result.records[i].batched_into, 2u) << "job " << i + 1;
+  }
 }
 
 }  // namespace

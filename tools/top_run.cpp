@@ -305,10 +305,7 @@ int main(int argc, char** argv) {
             static_cast<std::size_t>(args.get_int("replication", 8));
       }
       stream = serve::generate_trace(trace_cfg);
-      // Compute-once batching is a base-dispatcher feature; the retry
-      // control plane cannot host riders, so a resilient trace run serves
-      // every request solo.
-      sched_cfg.batch_shared_keys = !sched_cfg.resilience.enabled;
+      sched_cfg.batch_shared_keys = true;
     } else {
       constexpr sched::JobAlgorithm kCycle[] = {
           sched::JobAlgorithm::kAtdca, sched::JobAlgorithm::kPct,

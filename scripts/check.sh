@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification wrapper: configure, build, run the full test suite,
-# then rebuild the kernel-equivalence tests under ASan/UBSan and run them
-# once, and finally rebuild the vmpi engine and fault-injection tests under
+# then rebuild the kernel-equivalence tests and the cluster-resilience suite
+# under ASan/UBSan and run them once, and finally rebuild the vmpi engine
+# and fault-injection tests under
 # ThreadSanitizer and run them in both host execution modes (bounded
 # executor and HPRS_THREAD_PER_RANK).  This is the gate a change must pass
 # before merging.
@@ -31,15 +32,18 @@ cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
 if [[ "$run_sanitizers" == "1" ]]; then
-  echo "== tier 1b: fast-path equivalence under ASan/UBSan =="
+  echo "== tier 1b: fast-path equivalence + resilience under ASan/UBSan =="
+  # sched_resilience_test abandons crashed leaders' fibers mid-handler, so
+  # LeakSanitizer checks the executor's per-fiber exception state.
+  asan_tests=(linalg_blocked_test morph_sad_cache_test
+              fastpath_equivalence_test sched_resilience_test)
   cmake -S "$repo" -B "$repo/build-asan" \
     -DCMAKE_BUILD_TYPE=Release \
     -DHPRS_ENABLE_SANITIZERS=ON \
     -DHPRS_BUILD_BENCH=OFF \
     -DHPRS_BUILD_EXAMPLES=OFF
-  cmake --build "$repo/build-asan" -j "$jobs" --target \
-    linalg_blocked_test morph_sad_cache_test fastpath_equivalence_test
-  for t in linalg_blocked_test morph_sad_cache_test fastpath_equivalence_test; do
+  cmake --build "$repo/build-asan" -j "$jobs" --target "${asan_tests[@]}"
+  for t in "${asan_tests[@]}"; do
     "$repo/build-asan/tests/$t"
   done
 
@@ -61,8 +65,7 @@ if [[ "$run_sanitizers" == "1" ]]; then
   done
 
   echo "== tier 1e: threaded kernels under TSan (HPRS_KERNEL_THREADS=4) =="
-  # The tile-graph suite rides along: the streamed tiled driver must stay
-  # race-free at 4 kernel threads.
+  # The tile-plan suite rides along with the kernel suites.
   kernel_tests=(linalg_thread_pool_test linalg_blocked_test
                 morph_sad_cache_test linalg_tile_graph_test
                 fastpath_equivalence_test)

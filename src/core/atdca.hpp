@@ -38,12 +38,12 @@ struct AtdcaConfig {
   /// crashes from Options::fault_plan and still produces the fault-free
   /// outputs bit for bit.  The root must not be in the crash plan.
   bool fault_tolerant = false;
-  /// Rows per tile of the brightest/OSP sweeps; 0 = HPRS_TILE_ROWS, else
-  /// automatic (linalg::resolve_tile_rows).  Any value is numerics- and
+  /// Rows per tile of the brightest/OSP sweeps; 0 = automatic
+  /// (linalg::resolve_tile_rows).  Any value is numerics- and
   /// virtual-time-neutral unless tile_stream is on.
   std::size_t tile_rows = 0;
   /// Per-tile streamed staging overlapped with compute on accelerated
-  /// ranks (ORed with HPRS_TILE_STREAM).  Off reproduces the historic
+  /// ranks (collective schedule only).  Off reproduces the historic
   /// upfront-staging charge bit for bit.
   bool tile_stream = false;
 };
@@ -51,13 +51,6 @@ struct AtdcaConfig {
 /// Per-pixel workload model used by the WEA for this algorithm.
 [[nodiscard]] WorkloadModel atdca_workload(std::size_t bands,
                                            std::size_t targets);
-
-/// The non-fault-tolerant SPMD schedule, runnable over any communicator
-/// (world or a sub-communicator): the comm's root partitions and selects,
-/// every member sweeps its strip.  Only the root's `result` is populated.
-/// Used by run_atdca and by the sched/ gang scheduler for subset placement.
-void atdca_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
-                const AtdcaConfig& config, TargetDetectionResult& result);
 
 /// Runs ATDCA on the simulated platform.  The returned targets are in
 /// extraction order (first = brightest pixel of the scene).

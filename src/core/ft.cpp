@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "core/spmd_common.hpp"
 #include "obs/metrics.hpp"
 
 namespace hprs::core::ft {
@@ -22,52 +23,34 @@ void note_worker_lost() { obs::Metrics::instance().add("ft.workers_lost", 1); }
 
 }  // namespace
 
-/// Shared phase execution of one Command on a worker rank.
-[[nodiscard]] std::pair<PhaseResult, std::size_t> execute_command(
-    vmpi::Comm& comm, const Command& cmd,
-    const std::vector<Handler>& handlers) {
-  HPRS_REQUIRE(static_cast<std::size_t>(cmd.phase) < handlers.size(),
-               "fault-tolerant worker received a command for phase " +
-                   std::to_string(cmd.phase) + " but only " +
-                   std::to_string(handlers.size()) + " handlers exist");
-  const std::any* payload = cmd.payload ? cmd.payload.get() : nullptr;
-  PhaseResult out;
-  out.results.reserve(cmd.chunks.size());
-  std::size_t bytes = 0;
-  std::optional<vmpi::Comm::RecoveryScope> scope;
-  if (cmd.recovery) scope.emplace(comm);
-  for (const Chunk& chunk : cmd.chunks) {
-    ChunkOutcome oc =
-        handlers[static_cast<std::size_t>(cmd.phase)](comm, chunk, payload);
-    bytes += oc.bytes + kResultHeaderBytes;
-    out.results.push_back(ChunkResult{chunk.id, std::move(oc.value)});
-  }
-  return {std::move(out), bytes};
-}
-
-void worker_loop(vmpi::Comm& comm, const std::vector<Handler>& handlers) {
-  const int root = comm.root();
-  while (true) {
-    Command cmd = comm.recv<Command>(root, kCommandTag);
-    if (cmd.phase < 0) return;
-    auto [out, bytes] = execute_command(comm, cmd, handlers);
-    // Plain send: the root is immortal and always collects from every
-    // worker it commanded, so this cannot block forever.
-    comm.send(root, std::move(out), bytes, kResultTag);
-  }
-}
-
 bool resilient_worker_loop(vmpi::Comm& comm,
                            const std::vector<Handler>& handlers) {
   const int root = comm.root();
   while (true) {
     auto cmd = comm.try_recv<Command>(root, kCommandTag);
-    if (!cmd.has_value()) return false;  // leader died with nothing pending
+    if (!cmd.has_value()) return false;  // root died with nothing pending
     if (cmd->phase < 0) return true;     // graceful release
-    auto [out, bytes] = execute_command(comm, *cmd, handlers);
-    // try_send: a leader that crashed while we computed is detected here
-    // (the next try_recv then reports it); an alive leader matches this
-    // exactly like the plain send.
+    HPRS_REQUIRE(static_cast<std::size_t>(cmd->phase) < handlers.size(),
+                 "fault-tolerant worker received a command for phase " +
+                     std::to_string(cmd->phase) + " but only " +
+                     std::to_string(handlers.size()) + " handlers exist");
+    const Handler& handler = handlers[static_cast<std::size_t>(cmd->phase)];
+    const std::any* payload = cmd->payload ? cmd->payload.get() : nullptr;
+    PhaseResult out;
+    out.results.reserve(cmd->chunks.size());
+    std::size_t bytes = 0;
+    {
+      std::optional<vmpi::Comm::RecoveryScope> scope;
+      if (cmd->recovery) scope.emplace(comm);
+      for (const Chunk& chunk : cmd->chunks) {
+        ChunkOutcome oc = handler(comm, chunk, payload);
+        bytes += oc.bytes + kResultHeaderBytes;
+        out.results.push_back(ChunkResult{chunk.id, std::move(oc.value)});
+      }
+    }
+    // try_send: a root that crashed while we computed is detected here
+    // (the next try_recv then reports it); a live root matches this
+    // exactly like a plain send.
     if (!comm.try_send(root, std::move(out), bytes, kResultTag)) {
       return false;
     }
@@ -370,10 +353,78 @@ int Master::live_workers() const {
   return n;
 }
 
+namespace {
+
+/// The collective SPMD driver: each rank owns exactly its own WEA
+/// partition (chunk id == rank), and a phase is broadcast payload ->
+/// handler on the own chunk -> gather to the root.
+class CollectiveDriver final : public PhaseDriver {
+ public:
+  CollectiveDriver(vmpi::Comm& comm, const hsi::HsiCube& cube,
+                   const Program& prog)
+      : comm_(&comm) {
+    WorkloadModel model = prog.model;
+    model.tile_stream = prog.tile_stream;
+    const PartitionView view = detail::distribute_partitions(
+        comm, cube, model, prog.policy, prog.memory_fraction, prog.overlap,
+        prog.replication, /*defer_staging=*/prog.tile_stream);
+    // Tile plan over the owned rows; with streaming on, every tile's copy
+    // is enqueued here and the sweeps overlap the remaining transfers.
+    tiles_ = detail::begin_tile_stream(comm, view, prog.tile_rows,
+                                       prog.tile_stream, prog.replication);
+    chunk_ = Chunk{comm.rank(), view.part, &tiles_};
+  }
+
+  [[nodiscard]] std::vector<std::any> phase(
+      int /*phase_id*/, const Handler& handler,
+      std::shared_ptr<const std::any> payload,
+      std::size_t payload_bytes) override {
+    vmpi::Comm& comm = *comm_;
+    // Shared broadcast of the payload handle: every rank reads the root's
+    // one immutable copy.
+    std::shared_ptr<const std::shared_ptr<const std::any>> shared;
+    if (payload) {
+      shared = comm.bcast_shared(comm.root(), std::move(payload),
+                                 payload_bytes);
+    }
+    ChunkOutcome mine =
+        handler(comm, chunk_, shared ? shared->get() : nullptr);
+    const std::size_t bytes = mine.bytes;
+    std::vector<ChunkOutcome> all =
+        comm.gather(comm.root(), std::move(mine), bytes);
+    std::vector<std::any> results;
+    results.reserve(all.size());
+    for (auto& oc : all) results.push_back(std::move(oc.value));
+    return results;
+  }
+
+  void release(std::shared_ptr<const std::any> payload,
+               std::size_t payload_bytes) override {
+    (void)comm_->bcast(comm_->root(), std::move(payload), payload_bytes);
+  }
+
+  void finish() override {}
+
+ private:
+  vmpi::Comm* comm_;
+  detail::TileStream tiles_;
+  Chunk chunk_;
+};
+
+}  // namespace
+
+void run_collective(vmpi::Comm& comm, const hsi::HsiCube& cube,
+                    const Program& prog) {
+  CollectiveDriver driver(comm, cube, prog);
+  prog.master(comm, driver, prog.handlers);
+}
+
 void run_program(vmpi::Comm& comm, const hsi::HsiCube& cube,
                  const Program& prog) {
   if (!comm.is_root()) {
-    worker_loop(comm, prog.handlers);
+    // The root is immortal (require_immortal_root), so this only returns
+    // on the exit command.
+    (void)resilient_worker_loop(comm, prog.handlers);
     return;
   }
   const PartitionResult partition =
@@ -387,6 +438,21 @@ void run_program(vmpi::Comm& comm, const hsi::HsiCube& cube,
                 prog.model.scatter_input);
   prog.master(comm, master, prog.handlers);
   master.finish();
+}
+
+vmpi::RunReport run_on_engine(const simnet::Platform& platform,
+                              const hsi::HsiCube& cube, const Program& prog,
+                              bool fault_tolerant,
+                              const vmpi::Options& options) {
+  vmpi::Engine engine(platform, options);
+  if (fault_tolerant) require_immortal_root(options);
+  return engine.run([&](vmpi::Comm& comm) {
+    if (fault_tolerant) {
+      run_program(comm, cube, prog);
+    } else {
+      run_collective(comm, cube, prog);
+    }
+  });
 }
 
 void require_immortal_root(const vmpi::Options& options) {

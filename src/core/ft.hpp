@@ -1,44 +1,47 @@
-// Fault-tolerant master/worker execution framework (paper Sect. 6 outlook:
-// "fault tolerance ... on networks of workstations").
+// One algorithm, two drivers (paper Sect. 6 outlook: "fault tolerance ...
+// on networks of workstations").
 //
-// The SPMD algorithm implementations assume every processor survives the
-// run: they synchronize with full-world collectives, which can never
-// complete once a rank fail-stops (vmpi/fault.hpp).  This framework
-// restructures the same numeric work as a master/worker protocol that only
-// ever uses point-to-point operations between the (immortal) root and the
-// workers, so the master can outlive worker crashes:
+// Each algorithm is written once, as a `Program` (core/ft_programs.hpp).
+// The master runs the WEA once and freezes the result as `Chunk`s -- the
+// original full-world partitions, including MORPH halo rows.  Each phase is
+// a `Handler`: chunk (+ an optional shared payload such as the current
+// target matrix) -> result blob; the same closure runs on every rank.  The
+// Program's control flow issues the phases through a `PhaseDriver` and
+// folds their results in ascending chunk id.  Two drivers run it:
 //
-//  * The master runs the WEA once and freezes the result as `Chunk`s --
-//    the original full-world partitions, including MORPH halo rows.  Chunks
-//    are atomic: they are reassigned whole, never split, so the per-chunk
+//  * run_collective -- the paper's SPMD schedule.  Every rank runs the
+//    control flow and owns exactly its own chunk; a phase is a broadcast of
+//    the payload, the handler on that chunk, and a gather to the root.
+//    Root-only folds and their SEQ charges sit behind comm.is_root().
+//    This is the schedule the paper tables price.
+//
+//  * run_program (Master) -- a master/worker protocol that only ever uses
+//    point-to-point operations between the (immortal) root and the
+//    workers, so the master can outlive worker crashes.  Chunks are atomic:
+//    they are reassigned whole, never split, so the per-chunk
 //    floating-point accumulation order is independent of which rank
-//    computes the chunk.
+//    computes the chunk, and a recomputed chunk reproduces the lost result
+//    bit for bit.  The master issues a `Command` to every live worker
+//    (Comm::try_send, ascending rank order), computes its own chunks, and
+//    collects a `PhaseResult` from each commanded worker (Comm::try_recv,
+//    ascending rank order).  A false/nullopt marks the worker dead (the
+//    engine charges the detection heartbeat); the master then re-runs the
+//    WEA over the survivors -- respecting each node's memory bound --
+//    adopts the orphaned chunks, and re-issues them with Command::recovery
+//    set so the recomputation is tagged as recovery overhead
+//    (Comm::RecoveryScope).
 //
-//  * Each algorithm phase is a `Handler`: chunk (+ an optional shared
-//    payload such as the current target matrix) -> result blob.  The same
-//    closure runs on the master and on every worker, so a recomputed chunk
-//    reproduces the lost result bit for bit.
+// Folding in ascending chunk id reproduces the collective gather's rank
+// order, so a fault-tolerant run's outputs (targets, labels) equal the
+// collective outputs exactly, with or without crashes.  The two drivers'
+// virtual schedules differ (broadcast trees and gathers vs. per-worker
+// commands and results); DESIGN.md section 9 records why.
 //
-//  * The master drives each phase: it issues a `Command` to every live
-//    worker (Comm::try_send, ascending rank order), computes its own
-//    chunks, and collects a `PhaseResult` from each commanded worker
-//    (Comm::try_recv, ascending rank order).  A false/nullopt marks the
-//    worker dead (the engine charges the detection heartbeat); the master
-//    then re-runs the WEA over the survivors -- respecting each node's
-//    memory bound -- adopts the orphaned chunks, and re-issues them with
-//    Command::recovery set so the recomputation is tagged as recovery
-//    overhead (Comm::RecoveryScope).
-//
-//  * Folding phase results in ascending chunk id reproduces the rank-order
-//    folds of the collective implementations, so a fault-tolerant run's
-//    outputs (targets, labels) equal the fault-free outputs exactly, with
-//    or without crashes.
-//
-// Determinism: every transfer has the root as one endpoint, and the master
-// holds at most one operation in flight (try_send blocks until matched or
-// the peer's death is detected), so the virtual transfer schedule is
-// serialized by the master's program order regardless of host scheduling
-// or execution mode.
+// Determinism: every master/worker transfer has the root as one endpoint,
+// and the master holds at most one operation in flight (try_send blocks
+// until matched or the peer's death is detected), so the virtual transfer
+// schedule is serialized by the master's program order regardless of host
+// scheduling or execution mode.
 #pragma once
 
 #include <any>
@@ -49,16 +52,25 @@
 
 #include "core/partition.hpp"
 #include "hsi/cube.hpp"
-#include "vmpi/comm.hpp"
+#include "simnet/platform.hpp"
+#include "vmpi/engine.hpp"
 
-namespace hprs::core::ft {
+namespace hprs::core {
+namespace detail {
+struct TileStream;
+}  // namespace detail
+
+namespace ft {
 
 /// One atomic unit of work: an original WEA partition, identified by its
-/// position in the full-world partition (== the rank that would own it in
-/// the collective implementation).
+/// position in the full-world partition (== the rank that owns it in the
+/// collective schedule).
 struct Chunk {
   int id = -1;
   RowPartition part;
+  /// The rank's tile plan (core/spmd_common.hpp), attached by the
+  /// collective driver only; sweeping handlers walk it when present.
+  const detail::TileStream* tiles = nullptr;
 };
 
 /// Wire size of one chunk descriptor inside a Command (row range, halo
@@ -106,43 +118,49 @@ struct PhaseResult {
   std::vector<ChunkResult> results;
 };
 
-/// The generic worker side: executes Commands from the root until told to
-/// finish.  `handlers[k]` serves phase k.  Workers talk to the root with
-/// plain (non-try) operations: the root never crashes (run_* validate the
-/// fault plan), and a posted message is always delivered, so a worker
-/// blocked toward the root can always make progress.
-void worker_loop(vmpi::Comm& comm, const std::vector<Handler>& handlers);
-
-/// Worker loop for gangs whose root (the gang leader) is itself mortal --
-/// the cluster-resilience case (src/sched/resilience): every operation
-/// toward the root is a try-variant, so a leader crash is detected instead
-/// of deadlocking or poisoning the engine.  Returns true when the leader
-/// released this worker with the exit command, false when the leader was
-/// detected dead (the caller then reports itself free to whatever outer
-/// control plane owns it).
+/// The worker side of the master/worker protocol: executes Commands from
+/// the root until told to finish.  `handlers[k]` serves phase k.  Every
+/// operation toward the root is a try-variant, so a mortal root (a gang
+/// leader under src/sched/resilience) is detected dead instead of
+/// deadlocking or poisoning the engine; against a live root try_send and
+/// try_recv are accounted exactly like send and recv.  Returns true when
+/// the root released this worker with the exit command, false when the
+/// root was detected dead (the caller then reports itself free to whatever
+/// outer control plane owns it).
 [[nodiscard]] bool resilient_worker_loop(vmpi::Comm& comm,
                                          const std::vector<Handler>& handlers);
 
-/// Abstract phase-issuing interface the algorithm master closures program
-/// against.  Master implements it directly; the scheduler's checkpointing
-/// decorator (sched::ResilientDriver) wraps one to replay completed phases
-/// from a checkpoint and snapshot progress at phase boundaries.
+/// Abstract phase-issuing interface the algorithm control flows program
+/// against.  The collective driver (run_collective) and Master implement
+/// it; the scheduler's checkpointing decorator (sched::ResilientDriver)
+/// wraps a Master to replay completed phases from a checkpoint and
+/// snapshot progress at phase boundaries.
 class PhaseDriver {
  public:
   virtual ~PhaseDriver() = default;
 
   /// Runs one phase over all chunks and returns the per-chunk results,
-  /// indexed by chunk id.  Blocks (in virtual time) until every chunk has a
-  /// result, adopting orphans of crashed workers as needed.  Throws
-  /// hprs::Error when the surviving memory cannot hold the orphans.
+  /// indexed by chunk id, at the root (empty elsewhere).  Blocks (in
+  /// virtual time) until every chunk has a result, adopting orphans of
+  /// crashed workers as needed.  Throws hprs::Error when the surviving
+  /// memory cannot hold the orphans.  Under the collective driver every
+  /// rank calls this with a payload exactly when the root does (non-roots
+  /// pass an empty value); only the root's payload and bytes count.
   [[nodiscard]] virtual std::vector<std::any> phase(
       int phase_id, const Handler& handler,
       std::shared_ptr<const std::any> payload = nullptr,
       std::size_t payload_bytes = 0) = 0;
 
+  /// Ships `payload` once more without running a phase: the collective
+  /// schedule's loop-exit broadcast of the final target matrix (ATDCA,
+  /// UFCLS), which Tables 5-8 price.  A no-op for the master/worker
+  /// drivers, whose payloads only travel inside phase commands.
+  virtual void release(std::shared_ptr<const std::any> /*payload*/,
+                       std::size_t /*payload_bytes*/) {}
+
   /// Releases the surviving workers (idempotent: only the first call sends
   /// exit commands, so a caller-side release followed by a run_program
-  /// backstop charges nothing twice).
+  /// backstop charges nothing twice).  A no-op under the collective driver.
   virtual void finish() = 0;
 };
 
@@ -209,17 +227,19 @@ class Master final : public PhaseDriver {
   std::vector<std::vector<bool>> staged_;   // chunk id -> rank -> data present
 };
 
-/// One algorithm packaged for the master/worker framework: the phase
-/// handlers (run on every rank), the root-side control flow (phase issue
-/// order plus the master-only folds), and the WEA parameters that freeze
-/// the chunk list.  Factories live in core/ft_programs.hpp; run_program and
-/// the scheduler's resilient gang runtime both consume this.
+/// One algorithm: the phase handlers (run on every rank), the root-side
+/// control flow (phase issue order plus the root-only folds), and the WEA
+/// parameters that freeze the chunk list.  Factories live in
+/// core/ft_programs.hpp; run_collective, run_program and the scheduler's
+/// gang runtimes all consume this.
 struct Program {
   std::vector<Handler> handlers;
-  /// Root-side control flow.  Receives the driver (phase issuing) and the
-  /// program's handlers; must call driver.finish() at the point the
-  /// collective implementation released the workers (finish is idempotent,
-  /// so run_program's backstop charges nothing on the normal path).
+  /// Control flow.  Receives the driver (phase issuing) and the program's
+  /// handlers.  Under the master/worker drivers it runs on the root only;
+  /// under the collective driver it runs on every rank, so root-only work
+  /// sits behind comm.is_root().  Must call driver.finish() at the point
+  /// the master releases its workers (finish is idempotent, so
+  /// run_program's backstop charges nothing on the normal path).
   std::function<void(vmpi::Comm&, PhaseDriver&, const std::vector<Handler>&)>
       master;
   /// WEA inputs for the chunk freeze; model.scatter_input doubles as the
@@ -230,16 +250,47 @@ struct Program {
   /// Halo rows per side (MORPH's kernel radius; 0 elsewhere).
   std::size_t overlap = 0;
   std::size_t replication = 1;
+  /// The collective driver's tile plan (linalg::resolve_tile_rows) and
+  /// per-tile streamed staging; the master/worker drivers ignore both.
+  std::size_t tile_rows = 0;
+  bool tile_stream = false;
 };
 
-/// Runs `prog` over `comm` exactly as the historical per-algorithm
-/// run_*_ft drivers did: non-root ranks serve worker_loop; the root runs
-/// the WEA once, freezes the chunks, and hands a Master to prog.master.
+/// Runs `prog` over `comm` as the collective SPMD schedule: every rank
+/// receives its WEA partition (distribute_partitions) with a tile plan
+/// attached, then runs prog.master, whose phases broadcast their payload,
+/// run the handler on the rank's own chunk and gather to the root.  Only
+/// the root's result struct is populated.
+void run_collective(vmpi::Comm& comm, const hsi::HsiCube& cube,
+                    const Program& prog);
+
+/// Runs `prog` over `comm` with the master/worker protocol: non-root ranks
+/// serve resilient_worker_loop; the root runs the WEA once, freezes the
+/// chunks, and hands a Master to prog.master.
 void run_program(vmpi::Comm& comm, const hsi::HsiCube& cube,
                  const Program& prog);
+
+/// The run_* entry points' engine run: `prog` on a fresh engine over
+/// `platform`, under run_program when `fault_tolerant` (the fault plan must
+/// spare the root), else under run_collective.
+[[nodiscard]] vmpi::RunReport run_on_engine(const simnet::Platform& platform,
+                                            const hsi::HsiCube& cube,
+                                            const Program& prog,
+                                            bool fault_tolerant,
+                                            const vmpi::Options& options);
+
+/// Moves each per-chunk phase result out as a T (empty off the root).
+template <typename T>
+[[nodiscard]] std::vector<T> results_as(std::vector<std::any> results) {
+  std::vector<T> out;
+  out.reserve(results.size());
+  for (auto& r : results) out.push_back(std::any_cast<T>(std::move(r)));
+  return out;
+}
 
 /// Validates that a fault plan never kills `root` (the protocol's single
 /// point of control).  Throws hprs::Error otherwise.
 void require_immortal_root(const vmpi::Options& options);
 
-}  // namespace hprs::core::ft
+}  // namespace ft
+}  // namespace hprs::core

@@ -1,13 +1,14 @@
-// Per-algorithm ft::Program factories.
+// The algorithms, one ft::Program each.
 //
-// Each factory packages one algorithm for the master/worker framework
-// (core/ft.hpp): the phase handlers, the root-side control flow, and the
-// WEA parameters.  The closures capture `cube` and `result` by reference
-// and the config by value, so the returned Program must not outlive either
-// argument.  ft::run_program(comm, cube, prog) reproduces the historical
-// solo fault-tolerant schedules bit for bit; the cluster resilience layer
-// (src/sched/resilience) drives the same Programs through a checkpointing
-// PhaseDriver instead.
+// Each factory is the only definition of its algorithm (core/ft.hpp): the
+// phase handlers, the control flow with its root-side folds, and the WEA
+// parameters.  ft::run_collective runs it as the paper's SPMD schedule
+// (the run_* entry points and the scheduler's base gangs);
+// ft::run_program runs it fault-tolerant, and the cluster resilience layer
+// (src/sched/resilience) drives it through a checkpointing PhaseDriver.
+// The closures capture `cube` and `result` by reference and the config by
+// value, so the returned Program must not outlive either argument; only
+// the root's `result` is populated.
 //
 // The handlers are stateless (they only read the captured cube/config), so
 // one Program instance may be shared by every rank of an engine run, in
@@ -35,8 +36,9 @@ namespace hprs::core {
                                          const PctConfig& config,
                                          ClassificationResult& result);
 
-/// Requires config.overlap_borders: the chunks carry their own halo rows,
-/// so a re-run on an adopting rank needs no worker-to-worker exchange.
+/// The master/worker drivers require config.overlap_borders: their chunks
+/// carry their own halo rows, so a re-run on an adopting rank needs no
+/// worker-to-worker exchange.
 [[nodiscard]] ft::Program morph_ft_program(const hsi::HsiCube& cube,
                                            const MorphConfig& config,
                                            ClassificationResult& result);

@@ -209,18 +209,24 @@ std::vector<MorphRep> MorphWorker::top_candidates() const {
   return all;
 }
 
-// --- kernels shared by the collective and fault-tolerant schedules ------
+// --- per-chunk kernels and root-side folds -----------------------------
 
 /// Step 2 + candidate selection for one partition: runs all I_max
 /// morphology iterations (charging each pass) and returns the c
-/// highest-MEI owned pixels.  Overlap-border mode only: no worker-to-worker
-/// halo traffic, so the result depends on the chunk alone.
+/// highest-MEI owned pixels.  In overlap-border mode the result depends on
+/// the chunk alone; halo-exchange mode (overlap_borders = false) refreshes
+/// the borders from the neighbouring ranks before every later iteration,
+/// which only the collective driver supports (run_morph refuses it
+/// fault-tolerant).
 std::vector<MorphRep> morph_candidates(vmpi::Comm& comm,
                                        const hsi::HsiCube& cube,
                                        const RowPartition& part,
                                        const MorphConfig& config) {
   MorphWorker worker(cube, part, config);
   for (std::size_t j = 1; j <= config.iterations; ++j) {
+    if (!config.overlap_borders && j > 1) {
+      worker.exchange_halo(comm, config.kernel_radius);
+    }
     const SplitFlops flops = worker.iterate(j == config.iterations);
     comm.compute(flops.charge(config.replication));
   }
@@ -331,11 +337,12 @@ void assemble_label_image(vmpi::Comm& comm,
 
 }  // namespace
 
-/// The fault-tolerant schedule (core/ft.hpp): the same morphology and
-/// labeling kernels, driven chunk-wise by the master.  Chunks carry their
-/// own overlap borders, so a re-run on an adopting rank reproduces the lost
-/// candidates bit for bit; merging in chunk order matches the collective
-/// gather's rank order.
+/// Paper Alg. 5 as one Program (core/ft.hpp): morphology + candidate
+/// selection and labeling are the phase handlers; the root merges the
+/// candidates in chunk (== rank) order and assembles the label image.
+/// Chunks carry their own overlap borders (one structuring-element radius
+/// per side, the companion JPDC'06 paper's sizing), so a re-run on an
+/// adopting rank reproduces the lost candidates bit for bit.
 ft::Program morph_ft_program(const hsi::HsiCube& cube,
                              const MorphConfig& config,
                              ClassificationResult& result) {
@@ -370,34 +377,27 @@ ft::Program morph_ft_program(const hsi::HsiCube& cube,
       });
 
   prog.master = [&cube, config, &result](vmpi::Comm& comm,
-                                         ft::PhaseDriver& master,
+                                         ft::PhaseDriver& driver,
                                          const std::vector<ft::Handler>& h) {
+    const bool root = comm.is_root();
     const std::size_t bands = cube.bands();
 
-    // Steps 2-3: candidates, merged in chunk (== rank) order.
-    auto rep_any = master.phase(0, h[0]);
-    std::vector<std::vector<MorphRep>> rep_sets;
-    rep_sets.reserve(rep_any.size());
-    for (auto& a : rep_any) {
-      rep_sets.push_back(std::any_cast<std::vector<MorphRep>>(std::move(a)));
+    // Steps 2-3: candidates, merged at the root.
+    auto rep_sets =
+        ft::results_as<std::vector<MorphRep>>(driver.phase(0, h[0]));
+    std::vector<MorphRep> unique;
+    if (root) {
+      unique = merge_unique_sets(comm, std::move(rep_sets), config, bands);
     }
-    std::vector<MorphRep> unique =
-        merge_unique_sets(comm, std::move(rep_sets), config, bands);
     const std::size_t reps = unique.size();
     const std::size_t unique_bytes = rep_bytes(bands, reps);
 
     // Steps 4-5: labeling against the shipped unique set.
-    auto block_any = master.phase(1, h[1],
-                                  std::make_shared<const std::any>(
-                                      std::move(unique)),
-                                  unique_bytes);
-    std::vector<LabelBlock> blocks;
-    blocks.reserve(block_any.size());
-    for (auto& a : block_any) {
-      blocks.push_back(std::any_cast<LabelBlock>(std::move(a)));
-    }
-    master.finish();
-    assemble_label_image(comm, blocks, cube, reps, result);
+    const auto blocks = ft::results_as<LabelBlock>(driver.phase(
+        1, h[1], std::make_shared<const std::any>(std::move(unique)),
+        unique_bytes));
+    driver.finish();
+    if (root) assemble_label_image(comm, blocks, cube, reps, result);
   };
   return prog;
 }
@@ -418,65 +418,6 @@ WorkloadModel morph_workload(std::size_t bands, const MorphConfig& config) {
   return model;
 }
 
-void morph_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
-                const MorphConfig& config, ClassificationResult& result) {
-  WorkloadModel model = morph_workload(cube.bands(), config);
-  model.scatter_input = config.charge_data_staging;
-  const std::size_t bands = cube.bands();
-
-  // Overlap border of one structuring-element radius on each side (the
-  // companion JPDC'06 paper's sizing); the same width is refreshed every
-  // iteration in halo-exchange mode.
-  const std::size_t halo = config.kernel_radius;
-
-  const PartitionView view = detail::distribute_partitions(
-      comm, cube, model, config.policy, config.memory_fraction, halo,
-      config.replication);
-
-  // --- Step 2: iterative morphology on the local block ---------------
-  MorphWorker worker(cube, view.part, config);
-  for (std::size_t j = 1; j <= config.iterations; ++j) {
-    if (!config.overlap_borders && j > 1) {
-      worker.exchange_halo(comm, halo);
-    }
-    const SplitFlops flops = worker.iterate(j == config.iterations);
-    comm.compute(flops.charge(config.replication));
-  }
-
-  // --- Step 3: master merges the per-worker candidates ----------------
-  auto local = worker.top_candidates();
-  const std::size_t local_count = local.size();
-  auto rep_sets = comm.gather(comm.root(), std::move(local),
-                              rep_bytes(bands, local_count));
-
-  std::vector<MorphRep> unique;
-  if (comm.is_root()) {
-    unique = merge_unique_sets(comm, std::move(rep_sets), config, bands);
-  }
-
-  // --- Step 4: broadcast the unique set, label locally -----------------
-  // Shared broadcast: all ranks label against one immutable unique set.
-  const std::size_t unique_bytes = rep_bytes(bands, unique.size());
-  const auto unique_view =
-      comm.bcast_shared(comm.root(), std::move(unique), unique_bytes);
-  const std::vector<MorphRep>& shared_unique = *unique_view;
-  const std::size_t reps = shared_unique.size();
-
-  LabelOut local_l = label_partition(cube, view.part.row_begin,
-                                     view.part.row_end, shared_unique);
-  comm.compute(local_l.flops * config.replication);
-
-  // --- Step 5: master assembles the classification matrix -------------
-  const std::size_t block_bytes = local_l.block.labels.size() *
-                                  sizeof(std::uint16_t) *
-                                  config.replication;
-  auto blocks =
-      comm.gather(comm.root(), std::move(local_l.block), block_bytes);
-  if (comm.is_root()) {
-    assemble_label_image(comm, blocks, cube, reps, result);
-  }
-}
-
 ClassificationResult run_morph(const simnet::Platform& platform,
                                const hsi::HsiCube& cube,
                                const MorphConfig& config,
@@ -486,22 +427,15 @@ ClassificationResult run_morph(const simnet::Platform& platform,
   HPRS_REQUIRE(config.kernel_radius >= 1, "kernel radius must be >= 1");
   HPRS_REQUIRE(!cube.empty(), "empty cube");
 
-  vmpi::Engine engine(platform, options);
-  ClassificationResult result;
+  HPRS_REQUIRE(!config.fault_tolerant || config.overlap_borders,
+               "fault-tolerant MORPH requires overlap borders: the "
+               "halo-exchange mode needs worker-to-worker traffic the "
+               "master/worker protocol excludes");
 
-  if (config.fault_tolerant) {
-    HPRS_REQUIRE(config.overlap_borders,
-                 "fault-tolerant MORPH requires overlap borders: the "
-                 "halo-exchange mode needs worker-to-worker traffic the "
-                 "master/worker protocol excludes");
-    ft::require_immortal_root(options);
-    const ft::Program prog = morph_ft_program(cube, config, result);
-    result.report = engine.run(
-        [&](vmpi::Comm& comm) { ft::run_program(comm, cube, prog); });
-    return result;
-  }
-  result.report = engine.run(
-      [&](vmpi::Comm& comm) { morph_body(comm, cube, config, result); });
+  ClassificationResult result;
+  result.report =
+      ft::run_on_engine(platform, cube, morph_ft_program(cube, config, result),
+                        config.fault_tolerant, options);
   return result;
 }
 

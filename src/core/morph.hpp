@@ -60,11 +60,6 @@ struct MorphConfig {
 [[nodiscard]] WorkloadModel morph_workload(std::size_t bands,
                                            const MorphConfig& config);
 
-/// The non-fault-tolerant SPMD schedule over any communicator (world or a
-/// sub-communicator); only the comm root's `result` is populated.
-void morph_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
-                const MorphConfig& config, ClassificationResult& result);
-
 [[nodiscard]] ClassificationResult run_morph(const simnet::Platform& platform,
                                              const hsi::HsiCube& cube,
                                              const MorphConfig& config,

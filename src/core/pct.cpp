@@ -44,10 +44,7 @@ struct LabelBlock {
   std::vector<std::uint16_t> labels;  // owned_rows * cols
 };
 
-using linalg::flops::Count;
-
-// --- per-partition kernels, shared by the collective and fault-tolerant
-// schedules (identical arithmetic either way) ------------------------------
+// --- per-chunk kernels and root-side folds ---------------------------------
 
 /// Step 2: online SAD clustering of rows [row_begin, row_end); returns the
 /// best-supported 3c exemplars and the SAD count for the caller to charge.
@@ -133,17 +130,11 @@ std::vector<Rep> merge_unique_sets(vmpi::Comm& comm,
   return unique;
 }
 
-/// Steps 4-6: band sums of rows [row_begin, row_end).
-struct MeanOut {
-  std::vector<double> sums;
-  Count flops = 0;
-};
-
-/// Accumulates the band sums of rows [row_begin, row_end) into `sums`
-/// (length bands) and returns the flops performed.  Tiles of a partition
-/// call this back to back on one shared `sums`: each band's addition chain
-/// extends strictly in row order, so any tiling of the owned range is
-/// bit-identical to the monolithic sweep.
+/// Steps 4-5: accumulates the band sums of rows [row_begin, row_end) into
+/// `sums` (length bands) and returns the flops performed.  Tiles of a
+/// partition call this back to back on one shared `sums`: each band's
+/// addition chain extends strictly in row order, so any tiling of the
+/// owned range is bit-identical to the monolithic sweep.
 Count accum_mean_rows(const hsi::HsiCube& cube, std::size_t row_begin,
                       std::size_t row_end, double* sums) {
   const std::size_t bands = cube.bands();
@@ -161,14 +152,6 @@ Count accum_mean_rows(const hsi::HsiCube& cube, std::size_t row_begin,
   return flops;
 }
 
-MeanOut local_mean_sums(const hsi::HsiCube& cube, std::size_t row_begin,
-                        std::size_t row_end) {
-  MeanOut out;
-  out.sums.assign(cube.bands(), 0.0);
-  out.flops = accum_mean_rows(cube, row_begin, row_end, out.sums.data());
-  return out;
-}
-
 /// Master fold of the partition band sums (partition order) into the mean.
 std::vector<double> fold_mean(vmpi::Comm& comm,
                               const std::vector<std::vector<double>>& parts,
@@ -183,19 +166,12 @@ std::vector<double> fold_mean(vmpi::Comm& comm,
   return mean;
 }
 
-/// Upper-triangle covariance accumulation over rows [row_begin, row_end),
+/// Step 6: accumulates the centered covariance triangle of rows
+/// [row_begin, row_end) into `tri` and returns the flops performed,
 /// dispatching between the per-pixel rank-1 loop and the strip syrk fast
-/// path (bit-identical sums).
-struct CovOut {
-  std::vector<double> tri;
-  Count flops = 0;
-};
-
-/// Accumulates the centered covariance triangle of rows
-/// [row_begin, row_end) into `tri` and returns the flops performed.  Like
-/// accum_mean_rows, tiles extend each triangle element's addition chain in
-/// row order on a shared `tri`, so any tiling is bit-identical to the
-/// monolithic sweep.
+/// path (bit-identical sums).  Like accum_mean_rows, tiles extend each
+/// triangle element's addition chain in row order on a shared `tri`, so
+/// any tiling is bit-identical to the monolithic sweep.
 Count accum_cov_rows(const hsi::HsiCube& cube, std::size_t row_begin,
                      std::size_t row_end, const std::vector<double>& mean,
                      double* tri) {
@@ -245,15 +221,6 @@ Count accum_cov_rows(const hsi::HsiCube& cube, std::size_t row_begin,
     }
   }
   return flops;
-}
-
-CovOut local_cov_sums(const hsi::HsiCube& cube, std::size_t row_begin,
-                      std::size_t row_end, const std::vector<double>& mean) {
-  CovOut out;
-  out.tri.assign(cube.bands() * (cube.bands() + 1) / 2, 0.0);
-  out.flops =
-      accum_cov_rows(cube, row_begin, row_end, mean, out.tri.data());
-  return out;
 }
 
 /// Step 7 (master): folds the covariance parts (partition order), solves
@@ -418,8 +385,10 @@ void assemble_label_image(vmpi::Comm& comm,
 
 }  // namespace
 
-/// The fault-tolerant schedule (core/ft.hpp): the same kernels and folds,
-/// with the mean and bundle shipped as phase payloads instead of broadcasts.
+/// The paper's PCT classifier as one Program (core/ft.hpp): unique sets,
+/// band sums, covariance and labeling are the phase handlers; the root
+/// merges the unique sets, folds the mean, solves the eigenproblem and
+/// assembles the label image.
 ft::Program pct_ft_program(const hsi::HsiCube& cube, const PctConfig& config,
                            ClassificationResult& result) {
   ft::Program prog;
@@ -428,7 +397,13 @@ ft::Program pct_ft_program(const hsi::HsiCube& cube, const PctConfig& config,
   prog.policy = config.policy;
   prog.memory_fraction = config.memory_fraction;
   prog.replication = config.replication;
-  // Phase 0: local unique spectral sets.
+  prog.tile_rows = config.tile_rows;
+  prog.tile_stream = config.tile_stream;
+  // Phase 0 (step 2): local unique spectral sets.  Online SAD clustering of
+  // the chunk's pixels: each pixel either joins the first cluster whose
+  // exemplar is within the threshold or founds a new cluster; the
+  // best-supported 3c exemplars go to the root, so rare mixtures do not
+  // crowd out the partition's real constituents.
   prog.handlers.push_back(
       [&cube, config](vmpi::Comm& c, const ft::Chunk& chunk, const std::any*) {
         const std::size_t bands = cube.bands();
@@ -440,27 +415,37 @@ ft::Program pct_ft_program(const hsi::HsiCube& cube, const PctConfig& config,
         return ft::ChunkOutcome{std::move(out.reps),
                                 rep_bytes(bands, count)};
       });
-  // Phase 1: band sums.
+  // Phase 1 (steps 4-5): band sums, swept tile by tile over one shared
+  // accumulator: tiles extend each band's addition chain in row order, so
+  // any tiling is bit-identical to the monolithic sweep.
   prog.handlers.push_back(
       [&cube, config](vmpi::Comm& c, const ft::Chunk& chunk, const std::any*) {
-        MeanOut out =
-            local_mean_sums(cube, chunk.part.row_begin, chunk.part.row_end);
-        c.compute(out.flops * config.replication);
-        return ft::ChunkOutcome{std::move(out.sums),
+        std::vector<double> sums(cube.bands(), 0.0);
+        detail::sweep_chunk(c, chunk, config.replication,
+                            [&](const linalg::TileDesc& t) {
+                              return accum_mean_rows(cube, t.row_begin,
+                                                     t.row_end, sums.data());
+                            });
+        return ft::ChunkOutcome{std::move(sums),
                                 cube.bands() * sizeof(double)};
       });
-  // Phase 2: covariance triangle against the shipped mean.
+  // Phase 2 (step 6): covariance triangle against the shipped mean, tiled
+  // like the band sums.
   prog.handlers.push_back(
       [&cube, config](vmpi::Comm& c, const ft::Chunk& chunk,
                       const std::any* payload) {
         const auto& mean = std::any_cast<const std::vector<double>&>(*payload);
-        CovOut out = local_cov_sums(cube, chunk.part.row_begin,
-                                    chunk.part.row_end, mean);
-        c.compute(out.flops * config.replication);
         const std::size_t tri = cube.bands() * (cube.bands() + 1) / 2;
-        return ft::ChunkOutcome{std::move(out.tri), tri * sizeof(double)};
+        std::vector<double> sums(tri, 0.0);
+        detail::sweep_chunk(c, chunk, config.replication,
+                            [&](const linalg::TileDesc& t) {
+                              return accum_cov_rows(cube, t.row_begin,
+                                                    t.row_end, mean,
+                                                    sums.data());
+                            });
+        return ft::ChunkOutcome{std::move(sums), tri * sizeof(double)};
       });
-  // Phase 3: transform + labeling against the shipped bundle.
+  // Phase 3 (steps 8-9): transform + labeling against the shipped bundle.
   prog.handlers.push_back(
       [&cube, config](vmpi::Comm& c, const ft::Chunk& chunk,
                       const std::any* payload) {
@@ -475,59 +460,43 @@ ft::Program pct_ft_program(const hsi::HsiCube& cube, const PctConfig& config,
       });
 
   prog.master = [&cube, config, &result](vmpi::Comm& comm,
-                                         ft::PhaseDriver& master,
+                                         ft::PhaseDriver& driver,
                                          const std::vector<ft::Handler>& h) {
+    const bool root = comm.is_root();
     const std::size_t bands = cube.bands();
 
     // Steps 2-3: unique sets, merged in chunk (== rank) order.
-    auto rep_any = master.phase(0, h[0]);
-    std::vector<std::vector<Rep>> rep_sets;
-    rep_sets.reserve(rep_any.size());
-    for (auto& a : rep_any) {
-      rep_sets.push_back(std::any_cast<std::vector<Rep>>(std::move(a)));
+    auto rep_sets = ft::results_as<std::vector<Rep>>(driver.phase(0, h[0]));
+    std::vector<Rep> unique;
+    if (root) {
+      unique = merge_unique_sets(comm, std::move(rep_sets), config, bands);
     }
-    const std::vector<Rep> unique =
-        merge_unique_sets(comm, std::move(rep_sets), config, bands);
 
     // Steps 4-6: mean, then covariance against it.
-    auto mean_any = master.phase(1, h[1]);
-    std::vector<std::vector<double>> mean_parts;
-    mean_parts.reserve(mean_any.size());
-    for (auto& a : mean_any) {
-      mean_parts.push_back(std::any_cast<std::vector<double>>(std::move(a)));
-    }
-    const std::vector<double> mean =
-        fold_mean(comm, mean_parts, cube.pixel_count(), bands);
+    const auto mean_parts =
+        ft::results_as<std::vector<double>>(driver.phase(1, h[1]));
+    std::vector<double> mean;
+    if (root) mean = fold_mean(comm, mean_parts, cube.pixel_count(), bands);
+    const auto cov_parts = ft::results_as<std::vector<double>>(
+        driver.phase(2, h[2], std::make_shared<const std::any>(mean),
+                     bands * sizeof(double)));
 
-    auto cov_any = master.phase(2, h[2],
-                                std::make_shared<const std::any>(mean),
-                                bands * sizeof(double));
-    std::vector<std::vector<double>> cov_parts;
-    cov_parts.reserve(cov_any.size());
-    for (auto& a : cov_any) {
-      cov_parts.push_back(std::any_cast<std::vector<double>>(std::move(a)));
+    // Step 7: sequential eigendecomposition + bundle at the root.
+    PctBundle bundle;
+    if (root) {
+      bundle = build_bundle(comm, cov_parts, mean, unique, config, cube);
     }
-
-    // Step 7: sequential eigendecomposition + bundle at the master.
-    PctBundle bundle =
-        build_bundle(comm, cov_parts, mean, unique, config, cube);
     const std::size_t reps = bundle.reduced_reps.rows();
     const std::size_t bundle_bytes =
         config.classes * bands * sizeof(double) + bands * sizeof(double) +
         config.classes * config.classes * sizeof(double);
 
     // Steps 8-9: labeling against the shipped bundle.
-    auto block_any = master.phase(3, h[3],
-                                  std::make_shared<const std::any>(
-                                      std::move(bundle)),
-                                  bundle_bytes);
-    std::vector<LabelBlock> blocks;
-    blocks.reserve(block_any.size());
-    for (auto& a : block_any) {
-      blocks.push_back(std::any_cast<LabelBlock>(std::move(a)));
-    }
-    master.finish();
-    assemble_label_image(comm, blocks, cube, reps, result);
+    const auto blocks = ft::results_as<LabelBlock>(driver.phase(
+        3, h[3], std::make_shared<const std::any>(std::move(bundle)),
+        bundle_bytes));
+    driver.finish();
+    if (root) assemble_label_image(comm, blocks, cube, reps, result);
   };
   return prog;
 }
@@ -552,110 +521,6 @@ WorkloadModel pct_workload(std::size_t bands, std::size_t classes) {
   return model;
 }
 
-void pct_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
-              const PctConfig& config, ClassificationResult& result) {
-  WorkloadModel model = pct_workload(cube.bands(), config.classes);
-  model.scatter_input = config.charge_data_staging;
-  const std::size_t bands = cube.bands();
-  const bool streaming = config.tile_stream || linalg::tile_stream_enabled();
-  model.tile_stream = streaming;
-  const PartitionView view = detail::distribute_partitions(
-      comm, cube, model, config.policy, config.memory_fraction,
-      /*overlap=*/0, config.replication, /*defer_staging=*/streaming);
-  // Tile plan over the owned rows; with streaming on, every tile's
-  // host->device copy is enqueued here and drains behind the unique-set
-  // phase below, so the mean/covariance sweeps mostly find their tiles
-  // already resident.
-  const detail::TileStream tiles = detail::begin_tile_stream(
-      comm, view, config.tile_rows, streaming, config.replication);
-
-  // --- Step 2: local unique spectral sets -----------------------------
-  // Online SAD clustering of the local pixels: each pixel either joins
-  // the first cluster whose exemplar is within the threshold or founds a
-  // new cluster.  The best-supported 3c exemplars go to the master, so
-  // rare mixtures do not crowd out the partition's real constituents.
-  UniqueOut local_u = local_unique_sets(cube, view.part.row_begin,
-                                        view.part.row_end, config);
-  comm.compute(local_u.sad_evals * hsi::flops::sad(bands) *
-               config.replication);
-
-  // --- Step 3: master merges the unique sets --------------------------
-  const std::size_t local_count = local_u.reps.size();
-  auto rep_sets = comm.gather(comm.root(), std::move(local_u.reps),
-                              rep_bytes(bands, local_count));
-  std::vector<Rep> unique;
-  if (comm.is_root()) {
-    unique = merge_unique_sets(comm, std::move(rep_sets), config, bands);
-  }
-
-  // --- Steps 4-6: parallel mean and covariance ------------------------
-  // Tiled sweep over the shared band sums: tiles extend each band's
-  // addition chain in row order, so the result (and, with streaming off,
-  // the single compute charge) is bit-identical to the monolithic sweep.
-  MeanOut local_m;
-  local_m.sums.assign(bands, 0.0);
-  detail::tiled_sweep(comm, tiles, config.replication,
-                      [&](const linalg::TileDesc& t) {
-                        return accum_mean_rows(cube, t.row_begin, t.row_end,
-                                               local_m.sums.data());
-                      });
-  auto mean_parts = comm.gather(comm.root(), std::move(local_m.sums),
-                                bands * sizeof(double));
-  std::vector<double> mean_acc(bands, 0.0);
-  if (comm.is_root()) {
-    mean_acc = fold_mean(comm, mean_parts, cube.pixel_count(), bands);
-  }
-  // Shared broadcast: every rank centers against the same immutable mean.
-  const auto mean_view = comm.bcast_shared(comm.root(), std::move(mean_acc),
-                                           bands * sizeof(double));
-  const std::vector<double>& mean = *mean_view;
-
-  // Upper-triangle covariance accumulation over owned pixels, tiled like
-  // the mean.
-  const std::size_t tri = bands * (bands + 1) / 2;
-  CovOut local_c;
-  local_c.tri.assign(tri, 0.0);
-  detail::tiled_sweep(comm, tiles, config.replication,
-                      [&](const linalg::TileDesc& t) {
-                        return accum_cov_rows(cube, t.row_begin, t.row_end,
-                                              mean, local_c.tri.data());
-                      });
-  auto cov_parts = comm.gather(comm.root(), std::move(local_c.tri),
-                               tri * sizeof(double));
-
-  // --- Step 7: sequential eigendecomposition at the master ------------
-  PctBundle bundle;
-  if (comm.is_root()) {
-    bundle = build_bundle(comm, cov_parts, mean, unique, config, cube);
-  }
-
-  // --- Steps 8-9: parallel transform + reduced-space labeling ---------
-  // Shared broadcast: all ranks label against one immutable bundle.
-  const std::size_t bundle_bytes =
-      config.classes * bands * sizeof(double) + bands * sizeof(double) +
-      config.classes * config.classes * sizeof(double);
-  const auto bundle_view =
-      comm.bcast_shared(comm.root(), std::move(bundle), bundle_bytes);
-  const PctBundle& shared_bundle = *bundle_view;
-  const std::size_t reps = shared_bundle.reduced_reps.rows();
-
-  LabelOut local_l = label_partition(cube, view.part.row_begin,
-                                     view.part.row_end, shared_bundle,
-                                     config);
-  comm.compute(local_l.flops * config.replication);
-
-  const std::size_t block_bytes = local_l.block.labels.size() *
-                                  sizeof(std::uint16_t) *
-                                  config.replication;
-  auto blocks =
-      comm.gather(comm.root(), std::move(local_l.block), block_bytes);
-
-  // Master assembles the final label image.
-  if (comm.is_root()) {
-    assemble_label_image(comm, blocks, cube, reps, result);
-  }
-}
-
 ClassificationResult run_pct(const simnet::Platform& platform,
                              const hsi::HsiCube& cube, const PctConfig& config,
                              vmpi::Options options) {
@@ -664,18 +529,10 @@ ClassificationResult run_pct(const simnet::Platform& platform,
                "cannot extract more components than bands");
   HPRS_REQUIRE(!cube.empty(), "empty cube");
 
-  vmpi::Engine engine(platform, options);
   ClassificationResult result;
-
-  if (config.fault_tolerant) {
-    ft::require_immortal_root(options);
-    const ft::Program prog = pct_ft_program(cube, config, result);
-    result.report = engine.run(
-        [&](vmpi::Comm& comm) { ft::run_program(comm, cube, prog); });
-    return result;
-  }
-  result.report = engine.run(
-      [&](vmpi::Comm& comm) { pct_body(comm, cube, config, result); });
+  result.report =
+      ft::run_on_engine(platform, cube, pct_ft_program(cube, config, result),
+                        config.fault_tolerant, options);
   return result;
 }
 

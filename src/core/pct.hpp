@@ -46,12 +46,12 @@ struct PctConfig {
   /// crashes from Options::fault_plan and still produces the fault-free
   /// outputs bit for bit.  The root must not be in the crash plan.
   bool fault_tolerant = false;
-  /// Rows per tile of the mean/covariance sweeps; 0 = HPRS_TILE_ROWS, else
-  /// automatic (linalg::resolve_tile_rows).  Any value is numerics- and
+  /// Rows per tile of the mean/covariance sweeps; 0 = automatic
+  /// (linalg::resolve_tile_rows).  Any value is numerics- and
   /// virtual-time-neutral unless tile_stream is on.
   std::size_t tile_rows = 0;
   /// Per-tile streamed staging overlapped with compute on accelerated
-  /// ranks (ORed with HPRS_TILE_STREAM).  Off reproduces the historic
+  /// ranks (collective schedule only).  Off reproduces the historic
   /// upfront-staging charge bit for bit.
   bool tile_stream = false;
 };
@@ -59,11 +59,6 @@ struct PctConfig {
 /// Per-pixel workload model used by the WEA for this algorithm.
 [[nodiscard]] WorkloadModel pct_workload(std::size_t bands,
                                          std::size_t classes);
-
-/// The non-fault-tolerant SPMD schedule over any communicator (world or a
-/// sub-communicator); only the comm root's `result` is populated.
-void pct_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
-              const PctConfig& config, ClassificationResult& result);
 
 [[nodiscard]] ClassificationResult run_pct(const simnet::Platform& platform,
                                            const hsi::HsiCube& cube,

@@ -59,13 +59,65 @@ linalg::Matrix make_skewers(std::size_t k, std::size_t bands,
   return skewers;
 }
 
+/// Root-side fold: the global extreme per skewer, folded in chunk order
+/// with ties broken by row-major position so the outcome cannot depend on
+/// the partitioning, then the `config.targets` highest purity counts.
+void rank_purity(vmpi::Comm& comm,
+                 const std::vector<std::vector<SkewerExtreme>>& parts,
+                 const PpiConfig& config, PpiResult& result) {
+  std::map<std::pair<std::size_t, std::size_t>, std::uint32_t> counts;
+  for (std::size_t s = 0; s < config.skewers; ++s) {
+    std::size_t lo_row = 0, lo_col = 0, hi_row = 0, hi_col = 0;
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -lo;
+    for (const auto& part : parts) {
+      const auto& ext = part[s];
+      if (ext.lo < lo ||
+          (ext.lo == lo && std::make_pair(ext.lo_row, ext.lo_col) <
+                               std::make_pair(lo_row, lo_col))) {
+        lo = ext.lo;
+        lo_row = ext.lo_row;
+        lo_col = ext.lo_col;
+      }
+      if (ext.hi > hi ||
+          (ext.hi == hi && std::make_pair(ext.hi_row, ext.hi_col) <
+                               std::make_pair(hi_row, hi_col))) {
+        hi = ext.hi;
+        hi_row = ext.hi_row;
+        hi_col = ext.hi_col;
+      }
+    }
+    ++counts[{lo_row, lo_col}];
+    ++counts[{hi_row, hi_col}];
+  }
+  comm.compute(config.skewers * parts.size() * 4, vmpi::Phase::kSequential);
+
+  std::vector<PurityEntry> all;
+  all.reserve(counts.size());
+  for (const auto& [loc, count] : counts) {
+    all.push_back(PurityEntry{loc.first, loc.second, count});
+  }
+  // Deterministic ranking: count desc, then row-major position.
+  std::sort(all.begin(), all.end(),
+            [](const PurityEntry& a, const PurityEntry& b) {
+              if (a.count != b.count) return a.count > b.count;
+              if (a.row != b.row) return a.row < b.row;
+              return a.col < b.col;
+            });
+  const std::size_t keep = std::min(config.targets, all.size());
+  for (std::size_t k = 0; k < keep; ++k) {
+    result.targets.push_back({all[k].row, all[k].col});
+    result.scores.push_back(all[k].count);
+  }
+}
+
 }  // namespace
 
-/// The fault-tolerant schedule (core/ft.hpp): the projection kernel runs
-/// per chunk against the skewer matrix shipped as the phase payload; the
-/// master folds the per-chunk extremes in chunk order with the same
-/// row-major position tie-breaks as the collective path, so the purity
-/// counts (and hence the ranked targets) are bit-identical regardless of
+/// Parallel PPI as one Program (core/ft.hpp): the projection pass is the
+/// phase handler, run per chunk against the skewer matrix the root draws
+/// and ships as the phase payload; the root folds the per-chunk extremes in
+/// chunk order with row-major position tie-breaks, so the purity counts
+/// (and hence the ranked targets) cannot depend on the partitioning or on
 /// which rank computed which chunk.
 ft::Program ppi_ft_program(const hsi::HsiCube& cube, const PpiConfig& config,
                            PpiResult& result) {
@@ -112,72 +164,26 @@ ft::Program ppi_ft_program(const hsi::HsiCube& cube, const PpiConfig& config,
       });
 
   prog.master = [&cube, config, &result](vmpi::Comm& comm,
-                                         ft::PhaseDriver& master,
+                                         ft::PhaseDriver& driver,
                                          const std::vector<ft::Handler>& h) {
+    const bool root = comm.is_root();
     const std::size_t bands = cube.bands();
 
-    // The master draws the skewers once and ships them with the phase
-    // command (the collective path broadcasts the same matrix).
-    linalg::Matrix drawn = make_skewers(config.skewers, bands, config.seed);
-    comm.compute(config.skewers * (3 * bands + 1), vmpi::Phase::kSequential);
-    auto payload = std::make_shared<const std::any>(std::move(drawn));
-    const std::size_t skewer_bytes =
-        config.skewers * bands * sizeof(double);
+    // The root draws the skewers once and ships them as the phase payload.
+    linalg::Matrix drawn;
+    if (root) {
+      drawn = make_skewers(config.skewers, bands, config.seed);
+      comm.compute(config.skewers * (3 * bands + 1),
+                   vmpi::Phase::kSequential);
+    }
+    const std::size_t skewer_bytes = config.skewers * bands * sizeof(double);
+    const auto parts =
+        ft::results_as<std::vector<SkewerExtreme>>(driver.phase(
+            0, h[0], std::make_shared<const std::any>(std::move(drawn)),
+            skewer_bytes));
 
-    auto ext_any = master.phase(0, h[0], payload, skewer_bytes);
-    std::vector<std::vector<SkewerExtreme>> parts;
-    parts.reserve(ext_any.size());
-    for (auto& a : ext_any) {
-      parts.push_back(std::any_cast<std::vector<SkewerExtreme>>(std::move(a)));
-    }
-
-    // Global extreme per skewer, folded in chunk order; ties broken by
-    // row-major position so the outcome cannot depend on the partitioning.
-    std::map<std::pair<std::size_t, std::size_t>, std::uint32_t> counts;
-    for (std::size_t s = 0; s < config.skewers; ++s) {
-      std::size_t lo_row = 0, lo_col = 0, hi_row = 0, hi_col = 0;
-      double lo = std::numeric_limits<double>::infinity();
-      double hi = -lo;
-      for (const auto& part : parts) {
-        const auto& ext = part[s];
-        if (ext.lo < lo ||
-            (ext.lo == lo && std::make_pair(ext.lo_row, ext.lo_col) <
-                                 std::make_pair(lo_row, lo_col))) {
-          lo = ext.lo;
-          lo_row = ext.lo_row;
-          lo_col = ext.lo_col;
-        }
-        if (ext.hi > hi ||
-            (ext.hi == hi && std::make_pair(ext.hi_row, ext.hi_col) <
-                                 std::make_pair(hi_row, hi_col))) {
-          hi = ext.hi;
-          hi_row = ext.hi_row;
-          hi_col = ext.hi_col;
-        }
-      }
-      ++counts[{lo_row, lo_col}];
-      ++counts[{hi_row, hi_col}];
-    }
-    comm.compute(config.skewers * parts.size() * 4, vmpi::Phase::kSequential);
-
-    std::vector<PurityEntry> all;
-    all.reserve(counts.size());
-    for (const auto& [loc, count] : counts) {
-      all.push_back(PurityEntry{loc.first, loc.second, count});
-    }
-    // Deterministic ranking: count desc, then row-major position.
-    std::sort(all.begin(), all.end(),
-              [](const PurityEntry& a, const PurityEntry& b) {
-                if (a.count != b.count) return a.count > b.count;
-                if (a.row != b.row) return a.row < b.row;
-                return a.col < b.col;
-              });
-    master.finish();
-    const std::size_t keep = std::min(config.targets, all.size());
-    for (std::size_t k = 0; k < keep; ++k) {
-      result.targets.push_back({all[k].row, all[k].col});
-      result.scores.push_back(all[k].count);
-    }
+    if (root) rank_purity(comm, parts, config, result);
+    driver.finish();
   };
   return prog;
 }
@@ -192,112 +198,6 @@ WorkloadModel ppi_workload(std::size_t bands, std::size_t skewers) {
   return model;
 }
 
-void ppi_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
-              const PpiConfig& config, PpiResult& result) {
-  WorkloadModel model = ppi_workload(cube.bands(), config.skewers);
-  model.scatter_input = config.charge_data_staging;
-  const std::size_t bands = cube.bands();
-  const std::size_t cols = cube.cols();
-
-  const PartitionView view = detail::distribute_partitions(
-      comm, cube, model, config.policy, config.memory_fraction,
-      /*overlap=*/0, config.replication);
-
-  // Master draws the skewers and broadcasts them; every rank projects
-  // against the same shared immutable copy (zero fan-out copies).
-  linalg::Matrix drawn;
-  if (comm.is_root()) {
-    drawn = make_skewers(config.skewers, bands, config.seed);
-    comm.compute(config.skewers * (3 * bands + 1),
-                 vmpi::Phase::kSequential);
-  }
-  const auto skewers_view =
-      comm.bcast_shared(comm.root(), std::move(drawn),
-                        config.skewers * bands * sizeof(double));
-  const linalg::Matrix& skewers = *skewers_view;
-
-  // Projection pass: per skewer, the local extremes and their locations.
-  // The global extremes are selected at the master, so the purity counts
-  // are independent of the partitioning.
-  std::vector<SkewerExtreme> local(config.skewers);
-  Count flops = 0;
-  for (std::size_t s = 0; s < config.skewers; ++s) {
-    const auto skewer = skewers.row(s);
-    auto& ext = local[s];
-    for (std::size_t r = view.part.row_begin; r < view.part.row_end; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        const double proj =
-            linalg::dot<double, float>(skewer, cube.pixel(r, c));
-        flops += linalg::flops::dot(bands);
-        if (proj < ext.lo) {
-          ext.lo = proj;
-          ext.lo_row = r;
-          ext.lo_col = c;
-        }
-        if (proj > ext.hi) {
-          ext.hi = proj;
-          ext.hi_row = r;
-          ext.hi_col = c;
-        }
-      }
-    }
-  }
-  comm.compute(flops * config.replication);
-
-  const std::size_t local_bytes = config.skewers * kExtremeBytes;
-  auto gathered = comm.gather(comm.root(), std::move(local), local_bytes);
-
-  if (comm.is_root()) {
-    // Global extreme per skewer; ties broken by row-major position so
-    // the outcome cannot depend on rank assignment.
-    std::map<std::pair<std::size_t, std::size_t>, std::uint32_t> counts;
-    for (std::size_t s = 0; s < config.skewers; ++s) {
-      std::size_t lo_row = 0, lo_col = 0, hi_row = 0, hi_col = 0;
-      double lo = std::numeric_limits<double>::infinity();
-      double hi = -lo;
-      for (const auto& part : gathered) {
-        const auto& ext = part[s];
-        if (ext.lo < lo ||
-            (ext.lo == lo && std::make_pair(ext.lo_row, ext.lo_col) <
-                                 std::make_pair(lo_row, lo_col))) {
-          lo = ext.lo;
-          lo_row = ext.lo_row;
-          lo_col = ext.lo_col;
-        }
-        if (ext.hi > hi ||
-            (ext.hi == hi && std::make_pair(ext.hi_row, ext.hi_col) <
-                                 std::make_pair(hi_row, hi_col))) {
-          hi = ext.hi;
-          hi_row = ext.hi_row;
-          hi_col = ext.hi_col;
-        }
-      }
-      ++counts[{lo_row, lo_col}];
-      ++counts[{hi_row, hi_col}];
-    }
-    comm.compute(config.skewers * gathered.size() * 4,
-                 vmpi::Phase::kSequential);
-
-    std::vector<PurityEntry> all;
-    all.reserve(counts.size());
-    for (const auto& [loc, count] : counts) {
-      all.push_back(PurityEntry{loc.first, loc.second, count});
-    }
-    // Deterministic ranking: count desc, then row-major position.
-    std::sort(all.begin(), all.end(),
-              [](const PurityEntry& a, const PurityEntry& b) {
-                if (a.count != b.count) return a.count > b.count;
-                if (a.row != b.row) return a.row < b.row;
-                return a.col < b.col;
-              });
-    const std::size_t keep = std::min(config.targets, all.size());
-    for (std::size_t k = 0; k < keep; ++k) {
-      result.targets.push_back({all[k].row, all[k].col});
-      result.scores.push_back(all[k].count);
-    }
-  }
-}
-
 PpiResult run_ppi(const simnet::Platform& platform, const hsi::HsiCube& cube,
                   const PpiConfig& config, vmpi::Options options) {
   HPRS_REQUIRE(config.targets >= 1, "need at least one target");
@@ -306,17 +206,10 @@ PpiResult run_ppi(const simnet::Platform& platform, const hsi::HsiCube& cube,
   obs::Metrics::instance().add("core.runs.PPI", 1);
   obs::ScopedHostTimer obs_timer("core.run.PPI");
 
-  vmpi::Engine engine(platform, options);
   PpiResult result;
-  if (config.fault_tolerant) {
-    ft::require_immortal_root(options);
-    const ft::Program prog = ppi_ft_program(cube, config, result);
-    result.report = engine.run(
-        [&](vmpi::Comm& comm) { ft::run_program(comm, cube, prog); });
-    return result;
-  }
-  result.report = engine.run(
-      [&](vmpi::Comm& comm) { ppi_body(comm, cube, config, result); });
+  result.report =
+      ft::run_on_engine(platform, cube, ppi_ft_program(cube, config, result),
+                        config.fault_tolerant, options);
   return result;
 }
 

@@ -52,12 +52,6 @@ struct PpiResult {
   vmpi::RunReport report;
 };
 
-/// The SPMD schedule over any communicator (world or a sub-communicator);
-/// only the comm root's `result` is populated.  Unlike run_ppi this does
-/// not touch the host-side obs metrics (the caller owns process metrics).
-void ppi_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
-              const PpiConfig& config, PpiResult& result);
-
 [[nodiscard]] PpiResult run_ppi(const simnet::Platform& platform,
                                 const hsi::HsiCube& cube,
                                 const PpiConfig& config,

@@ -61,20 +61,15 @@ TileStream begin_tile_stream(vmpi::Comm& comm, const PartitionView& view,
       linalg::resolve_tile_rows(tile_rows, part.owned_rows()));
   ts.streaming = streaming;
   if (!streaming) return ts;
-  // Enqueue every tile's copy now, in the deterministic stage-chain order:
-  // the DMA pipe drains in the background while the host-side phases that
-  // precede the device sweeps (clustering, means, gathers) run, and each
-  // sweep only waits out whatever part of its tile's copy is still exposed.
-  ts.staged_until.assign(ts.tiles.size(), 0.0);
-  linalg::TileGraph stages;
-  for (std::size_t k = 0; k < ts.tiles.size(); ++k) {
-    const std::size_t id = stages.add_node(linalg::TileNodeKind::kStage, k, k);
-    if (k > 0) stages.add_edge(id - 1, id);
+  // Enqueue every tile's copy now, in tile order: the DMA pipe drains in
+  // the background while the host-side phases that precede the device
+  // sweeps (clustering, means, gathers) run, and each sweep only waits out
+  // whatever part of its tile's copy is still exposed.
+  ts.staged_until.reserve(ts.tiles.size());
+  for (const linalg::TileDesc& tile : ts.tiles) {
+    ts.staged_until.push_back(
+        comm.stage_to_device_async(tile.bytes * replication));
   }
-  stages.run([&](const linalg::TileNode& node) {
-    ts.staged_until[node.tile] =
-        comm.stage_to_device_async(ts.tiles[node.tile].bytes * replication);
-  });
   return ts;
 }
 

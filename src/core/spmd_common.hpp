@@ -1,9 +1,11 @@
-// Building blocks shared by the SPMD algorithm implementations.
+// Building blocks shared by the algorithm Programs (core/ft_programs.hpp)
+// and the collective driver that runs them (core/ft.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/ft.hpp"
 #include "core/partition.hpp"
 #include "core/types.hpp"
 #include "hsi/cube.hpp"
@@ -69,49 +71,51 @@ struct TileStream {
 /// `defer_staging = streaming` to distribute_partitions: with streaming off
 /// the distribute already staged the whole block synchronously (the
 /// historic charge, bit-identical) and this only cuts tiles; with streaming
-/// on this walks the TileGraph stage chain and enqueues one
-/// stage_to_device_async per tile, so the DMA pipeline drains in the shadow
-/// of whatever host-side phases precede the device sweeps.
+/// on this enqueues one stage_to_device_async per tile, in tile order, so
+/// the DMA pipeline drains in the shadow of whatever host-side phases
+/// precede the device sweeps.
 [[nodiscard]] TileStream begin_tile_stream(vmpi::Comm& comm,
                                            const PartitionView& view,
                                            std::size_t tile_rows,
                                            bool streaming,
                                            std::size_t replication);
 
-/// Runs `body` once per tile of `ts` in the deterministic TileGraph order
-/// (a compute chain: accumulators extend strictly in tile order, which is
-/// what keeps tiled sums bit-identical to the monolithic sweep) and charges
-/// the sweep's virtual time.  `body` returns the flops it performed on the
-/// tile.  Non-streaming: flops accumulate across tiles and the sweep
-/// charges ONE compute -- the same single multiply-then-charge as the
-/// monolithic path, so virtual time is bit-identical.  Streaming: each tile
-/// first waits out the exposed part of its staged copy, then charges its
-/// own compute, paying the kernel-launch latency only on the sweep's first
-/// tile (one batched launch per sweep).
+/// Runs `body` once per tile of `ts`, in tile order (accumulators extend
+/// strictly in tile order, which is what keeps tiled sums bit-identical to
+/// the monolithic sweep), and charges the sweep's virtual time.  `body`
+/// returns the flops it performed on the tile.  Non-streaming: flops
+/// accumulate across tiles and the sweep charges ONE compute -- the same
+/// single multiply-then-charge as the monolithic path, so virtual time is
+/// bit-identical.  Streaming: each tile first waits out the exposed part of
+/// its staged copy, then charges its own compute, paying the kernel-launch
+/// latency only on the sweep's first tile (one batched launch per sweep).
 template <typename Body>
 void tiled_sweep(vmpi::Comm& comm, const TileStream& ts,
                  std::size_t replication, Body&& body) {
-  linalg::TileGraph chain;
-  for (std::size_t k = 0; k < ts.tiles.size(); ++k) {
-    const std::size_t id =
-        chain.add_node(linalg::TileNodeKind::kCompute, k, k);
-    if (k > 0) chain.add_edge(id - 1, id);
-  }
   if (!ts.streaming) {
     std::uint64_t flops = 0;
-    chain.run([&](const linalg::TileNode& node) {
-      flops += body(ts.tiles[node.tile]);
-    });
+    for (const linalg::TileDesc& tile : ts.tiles) flops += body(tile);
     comm.compute(flops * replication);
     return;
   }
-  bool first = true;
-  chain.run([&](const linalg::TileNode& node) {
-    comm.stage_wait(ts.staged_until[node.tile]);
-    const std::uint64_t flops = body(ts.tiles[node.tile]);
-    comm.compute_tile(flops * replication, first);
-    first = false;
-  });
+  for (std::size_t k = 0; k < ts.tiles.size(); ++k) {
+    comm.stage_wait(ts.staged_until[k]);
+    comm.compute_tile(body(ts.tiles[k]) * replication, k == 0);
+  }
+}
+
+/// A sweeping handler's row loop over `chunk`: tile by tile through
+/// tiled_sweep when the collective driver attached the rank's tile plan,
+/// else (master/worker) over the whole owned range in one charge.
+template <typename Body>
+void sweep_chunk(vmpi::Comm& comm, const ft::Chunk& chunk,
+                 std::size_t replication, Body&& body) {
+  if (chunk.tiles != nullptr) {
+    tiled_sweep(comm, *chunk.tiles, replication, body);
+    return;
+  }
+  const linalg::TileDesc whole{0, chunk.part.row_begin, chunk.part.row_end, 0};
+  comm.compute(body(whole) * replication);
 }
 
 /// OSP score ||P_U_perp x||^2 = x.x - b . G^-1 b computed against the

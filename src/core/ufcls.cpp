@@ -101,8 +101,9 @@ ErrorSweepOut fcls_error_sweep(const hsi::HsiCube& cube,
 
 }  // namespace
 
-/// The fault-tolerant schedule (core/ft.hpp): identical chunk kernels and
-/// chunk-order folds, driven over point-to-point operations only.
+/// Paper Alg. 3 as one Program (core/ft.hpp): the brightest-pixel and
+/// FCLS-error sweeps are the phase handlers, the root grows the target set
+/// with chunk-order folds.
 ft::Program ufcls_ft_program(const hsi::HsiCube& cube,
                              const UfclsConfig& config,
                              TargetDetectionResult& result) {
@@ -136,46 +137,42 @@ ft::Program ufcls_ft_program(const hsi::HsiCube& cube,
       });
 
   prog.master = [&cube, config, &result](vmpi::Comm& comm,
-                                         ft::PhaseDriver& master,
+                                         ft::PhaseDriver& driver,
                                          const std::vector<ft::Handler>& h) {
-    const auto as_candidates = [](const std::vector<std::any>& results) {
-      std::vector<Candidate> cands;
-      cands.reserve(results.size());
-      for (const auto& r : results) {
-        cands.push_back(std::any_cast<Candidate>(r));
+    const bool root = comm.is_root();
+    const std::size_t bands = cube.bands();
+    std::vector<PixelLocation> found;
+    linalg::Matrix targets;  // grown at the root
+    // Root-side fold: the best candidate (chunk order), charged as the
+    // master re-evaluating each proposal at `per_candidate_flops`.
+    const auto grow = [&](const std::vector<Candidate>& cands,
+                          Count per_candidate_flops) {
+      Candidate best{0, 0, -std::numeric_limits<double>::infinity()};
+      for (const auto& c : cands) {
+        if (c.score > best.score) best = c;
       }
-      return cands;
+      comm.compute(per_candidate_flops * cands.size(),
+                   vmpi::Phase::kSequential);
+      found.push_back({best.row, best.col});
+      targets.append_row(detail::to_double(cube.pixel(best.row, best.col)));
     };
 
-    // Step 1: the brightest pixel seeds the target set (chunk-order fold).
-    const auto seeds = as_candidates(master.phase(0, h[0]));
-    Candidate best{0, 0, -std::numeric_limits<double>::infinity()};
-    for (const auto& c : seeds) {
-      if (c.score > best.score) best = c;
-    }
-    comm.compute(linalg::flops::dot(cube.bands()) * seeds.size(),
-                 vmpi::Phase::kSequential);
-    std::vector<PixelLocation> found{{best.row, best.col}};
-    linalg::Matrix targets;
-    targets.append_row(detail::to_double(cube.pixel(best.row, best.col)));
+    // Step 1: the brightest pixel seeds the target set.
+    const auto seeds = ft::results_as<Candidate>(driver.phase(0, h[0]));
+    if (root) grow(seeds, linalg::flops::dot(bands));
 
     // Steps 2-5: grow the target set by maximum reconstruction error.
-    while (found.size() < config.targets) {
-      const std::size_t t_cur = targets.rows();
-      const std::size_t u_bytes = t_cur * cube.bands() * sizeof(double);
-      auto payload = std::make_shared<const std::any>(targets);
-      const auto round = as_candidates(master.phase(1, h[1], payload, u_bytes));
-      Candidate next{0, 0, -std::numeric_limits<double>::infinity()};
-      for (const auto& c : round) {
-        if (c.score > next.score) next = c;
-      }
-      comm.compute(linalg::flops::fcls(cube.bands(), t_cur, 2) * round.size(),
-                   vmpi::Phase::kSequential);
-      found.push_back({next.row, next.col});
-      targets.append_row(detail::to_double(cube.pixel(next.row, next.col)));
+    for (std::size_t t = 1; t < config.targets; ++t) {
+      const std::size_t u_bytes = targets.rows() * bands * sizeof(double);
+      const auto round = ft::results_as<Candidate>(driver.phase(
+          1, h[1], std::make_shared<const std::any>(targets), u_bytes));
+      if (root) grow(round, linalg::flops::fcls(bands, t, 2));
     }
-    master.finish();
-    result.targets = std::move(found);
+    const std::size_t u_bytes = targets.rows() * bands * sizeof(double);
+    driver.release(std::make_shared<const std::any>(std::move(targets)),
+                   u_bytes);
+    driver.finish();
+    if (root) result.targets = std::move(found);
   };
   return prog;
 }
@@ -195,78 +192,6 @@ WorkloadModel ufcls_workload(std::size_t bands, std::size_t targets) {
   return model;
 }
 
-void ufcls_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
-                const UfclsConfig& config, TargetDetectionResult& result) {
-  WorkloadModel model = ufcls_workload(cube.bands(), config.targets);
-  model.scatter_input = config.charge_data_staging;
-  const PartitionView view = detail::distribute_partitions(
-      comm, cube, model, config.policy, config.memory_fraction,
-      /*overlap=*/0, config.replication);
-
-  // Step 1: the brightest pixel seeds the target set.
-  const BrightestOut seed =
-      brightest_sweep(cube, view.part.row_begin, view.part.row_end);
-  comm.compute(seed.flops * config.replication);
-  const auto seeds =
-      comm.gather(comm.root(), seed.best, detail::kCandidateBytes);
-
-  linalg::Matrix targets;
-  std::vector<PixelLocation> found;
-  if (comm.is_root()) {
-    Candidate best{0, 0, -std::numeric_limits<double>::infinity()};
-    for (const auto& c : seeds) {
-      if (c.score > best.score) best = c;
-    }
-    comm.compute(linalg::flops::dot(cube.bands()) * seeds.size(),
-                 vmpi::Phase::kSequential);
-    found.push_back({best.row, best.col});
-    targets.append_row(detail::to_double(cube.pixel(best.row, best.col)));
-  }
-
-  // Steps 2-5: grow the target set by maximum FCLS reconstruction error.
-  // The broadcast is shared: every rank unmixes against one immutable
-  // copy of the target matrix; only the master re-owns it to grow it.
-  linalg::ScratchArena arena;  // strip-sweep scratch, reused every round
-  while (true) {
-    // Only the root's payload (and wire size) reaches the engine.
-    const std::size_t u_bytes =
-        comm.is_root() ? targets.rows() * cube.bands() * sizeof(double) : 0;
-    const auto u_view =
-        comm.bcast_shared(comm.root(), std::move(targets), u_bytes);
-    const std::size_t t_cur = u_view->rows();
-    if (t_cur >= config.targets) break;
-
-    const linalg::Unmixer unmixer(*u_view);
-    comm.compute(linalg::flops::gram(cube.bands(), t_cur) +
-                 linalg::flops::cholesky(t_cur));
-
-    const ErrorSweepOut sweep =
-        fcls_error_sweep(cube, *u_view, unmixer, view.part.row_begin,
-                         view.part.row_end, arena);
-    comm.compute(sweep.flops * config.replication);
-
-    const auto round =
-        comm.gather(comm.root(), sweep.best, detail::kCandidateBytes);
-    if (comm.is_root()) {
-      Candidate best{0, 0, -std::numeric_limits<double>::infinity()};
-      for (const auto& c : round) {
-        if (c.score > best.score) best = c;
-      }
-      comm.compute(
-          linalg::flops::fcls(cube.bands(), t_cur, 2) * round.size(),
-          vmpi::Phase::kSequential);
-      found.push_back({best.row, best.col});
-      targets = *u_view;  // re-own the shared target set to grow it
-      targets.append_row(detail::to_double(cube.pixel(best.row, best.col)));
-    }
-    // Non-root ranks leave `targets` empty; the next bcast refreshes it.
-  }
-
-  if (comm.is_root()) {
-    result.targets = std::move(found);
-  }
-}
-
 TargetDetectionResult run_ufcls(const simnet::Platform& platform,
                                 const hsi::HsiCube& cube,
                                 const UfclsConfig& config,
@@ -274,18 +199,10 @@ TargetDetectionResult run_ufcls(const simnet::Platform& platform,
   HPRS_REQUIRE(config.targets >= 1, "need at least one target");
   HPRS_REQUIRE(!cube.empty(), "empty cube");
 
-  vmpi::Engine engine(platform, options);
   TargetDetectionResult result;
-
-  if (config.fault_tolerant) {
-    ft::require_immortal_root(options);
-    const ft::Program prog = ufcls_ft_program(cube, config, result);
-    result.report = engine.run(
-        [&](vmpi::Comm& comm) { ft::run_program(comm, cube, prog); });
-    return result;
-  }
-  result.report = engine.run(
-      [&](vmpi::Comm& comm) { ufcls_body(comm, cube, config, result); });
+  result.report =
+      ft::run_on_engine(platform, cube, ufcls_ft_program(cube, config, result),
+                        config.fault_tolerant, options);
   return result;
 }
 

@@ -39,11 +39,6 @@ struct UfclsConfig {
 [[nodiscard]] WorkloadModel ufcls_workload(std::size_t bands,
                                            std::size_t targets);
 
-/// The non-fault-tolerant SPMD schedule over any communicator (world or a
-/// sub-communicator); only the comm root's `result` is populated.
-void ufcls_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
-                const UfclsConfig& config, TargetDetectionResult& result);
-
 [[nodiscard]] TargetDetectionResult run_ufcls(const simnet::Platform& platform,
                                               const hsi::HsiCube& cube,
                                               const UfclsConfig& config,

@@ -1,24 +1,10 @@
 #include "linalg/tile_graph.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <set>
-#include <tuple>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 
 namespace hprs::linalg {
-
-namespace {
-
-std::atomic<int> g_tile_stream{-1};  // -1: env not latched yet
-
-bool tile_stream_from_env() {
-  return env_int_or("HPRS_TILE_STREAM", 0, 0, 1) != 0;
-}
-
-}  // namespace
 
 std::vector<TileDesc> make_row_tiles(std::size_t row_begin,
                                      std::size_t row_end,
@@ -39,95 +25,8 @@ std::vector<TileDesc> make_row_tiles(std::size_t row_begin,
 std::size_t resolve_tile_rows(std::size_t configured,
                               std::size_t owned_rows) {
   if (configured > 0) return configured;
-  const auto env = static_cast<std::size_t>(
-      env_int_or("HPRS_TILE_ROWS", 0, 0, 1 << 20));
-  if (env > 0) return env;
   if (owned_rows == 0) return 1;
   return (owned_rows + kAutoTilesPerPartition - 1) / kAutoTilesPerPartition;
-}
-
-bool tile_stream_enabled() {
-  int v = g_tile_stream.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = tile_stream_from_env() ? 1 : 0;
-    g_tile_stream.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void set_tile_stream(bool enabled) {
-  g_tile_stream.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-ScopedTileStream::ScopedTileStream(bool enabled)
-    : saved_(tile_stream_enabled()) {
-  set_tile_stream(enabled);
-}
-
-ScopedTileStream::~ScopedTileStream() { set_tile_stream(saved_); }
-
-std::size_t TileGraph::add_node(TileNodeKind kind, std::size_t tile,
-                                std::size_t generation) {
-  nodes_.push_back(TileNode{kind, tile, generation});
-  out_edges_.emplace_back();
-  in_degree_.push_back(0);
-  return nodes_.size() - 1;
-}
-
-void TileGraph::add_edge(std::size_t from, std::size_t to) {
-  HPRS_REQUIRE(from < nodes_.size() && to < nodes_.size(),
-               "tile graph edge references an unknown node");
-  out_edges_[from].push_back(to);
-  ++in_degree_[to];
-}
-
-void TileGraph::run(const std::function<void(const TileNode&)>& visit) const {
-  // Kahn's algorithm with a deterministic ready set: the key is a pure
-  // function of the node, so the execution order depends only on the graph.
-  using ReadyKey =
-      std::tuple<std::size_t, std::uint8_t, std::size_t, std::size_t>;
-  const auto key_of = [this](std::size_t id) {
-    const TileNode& n = nodes_[id];
-    return ReadyKey{n.generation, static_cast<std::uint8_t>(n.kind), n.tile,
-                    id};
-  };
-  std::set<ReadyKey> ready;
-  std::vector<std::size_t> pending = in_degree_;
-  for (std::size_t id = 0; id < nodes_.size(); ++id) {
-    if (pending[id] == 0) ready.insert(key_of(id));
-  }
-  std::size_t executed = 0;
-  while (!ready.empty()) {
-    const std::size_t id = std::get<3>(*ready.begin());
-    ready.erase(ready.begin());
-    visit(nodes_[id]);
-    ++executed;
-    for (const std::size_t succ : out_edges_[id]) {
-      if (--pending[succ] == 0) ready.insert(key_of(succ));
-    }
-  }
-  HPRS_REQUIRE(executed == nodes_.size(),
-               "tile graph has a dependency cycle: executed " +
-                   std::to_string(executed) + " of " +
-                   std::to_string(nodes_.size()) + " nodes");
-}
-
-TileGraph TileGraph::stream_pipeline(std::size_t tiles) {
-  TileGraph g;
-  std::size_t prev_stage = 0;
-  std::size_t prev_compute = 0;
-  for (std::size_t k = 0; k < tiles; ++k) {
-    const std::size_t stage = g.add_node(TileNodeKind::kStage, k, k);
-    const std::size_t compute = g.add_node(TileNodeKind::kCompute, k, k + 1);
-    g.add_edge(stage, compute);
-    if (k > 0) {
-      g.add_edge(prev_stage, stage);      // the staging pipe is serial
-      g.add_edge(prev_compute, compute);  // accumulators extend in tile order
-    }
-    prev_stage = stage;
-    prev_compute = compute;
-  }
-  return g;
 }
 
 }  // namespace hprs::linalg

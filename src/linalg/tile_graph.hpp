@@ -1,28 +1,15 @@
-// Tile DAG for the streamed BLAS3 sweeps (PCT covariance, ATDCA/OSP).
+// Row-strip tile plans for the tiled BLAS3 sweeps (PCT mean/covariance,
+// ATDCA brightest/OSP).
 //
-// A partition's row block is cut into row-strip tiles (TileDesc); a sweep
-// over the block becomes a small dependency graph of per-tile nodes that a
-// driver executes in a deterministic ready order.  The canonical shape is
-// the two-stage stream pipeline of Dongarra/Pineau/Robert's master-worker
-// steady state: stage(k) copies tile k onto the device while compute(k-1)
-// is still running, so accelerated ranks hide their staging latency behind
-// compute.  The graph itself is pure bookkeeping -- no engine types leak in
-// here -- which keeps it unit-testable and reusable from both the
-// collective and the fault-tolerant schedules.
-//
-// Determinism contract: run() executes every node exactly once, respecting
-// the edges, and breaks ties among ready nodes by (generation, kind with
-// stage before compute, tile, insertion id).  That order is a pure function
-// of the graph, so tiled sweeps are reproducible across runs, executor
-// modes, and thread counts.  In the pipeline shape it interleaves
-//   stage 0, stage 1, compute 0, stage 2, compute 1, ...
-// i.e. the next tile's copy is issued before the previous tile's kernel,
-// which is exactly the overlap the streaming driver charges.
+// A partition's row block is cut into row-strip tiles (TileDesc).  The
+// collective driver (core/ft.hpp) builds one plan per rank; its sweeps walk
+// the tiles in order, and in streaming mode the copy of every tile is
+// enqueued up front so accelerated ranks hide their staging latency behind
+// compute (core/spmd_common.hpp: begin_tile_stream, tiled_sweep).  This
+// header is pure bookkeeping -- no engine types leak in here.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace hprs::linalg {
@@ -46,69 +33,10 @@ struct TileDesc {
                                                    std::size_t tile_rows);
 
 /// Resolves the tile height for a partition of `owned_rows` rows:
-/// `configured` when positive, else the HPRS_TILE_ROWS environment variable
-/// (validated, 0 = unset), else an automatic split into at most
+/// `configured` when positive, else an automatic split into at most
 /// kAutoTilesPerPartition tiles.  Always >= 1.
 inline constexpr std::size_t kAutoTilesPerPartition = 4;
 [[nodiscard]] std::size_t resolve_tile_rows(std::size_t configured,
                                             std::size_t owned_rows);
-
-/// True when the streaming tile driver (per-tile host->device staging
-/// overlapped with compute) is enabled by default; latches HPRS_TILE_STREAM
-/// on first call (default off -- the historic upfront-staging charge).
-/// set_tile_stream overrides afterwards.
-[[nodiscard]] bool tile_stream_enabled();
-void set_tile_stream(bool enabled);
-
-/// RAII override of the streaming default for a scope (tests, benches).
-class ScopedTileStream {
- public:
-  explicit ScopedTileStream(bool enabled);
-  ~ScopedTileStream();
-  ScopedTileStream(const ScopedTileStream&) = delete;
-  ScopedTileStream& operator=(const ScopedTileStream&) = delete;
-
- private:
-  bool saved_;
-};
-
-/// Node kinds, ordered so staging wins ready-queue ties within a
-/// generation (the copy for tile k+1 must be issued before the kernel for
-/// tile k to create overlap).
-enum class TileNodeKind : std::uint8_t { kStage = 0, kCompute = 1 };
-
-struct TileNode {
-  TileNodeKind kind = TileNodeKind::kCompute;
-  std::size_t tile = 0;        ///< TileDesc::index the node operates on
-  std::size_t generation = 0;  ///< pipeline step used for ready ordering
-};
-
-/// A small static DAG of tile nodes with a deterministic ready queue.
-class TileGraph {
- public:
-  /// Adds a node and returns its id (also its insertion order).
-  std::size_t add_node(TileNodeKind kind, std::size_t tile,
-                       std::size_t generation);
-  /// Declares that `from` must execute before `to`.
-  void add_edge(std::size_t from, std::size_t to);
-
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-
-  /// Executes every node exactly once, dependencies first; ready ties break
-  /// by (generation, kind, tile, id).  Throws if the edges form a cycle.
-  void run(const std::function<void(const TileNode&)>& visit) const;
-
-  /// The two-stage stream pipeline over `tiles` tiles: stage(k) at
-  /// generation k, compute(k) at generation k+1, with edges
-  /// stage(k) -> compute(k), stage(k) -> stage(k+1) (the staging pipe is
-  /// serial), and compute(k) -> compute(k+1) (accumulators extend in tile
-  /// order, which is what keeps tiled sums bit-identical to monolithic).
-  [[nodiscard]] static TileGraph stream_pipeline(std::size_t tiles);
-
- private:
-  std::vector<TileNode> nodes_;
-  std::vector<std::vector<std::size_t>> out_edges_;
-  std::vector<std::size_t> in_degree_;
-};
 
 }  // namespace hprs::linalg

@@ -85,8 +85,7 @@ struct JobSpec {
 /// The one JobSpec -> algorithm config mapping (core::AtdcaConfig,
 /// UfclsConfig, PctConfig, MorphConfig, PpiConfig): copies every algorithm
 /// parameter and partitioning knob the config has a same-named field for.
-/// Both gang runtimes build from it -- the base scheduler's SPMD bodies and
-/// make_job_program's ft::Programs.
+/// make_job_program builds both gang runtimes' ft::Programs from it.
 template <typename Config>
 [[nodiscard]] Config job_config(const JobSpec& spec) {
   Config c;

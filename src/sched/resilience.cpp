@@ -148,16 +148,13 @@ ProgramBundle make_job_program(const JobSpec& spec, const hsi::HsiCube& scene) {
       bundle.program = core::pct_ft_program(
           scene, job_config<core::PctConfig>(spec), *bundle.classification);
       break;
-    case JobAlgorithm::kMorph: {
-      core::MorphConfig config = job_config<core::MorphConfig>(spec);
-      // The master/worker protocol has no worker-to-worker halo exchange;
-      // chunks must carry their own borders.
-      config.overlap_borders = true;
+    case JobAlgorithm::kMorph:
+      // JobSpec has no overlap_borders knob, so the config keeps its
+      // default overlap borders, which the master/worker protocol needs.
       bundle.classification = std::make_shared<core::ClassificationResult>();
-      bundle.program =
-          core::morph_ft_program(scene, config, *bundle.classification);
+      bundle.program = core::morph_ft_program(
+          scene, job_config<core::MorphConfig>(spec), *bundle.classification);
       break;
-    }
     case JobAlgorithm::kPpi:
       bundle.ppi = std::make_shared<core::PpiResult>();
       bundle.program = core::ppi_ft_program(

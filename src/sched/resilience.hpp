@@ -143,8 +143,8 @@ class ResilientDriver final : public core::ft::PhaseDriver {
   std::vector<double> checkpoint_at_s_;
 };
 
-/// One job packaged for the resilient gang runtime: the ft::Program plus
-/// the heap-allocated result structs its closures write into (the Program
+/// One job packaged for either gang runtime: the ft::Program plus the
+/// heap-allocated result structs its closures write into (the Program
 /// captures them by reference, so they must live exactly as long as it).
 struct ProgramBundle {
   JobAlgorithm algorithm = JobAlgorithm::kAtdca;
@@ -158,9 +158,9 @@ struct ProgramBundle {
   void harvest(JobOutput& out);
 };
 
-/// Builds the job's ft::Program from its spec via job_config, the mapping
-/// the base scheduler's SPMD gangs use too (MORPH additionally forces
-/// overlap_borders, which the master/worker protocol requires).
+/// Builds the job's ft::Program from its spec via job_config.  The base
+/// gang runs it under ft::run_collective, the resilient gang under a
+/// ResilientDriver.
 [[nodiscard]] ProgramBundle make_job_program(const JobSpec& spec,
                                              const hsi::HsiCube& scene);
 

@@ -10,11 +10,7 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/atdca.hpp"
-#include "core/morph.hpp"
-#include "core/pct.hpp"
-#include "core/ppi.hpp"
-#include "core/ufcls.hpp"
+#include "core/ft.hpp"
 #include "obs/metrics.hpp"
 #include "sched/checkpoint.hpp"
 #include "sched/cost_model.hpp"
@@ -202,60 +198,20 @@ class DispatcherPvars {
   return job_id + (static_cast<std::uint64_t>(attempt) << 32);
 }
 
-/// Base gang runtime: the algorithm's paper SPMD body on a fresh
-/// sub-communicator over the commanded members.  Every member executes
-/// this; only the gang leader (members[0]) writes `out` and reports the
-/// job's single Done to the dispatcher.
+/// Base gang runtime: the job's ft::Program under the collective driver
+/// (the paper's SPMD schedule) on a fresh sub-communicator over the
+/// commanded members.  Every member executes this; only the gang leader
+/// (members[0]) writes `out` and reports the job's single Done to the
+/// dispatcher.
 void run_spmd_gang(vmpi::Comm& world, const Cmd& cmd, const JobSpec& spec,
                    const hsi::HsiCube& scene, JobOutput& out) {
   vmpi::Comm sub = world.subset(cmd.members, spec.id);
   if (world.snapshots_enabled()) sub.label_snapshots(job_snapshot_scope(spec));
   const vmpi::RankStats before = sub.stats();
 
-  switch (spec.algorithm) {
-    case JobAlgorithm::kAtdca: {
-      core::TargetDetectionResult result;
-      core::atdca_body(sub, scene, job_config<core::AtdcaConfig>(spec),
-                       result);
-      if (sub.is_root()) out.targets = std::move(result.targets);
-      break;
-    }
-    case JobAlgorithm::kUfcls: {
-      core::TargetDetectionResult result;
-      core::ufcls_body(sub, scene, job_config<core::UfclsConfig>(spec),
-                       result);
-      if (sub.is_root()) out.targets = std::move(result.targets);
-      break;
-    }
-    case JobAlgorithm::kPct: {
-      core::ClassificationResult result;
-      core::pct_body(sub, scene, job_config<core::PctConfig>(spec), result);
-      if (sub.is_root()) {
-        out.labels = std::move(result.labels);
-        out.label_count = result.label_count;
-      }
-      break;
-    }
-    case JobAlgorithm::kMorph: {
-      core::ClassificationResult result;
-      core::morph_body(sub, scene, job_config<core::MorphConfig>(spec),
-                       result);
-      if (sub.is_root()) {
-        out.labels = std::move(result.labels);
-        out.label_count = result.label_count;
-      }
-      break;
-    }
-    case JobAlgorithm::kPpi: {
-      core::PpiResult result;
-      core::ppi_body(sub, scene, job_config<core::PpiConfig>(spec), result);
-      if (sub.is_root()) {
-        out.targets = std::move(result.targets);
-        out.scores = std::move(result.scores);
-      }
-      break;
-    }
-  }
+  ProgramBundle bundle = make_job_program(spec, scene);
+  core::ft::run_collective(sub, scene, bundle.program);
+  if (sub.is_root()) bundle.harvest(out);
 
   // Align the gang so the recorded finish covers every member, snapshot
   // the job's busy window, then fold the per-member busy time to the

@@ -8,12 +8,14 @@
 // job and its rank subset with the pluggable policy (sched/policy.hpp),
 // and gang-dispatches the job by sending each member a command message;
 // the members build a sub-communicator with Comm::subset and run the job
-// on it.  One dispatcher loop serves both gang runtimes: by default a gang
-// runs the algorithm's unmodified SPMD body and its leader reports one
-// completion (aligned finish time + summed busy time); under
-// SchedulerConfig::resilience it runs the job's ft::Program with
-// checkpoints, and failed or preempted attempts go through the same loop's
-// retry queue.  See DESIGN.md section 11 for the determinism argument.
+// on it.  One dispatcher loop serves both gang runtimes, which run the
+// same ft::Program (make_job_program) under different drivers: by default
+// a gang runs it as the paper's SPMD schedule (ft::run_collective) and its
+// leader reports one completion (aligned finish time + summed busy time);
+// under SchedulerConfig::resilience it runs under a checkpointing
+// master/worker driver, and failed or preempted attempts go through the
+// same loop's retry queue.  See DESIGN.md section 11 for the determinism
+// argument.
 #pragma once
 
 #include <map>
@@ -41,7 +43,7 @@ struct SchedulerConfig {
   /// (elastically resized, resumed from their last checkpoint) with seeded
   /// backoff, and jobs exhausting their attempts go kDegraded / kFailed
   /// instead of aborting the schedule.  Off by default: gangs then run the
-  /// paper's SPMD bodies and crash plans are refused.
+  /// paper's SPMD schedule and crash plans are refused.
   ResilienceConfig resilience;
   /// Compute-once batching (serve/batcher.hpp): when a job with a nonzero
   /// JobSpec::batch_key is dispatched or running, compute-equivalent jobs

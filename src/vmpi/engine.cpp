@@ -8,7 +8,6 @@
 #include <limits>
 #include <thread>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "obs/host_profile.hpp"
@@ -44,16 +43,6 @@ bool env_thread_per_rank() {
   const char* v = std::getenv("HPRS_THREAD_PER_RANK");
   if (v == nullptr || *v == '\0') return false;
   return !(v[0] == '0' && v[1] == '\0');
-}
-
-std::size_t resolve_fiber_stack_bytes(std::size_t option_bytes) {
-  // Validated parse: a malformed HPRS_FIBER_STACK_KB throws with the
-  // variable named rather than silently running on the default stack.
-  if (const auto kb = env_int_or("HPRS_FIBER_STACK_KB", 0, 1, 1 << 20);
-      kb > 0) {
-    return static_cast<std::size_t>(kb) * 1024;
-  }
-  return option_bytes != 0 ? option_bytes : (std::size_t{1} << 20);
 }
 
 /// resize-without-deallocating: keeps each element's capacity so collective
@@ -265,7 +254,9 @@ RunReport Engine::run(const std::function<void(Comm&)>& program) {
     Executor exec;
     Executor::Config cfg;
     cfg.workers = options_.executor_workers;
-    cfg.stack_bytes = resolve_fiber_stack_bytes(options_.fiber_stack_bytes);
+    if (options_.fiber_stack_bytes != 0) {
+      cfg.stack_bytes = options_.fiber_stack_bytes;
+    }
     std::vector<std::function<void()>> bodies;
     bodies.reserve(pu);
     for (int r = 0; r < p; ++r) {

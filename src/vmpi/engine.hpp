@@ -170,8 +170,7 @@ struct Options {
   /// Worker-thread cap for kBoundedExecutor; 0 means
   /// min(p, hardware_concurrency).
   std::size_t executor_workers = 0;
-  /// Per-rank fiber stack for kBoundedExecutor; 0 means 1 MiB.  The
-  /// HPRS_FIBER_STACK_KB environment variable overrides.
+  /// Per-rank fiber stack for kBoundedExecutor; 0 means 1 MiB.
   std::size_t fiber_stack_bytes = 0;
   /// Injected failures, all in virtual time (see vmpi/fault.hpp).  An empty
   /// plan leaves every run bit-identical to a fault-free engine.

@@ -1,10 +1,13 @@
 #include "vmpi/executor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <thread>
 #include <utility>
 
+#include <cxxabi.h>
 #include <ucontext.h>
 
 #include "common/error.hpp"
@@ -84,6 +87,27 @@ void tsan_destroy_fiber([[maybe_unused]] void* fiber) {
 #endif
 }
 
+/// The bytes of the Itanium C++ ABI's per-thread `__cxa_eh_globals`, as
+/// laid out by libsupc++ and libc++abi on non-ARM-EHABI targets: the stack
+/// of currently caught exceptions (a pointer) followed by the count of
+/// thrown-but-uncaught ones (an unsigned int), padded to two words;
+/// all-zero is the empty state.  A fiber parked inside a catch handler must
+/// carry its stack with it; otherwise every fiber later run on the same
+/// worker thread pushes onto and pops from it -- a bare `throw;` rethrows
+/// another fiber's exception, and interleaved handler exits release the
+/// wrong one, so one leaks.
+using EhGlobals = std::array<unsigned char, 2 * sizeof(void*)>;
+
+/// Installs `next` as the calling thread's exception state and returns the
+/// state it replaces.
+EhGlobals exchange_eh_globals(const EhGlobals& next) {
+  void* const live = abi::__cxa_get_globals();
+  EhGlobals prev;
+  std::memcpy(prev.data(), live, prev.size());
+  std::memcpy(live, next.data(), next.size());
+  return prev;
+}
+
 }  // namespace
 
 struct Executor::Task {
@@ -112,6 +136,7 @@ struct Executor::Task {
   std::size_t stack_bytes = 0;
   ucontext_t ctx{};
   Worker* resumer = nullptr;  // worker to switch back to
+  EhGlobals eh{};             // C++ exception state while switched out
 
   // Sanitizer bookkeeping.
   void* tsan_fiber = nullptr;
@@ -296,11 +321,15 @@ void Executor::resume(Worker& worker, Task& task) {
                 static_cast<unsigned>(ptr & 0xffffffffu));
     task.tsan_fiber = tsan_create_fiber();
   }
+  // The fiber runs on this thread's exception state: swap its own in, and
+  // the scheduler's back once it switches out.
+  const EhGlobals scheduler_eh = exchange_eh_globals(task.eh);
   asan_start_switch(&worker.asan_fake_stack, task.stack.get(),
                     task.stack_bytes);
   tsan_switch_fiber(task.tsan_fiber);
   swapcontext(&worker.sched_ctx, &task.ctx);
   asan_finish_switch(worker.asan_fake_stack, nullptr, nullptr);
+  task.eh = exchange_eh_globals(scheduler_eh);
   tls_current_task_ = saved;
 }
 

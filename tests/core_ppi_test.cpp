@@ -91,6 +91,33 @@ TEST(PpiTest, HeteroBeatsHomoOnHeterogeneousPlatform) {
             run_ppi(platform, cube, homo).report.total_time * 0.6);
 }
 
+TEST(PpiTest, FaultTolerantOutputsMatchCollective) {
+  // One Program, two drivers: the master/worker schedule must reproduce the
+  // collective targets and purity counts, with an empty plan and with two
+  // mid-run worker crashes (recovery must never change the science).
+  const auto cube = testing::striped_cube(48, 16, 24, 4);
+  const auto platform = simnet::fully_heterogeneous();
+  PpiConfig cfg = small_config();
+  cfg.replication = 64;  // projections, not the skewer shipment, dominate
+  const auto collective = run_ppi(platform, cube, cfg);
+
+  cfg.fault_tolerant = true;
+  const auto clean = run_ppi(platform, cube, cfg);
+  EXPECT_EQ(clean.targets, collective.targets);
+  EXPECT_EQ(clean.scores, collective.scores);
+  EXPECT_TRUE(clean.report.fault_events.empty());
+
+  // Both crashes land inside the projection phase of the clean run.
+  vmpi::Options crashes;
+  crashes.fault_plan.crashes.push_back({3, 0.25 * clean.report.total_time});
+  crashes.fault_plan.crashes.push_back({11, 0.50 * clean.report.total_time});
+  const auto crashed = run_ppi(platform, cube, cfg, crashes);
+  EXPECT_EQ(crashed.targets, collective.targets);
+  EXPECT_EQ(crashed.scores, collective.scores);
+  EXPECT_EQ(crashed.report.recovery.crashes, 2);
+  EXPECT_GT(crashed.report.recovery.recomputed_flops, 0u);
+}
+
 TEST(PpiTest, ValidatesInputs) {
   const auto cube = testing::striped_cube(32, 16, 16, 2);
   PpiConfig cfg = small_config();

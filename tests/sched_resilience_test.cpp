@@ -598,8 +598,8 @@ TEST(SchedResilienceTest, ExhaustedRetriesDegradeWithCheckpointsElseFail) {
   // Job 2 arrived after the pool was gone and never ran: failed.
   EXPECT_EQ(result.records[1].state, JobState::kFailed);
   EXPECT_EQ(result.failed(), 1u);
-  EXPECT_EQ(to_string(result.records[0].state), "degraded");
-  EXPECT_EQ(to_string(result.records[1].state), "failed");
+  EXPECT_STREQ(to_string(result.records[0].state), "degraded");
+  EXPECT_STREQ(to_string(result.records[1].state), "failed");
 
   // Without a checkpoint store the same collapse is a plain failure.  The
   // cold schedule paces differently (no checkpoint charges), so its crash

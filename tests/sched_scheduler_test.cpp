@@ -10,11 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "core/atdca.hpp"
-#include "core/morph.hpp"
-#include "core/pct.hpp"
-#include "core/ppi.hpp"
-#include "core/ufcls.hpp"
+#include "core/ft_programs.hpp"
 #include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
 #include "test_scenes.hpp"
@@ -186,8 +182,10 @@ TEST(SchedSchedulerTest, BitIdenticalAcrossModesOnMultiSegmentPlatform) {
   EXPECT_EQ(bounded.utilization, threads.utilization);
 }
 
-/// Runs one job's SPMD body solo on the exact rank subset the scheduler
-/// used: the output must match the scheduled run bit for bit.
+/// Runs one job's Program solo under the collective driver on the exact
+/// rank subset the scheduler used, from hand-built configs (so the
+/// scheduler's spec-to-config mapping is checked independently): the output
+/// must match the scheduled run bit for bit.
 JobOutput run_solo(const simnet::Platform& platform, const hsi::HsiCube& scene,
                    const JobSpec& spec, const std::vector<int>& members) {
   JobOutput out;
@@ -203,7 +201,8 @@ JobOutput run_solo(const simnet::Platform& platform, const hsi::HsiCube& scene,
         core::AtdcaConfig config;
         config.targets = spec.targets;
         core::TargetDetectionResult result;
-        core::atdca_body(sub, scene, config, result);
+        core::ft::run_collective(
+            sub, scene, core::atdca_ft_program(scene, config, result));
         if (sub.is_root()) out.targets = std::move(result.targets);
         break;
       }
@@ -211,7 +210,8 @@ JobOutput run_solo(const simnet::Platform& platform, const hsi::HsiCube& scene,
         core::UfclsConfig config;
         config.targets = spec.targets;
         core::TargetDetectionResult result;
-        core::ufcls_body(sub, scene, config, result);
+        core::ft::run_collective(
+            sub, scene, core::ufcls_ft_program(scene, config, result));
         if (sub.is_root()) out.targets = std::move(result.targets);
         break;
       }
@@ -219,7 +219,8 @@ JobOutput run_solo(const simnet::Platform& platform, const hsi::HsiCube& scene,
         core::PctConfig config;
         config.classes = spec.classes;
         core::ClassificationResult result;
-        core::pct_body(sub, scene, config, result);
+        core::ft::run_collective(
+            sub, scene, core::pct_ft_program(scene, config, result));
         if (sub.is_root()) {
           out.labels = std::move(result.labels);
           out.label_count = result.label_count;
@@ -232,7 +233,8 @@ JobOutput run_solo(const simnet::Platform& platform, const hsi::HsiCube& scene,
         config.iterations = spec.iterations;
         config.kernel_radius = spec.kernel_radius;
         core::ClassificationResult result;
-        core::morph_body(sub, scene, config, result);
+        core::ft::run_collective(
+            sub, scene, core::morph_ft_program(scene, config, result));
         if (sub.is_root()) {
           out.labels = std::move(result.labels);
           out.label_count = result.label_count;
@@ -245,7 +247,8 @@ JobOutput run_solo(const simnet::Platform& platform, const hsi::HsiCube& scene,
         config.skewers = spec.skewers;
         config.seed = spec.seed;
         core::PpiResult result;
-        core::ppi_body(sub, scene, config, result);
+        core::ft::run_collective(
+            sub, scene, core::ppi_ft_program(scene, config, result));
         if (sub.is_root()) {
           out.targets = std::move(result.targets);
           out.scores = std::move(result.scores);

@@ -157,6 +157,53 @@ TEST(EngineTest, RankExceptionPropagatesAndUnblocksPeers) {
                std::runtime_error);
 }
 
+struct ErrA {};
+struct ErrB {};
+
+/// Which of the two test exceptions a bare `throw;` rethrows.
+char rethrown_type() {
+  try {
+    throw;
+  } catch (const ErrA&) {
+    return 'A';
+  } catch (const ErrB&) {
+    return 'B';
+  }
+}
+
+TEST(EngineTest, CaughtExceptionSurvivesAFiberSwitch) {
+  // Both ranks park inside their own catch handler while the other runs
+  // on the same (single) worker thread; each rank's bare rethrow must
+  // still find its own exception, in both host execution modes.
+  for (const ExecMode mode :
+       {ExecMode::kBoundedExecutor, ExecMode::kThreadPerRank}) {
+    Options opts = zero_latency();
+    opts.exec_mode = mode;
+    opts.executor_workers = 1;
+    Engine engine(uniform_platform(2), opts);
+    char seen[2] = {'?', '?'};
+    engine.run([&](Comm& comm) {
+      const int me = comm.rank();
+      try {
+        if (me == 0) throw ErrA{};
+        throw ErrB{};
+      } catch (...) {
+        if (me == 0) {
+          (void)comm.recv<int>(1);  // parks until rank 1 has caught ErrB
+          seen[0] = rethrown_type();
+          comm.send(1, 0, 4);
+        } else {
+          comm.send(0, 1, 4);
+          (void)comm.recv<int>(0);  // parks until rank 0 has rethrown
+          seen[1] = rethrown_type();
+        }
+      }
+    });
+    EXPECT_EQ(seen[0], 'A') << static_cast<int>(mode);
+    EXPECT_EQ(seen[1], 'B') << static_cast<int>(mode);
+  }
+}
+
 TEST(EngineTest, RecvWithNoSenderTimesOutAsDeadlock) {
   Options opts = zero_latency();
   opts.deadlock_timeout_s = 0.2;

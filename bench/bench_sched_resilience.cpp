@@ -41,7 +41,7 @@ using namespace hprs;
 std::vector<sched::JobSpec> make_stream(const bench::BenchSetup& setup) {
   sched::JobSpec spec;
   spec.id = 1;
-  spec.algorithm = sched::JobAlgorithm::kAtdca;
+  spec.algorithm = core::Algorithm::kAtdca;
   spec.arrival_s = 0.0;
   spec.ranks = 6;
   spec.targets = std::min<std::size_t>(setup.config.targets, 18);
@@ -64,9 +64,10 @@ sched::JobOutput run_solo_ft(const simnet::Platform& platform,
       return;
     }
     vmpi::Comm sub = world.subset(members, spec.id);
-    sched::ProgramBundle bundle = sched::make_job_program(spec, scene);
-    core::ft::run_program(sub, scene, bundle.program);
-    if (sub.is_root()) bundle.harvest(out);
+    core::AlgorithmProgram built =
+        core::make_program(core::RunnerConfig{spec}, scene);
+    core::ft::run_program(sub, scene, built.program);
+    if (sub.is_root()) out = built.harvest();
   });
   return out;
 }

@@ -38,10 +38,9 @@ using namespace hprs;
 std::vector<sched::JobSpec> make_stream(std::size_t jobs, int pool,
                                         const bench::BenchSetup& setup,
                                         double gap_s) {
-  constexpr sched::JobAlgorithm kCycle[] = {
-      sched::JobAlgorithm::kAtdca, sched::JobAlgorithm::kPct,
-      sched::JobAlgorithm::kPpi, sched::JobAlgorithm::kUfcls,
-      sched::JobAlgorithm::kMorph};
+  constexpr core::Algorithm kCycle[] = {
+      core::Algorithm::kAtdca, core::Algorithm::kPct, core::Algorithm::kPpi,
+      core::Algorithm::kUfcls, core::Algorithm::kMorph};
   constexpr int kWidths[] = {2, 3, 4, 6};
   std::vector<sched::JobSpec> stream;
   for (std::size_t k = 0; k < jobs; ++k) {
@@ -52,7 +51,8 @@ std::vector<sched::JobSpec> make_stream(std::size_t jobs, int pool,
     spec.ranks = std::min(pool, kWidths[k % 4]);
     spec.targets = std::min<std::size_t>(setup.config.targets, 8);
     spec.classes = std::min<std::size_t>(setup.config.classes, 5);
-    spec.iterations = std::min<std::size_t>(setup.config.morph_iterations, 2);
+    spec.morph_iterations =
+        std::min<std::size_t>(setup.config.morph_iterations, 2);
     spec.kernel_radius = std::min<std::size_t>(setup.config.kernel_radius, 1);
     spec.skewers = 64;
     spec.replication = setup.config.replication;

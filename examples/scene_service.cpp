@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
     if (record.state == sched::JobState::kRejected) {
       std::printf("%4llu  %-8s  %-6s  %9.3f  rejected: %s\n",
                   static_cast<unsigned long long>(record.id),
-                  record.tenant.c_str(), sched::to_string(record.algorithm),
+                  record.tenant.c_str(), core::to_string(record.algorithm),
                   record.arrival_s, record.error.c_str());
       continue;
     }
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     }
     std::printf("%4llu  %-8s  %-6s  %9.3f  %9.3f  %9.3f  %s\n",
                 static_cast<unsigned long long>(record.id),
-                record.tenant.c_str(), sched::to_string(record.algorithm),
+                record.tenant.c_str(), core::to_string(record.algorithm),
                 record.arrival_s, record.queue_wait_s(), record.finish_s,
                 note.c_str());
   }

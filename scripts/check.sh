@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verification wrapper: configure, build, run the full test suite,
-# then rebuild the kernel-equivalence tests and the cluster-resilience suite
-# under ASan/UBSan and run them once, and finally rebuild the vmpi engine
-# and fault-injection tests under
-# ThreadSanitizer and run them in both host execution modes (bounded
-# executor and HPRS_THREAD_PER_RANK).  This is the gate a change must pass
-# before merging.
+# Tier-1 verification wrapper: configure (warnings as errors, as CI does),
+# build, run the full test suite, then rebuild the kernel-equivalence tests,
+# the cluster-resilience suite and the trace parser's suite under
+# ASan/UBSan and run them once, and finally rebuild the vmpi engine and
+# fault-injection tests under ThreadSanitizer and run them in both host
+# execution modes (bounded executor and HPRS_THREAD_PER_RANK).  This is the
+# gate a change must pass before merging.
 #
 # A final bench-smoke tier reruns the table 5/7/8 + fault benches at
 # reduced size and diffs their run summaries against bench/golden/
@@ -26,17 +26,19 @@ for arg in "$@"; do
   esac
 done
 
-echo "== tier 1: build + full test suite =="
-cmake -S "$repo" -B "$repo/build" -DCMAKE_BUILD_TYPE=Release
+echo "== tier 1: build (-Werror) + full test suite =="
+cmake -S "$repo" -B "$repo/build" -DCMAKE_BUILD_TYPE=Release -DHPRS_WERROR=ON
 cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
 if [[ "$run_sanitizers" == "1" ]]; then
-  echo "== tier 1b: fast-path equivalence + resilience under ASan/UBSan =="
+  echo "== tier 1b: fast paths + resilience + trace parser under ASan/UBSan =="
   # sched_resilience_test abandons crashed leaders' fibers mid-handler, so
-  # LeakSanitizer checks the executor's per-fiber exception state.
+  # LeakSanitizer checks the executor's per-fiber exception state;
+  # serve_traffic_test feeds the trace parser malformed documents.
   asan_tests=(linalg_blocked_test morph_sad_cache_test
-              fastpath_equivalence_test sched_resilience_test)
+              fastpath_equivalence_test sched_resilience_test
+              serve_traffic_test)
   cmake -S "$repo" -B "$repo/build-asan" \
     -DCMAKE_BUILD_TYPE=Release \
     -DHPRS_ENABLE_SANITIZERS=ON \

@@ -63,6 +63,8 @@ Candidate select_best(vmpi::Comm& comm, const std::vector<Candidate>& cands,
 ft::Program atdca_ft_program(const hsi::HsiCube& cube,
                              const AtdcaConfig& config,
                              TargetDetectionResult& result) {
+  HPRS_REQUIRE(!cube.empty(), "empty cube");
+  HPRS_REQUIRE(config.targets >= 1, "targets = 0: need at least one target");
   ft::Program prog;
   prog.model = atdca_workload(cube.bands(), config.targets);
   prog.model.scatter_input = config.charge_data_staging;
@@ -161,9 +163,6 @@ TargetDetectionResult run_atdca(const simnet::Platform& platform,
                                 const hsi::HsiCube& cube,
                                 const AtdcaConfig& config,
                                 vmpi::Options options) {
-  HPRS_REQUIRE(config.targets >= 1, "need at least one target");
-  HPRS_REQUIRE(!cube.empty(), "empty cube");
-
   TargetDetectionResult result;
   result.report =
       ft::run_on_engine(platform, cube, atdca_ft_program(cube, config, result),

@@ -122,45 +122,51 @@ Master::Master(vmpi::Comm& comm, std::vector<Chunk> chunks,
     return;
   }
   // Elastic resize: spread the frozen chunks over the new width with the
-  // recovery path's earliest-finisher heuristic (memory-bounded,
-  // lowest-rank ties), in ascending chunk-id order so the plan is a pure
-  // function of (chunks, platform, policy).
-  const simnet::Platform& platform = comm.platform();
+  // recovery path's placement rule (place), in ascending chunk-id order so
+  // the plan is a pure function of (chunks, platform, policy).
   std::vector<double> load(p, 0.0);
   std::vector<double> held(p, 0.0);
-  std::vector<double> weight(p, 1.0);
-  for (std::size_t r = 0; r < p; ++r) {
-    if (policy_ == PartitionPolicy::kHeterogeneous) {
-      weight[r] = 1.0 / platform.cycle_time(r);
-    }
-  }
   for (std::size_t c = 0; c < n; ++c) {
-    const double rows = static_cast<double>(chunks_[c].part.owned_rows());
-    const double bytes = static_cast<double>(chunks_[c].part.halo_rows() *
-                                             cols_ * bytes_per_pixel_);
-    int best = -1;
-    double best_finish = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < p; ++r) {
-      const double budget =
-          memory_fraction_ *
-          static_cast<double>(platform.processor(r).memory_mb) * 1024.0 *
-          1024.0;
-      if (held[r] + bytes > budget) continue;
-      const double finish = (load[r] + rows) / weight[r];
-      if (finish < best_finish) {
-        best_finish = finish;
-        best = static_cast<int>(r);
-      }
-    }
+    const int best = place(chunks_[c], load, held);
     HPRS_REQUIRE(best >= 0,
                  "elastic restart failed: no rank of the " +
                      std::to_string(p) + "-wide gang has memory for chunk " +
                      std::to_string(chunks_[c].id));
     assignment_[c] = best;
-    const auto bu = static_cast<std::size_t>(best);
-    load[bu] += rows;
-    held[bu] += bytes;
   }
+}
+
+int Master::place(const Chunk& chunk, std::vector<double>& load,
+                  std::vector<double>& held) const {
+  const simnet::Platform& platform = comm_->platform();
+  const double rows = static_cast<double>(chunk.part.owned_rows());
+  const double bytes =
+      static_cast<double>(chunk.part.halo_rows() * cols_ * bytes_per_pixel_);
+  int best = -1;
+  double best_finish = std::numeric_limits<double>::infinity();
+  for (std::size_t r = 0; r < load.size(); ++r) {
+    if (!alive_[r]) continue;
+    const double budget =
+        memory_fraction_ *
+        static_cast<double>(platform.processor(r).memory_mb) * 1024.0 * 1024.0;
+    if (held[r] + bytes > budget) continue;
+    // The WEA over the live ranks: heterogeneous fractions follow compute
+    // speed (alpha ~ 1/w, the paper's formula -- the staging term is sunk
+    // for already-held chunks), homogeneous stays uniform.
+    const double weight = policy_ == PartitionPolicy::kHeterogeneous
+                              ? 1.0 / platform.cycle_time(r)
+                              : 1.0;
+    const double finish = (load[r] + rows) / weight;
+    if (finish < best_finish) {
+      best_finish = finish;
+      best = static_cast<int>(r);
+    }
+  }
+  if (best >= 0) {
+    load[static_cast<std::size_t>(best)] += rows;
+    held[static_cast<std::size_t>(best)] += bytes;
+  }
+  return best;
 }
 
 std::size_t Master::chunk_block_bytes(const Chunk& chunk) const {
@@ -260,7 +266,6 @@ std::vector<std::any> Master::phase(int phase_id, const Handler& handler,
 
 void Master::reassign_lost(const std::vector<bool>& have) {
   vmpi::Comm& comm = *comm_;
-  const simnet::Platform& platform = comm.platform();
   const std::size_t p = static_cast<std::size_t>(comm.size());
   const double t0 = comm.now();
 
@@ -274,51 +279,18 @@ void Master::reassign_lost(const std::vector<bool>& have) {
     held[r] += static_cast<double>(chunks_[c].part.halo_rows() * cols_ *
                                    bytes_per_pixel_);
   }
-  // The WEA re-run over the survivors: heterogeneous fractions follow
-  // compute speed (alpha ~ 1/w, the paper's formula -- the staging term
-  // is sunk for already-held chunks), homogeneous stays uniform.
-  std::vector<double> weight(p, 0.0);
-  std::size_t survivors = 0;
-  for (std::size_t r = 0; r < p; ++r) {
-    if (!alive_[r]) continue;
-    ++survivors;
-    weight[r] = policy_ == PartitionPolicy::kHeterogeneous
-                    ? 1.0 / platform.cycle_time(r)
-                    : 1.0;
-  }
+  const auto survivors = static_cast<std::size_t>(
+      std::count(alive_.begin(), alive_.end(), true));
 
   for (std::size_t c = 0; c < chunks_.size(); ++c) {
     if (have[c] || alive_[static_cast<std::size_t>(assignment_[c])]) continue;
-    const Chunk& chunk = chunks_[c];
-    const double rows = static_cast<double>(chunk.part.owned_rows());
-    const double bytes = static_cast<double>(chunk.part.halo_rows() * cols_ *
-                                             bytes_per_pixel_);
-    // Earliest-finisher adoption under the per-node memory bound; ties go
-    // to the lowest rank so the plan is deterministic.
-    int best = -1;
-    double best_finish = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < p; ++r) {
-      if (!alive_[r]) continue;
-      const double budget =
-          memory_fraction_ *
-          static_cast<double>(platform.processor(r).memory_mb) * 1024.0 *
-          1024.0;
-      if (held[r] + bytes > budget) continue;
-      const double finish = (load[r] + rows) / weight[r];
-      if (finish < best_finish) {
-        best_finish = finish;
-        best = static_cast<int>(r);
-      }
-    }
+    const int best = place(chunks_[c], load, held);
     HPRS_REQUIRE(best >= 0,
                  "fault recovery failed: no surviving node has memory for "
                  "the partition of crashed rank " +
                      std::to_string(assignment_[c]) + " (" +
                      std::to_string(survivors) + " survivors)");
     assignment_[c] = best;
-    const auto bu = static_cast<std::size_t>(best);
-    load[bu] += rows;
-    held[bu] += bytes;
     obs::Metrics::instance().add("ft.chunks_reassigned", 1, obs::Domain::kStable,
                                  best);
   }

@@ -181,9 +181,8 @@ class Master final : public PhaseDriver {
   /// list (typically exported from a checkpoint of an earlier, differently
   /// sized gang).  When the list has exactly one chunk per rank the
   /// assignment is the identity, matching the primary constructor; for any
-  /// other width the chunks are spread with the same earliest-finisher
-  /// heuristic the recovery path uses (memory-bounded, lowest-rank ties),
-  /// in ascending chunk-id order.  Because chunks are atomic and folds run
+  /// other width the chunks are spread with the recovery path's placement
+  /// rule (place), in ascending chunk-id order.  Because chunks are atomic and folds run
   /// in chunk-id order, a resumed run's outputs equal the original gang's
   /// regardless of the new width.
   Master(vmpi::Comm& comm, std::vector<Chunk> chunks, PartitionPolicy policy,
@@ -209,6 +208,13 @@ class Master final : public PhaseDriver {
 
  private:
   [[nodiscard]] std::size_t chunk_block_bytes(const Chunk& chunk) const;
+  /// The one placement rule of elastic restart and fault recovery: the
+  /// live rank that would finish `chunk` earliest given its `load` (owned
+  /// rows), within its memory budget given `held` (partition bytes), lowest
+  /// rank on ties.  Books the chunk there and returns that rank, or -1 when
+  /// no live rank has the memory.
+  [[nodiscard]] int place(const Chunk& chunk, std::vector<double>& load,
+                          std::vector<double>& held) const;
   /// Re-runs the WEA over the survivors and adopts the chunks in `missing`
   /// whose assigned rank died.  Charges the master's re-partitioning work.
   void reassign_lost(const std::vector<bool>& have);

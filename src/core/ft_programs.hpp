@@ -6,6 +6,9 @@
 // (the run_* entry points and the scheduler's base gangs);
 // ft::run_program runs it fault-tolerant, and the cluster resilience layer
 // (src/sched/resilience) drives it through a checkpointing PhaseDriver.
+// Each factory also validates its config, throwing hprs::Error that names
+// the offending field, so every path that builds a Program -- run_*,
+// core::make_program, the gang runtimes, admission -- runs the same checks.
 // The closures capture `cube` and `result` by reference and the config by
 // value, so the returned Program must not outlive either argument; only
 // the root's `result` is populated.

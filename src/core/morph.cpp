@@ -346,6 +346,17 @@ void assemble_label_image(vmpi::Comm& comm,
 ft::Program morph_ft_program(const hsi::HsiCube& cube,
                              const MorphConfig& config,
                              ClassificationResult& result) {
+  HPRS_REQUIRE(!cube.empty(), "empty cube");
+  HPRS_REQUIRE(config.classes >= 1, "classes = 0: need at least one class");
+  HPRS_REQUIRE(config.iterations >= 1,
+               "iterations = 0: need at least one iteration");
+  HPRS_REQUIRE(config.kernel_radius >= 1,
+               "kernel_radius = 0: the structuring element needs a radius "
+               ">= 1");
+  HPRS_REQUIRE(!config.fault_tolerant || config.overlap_borders,
+               "fault-tolerant MORPH requires overlap borders: the "
+               "halo-exchange mode needs worker-to-worker traffic the "
+               "master/worker protocol excludes");
   ft::Program prog;
   prog.model = morph_workload(cube.bands(), config);
   prog.model.scatter_input = config.charge_data_staging;
@@ -422,16 +433,6 @@ ClassificationResult run_morph(const simnet::Platform& platform,
                                const hsi::HsiCube& cube,
                                const MorphConfig& config,
                                vmpi::Options options) {
-  HPRS_REQUIRE(config.classes >= 1, "need at least one class");
-  HPRS_REQUIRE(config.iterations >= 1, "need at least one iteration");
-  HPRS_REQUIRE(config.kernel_radius >= 1, "kernel radius must be >= 1");
-  HPRS_REQUIRE(!cube.empty(), "empty cube");
-
-  HPRS_REQUIRE(!config.fault_tolerant || config.overlap_borders,
-               "fault-tolerant MORPH requires overlap borders: the "
-               "halo-exchange mode needs worker-to-worker traffic the "
-               "master/worker protocol excludes");
-
   ClassificationResult result;
   result.report =
       ft::run_on_engine(platform, cube, morph_ft_program(cube, config, result),

@@ -391,6 +391,12 @@ void assemble_label_image(vmpi::Comm& comm,
 /// assembles the label image.
 ft::Program pct_ft_program(const hsi::HsiCube& cube, const PctConfig& config,
                            ClassificationResult& result) {
+  HPRS_REQUIRE(!cube.empty(), "empty cube");
+  HPRS_REQUIRE(config.classes >= 1, "classes = 0: need at least one class");
+  HPRS_REQUIRE(config.classes <= cube.bands(),
+               "classes = " + std::to_string(config.classes) +
+                   " exceeds the cube's " + std::to_string(cube.bands()) +
+                   " bands: cannot extract more components than bands");
   ft::Program prog;
   prog.model = pct_workload(cube.bands(), config.classes);
   prog.model.scatter_input = config.charge_data_staging;
@@ -524,11 +530,6 @@ WorkloadModel pct_workload(std::size_t bands, std::size_t classes) {
 ClassificationResult run_pct(const simnet::Platform& platform,
                              const hsi::HsiCube& cube, const PctConfig& config,
                              vmpi::Options options) {
-  HPRS_REQUIRE(config.classes >= 1, "need at least one class");
-  HPRS_REQUIRE(config.classes <= cube.bands(),
-               "cannot extract more components than bands");
-  HPRS_REQUIRE(!cube.empty(), "empty cube");
-
   ClassificationResult result;
   result.report =
       ft::run_on_engine(platform, cube, pct_ft_program(cube, config, result),

@@ -121,6 +121,9 @@ void rank_purity(vmpi::Comm& comm,
 /// which rank computed which chunk.
 ft::Program ppi_ft_program(const hsi::HsiCube& cube, const PpiConfig& config,
                            PpiResult& result) {
+  HPRS_REQUIRE(!cube.empty(), "empty cube");
+  HPRS_REQUIRE(config.targets >= 1, "targets = 0: need at least one target");
+  HPRS_REQUIRE(config.skewers >= 1, "skewers = 0: need at least one skewer");
   ft::Program prog;
   prog.model = ppi_workload(cube.bands(), config.skewers);
   prog.model.scatter_input = config.charge_data_staging;
@@ -200,16 +203,12 @@ WorkloadModel ppi_workload(std::size_t bands, std::size_t skewers) {
 
 PpiResult run_ppi(const simnet::Platform& platform, const hsi::HsiCube& cube,
                   const PpiConfig& config, vmpi::Options options) {
-  HPRS_REQUIRE(config.targets >= 1, "need at least one target");
-  HPRS_REQUIRE(config.skewers >= 1, "need at least one skewer");
-  HPRS_REQUIRE(!cube.empty(), "empty cube");
+  PpiResult result;
+  const ft::Program prog = ppi_ft_program(cube, config, result);
   obs::Metrics::instance().add("core.runs.PPI", 1);
   obs::ScopedHostTimer obs_timer("core.run.PPI");
-
-  PpiResult result;
-  result.report =
-      ft::run_on_engine(platform, cube, ppi_ft_program(cube, config, result),
-                        config.fault_tolerant, options);
+  result.report = ft::run_on_engine(platform, cube, prog, config.fault_tolerant,
+                                    options);
   return result;
 }
 

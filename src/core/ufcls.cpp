@@ -107,6 +107,8 @@ ErrorSweepOut fcls_error_sweep(const hsi::HsiCube& cube,
 ft::Program ufcls_ft_program(const hsi::HsiCube& cube,
                              const UfclsConfig& config,
                              TargetDetectionResult& result) {
+  HPRS_REQUIRE(!cube.empty(), "empty cube");
+  HPRS_REQUIRE(config.targets >= 1, "targets = 0: need at least one target");
   ft::Program prog;
   prog.model = ufcls_workload(cube.bands(), config.targets);
   prog.model.scatter_input = config.charge_data_staging;
@@ -196,9 +198,6 @@ TargetDetectionResult run_ufcls(const simnet::Platform& platform,
                                 const hsi::HsiCube& cube,
                                 const UfclsConfig& config,
                                 vmpi::Options options) {
-  HPRS_REQUIRE(config.targets >= 1, "need at least one target");
-  HPRS_REQUIRE(!cube.empty(), "empty cube");
-
   TargetDetectionResult result;
   result.report =
       ft::run_on_engine(platform, cube, ufcls_ft_program(cube, config, result),

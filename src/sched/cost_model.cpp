@@ -3,12 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "core/atdca.hpp"
-#include "core/morph.hpp"
-#include "core/pct.hpp"
-#include "core/ppi.hpp"
-#include "core/ufcls.hpp"
-
 namespace hprs::sched {
 namespace {
 
@@ -21,31 +15,7 @@ constexpr double kRoundMsgBytes = 24.0;
 
 core::WorkloadModel job_workload(const JobSpec& spec,
                                  const hsi::HsiCube& scene) {
-  core::WorkloadModel model;
-  switch (spec.algorithm) {
-    case JobAlgorithm::kAtdca:
-      model = core::atdca_workload(scene.bands(), spec.targets);
-      break;
-    case JobAlgorithm::kUfcls:
-      model = core::ufcls_workload(scene.bands(), spec.targets);
-      break;
-    case JobAlgorithm::kPct:
-      model = core::pct_workload(scene.bands(), spec.classes);
-      break;
-    case JobAlgorithm::kMorph: {
-      core::MorphConfig config;
-      config.classes = spec.classes;
-      config.iterations = spec.iterations;
-      config.kernel_radius = spec.kernel_radius;
-      model = core::morph_workload(scene.bands(), config);
-      break;
-    }
-    case JobAlgorithm::kPpi:
-      model = core::ppi_workload(scene.bands(), spec.skewers);
-      break;
-  }
-  model.scatter_input = spec.charge_data_staging;
-  return model;
+  return core::make_program(core::RunnerConfig{spec}, scene).program.model;
 }
 
 JobEstimate estimate_job(const simnet::Platform& platform,
@@ -195,7 +165,15 @@ void check_admission(const simnet::Platform& platform,
                      const std::vector<int>& workers, const JobSpec& spec,
                      const hsi::HsiCube& scene) {
   const std::string label = "job " + std::to_string(spec.id) + " (" +
-                            to_string(spec.algorithm) + ")";
+                            core::to_string(spec.algorithm) + ")";
+  try {
+    // The parameter checks: building the Program runs every check the
+    // algorithm's factory makes, so an invalid request is rejected here by
+    // name instead of failing inside its gang.
+    (void)core::make_program(core::RunnerConfig{spec}, scene);
+  } catch (const Error& e) {
+    throw AdmissionError(label + " has invalid parameters: " + e.what());
+  }
   if (spec.ranks < 1) {
     throw AdmissionError(label + " requests a gang of " +
                          std::to_string(spec.ranks) +

@@ -21,9 +21,10 @@
 
 namespace hprs::sched {
 
-/// Thrown by memory-bound admission when a job cannot run on any subset of
-/// the worker pool (image larger than the best subset's aggregate memory
-/// budget, gang wider than the pool, or fewer image rows than ranks).
+/// Thrown by admission when a job cannot run on any subset of the worker
+/// pool (a parameter its algorithm rejects, image larger than the best
+/// subset's aggregate memory budget, gang wider than the pool, or fewer
+/// image rows than ranks).
 class AdmissionError : public Error {
  public:
   explicit AdmissionError(const std::string& what) : Error(what) {}
@@ -36,8 +37,9 @@ struct JobEstimate {
   double image_bytes = 0.0;
 };
 
-/// The workload model the job's algorithm will charge (same functions the
-/// runners use, so estimates and engine accounting share one source).
+/// The workload model the job's algorithm will charge: its Program's model
+/// (core::make_program), so estimates and engine accounting share one
+/// source.
 [[nodiscard]] core::WorkloadModel job_workload(const JobSpec& spec,
                                                const hsi::HsiCube& scene);
 
@@ -63,10 +65,11 @@ struct JobEstimate {
                                               const JobSpec& spec,
                                               const hsi::HsiCube& scene);
 
-/// Memory-bound admission (WEA Algorithm 1 step 3 applied at submission):
-/// throws AdmissionError unless some `spec.ranks`-wide subset of `workers`
-/// can hold the scene within `spec.memory_fraction` of each node's memory
-/// and the scene has at least one row per rank.
+/// Admission: throws AdmissionError unless the request's parameters pass
+/// its algorithm's checks (the message names the field), and (WEA
+/// Algorithm 1 step 3 applied at submission) some `spec.ranks`-wide subset
+/// of `workers` can hold the scene within `spec.memory_fraction` of each
+/// node's memory and the scene has at least one row per rank.
 void check_admission(const simnet::Platform& platform,
                      const std::vector<int>& workers, const JobSpec& spec,
                      const hsi::HsiCube& scene);

@@ -13,52 +13,29 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "core/partition.hpp"
-#include "core/types.hpp"
+#include "core/runner.hpp"
 #include "hsi/cube.hpp"
 
 namespace hprs::sched {
 
-/// Which analysis a job runs.  Unlike core::Algorithm this includes PPI:
-/// the scheduler serves every shipped SPMD schedule.
-enum class JobAlgorithm : std::uint8_t {
-  kAtdca,
-  kUfcls,
-  kPct,
-  kMorph,
-  kPpi,
-};
+// Older names of core::Algorithm and core::AlgorithmOutput, still used by
+// perfbench/.
+using JobAlgorithm = core::Algorithm;
+using JobOutput = core::AlgorithmOutput;
 
-[[nodiscard]] const char* to_string(JobAlgorithm algorithm);
-[[nodiscard]] JobAlgorithm parse_job_algorithm(std::string_view name);
-
-/// One submitted analysis job.  Algorithm parameters default to the paper's
-/// values (core/runner.hpp); `ranks` is the gang width -- the job runs on
+/// One submitted analysis job: the request (core::AlgorithmSpec) plus its
+/// placement.  Every gang runs it as core::make_program builds it with the
+/// default execution choices.  `ranks` is the gang width -- the job runs on
 /// exactly that many worker ranks, chosen by the placement policy.
-struct JobSpec {
+struct JobSpec : core::AlgorithmSpec {
   /// Unique (per stream) job id; ties in every policy ordering break on it.
   std::uint64_t id = 0;
-  JobAlgorithm algorithm = JobAlgorithm::kAtdca;
   /// Virtual submission time, seconds.
   double arrival_s = 0.0;
   /// Gang width: number of worker ranks the job is placed on.
   int ranks = 1;
-
-  // -- algorithm parameters (see the per-algorithm config structs) --------
-  std::size_t targets = 18;
-  std::size_t classes = 7;
-  std::size_t iterations = 5;
-  std::size_t kernel_radius = 2;
-  std::size_t skewers = 128;
-  std::uint64_t seed = 1;
-  double sad_threshold = 0.06;
-  std::size_t replication = 1;
-  double memory_fraction = 0.5;
-  core::PartitionPolicy policy = core::PartitionPolicy::kHeterogeneous;
-  bool charge_data_staging = false;
 
   /// Scene override; the scheduler's shared scene when null.
   const hsi::HsiCube* scene = nullptr;
@@ -74,38 +51,13 @@ struct JobSpec {
   std::uint64_t batch_key = 0;
 };
 
-/// True when `a` and `b` run the identical computation: same algorithm,
-/// same algorithm parameters, same partitioning knobs, and the same scene
-/// override.  Gang width and arrival metadata are placement concerns and
-/// deliberately excluded -- a batched rider reuses the leader's gang, and
-/// its output then equals a solo run of its own spec on that same gang bit
-/// for bit.  Guards batching against batch-key hash collisions.
+/// True when `a` and `b` run the identical computation: equal requests
+/// (core::AlgorithmSpec) over the same scene override.  Gang width and
+/// arrival metadata are placement concerns and deliberately excluded -- a
+/// batched rider reuses the leader's gang, and its output then equals a
+/// solo run of its own spec on that same gang bit for bit.  Guards
+/// batching against batch-key hash collisions.
 [[nodiscard]] bool compute_equivalent(const JobSpec& a, const JobSpec& b);
-
-/// The one JobSpec -> algorithm config mapping (core::AtdcaConfig,
-/// UfclsConfig, PctConfig, MorphConfig, PpiConfig): copies every algorithm
-/// parameter and partitioning knob the config has a same-named field for.
-/// make_job_program builds both gang runtimes' ft::Programs from it.
-template <typename Config>
-[[nodiscard]] Config job_config(const JobSpec& spec) {
-  Config c;
-  c.policy = spec.policy;
-  c.memory_fraction = spec.memory_fraction;
-  c.replication = spec.replication;
-  c.charge_data_staging = spec.charge_data_staging;
-  if constexpr (requires { c.targets; }) c.targets = spec.targets;
-  if constexpr (requires { c.classes; }) c.classes = spec.classes;
-  if constexpr (requires { c.iterations; }) c.iterations = spec.iterations;
-  if constexpr (requires { c.kernel_radius; }) {
-    c.kernel_radius = spec.kernel_radius;
-  }
-  if constexpr (requires { c.skewers; }) c.skewers = spec.skewers;
-  if constexpr (requires { c.seed; }) c.seed = spec.seed;
-  if constexpr (requires { c.sad_threshold; }) {
-    c.sad_threshold = spec.sad_threshold;
-  }
-  return c;
-}
 
 /// Terminal disposition of a job.  Every job ends kCompleted or kRejected
 /// (memory admission or a tenant rank cap), or under
@@ -149,20 +101,10 @@ struct JobAttempt {
   std::string outcome;
 };
 
-/// Numeric result of a completed job (populated by the job's gang leader;
-/// empty for rejected jobs).  Target extractors fill `targets` (+ `scores`
-/// for PPI); classifiers fill `labels` / `label_count`.
-struct JobOutput {
-  std::vector<core::PixelLocation> targets;
-  std::vector<std::uint32_t> scores;
-  std::vector<std::uint16_t> labels;
-  std::size_t label_count = 0;
-};
-
 /// Per-job completion record.  All times are virtual seconds.
 struct JobRecord {
   std::uint64_t id = 0;
-  JobAlgorithm algorithm = JobAlgorithm::kAtdca;
+  core::Algorithm algorithm = core::Algorithm::kAtdca;
   double arrival_s = 0.0;
   /// When the dispatcher issued the gang's command messages (-1 until
   /// dispatched; stays -1 for rejected jobs).

@@ -9,35 +9,10 @@
 
 namespace hprs::sched {
 
-const char* to_string(JobAlgorithm algorithm) {
-  switch (algorithm) {
-    case JobAlgorithm::kAtdca: return "ATDCA";
-    case JobAlgorithm::kUfcls: return "UFCLS";
-    case JobAlgorithm::kPct: return "PCT";
-    case JobAlgorithm::kMorph: return "MORPH";
-    case JobAlgorithm::kPpi: return "PPI";
-  }
-  return "?";
-}
-
-JobAlgorithm parse_job_algorithm(std::string_view name) {
-  if (name == "ATDCA") return JobAlgorithm::kAtdca;
-  if (name == "UFCLS") return JobAlgorithm::kUfcls;
-  if (name == "PCT") return JobAlgorithm::kPct;
-  if (name == "MORPH") return JobAlgorithm::kMorph;
-  if (name == "PPI") return JobAlgorithm::kPpi;
-  throw Error("unknown job algorithm '" + std::string(name) +
-              "' (expected ATDCA, UFCLS, PCT, MORPH, or PPI)");
-}
-
 bool compute_equivalent(const JobSpec& a, const JobSpec& b) {
-  return a.algorithm == b.algorithm && a.targets == b.targets &&
-         a.classes == b.classes && a.iterations == b.iterations &&
-         a.kernel_radius == b.kernel_radius && a.skewers == b.skewers &&
-         a.seed == b.seed && a.sad_threshold == b.sad_threshold &&
-         a.replication == b.replication &&
-         a.memory_fraction == b.memory_fraction && a.policy == b.policy &&
-         a.charge_data_staging == b.charge_data_staging && a.scene == b.scene;
+  return static_cast<const core::AlgorithmSpec&>(a) ==
+             static_cast<const core::AlgorithmSpec&>(b) &&
+         a.scene == b.scene;
 }
 
 const char* to_string(JobState state) {

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/ft_programs.hpp"
 #include "core/partition.hpp"
 
 namespace hprs::sched {
@@ -111,59 +110,6 @@ std::vector<std::any> ResilientDriver::phase(
 
 void ResilientDriver::finish() { master_->finish(); }
 
-void ProgramBundle::harvest(JobOutput& out) {
-  switch (algorithm) {
-    case JobAlgorithm::kAtdca:
-    case JobAlgorithm::kUfcls:
-      out.targets = std::move(target->targets);
-      break;
-    case JobAlgorithm::kPct:
-    case JobAlgorithm::kMorph:
-      out.labels = std::move(classification->labels);
-      out.label_count = classification->label_count;
-      break;
-    case JobAlgorithm::kPpi:
-      out.targets = std::move(ppi->targets);
-      out.scores = std::move(ppi->scores);
-      break;
-  }
-}
-
-ProgramBundle make_job_program(const JobSpec& spec, const hsi::HsiCube& scene) {
-  ProgramBundle bundle;
-  bundle.algorithm = spec.algorithm;
-  switch (spec.algorithm) {
-    case JobAlgorithm::kAtdca:
-      bundle.target = std::make_shared<core::TargetDetectionResult>();
-      bundle.program = core::atdca_ft_program(
-          scene, job_config<core::AtdcaConfig>(spec), *bundle.target);
-      break;
-    case JobAlgorithm::kUfcls:
-      bundle.target = std::make_shared<core::TargetDetectionResult>();
-      bundle.program = core::ufcls_ft_program(
-          scene, job_config<core::UfclsConfig>(spec), *bundle.target);
-      break;
-    case JobAlgorithm::kPct:
-      bundle.classification = std::make_shared<core::ClassificationResult>();
-      bundle.program = core::pct_ft_program(
-          scene, job_config<core::PctConfig>(spec), *bundle.classification);
-      break;
-    case JobAlgorithm::kMorph:
-      // JobSpec has no overlap_borders knob, so the config keeps its
-      // default overlap borders, which the master/worker protocol needs.
-      bundle.classification = std::make_shared<core::ClassificationResult>();
-      bundle.program = core::morph_ft_program(
-          scene, job_config<core::MorphConfig>(spec), *bundle.classification);
-      break;
-    case JobAlgorithm::kPpi:
-      bundle.ppi = std::make_shared<core::PpiResult>();
-      bundle.program = core::ppi_ft_program(
-          scene, job_config<core::PpiConfig>(spec), *bundle.ppi);
-      break;
-  }
-  return bundle;
-}
-
 void release_gang(vmpi::Comm& sub) {
   for (int r = 0; r < sub.size(); ++r) {
     if (r == sub.root()) continue;
@@ -177,8 +123,11 @@ AttemptOutcome run_resilient_leader(vmpi::Comm& sub, const JobSpec& spec,
                                     const ResilienceConfig& config,
                                     CheckpointStore* store, JobOutput& out) {
   AttemptOutcome outcome;
-  ProgramBundle bundle = make_job_program(spec, scene);
-  const core::ft::Program& prog = bundle.program;
+  // The default execution choices keep MORPH's overlap borders, which the
+  // master/worker protocol needs.
+  core::AlgorithmProgram built =
+      core::make_program(core::RunnerConfig{spec}, scene);
+  const core::ft::Program& prog = built.program;
 
   std::optional<Checkpoint> resumed;
   if (store != nullptr && config.resume_from_checkpoint && attempt > 1) {
@@ -208,7 +157,7 @@ AttemptOutcome run_resilient_leader(vmpi::Comm& sub, const JobSpec& spec,
                    resumed.has_value() ? &*resumed : nullptr);
     prog.master(sub, *driver, prog.handlers);
     driver->finish();
-    bundle.harvest(out);
+    out = built.harvest();
     outcome.status = 0;
   } catch (const PreemptSignal&) {
     // Deadline overrun: progress is checkpointed; release the survivors so
@@ -239,8 +188,9 @@ AttemptOutcome run_resilient_leader(vmpi::Comm& sub, const JobSpec& spec,
 
 bool run_resilient_worker(vmpi::Comm& sub, const JobSpec& spec,
                           const hsi::HsiCube& scene) {
-  const ProgramBundle bundle = make_job_program(spec, scene);
-  return core::ft::resilient_worker_loop(sub, bundle.program.handlers);
+  const core::AlgorithmProgram built =
+      core::make_program(core::RunnerConfig{spec}, scene);
+  return core::ft::resilient_worker_loop(sub, built.program.handlers);
 }
 
 void validate_cluster_fault_plan(const vmpi::Options& options,

@@ -41,8 +41,6 @@
 
 #include "common/rng.hpp"
 #include "core/ft.hpp"
-#include "core/ppi.hpp"
-#include "core/types.hpp"
 #include "hsi/cube.hpp"
 #include "sched/checkpoint.hpp"
 #include "sched/job.hpp"
@@ -142,27 +140,6 @@ class ResilientDriver final : public core::ft::PhaseDriver {
   double checkpoint_cost_s_ = 0.0;
   std::vector<double> checkpoint_at_s_;
 };
-
-/// One job packaged for either gang runtime: the ft::Program plus the
-/// heap-allocated result structs its closures write into (the Program
-/// captures them by reference, so they must live exactly as long as it).
-struct ProgramBundle {
-  JobAlgorithm algorithm = JobAlgorithm::kAtdca;
-  std::shared_ptr<core::TargetDetectionResult> target;
-  std::shared_ptr<core::ClassificationResult> classification;
-  std::shared_ptr<core::PpiResult> ppi;
-  core::ft::Program program;
-
-  /// Moves the algorithm's numeric result into `out` (leader side, after a
-  /// completed run).
-  void harvest(JobOutput& out);
-};
-
-/// Builds the job's ft::Program from its spec via job_config.  The base
-/// gang runs it under ft::run_collective, the resilient gang under a
-/// ResilientDriver.
-[[nodiscard]] ProgramBundle make_job_program(const JobSpec& spec,
-                                             const hsi::HsiCube& scene);
 
 /// Leader-side report of one gang attempt.
 struct AttemptOutcome {

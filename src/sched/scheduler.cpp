@@ -209,9 +209,10 @@ void run_spmd_gang(vmpi::Comm& world, const Cmd& cmd, const JobSpec& spec,
   if (world.snapshots_enabled()) sub.label_snapshots(job_snapshot_scope(spec));
   const vmpi::RankStats before = sub.stats();
 
-  ProgramBundle bundle = make_job_program(spec, scene);
-  core::ft::run_collective(sub, scene, bundle.program);
-  if (sub.is_root()) bundle.harvest(out);
+  core::AlgorithmProgram built =
+      core::make_program(core::RunnerConfig{spec}, scene);
+  core::ft::run_collective(sub, scene, built.program);
+  if (sub.is_root()) out = built.harvest();
 
   // Align the gang so the recorded finish covers every member, snapshot
   // the job's busy window, then fold the per-member busy time to the

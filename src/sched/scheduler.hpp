@@ -9,7 +9,7 @@
 // and gang-dispatches the job by sending each member a command message;
 // the members build a sub-communicator with Comm::subset and run the job
 // on it.  One dispatcher loop serves both gang runtimes, which run the
-// same ft::Program (make_job_program) under different drivers: by default
+// same ft::Program (core::make_program) under different drivers: by default
 // a gang runs it as the paper's SPMD schedule (ft::run_collective) and its
 // leader reports one completion (aligned finish time + summed busy time);
 // under SchedulerConfig::resilience it runs under a checkpointing

@@ -1,6 +1,7 @@
 #include "serve/batcher.hpp"
 
 #include <map>
+#include <type_traits>
 
 namespace hprs::serve {
 
@@ -26,23 +27,19 @@ void mix_double(std::uint64_t& h, double value) {
 }  // namespace
 
 std::uint64_t batch_key(const sched::JobSpec& spec, std::uint64_t scene_uid) {
-  // FNV-1a over exactly the fields compute_equivalent compares (plus the
-  // scene identity): placement fields stay out so the same question at a
-  // different width or arrival time shares the key.
+  // FNV-1a over the request's field list (core::for_each_field: exactly
+  // the fields compute_equivalent compares) plus the scene identity:
+  // placement fields stay out so the same question at a different width
+  // or arrival time shares the key.
   std::uint64_t h = kFnvOffset;
   mix(h, scene_uid);
-  mix(h, static_cast<std::uint64_t>(spec.algorithm));
-  mix(h, spec.targets);
-  mix(h, spec.classes);
-  mix(h, spec.iterations);
-  mix(h, spec.kernel_radius);
-  mix(h, spec.skewers);
-  mix(h, spec.seed);
-  mix_double(h, spec.sad_threshold);
-  mix(h, spec.replication);
-  mix_double(h, spec.memory_fraction);
-  mix(h, static_cast<std::uint64_t>(spec.policy));
-  mix(h, static_cast<std::uint64_t>(spec.charge_data_staging));
+  core::for_each_field(spec, [&h](const char*, const auto& field) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(field)>, double>) {
+      mix_double(h, field);
+    } else {
+      mix(h, static_cast<std::uint64_t>(field));
+    }
+  });
   // Scene overrides contribute presence only -- a pointer value would make
   // keys run-dependent and unserializable.  Distinct overrides colliding is
   // fine: the dispatcher re-checks compute_equivalent (which compares the

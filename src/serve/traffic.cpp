@@ -1,11 +1,13 @@
 #include "serve/traffic.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -120,14 +122,35 @@ const std::string& token_of(const std::map<std::string, std::string>& flat,
   return it->second;
 }
 
+/// A whole number in [0, max]; signs, fractions, exponents, strings and
+/// out-of-range values throw, naming the key.
 std::uint64_t count_of(const std::map<std::string, std::string>& flat,
-                       const std::string& key) {
-  return std::strtoull(token_of(flat, key).c_str(), nullptr, 10);
+                       const std::string& key,
+                       std::uint64_t max =
+                           std::numeric_limits<std::uint64_t>::max()) {
+  const std::string& token = token_of(flat, key);
+  const char* last = token.data() + token.size();
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(token.data(), last, value);
+  if (ec != std::errc() || end != last || value > max) {
+    throw Error("trace JSON: key '" + key + "' = " + token +
+                " is not a whole number in [0, " + std::to_string(max) + "]");
+  }
+  return value;
 }
 
+/// A finite number; anything else throws, naming the key.
 double number_of(const std::map<std::string, std::string>& flat,
                  const std::string& key) {
-  return std::strtod(token_of(flat, key).c_str(), nullptr);
+  const std::string& token = token_of(flat, key);
+  const char* last = token.data() + token.size();
+  double value = 0.0;
+  const auto [end, ec] = std::from_chars(token.data(), last, value);
+  if (ec != std::errc() || end != last || !std::isfinite(value)) {
+    throw Error("trace JSON: key '" + key + "' = " + token +
+                " is not a finite number");
+  }
+  return value;
 }
 
 std::string string_of(const std::map<std::string, std::string>& flat,
@@ -180,15 +203,15 @@ std::vector<TenantProfile> default_tenant_mix() {
   TenantProfile survey;
   survey.name = "survey";
   survey.weight = 3.0;
-  survey.algorithms = {sched::JobAlgorithm::kAtdca};
+  survey.algorithms = {core::Algorithm::kAtdca};
   survey.min_ranks = 2;
   survey.max_ranks = 3;
   survey.scene_uid = 0xa11ce5;
   TenantProfile tasking;
   tasking.name = "tasking";
   tasking.weight = 2.0;
-  tasking.algorithms = {sched::JobAlgorithm::kPct, sched::JobAlgorithm::kPpi,
-                        sched::JobAlgorithm::kUfcls};
+  tasking.algorithms = {core::Algorithm::kPct, core::Algorithm::kPpi,
+                        core::Algorithm::kUfcls};
   tasking.min_ranks = 3;
   tasking.max_ranks = 6;
   tasking.scene_uid = 0xbead;
@@ -196,8 +219,7 @@ std::vector<TenantProfile> default_tenant_mix() {
   TenantProfile adhoc;
   adhoc.name = "adhoc";
   adhoc.weight = 1.0;
-  adhoc.algorithms = {sched::JobAlgorithm::kMorph,
-                      sched::JobAlgorithm::kAtdca};
+  adhoc.algorithms = {core::Algorithm::kMorph, core::Algorithm::kAtdca};
   adhoc.min_ranks = 1;
   adhoc.max_ranks = 2;
   adhoc.scene_uid = 0xcafe;
@@ -235,9 +257,9 @@ std::vector<sched::JobSpec> generate_trace(const TraceConfig& config) {
     spec.id = k + 1;
     spec.arrival_s = arrivals[k];
     spec.tenant = tenant.name;
-    const std::vector<sched::JobAlgorithm>& algos =
+    const std::vector<core::Algorithm>& algos =
         tenant.algorithms.empty()
-            ? std::vector<sched::JobAlgorithm>{sched::JobAlgorithm::kAtdca}
+            ? std::vector<core::Algorithm>{core::Algorithm::kAtdca}
             : tenant.algorithms;
     spec.algorithm = algos[algo_cursor[ti]++ % algos.size()];
     const int lo = std::max(tenant.min_ranks, 1);
@@ -247,7 +269,7 @@ std::vector<sched::JobSpec> generate_trace(const TraceConfig& config) {
                  static_cast<std::uint64_t>(hi - lo) + 1));
     spec.targets = tenant.targets;
     spec.classes = tenant.classes;
-    spec.iterations = tenant.iterations;
+    spec.morph_iterations = tenant.iterations;
     spec.kernel_radius = tenant.kernel_radius;
     spec.skewers = tenant.skewers;
     spec.seed = tenant.seed;
@@ -264,19 +286,21 @@ std::string trace_json(const std::vector<sched::JobSpec>& trace) {
   for (std::size_t k = 0; k < trace.size(); ++k) {
     const sched::JobSpec& spec = trace[k];
     doc.set_count(req_key(k, "id"), spec.id);
-    doc.set_string(req_key(k, "algorithm"), to_string(spec.algorithm));
     doc.set_number(req_key(k, "arrival_s"), spec.arrival_s);
     doc.set_count(req_key(k, "ranks"), static_cast<std::uint64_t>(spec.ranks));
-    doc.set_count(req_key(k, "targets"), spec.targets);
-    doc.set_count(req_key(k, "classes"), spec.classes);
-    doc.set_count(req_key(k, "iterations"), spec.iterations);
-    doc.set_count(req_key(k, "kernel_radius"), spec.kernel_radius);
-    doc.set_count(req_key(k, "skewers"), spec.skewers);
-    doc.set_count(req_key(k, "seed"), spec.seed);
-    doc.set_number(req_key(k, "sad_threshold"), spec.sad_threshold);
-    doc.set_count(req_key(k, "replication"), spec.replication);
     doc.set_string(req_key(k, "tenant"), spec.tenant);
     doc.set_count(req_key(k, "batch_key"), spec.batch_key);
+    core::for_each_field(spec, [&](const char* name, const auto& field) {
+      using T = std::decay_t<decltype(field)>;
+      const std::string key = req_key(k, name);
+      if constexpr (std::is_same_v<T, core::Algorithm>) {
+        doc.set_string(key, core::to_string(field));
+      } else if constexpr (std::is_same_v<T, double>) {
+        doc.set_number(key, field);
+      } else {
+        doc.set_count(key, static_cast<std::uint64_t>(field));
+      }
+    });
   }
   return doc.to_json();
 }
@@ -287,27 +311,41 @@ std::vector<sched::JobSpec> parse_trace_json(std::string_view text) {
   if (!obs::parse_flat_json(text, flat, error)) {
     throw Error("trace JSON: " + error);
   }
-  const std::uint64_t jobs = count_of(flat, "trace.jobs");
+  // Every request carries several keys, so a document cannot hold more
+  // requests than it has keys; the bound keeps a hostile count from
+  // sizing the reservation below.
+  const std::uint64_t jobs = count_of(flat, "trace.jobs", flat.size());
   std::vector<sched::JobSpec> trace;
   trace.reserve(jobs);
   for (std::uint64_t k = 0; k < jobs; ++k) {
     const auto pos = static_cast<std::size_t>(k);
     sched::JobSpec spec;
     spec.id = count_of(flat, req_key(pos, "id"));
-    spec.algorithm =
-        sched::parse_job_algorithm(string_of(flat, req_key(pos, "algorithm")));
     spec.arrival_s = number_of(flat, req_key(pos, "arrival_s"));
-    spec.ranks = static_cast<int>(count_of(flat, req_key(pos, "ranks")));
-    spec.targets = count_of(flat, req_key(pos, "targets"));
-    spec.classes = count_of(flat, req_key(pos, "classes"));
-    spec.iterations = count_of(flat, req_key(pos, "iterations"));
-    spec.kernel_radius = count_of(flat, req_key(pos, "kernel_radius"));
-    spec.skewers = count_of(flat, req_key(pos, "skewers"));
-    spec.seed = count_of(flat, req_key(pos, "seed"));
-    spec.sad_threshold = number_of(flat, req_key(pos, "sad_threshold"));
-    spec.replication = count_of(flat, req_key(pos, "replication"));
+    spec.ranks = static_cast<int>(count_of(
+        flat, req_key(pos, "ranks"), std::numeric_limits<int>::max()));
     spec.tenant = string_of(flat, req_key(pos, "tenant"));
     spec.batch_key = count_of(flat, req_key(pos, "batch_key"));
+    core::for_each_field(spec, [&](const char* name, auto& field) {
+      using T = std::decay_t<decltype(field)>;
+      const std::string key = req_key(pos, name);
+      if constexpr (std::is_same_v<T, core::Algorithm>) {
+        const std::string value = string_of(flat, key);
+        try {
+          field = core::parse_algorithm(value);
+        } catch (const Error& e) {
+          throw Error("trace JSON: key '" + key + "': " + e.what());
+        }
+      } else if constexpr (std::is_same_v<T, double>) {
+        field = number_of(flat, key);
+      } else if constexpr (std::is_same_v<T, bool>) {
+        field = count_of(flat, key, 1) != 0;
+      } else if constexpr (std::is_same_v<T, core::PartitionPolicy>) {
+        field = static_cast<T>(count_of(flat, key, 1));
+      } else {
+        field = count_of(flat, key, std::numeric_limits<T>::max());
+      }
+    });
     trace.push_back(std::move(spec));
   }
   return trace;

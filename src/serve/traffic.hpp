@@ -47,8 +47,7 @@ struct TenantProfile {
   /// Relative share of the trace's requests this tenant submits.
   double weight = 1.0;
   /// Algorithms the tenant cycles through (round-robin per tenant).
-  std::vector<sched::JobAlgorithm> algorithms = {
-      sched::JobAlgorithm::kAtdca};
+  std::vector<core::Algorithm> algorithms = {core::Algorithm::kAtdca};
   /// Requested gang width is drawn uniformly in [min_ranks, max_ranks].
   int min_ranks = 1;
   int max_ranks = 4;
@@ -102,12 +101,16 @@ struct TraceConfig {
     const TraceConfig& config);
 
 /// Serializes a trace in the repo's flat-JSON dialect ("req.NNNNNN.field"
-/// keys, %.17g doubles) so replay is byte-exact.
+/// keys, %.17g doubles): each request's placement fields plus every field
+/// of core::for_each_field, so replay is exact.
 [[nodiscard]] std::string trace_json(
     const std::vector<sched::JobSpec>& trace);
 
-/// Parses trace_json output back into the identical stream (throws
-/// Error on malformed documents).
+/// Parses trace_json output back into the identical stream.  Throws Error
+/// on malformed documents, naming the key for a missing field, a number
+/// that is not a whole number fitting its field (0/1 for `policy` and
+/// `charge_data_staging`), a non-finite number, an unknown algorithm, or a
+/// `trace.jobs` larger than the document can hold.
 [[nodiscard]] std::vector<sched::JobSpec> parse_trace_json(
     std::string_view text);
 

@@ -328,36 +328,6 @@ class Comm {
     return out;
   }
 
-  /// Handle for a nonblocking send; pass to wait() exactly once.
-  class Request {
-   public:
-    Request() = default;
-
-   private:
-    friend class Comm;
-    explicit Request(std::uint64_t handle) : handle_(handle) {}
-    std::uint64_t handle_ = 0;
-  };
-
-  /// Nonblocking send: the message is posted immediately and this rank's
-  /// clock keeps running, so compute issued before the matching wait()
-  /// overlaps the transfer.  Every isend must be wait()ed exactly once.
-  template <typename T>
-  [[nodiscard]] Request isend(int dst, T value, std::size_t bytes,
-                              int tag = 0) {
-    return Request(engine_->core_isend(rank_, world_rank_of(dst), tag,
-                                       Packet{std::move(value), bytes},
-                                       group_->id));
-  }
-
-  /// Completes a nonblocking send: blocks until the receiver matched the
-  /// message, then advances this rank's clock to the transfer completion
-  /// (never backwards).
-  void wait(Request request) {
-    HPRS_REQUIRE(request.handle_ != 0, "wait on a default-constructed Request");
-    engine_->core_wait_send(rank_, request.handle_);
-  }
-
   /// Blocking (rendezvous) point-to-point send.  Messages match on (world
   /// source, world destination, tag), so communicators over disjoint rank
   /// sets can reuse tags freely; communicators sharing a rank pair must

@@ -196,7 +196,6 @@ RunReport Engine::run(const std::function<void(Comm&)>& program) {
     }
     resize_and_clear(gather_pool_, pu);
     resize_and_clear(exchange_pool_, pu);
-    next_send_handle_ = 1;
     rank_state_.assign(pu, RankState::kRunning);
     crash_time_.assign(pu, std::numeric_limits<double>::infinity());
     for (const auto& c : options_.fault_plan.crashes) {
@@ -671,9 +670,9 @@ Packet Engine::match_recv_locked(int rank, int src, int tag, PendingSend& ps) {
     git->second->p2p_bytes += bytes;
   }
   account_transfer_locked(rank, me.clock, end, active, 0, bytes);
-  // Record the sender's half for it to apply itself (core_send /
-  // core_wait_send); writing stats_[src] here would race with a sender
-  // that is still computing after an isend.
+  // Record the sender's half for it to apply itself when it wakes
+  // (core_send / core_try_send), so a rank's stats stay written by its own
+  // context.
   Packet out = std::move(ps.payload);
   ps.matched = true;
   ps.sender_end = end;
@@ -748,9 +747,6 @@ std::string Engine::describe_blocked_locked() const {
         break;
       case WaitInfo::What::kRecv:
         add(rnk, "recv from rank " + peer + " (tag " + tag + ")");
-        break;
-      case WaitInfo::What::kWaitSend:
-        add(rnk, "wait on isend to rank " + peer + " (tag " + tag + ")");
         break;
       case WaitInfo::What::kTrySend:
         add(rnk, "try_send to rank " + peer + " (tag " + tag + ")");
@@ -1486,84 +1482,6 @@ bool Engine::core_try_send(int rank, int dst, int tag, Packet payload,
   queue.erase(it);
   charge_detection_locked(rank, dst, timeout_s);
   return false;
-}
-
-std::uint64_t Engine::core_isend(int rank, int dst, int tag, Packet payload,
-                                 std::uint64_t channel) {
-  HPRS_REQUIRE(dst >= 0 && dst < size() && dst != rank,
-               "invalid destination rank");
-  std::unique_lock<std::mutex> lock(mutex_);
-  maybe_crash_locked(rank);
-  check_poison_locked();
-  const std::uint64_t handle = next_send_handle_++;
-  PendingSend ps;
-  ps.payload = std::move(payload);
-  ps.ready = stats_[static_cast<std::size_t>(rank)].clock;
-  ps.handle = handle;
-  ps.channel = channel;
-  auto& queue = mailbox_[{rank, dst, tag}];
-  queue.push_back(std::move(ps));
-  obs_.mailbox_depth_max = std::max<std::uint64_t>(obs_.mailbox_depth_max,
-                                                   queue.size());
-  wake_rank_locked(dst);
-  return handle;
-}
-
-void Engine::core_wait_send(int rank, std::uint64_t handle) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  maybe_crash_locked(rank);
-  // Find the posting by handle (it is keyed by (rank, dst, tag), so scan
-  // this rank's outgoing queues; queues are short-lived).
-  const auto deadline = deadline_after(options_.deadlock_timeout_s);
-  bool deadline_expired = false;
-  while (true) {
-    check_poison_locked();
-    bool found = false;
-    int pending_dst = -1;
-    int pending_tag = 0;
-    for (auto it = mailbox_.begin(); it != mailbox_.end(); ++it) {
-      if (std::get<0>(it->first) != rank) continue;
-      for (auto ps = it->second.begin(); ps != it->second.end(); ++ps) {
-        if (ps->handle != handle) continue;
-        found = true;
-        if (!ps->matched) {
-          pending_dst = std::get<1>(it->first);
-          pending_tag = std::get<2>(it->first);
-          break;
-        }
-        // The receiver matched: apply the sender's half of the transfer.
-        // The clock can only move forward, so compute performed between
-        // isend and wait overlaps the wire time.
-        account_transfer_locked(rank, ps->ready, ps->sender_end, ps->active,
-                                ps->bytes, 0);
-        it->second.erase(ps);
-        if (it->second.empty()) mailbox_.erase(it);
-        waiting_[static_cast<std::size_t>(rank)] = WaitInfo{};
-        return;
-      }
-      if (found) break;
-    }
-    if (!found) {
-      // Handle not found at all: already waited (or never posted).
-      throw Error("wait on an unknown or already-completed send handle");
-    }
-    if (rank_state_[static_cast<std::size_t>(pending_dst)] !=
-        RankState::kRunning) {
-      poison_locked(
-          peer_failure_locked("wait on isend", rank, pending_dst, pending_tag));
-      check_poison_locked();
-    }
-    waiting_[static_cast<std::size_t>(rank)] = WaitInfo{
-        WaitInfo::What::kWaitSend, pending_dst, pending_tag,
-        CollectiveKind::kNone};
-    if (deadline_expired) {
-      // Deadline passed and the re-scan above still found no match.
-      poison_locked("isend never matched (virtual MPI deadlock?); " +
-                    describe_blocked_locked());
-      check_poison_locked();
-    }
-    deadline_expired = wait_rank(lock, rank, deadline);
-  }
 }
 
 Packet Engine::core_recv(int rank, int src, int tag) {

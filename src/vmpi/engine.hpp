@@ -288,15 +288,6 @@ class Engine {
   /// Enters/leaves a recovery scope: compute charged while the scope is
   /// open is additionally counted as recomputed work.  Nestable.
   void core_set_recovery(int rank, bool on);
-  /// Nonblocking send: posts the message and returns a handle immediately;
-  /// the sender's clock does not advance until core_wait_send, which
-  /// blocks until the receiver has matched the message and then advances
-  /// the sender's clock to the transfer completion (never backwards, so
-  /// compute performed between isend and wait overlaps the transfer).
-  [[nodiscard]] std::uint64_t core_isend(int rank, int dst, int tag,
-                                         Packet payload,
-                                         std::uint64_t channel);
-  void core_wait_send(int rank, std::uint64_t handle);
   [[nodiscard]] double core_now(int rank) const;
 
   // --- scratch recycling (rank-confined; see the pool comments below) ---
@@ -377,7 +368,6 @@ class Engine {
       kCollective,
       kSend,
       kRecv,
-      kWaitSend,
       kTrySend,
       kTryRecv,
     };
@@ -478,11 +468,9 @@ class Engine {
     double sender_end = 0.0;  // sender's completion time once matched
     double active = 0.0;      // wire seconds, for the sender's accounting
     std::uint64_t bytes = 0;  // wire bytes, for the sender's accounting
-    std::uint64_t handle = 0;  // nonzero for isend postings
     std::uint64_t channel = 0;  // communicator id, scopes xlink contention
   };
   std::map<std::tuple<int, int, int>, std::list<PendingSend>> mailbox_;
-  std::uint64_t next_send_handle_ = 1;
 
   // Fault state.  crash_time_ is written once before the rank contexts
   // start and read lock-free by each rank's own context; everything else is

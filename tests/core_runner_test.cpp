@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "common/error.hpp"
 #include "simnet/platform.hpp"
 #include "test_scenes.hpp"
 
@@ -13,6 +17,19 @@ TEST(RunnerNamesTest, AlgorithmNamesAreStable) {
   EXPECT_STREQ(to_string(Algorithm::kUfcls), "UFCLS");
   EXPECT_STREQ(to_string(Algorithm::kPct), "PCT");
   EXPECT_STREQ(to_string(Algorithm::kMorph), "MORPH");
+  EXPECT_STREQ(to_string(Algorithm::kPpi), "PPI");
+  for (const Algorithm a : {Algorithm::kAtdca, Algorithm::kUfcls,
+                            Algorithm::kPct, Algorithm::kMorph,
+                            Algorithm::kPpi}) {
+    EXPECT_EQ(parse_algorithm(to_string(a)), a);
+  }
+  try {
+    (void)parse_algorithm("atdca");
+    ADD_FAILURE() << "a lower-case name was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'atdca'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(RunnerNamesTest, DisplayNamesFollowThePaper) {
@@ -39,12 +56,15 @@ TEST_P(RunnerSweep, DispatchesAndProducesTheRightOutput) {
   cfg.classes = 3;
   cfg.morph_iterations = 2;
   cfg.kernel_radius = 1;
+  cfg.skewers = 32;
   const auto out = run_algorithm(simnet::fully_heterogeneous(), cube, cfg);
 
   EXPECT_GT(out.report.total_time, 0.0);
   EXPECT_EQ(out.report.ranks.size(), 16u);
-  const bool is_detector =
-      algorithm == Algorithm::kAtdca || algorithm == Algorithm::kUfcls;
+  const bool is_detector = algorithm == Algorithm::kAtdca ||
+                           algorithm == Algorithm::kUfcls ||
+                           algorithm == Algorithm::kPpi;
+  EXPECT_EQ(out.scores.size(), algorithm == Algorithm::kPpi ? 4u : 0u);
   if (is_detector) {
     EXPECT_EQ(out.targets.size(), 4u);
     EXPECT_TRUE(out.labels.empty());
@@ -65,7 +85,9 @@ INSTANTIATE_TEST_SUITE_P(
         RunnerCase{Algorithm::kPct, PartitionPolicy::kHeterogeneous},
         RunnerCase{Algorithm::kPct, PartitionPolicy::kHomogeneous},
         RunnerCase{Algorithm::kMorph, PartitionPolicy::kHeterogeneous},
-        RunnerCase{Algorithm::kMorph, PartitionPolicy::kHomogeneous}),
+        RunnerCase{Algorithm::kMorph, PartitionPolicy::kHomogeneous},
+        RunnerCase{Algorithm::kPpi, PartitionPolicy::kHeterogeneous},
+        RunnerCase{Algorithm::kPpi, PartitionPolicy::kHomogeneous}),
     [](const auto& param_info) {
       std::string name =
           display_name(param_info.param.algorithm, param_info.param.policy);

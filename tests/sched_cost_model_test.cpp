@@ -12,7 +12,7 @@ namespace {
 JobSpec small_job(std::size_t replication = 1) {
   JobSpec spec;
   spec.id = 1;
-  spec.algorithm = JobAlgorithm::kAtdca;
+  spec.algorithm = core::Algorithm::kAtdca;
   spec.ranks = 2;
   spec.targets = 4;
   spec.replication = replication;

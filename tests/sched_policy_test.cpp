@@ -180,7 +180,7 @@ TEST(SchedCostModelTest, EstimateScalesWithWorkAndMembers) {
   const hsi::HsiCube scene(32, 16, 24);
   JobSpec spec;
   spec.id = 1;
-  spec.algorithm = JobAlgorithm::kAtdca;
+  spec.algorithm = core::Algorithm::kAtdca;
   spec.ranks = 2;
   const JobEstimate two = estimate_job(platform, {1, 2}, spec, scene);
   const JobEstimate four = estimate_job(platform, {1, 2, 3, 4}, spec, scene);

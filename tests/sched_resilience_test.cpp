@@ -68,21 +68,21 @@ std::vector<JobSpec> mixed_stream() {
   std::vector<JobSpec> stream;
   JobSpec a;
   a.id = 1;
-  a.algorithm = JobAlgorithm::kAtdca;
+  a.algorithm = core::Algorithm::kAtdca;
   a.arrival_s = 0.0;
   a.ranks = 3;
   a.targets = 4;
   stream.push_back(a);
   JobSpec b;
   b.id = 2;
-  b.algorithm = JobAlgorithm::kPct;
+  b.algorithm = core::Algorithm::kPct;
   b.arrival_s = 0.0;
   b.ranks = 2;
   b.classes = 3;
   stream.push_back(b);
   JobSpec c;
   c.id = 3;
-  c.algorithm = JobAlgorithm::kPpi;
+  c.algorithm = core::Algorithm::kPpi;
   c.arrival_s = 0.002;
   c.ranks = 2;
   c.targets = 4;
@@ -90,16 +90,16 @@ std::vector<JobSpec> mixed_stream() {
   stream.push_back(c);
   JobSpec d;
   d.id = 4;
-  d.algorithm = JobAlgorithm::kMorph;
+  d.algorithm = core::Algorithm::kMorph;
   d.arrival_s = 0.004;
   d.ranks = 2;
   d.classes = 3;
-  d.iterations = 2;
+  d.morph_iterations = 2;
   d.kernel_radius = 1;
   stream.push_back(d);
   JobSpec e;
   e.id = 5;
-  e.algorithm = JobAlgorithm::kUfcls;
+  e.algorithm = core::Algorithm::kUfcls;
   e.arrival_s = 0.004;
   e.ranks = 3;
   e.targets = 3;
@@ -112,7 +112,7 @@ std::vector<JobSpec> mixed_stream() {
 std::vector<JobSpec> long_job(int ranks, std::size_t replication = 8) {
   JobSpec spec;
   spec.id = 1;
-  spec.algorithm = JobAlgorithm::kAtdca;
+  spec.algorithm = core::Algorithm::kAtdca;
   spec.arrival_s = 0.0;
   spec.ranks = ranks;
   spec.targets = 8;
@@ -192,9 +192,10 @@ JobOutput run_solo_ft(const simnet::Platform& platform,
       return;
     }
     vmpi::Comm sub = world.subset(members, spec.id);
-    ProgramBundle bundle = make_job_program(spec, scene);
-    core::ft::run_program(sub, scene, bundle.program);
-    if (sub.is_root()) bundle.harvest(out);
+    core::AlgorithmProgram built =
+        core::make_program(core::RunnerConfig{spec}, scene);
+    core::ft::run_program(sub, scene, built.program);
+    if (sub.is_root()) out = built.harvest();
   });
   return out;
 }
@@ -553,7 +554,7 @@ TEST(SchedResilienceTest, ExhaustedRetriesDegradeWithCheckpointsElseFail) {
   std::vector<JobSpec> stream = long_job(2);
   JobSpec late;  // arrives after the pool has died
   late.id = 2;
-  late.algorithm = JobAlgorithm::kPpi;
+  late.algorithm = core::Algorithm::kPpi;
   late.ranks = 1;
   late.targets = 3;
   late.skewers = 16;

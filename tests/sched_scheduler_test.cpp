@@ -43,21 +43,21 @@ std::vector<JobSpec> mixed_stream() {
   std::vector<JobSpec> stream;
   JobSpec a;
   a.id = 1;
-  a.algorithm = JobAlgorithm::kAtdca;
+  a.algorithm = core::Algorithm::kAtdca;
   a.arrival_s = 0.0;
   a.ranks = 3;
   a.targets = 4;
   stream.push_back(a);
   JobSpec b;
   b.id = 2;
-  b.algorithm = JobAlgorithm::kPct;
+  b.algorithm = core::Algorithm::kPct;
   b.arrival_s = 0.0;
   b.ranks = 2;
   b.classes = 3;
   stream.push_back(b);
   JobSpec c;
   c.id = 3;
-  c.algorithm = JobAlgorithm::kPpi;
+  c.algorithm = core::Algorithm::kPpi;
   c.arrival_s = 0.002;
   c.ranks = 2;
   c.targets = 4;
@@ -65,16 +65,16 @@ std::vector<JobSpec> mixed_stream() {
   stream.push_back(c);
   JobSpec d;
   d.id = 4;
-  d.algorithm = JobAlgorithm::kMorph;
+  d.algorithm = core::Algorithm::kMorph;
   d.arrival_s = 0.004;
   d.ranks = 2;
   d.classes = 3;
-  d.iterations = 2;
+  d.morph_iterations = 2;
   d.kernel_radius = 1;
   stream.push_back(d);
   JobSpec e;
   e.id = 5;
-  e.algorithm = JobAlgorithm::kUfcls;
+  e.algorithm = core::Algorithm::kUfcls;
   e.arrival_s = 0.004;
   e.ranks = 3;
   e.targets = 3;
@@ -197,7 +197,7 @@ JobOutput run_solo(const simnet::Platform& platform, const hsi::HsiCube& scene,
     }
     vmpi::Comm sub = world.subset(members, spec.id);
     switch (spec.algorithm) {
-      case JobAlgorithm::kAtdca: {
+      case core::Algorithm::kAtdca: {
         core::AtdcaConfig config;
         config.targets = spec.targets;
         core::TargetDetectionResult result;
@@ -206,7 +206,7 @@ JobOutput run_solo(const simnet::Platform& platform, const hsi::HsiCube& scene,
         if (sub.is_root()) out.targets = std::move(result.targets);
         break;
       }
-      case JobAlgorithm::kUfcls: {
+      case core::Algorithm::kUfcls: {
         core::UfclsConfig config;
         config.targets = spec.targets;
         core::TargetDetectionResult result;
@@ -215,7 +215,7 @@ JobOutput run_solo(const simnet::Platform& platform, const hsi::HsiCube& scene,
         if (sub.is_root()) out.targets = std::move(result.targets);
         break;
       }
-      case JobAlgorithm::kPct: {
+      case core::Algorithm::kPct: {
         core::PctConfig config;
         config.classes = spec.classes;
         core::ClassificationResult result;
@@ -227,10 +227,10 @@ JobOutput run_solo(const simnet::Platform& platform, const hsi::HsiCube& scene,
         }
         break;
       }
-      case JobAlgorithm::kMorph: {
+      case core::Algorithm::kMorph: {
         core::MorphConfig config;
         config.classes = spec.classes;
-        config.iterations = spec.iterations;
+        config.iterations = spec.morph_iterations;
         config.kernel_radius = spec.kernel_radius;
         core::ClassificationResult result;
         core::ft::run_collective(
@@ -241,7 +241,7 @@ JobOutput run_solo(const simnet::Platform& platform, const hsi::HsiCube& scene,
         }
         break;
       }
-      case JobAlgorithm::kPpi: {
+      case core::Algorithm::kPpi: {
         core::PpiConfig config;
         config.targets = spec.targets;
         config.skewers = spec.skewers;
@@ -323,7 +323,7 @@ TEST(SchedSchedulerTest, BackfillRunsSmallJobsWithoutStarvingTheHead) {
   std::vector<JobSpec> stream;
   JobSpec big;  // long 2-rank job holds half the pool
   big.id = 1;
-  big.algorithm = JobAlgorithm::kAtdca;
+  big.algorithm = core::Algorithm::kAtdca;
   big.arrival_s = 0.0;
   big.ranks = 2;
   big.targets = 4;
@@ -331,7 +331,7 @@ TEST(SchedSchedulerTest, BackfillRunsSmallJobsWithoutStarvingTheHead) {
   stream.push_back(big);
   JobSpec head;  // full-width job must queue behind `big`
   head.id = 2;
-  head.algorithm = JobAlgorithm::kPct;
+  head.algorithm = core::Algorithm::kPct;
   head.arrival_s = 0.001;
   head.ranks = 4;
   head.classes = 3;
@@ -339,7 +339,7 @@ TEST(SchedSchedulerTest, BackfillRunsSmallJobsWithoutStarvingTheHead) {
   for (std::uint64_t k = 0; k < 3; ++k) {  // short narrow jobs backfill
     JobSpec small;
     small.id = 3 + k;
-    small.algorithm = JobAlgorithm::kPpi;
+    small.algorithm = core::Algorithm::kPpi;
     small.arrival_s = 0.002;
     small.ranks = 1;
     small.targets = 3;
@@ -394,7 +394,7 @@ TEST(SchedSchedulerTest, RejectedJobDoesNotBlockTheStream) {
   stream.resize(2);
   JobSpec wide;
   wide.id = 99;
-  wide.algorithm = JobAlgorithm::kUfcls;
+  wide.algorithm = core::Algorithm::kUfcls;
   wide.arrival_s = 0.0;
   wide.ranks = 10;  // pool has 4 workers
   stream.push_back(wide);
@@ -410,6 +410,58 @@ TEST(SchedSchedulerTest, RejectedJobDoesNotBlockTheStream) {
       << rejected.error;
   EXPECT_NE(rejected.error.find("worker pool"), std::string::npos)
       << rejected.error;
+}
+
+TEST(SchedSchedulerTest, AdmissionRejectsInvalidParametersByName) {
+  const simnet::Platform platform = cluster(7);
+  const hsi::HsiCube scene = testing::striped_cube(32, 16, 24, 4);
+  std::vector<JobSpec> stream;
+  JobSpec pct;  // more classes than the cube has bands
+  pct.algorithm = core::Algorithm::kPct;
+  pct.classes = scene.bands() + 1;
+  stream.push_back(pct);
+  JobSpec atdca;
+  atdca.algorithm = core::Algorithm::kAtdca;
+  atdca.targets = 0;
+  stream.push_back(atdca);
+  JobSpec morph;
+  morph.algorithm = core::Algorithm::kMorph;
+  morph.classes = 3;
+  morph.morph_iterations = 2;
+  morph.kernel_radius = 0;
+  stream.push_back(morph);
+  JobSpec ppi;
+  ppi.algorithm = core::Algorithm::kPpi;
+  ppi.targets = 4;
+  ppi.skewers = 0;
+  stream.push_back(ppi);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    stream[i].id = i + 1;
+    stream[i].ranks = 2;
+  }
+  stream.push_back(mixed_stream().front());  // a valid ATDCA job
+  stream.back().id = 5;
+  const char* const fields[] = {"classes = 25", "targets = 0",
+                                "kernel_radius = 0", "skewers = 0"};
+
+  for (const vmpi::ExecMode mode :
+       {vmpi::ExecMode::kBoundedExecutor, vmpi::ExecMode::kThreadPerRank}) {
+    const ScheduleResult result =
+        run_schedule(platform, scene, stream, {}, fast_options(mode));
+    EXPECT_EQ(result.rejected(), 4u);
+    EXPECT_EQ(result.completed(), 1u);
+    for (std::size_t i = 0; i < 4; ++i) {
+      const JobRecord& record = result.records[i];
+      EXPECT_EQ(record.state, JobState::kRejected) << "job " << record.id;
+      EXPECT_NE(record.error.find(fields[i]), std::string::npos)
+          << record.error;
+    }
+    const JobRecord& valid = result.records[4];
+    ASSERT_TRUE(valid.completed());
+    const JobOutput solo = run_solo(platform, scene, stream[4], valid.members);
+    EXPECT_EQ(result.outputs[4].targets, solo.targets);
+    EXPECT_FALSE(solo.targets.empty());
+  }
 }
 
 }  // namespace

@@ -47,9 +47,9 @@ vmpi::Options snap_options(
 
 std::vector<JobSpec> mixed_stream() {
   std::vector<JobSpec> stream;
-  constexpr JobAlgorithm kCycle[] = {JobAlgorithm::kAtdca, JobAlgorithm::kPct,
-                                     JobAlgorithm::kPpi, JobAlgorithm::kUfcls,
-                                     JobAlgorithm::kMorph};
+  constexpr core::Algorithm kCycle[] = {
+      core::Algorithm::kAtdca, core::Algorithm::kPct, core::Algorithm::kPpi,
+      core::Algorithm::kUfcls, core::Algorithm::kMorph};
   for (std::size_t k = 0; k < 5; ++k) {
     JobSpec spec;
     spec.id = k + 1;
@@ -58,7 +58,7 @@ std::vector<JobSpec> mixed_stream() {
     spec.ranks = 2 + static_cast<int>(k % 2);
     spec.targets = 4;
     spec.classes = 3;
-    spec.iterations = 2;
+    spec.morph_iterations = 2;
     spec.kernel_radius = 1;
     spec.skewers = 32;
     stream.push_back(spec);

@@ -128,7 +128,7 @@ TEST(ServeServiceTest, InflightQuotaRejectsAtArrivalWithNamedReason) {
   for (std::size_t k = 0; k < 3; ++k) {
     sched::JobSpec spec;
     spec.id = k + 1;
-    spec.algorithm = sched::JobAlgorithm::kAtdca;
+    spec.algorithm = core::Algorithm::kAtdca;
     spec.arrival_s = k == 2 ? 1000.0 : static_cast<double>(k) * 1e-4;
     spec.ranks = 2;
     spec.targets = 4;
@@ -161,7 +161,7 @@ TEST(ServeServiceTest, BatchingKeepsOutputsBitIdenticalAndFinishesNoLater) {
   for (std::size_t k = 0; k < 6; ++k) {
     sched::JobSpec spec;
     spec.id = k + 1;
-    spec.algorithm = sched::JobAlgorithm::kAtdca;
+    spec.algorithm = core::Algorithm::kAtdca;
     spec.arrival_s = k == 5 ? 1e-4 : 0.0;
     spec.ranks = 2 + static_cast<int>(k % 2);
     spec.targets = 4;
@@ -170,7 +170,7 @@ TEST(ServeServiceTest, BatchingKeepsOutputsBitIdenticalAndFinishesNoLater) {
   }
   sched::JobSpec other;
   other.id = 7;
-  other.algorithm = sched::JobAlgorithm::kPct;
+  other.algorithm = core::Algorithm::kPct;
   other.arrival_s = 2e-4;
   other.ranks = 2;
   other.classes = 3;

@@ -1,15 +1,18 @@
 // Trace-generator properties: same seed -> byte-identical streams, seeds
-// diverge, JSON round-trip is exact (stream AND serialized bytes), the
-// diurnal shape crowds its peaks, bursts concentrate arrivals, and the
-// tenant mix respects its weights.
+// diverge, JSON round-trip is exact (stream AND serialized bytes, every
+// request field), malformed numbers are rejected by key, the diurnal shape
+// crowds its peaks, bursts concentrate arrivals, and the tenant mix
+// respects its weights.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/report_diff.hpp"
 #include "serve/batcher.hpp"
 #include "serve/traffic.hpp"
 
@@ -26,7 +29,7 @@ void expect_traces_equal(const std::vector<sched::JobSpec>& a,
     EXPECT_EQ(a[i].ranks, b[i].ranks) << "req " << i;
     EXPECT_EQ(a[i].targets, b[i].targets) << "req " << i;
     EXPECT_EQ(a[i].classes, b[i].classes) << "req " << i;
-    EXPECT_EQ(a[i].iterations, b[i].iterations) << "req " << i;
+    EXPECT_EQ(a[i].morph_iterations, b[i].morph_iterations) << "req " << i;
     EXPECT_EQ(a[i].kernel_radius, b[i].kernel_radius) << "req " << i;
     EXPECT_EQ(a[i].skewers, b[i].skewers) << "req " << i;
     EXPECT_EQ(a[i].seed, b[i].seed) << "req " << i;
@@ -114,6 +117,103 @@ TEST(ServeTrafficTest, JsonRoundTripIsExact) {
   EXPECT_EQ(trace_json(replayed), json);
 }
 
+std::map<std::string, std::string> flat_of(const std::string& json) {
+  std::map<std::string, std::string> flat;
+  std::string error;
+  EXPECT_TRUE(obs::parse_flat_json(json, flat, error)) << error;
+  return flat;
+}
+
+TEST(ServeTrafficTest, TraceJsonRoundTripsEveryRequestField) {
+  sched::JobSpec spec;
+  spec.id = 7;
+  spec.arrival_s = 1.25;
+  spec.ranks = 3;
+  spec.tenant = "survey";
+  spec.batch_key = 99;
+  spec.algorithm = core::Algorithm::kMorph;
+  spec.targets = 5;
+  spec.classes = 3;
+  spec.morph_iterations = 4;
+  spec.kernel_radius = 3;
+  spec.skewers = 77;
+  spec.seed = 42;
+  spec.sad_threshold = 0.125;
+  spec.replication = 3;
+  spec.memory_fraction = 0.25;
+  spec.policy = core::PartitionPolicy::kHomogeneous;
+  spec.charge_data_staging = true;
+  const std::string json = trace_json({spec});
+
+  // Every field of the request's field list is off its default here, so a
+  // field the writer or the reader drops cannot pass unnoticed.
+  const auto ours = flat_of(json);
+  const auto defaults = flat_of(trace_json({sched::JobSpec{}}));
+  core::for_each_field(spec, [&](const char* name, const auto&) {
+    const std::string key = std::string("req.000000.") + name;
+    ASSERT_EQ(ours.count(key), 1u) << key;
+    EXPECT_NE(ours.at(key), defaults.at(key)) << key;
+  });
+
+  const auto replayed = parse_trace_json(json);
+  ASSERT_EQ(replayed.size(), 1u);
+  EXPECT_TRUE(sched::compute_equivalent(spec, replayed[0]));
+  expect_traces_equal({spec}, replayed);
+  EXPECT_EQ(trace_json(replayed), json);
+}
+
+/// trace_json of a one-request trace with the token at `key` replaced.
+std::string with_token(const std::string& key, const std::string& token) {
+  auto flat = flat_of(trace_json({sched::JobSpec{}}));
+  flat[key] = token;
+  std::string json = "{";
+  for (const auto& [k, v] : flat) {
+    json += (json.size() > 1 ? ",\n\"" : "\n\"") + k + "\": " + v;
+  }
+  return json + "\n}\n";
+}
+
+void expect_rejected_by_key(const std::string& key, const std::string& token) {
+  try {
+    (void)parse_trace_json(with_token(key, token));
+    ADD_FAILURE() << key << " = " << token << " was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+        << key << " = " << token << ": " << e.what();
+  }
+}
+
+TEST(ServeTrafficTest, TraceJsonRejectsMalformedNumbersByKey) {
+  // Signs, strings, fractions and values past the field's range.
+  expect_rejected_by_key("req.000000.targets", "-3");
+  expect_rejected_by_key("req.000000.targets", "\"x\"");
+  expect_rejected_by_key("req.000000.targets", "18446744073709551616");
+  expect_rejected_by_key("req.000000.seed", "1.5");
+  expect_rejected_by_key("req.000000.seed", "1e3");
+  expect_rejected_by_key("req.000000.ranks", "4294967297");
+  expect_rejected_by_key("req.000000.ranks", "2147483648");
+  expect_rejected_by_key("req.000000.policy", "2");
+  expect_rejected_by_key("req.000000.charge_data_staging", "2");
+  expect_rejected_by_key("req.000000.algorithm", "\"FOO\"");
+  // Numbers must be finite.
+  expect_rejected_by_key("req.000000.sad_threshold", "nan");
+  expect_rejected_by_key("req.000000.memory_fraction", "1e999");
+  expect_rejected_by_key("req.000000.arrival_s", "inf");
+  expect_rejected_by_key("req.000000.arrival_s", "0.5x");
+  // A request count the document cannot hold.
+  expect_rejected_by_key("trace.jobs", "18446744073709551615");
+  expect_rejected_by_key("trace.jobs", "1000");
+
+  // The bounds themselves are accepted.
+  const auto widest = parse_trace_json(
+      with_token("req.000000.ranks", std::to_string(INT_MAX)));
+  ASSERT_EQ(widest.size(), 1u);
+  EXPECT_EQ(widest[0].ranks, INT_MAX);
+  const auto homogeneous =
+      parse_trace_json(with_token("req.000000.policy", "0"));
+  EXPECT_EQ(homogeneous[0].policy, core::PartitionPolicy::kHomogeneous);
+}
+
 TEST(ServeTrafficTest, ParseRejectsMalformedDocuments) {
   EXPECT_THROW(parse_trace_json("not json"), Error);
   // A truncated document (claims one request, carries none) must throw,
@@ -178,7 +278,7 @@ TEST(ServeTrafficTest, TenantMixRespectsWeightsAndSceneKeys) {
 
 TEST(ServeTrafficTest, BatchKeyExcludesPlacementFields) {
   sched::JobSpec a;
-  a.algorithm = sched::JobAlgorithm::kPct;
+  a.algorithm = core::Algorithm::kPct;
   sched::JobSpec b = a;
   b.id = 99;
   b.arrival_s = 123.0;

@@ -2,13 +2,13 @@
 //
 // Runs a Thunderhead-scale (128-256 rank) program that mixes every
 // communication primitive -- collectives (barrier, bcast, bcast_shared,
-// gather, scatter, allreduce, exchange) and point-to-point (send/recv,
-// isend + overlapped compute + wait) -- with tracing enabled, and asserts
-// the full RunReport (clocks, every RankStats field, every trace event) is
-// *bit-identical* across repeated runs, across engine reuse (scratch
-// recycling), and across kBoundedExecutor vs kThreadPerRank.  This is the
-// differential guarantee DESIGN.md §8 promises: host scheduling freedom
-// never reaches the virtual clock.
+// gather, scatter, allreduce, exchange) and point-to-point send/recv --
+// with tracing enabled, and asserts the full RunReport (clocks, every
+// RankStats field, every trace event) is *bit-identical* across repeated
+// runs, across engine reuse (scratch recycling), and across
+// kBoundedExecutor vs kThreadPerRank.  This is the differential guarantee
+// DESIGN.md §8 promises: host scheduling freedom never reaches the virtual
+// clock.
 //
 // HPRS_STRESS_RANKS overrides the rank count (ThreadSanitizer runs use a
 // smaller world so 2x-instrumented thread-per-rank mode stays fast).
@@ -86,14 +86,13 @@ void stress_program(Comm& comm) {
   const double sum = comm.allreduce(
       mine, sizeof(double), [](double a, double b) { return a + b; }, 1);
 
-  // Point-to-point between disjoint even/odd pairs: nonblocking send with
-  // overlapped compute one way, rendezvous reply the other.
+  // Point-to-point between disjoint even/odd pairs: a rendezvous send and
+  // some compute one way, the reply the other.
   const int peer = (r % 2 == 0) ? r + 1 : r - 1;
   if (peer >= 0 && peer < p) {
     if (r % 2 == 0) {
-      auto req = comm.isend(peer, sum + r, sizeof(double), /*tag=*/7);
-      comm.compute(5000);  // overlaps the transfer
-      comm.wait(req);
+      comm.send(peer, sum + r, sizeof(double), /*tag=*/7);
+      comm.compute(5000);
       const double back = comm.recv<double>(peer, /*tag=*/9);
       comm.compute(static_cast<std::uint64_t>(back) % 97 + 1);
     } else {

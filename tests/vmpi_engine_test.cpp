@@ -347,94 +347,6 @@ TEST(EngineTest, RunsAreBitDeterministic) {
   }
 }
 
-
-TEST(EngineTest, IsendOverlapsComputeWithTheTransfer) {
-  Engine engine(uniform_platform(2), zero_latency());
-  constexpr std::size_t kBytes = 125'000;  // 10 ms of wire time
-  const auto report = engine.run([&](Comm& comm) {
-    if (comm.rank() == 0) {
-      auto req = comm.isend(1, 7, kBytes);
-      comm.compute(8'000'000);  // 8 ms of compute during the transfer
-      comm.wait(req);
-      // Transfer ran [0, 10ms]; compute [0, 8ms]; wait lands at 10 ms, not
-      // 18 ms as a blocking send-then-compute would.
-      EXPECT_NEAR(comm.now(), 0.010, 1e-9);
-    } else {
-      EXPECT_EQ(comm.recv<int>(0), 7);
-    }
-  });
-  EXPECT_NEAR(report.total_time, 0.010, 1e-9);
-}
-
-TEST(EngineTest, WaitNeverMovesTheClockBackwards) {
-  Engine engine(uniform_platform(2), zero_latency());
-  const auto report = engine.run([](Comm& comm) {
-    if (comm.rank() == 0) {
-      auto req = comm.isend(1, 1, 125'000);
-      comm.compute(50'000'000);  // 50 ms >> the 10 ms transfer
-      comm.wait(req);
-      EXPECT_NEAR(comm.now(), 0.050, 1e-9);
-    } else {
-      (void)comm.recv<int>(0);
-    }
-  });
-  EXPECT_NEAR(report.ranks[0].clock, 0.050, 1e-9);
-}
-
-TEST(EngineTest, MultipleOutstandingIsendsCompleteInOrder) {
-  Engine engine(uniform_platform(3), zero_latency());
-  engine.run([](Comm& comm) {
-    if (comm.rank() == 0) {
-      auto r1 = comm.isend(1, 11, 8);
-      auto r2 = comm.isend(2, 22, 8);
-      comm.wait(r2);
-      comm.wait(r1);
-    } else if (comm.rank() == 1) {
-      EXPECT_EQ(comm.recv<int>(0), 11);
-    } else {
-      EXPECT_EQ(comm.recv<int>(0), 22);
-    }
-  });
-}
-
-TEST(EngineTest, DoubleWaitIsAnError) {
-  Engine engine(uniform_platform(2), zero_latency());
-  EXPECT_THROW(engine.run([](Comm& comm) {
-                 if (comm.rank() == 0) {
-                   auto req = comm.isend(1, 1, 8);
-                   comm.wait(req);
-                   comm.wait(req);  // handle already retired
-                 } else {
-                   (void)comm.recv<int>(0);
-                 }
-               }),
-               Error);
-}
-
-TEST(EngineTest, WaitOnDefaultRequestIsRejected) {
-  Engine engine(uniform_platform(2), zero_latency());
-  EXPECT_THROW(engine.run([](Comm& comm) {
-                 if (comm.rank() == 0) {
-                   Comm::Request req;
-                   comm.wait(req);
-                 }
-               }),
-               Error);
-}
-
-TEST(EngineTest, UnmatchedIsendWaitTimesOut) {
-  Options opts = zero_latency();
-  opts.deadlock_timeout_s = 0.2;
-  Engine engine(uniform_platform(2), opts);
-  EXPECT_THROW(engine.run([](Comm& comm) {
-                 if (comm.rank() == 0) {
-                   auto req = comm.isend(1, 1, 8);
-                   comm.wait(req);  // rank 1 never receives
-                 }
-               }),
-               Error);
-}
-
 class EngineSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(EngineSizeSweep, GatherDeliversAllRanksInOrder) {

@@ -307,10 +307,10 @@ int main(int argc, char** argv) {
       stream = serve::generate_trace(trace_cfg);
       sched_cfg.batch_shared_keys = true;
     } else {
-      constexpr sched::JobAlgorithm kCycle[] = {
-          sched::JobAlgorithm::kAtdca, sched::JobAlgorithm::kPct,
-          sched::JobAlgorithm::kPpi, sched::JobAlgorithm::kUfcls,
-          sched::JobAlgorithm::kMorph};
+      constexpr core::Algorithm kCycle[] = {
+          core::Algorithm::kAtdca, core::Algorithm::kPct,
+          core::Algorithm::kPpi, core::Algorithm::kUfcls,
+          core::Algorithm::kMorph};
       const double gap = args.get_double("gap", 0.005);
       for (std::size_t k = 0; k < jobs; ++k) {
         sched::JobSpec spec;
@@ -320,7 +320,8 @@ int main(int argc, char** argv) {
         spec.ranks = std::min(pool, 2 + static_cast<int>(k % 3));
         spec.targets = static_cast<std::size_t>(args.get_int("targets", 8));
         spec.classes = static_cast<std::size_t>(args.get_int("classes", 5));
-        spec.iterations = static_cast<std::size_t>(args.get_int("iters", 2));
+        spec.morph_iterations =
+            static_cast<std::size_t>(args.get_int("iters", 2));
         spec.kernel_radius =
             static_cast<std::size_t>(args.get_int("radius", 1));
         spec.replication =

@@ -4,8 +4,8 @@
 //
 //   trace_run --alg ATDCA --network fully-heterogeneous --out trace.json
 //   trace_run --alg MORPH --network thunderhead --cpus 64 --gantt
-//   trace_run --alg PCT --network accelerated-now --cpus 2 --accels 2 \
-//       --stream --out overlap.json
+//   trace_run --alg PCT --network accelerated-now --cpus 2 --accels 2
+//             --stream --out overlap.json
 //   trace_run --sched --jobs 6 --policy hetero --out sched.json
 //
 // --stream turns on the per-tile streamed driver (RunnerConfig::tile_stream);
@@ -166,10 +166,10 @@ int main(int argc, char** argv) {
           args.get_double("checkpoint", 0.01);
     }
     const int pool = static_cast<int>(platform.size()) - 1;
-    constexpr sched::JobAlgorithm kCycle[] = {
-        sched::JobAlgorithm::kAtdca, sched::JobAlgorithm::kPct,
-        sched::JobAlgorithm::kPpi, sched::JobAlgorithm::kUfcls,
-        sched::JobAlgorithm::kMorph};
+    constexpr core::Algorithm kCycle[] = {
+        core::Algorithm::kAtdca, core::Algorithm::kPct,
+        core::Algorithm::kPpi, core::Algorithm::kUfcls,
+        core::Algorithm::kMorph};
     std::vector<sched::JobSpec> stream;
     const auto jobs = static_cast<std::size_t>(args.get_int("jobs", 6));
     for (std::size_t k = 0; k < jobs; ++k) {
@@ -180,7 +180,8 @@ int main(int argc, char** argv) {
       spec.ranks = std::min(pool, 2 + static_cast<int>(k % 3));
       spec.targets = static_cast<std::size_t>(args.get_int("targets", 8));
       spec.classes = static_cast<std::size_t>(args.get_int("classes", 5));
-      spec.iterations = static_cast<std::size_t>(args.get_int("iters", 2));
+      spec.morph_iterations =
+          static_cast<std::size_t>(args.get_int("iters", 2));
       spec.kernel_radius =
           static_cast<std::size_t>(args.get_int("radius", 1));
       spec.replication =
@@ -213,7 +214,7 @@ int main(int argc, char** argv) {
       }
       std::printf("%-4llu %-6s %9.4f %9.4f %9.4f %9.4f  %s\n",
                   static_cast<unsigned long long>(record.id),
-                  sched::to_string(record.algorithm), record.arrival_s,
+                  core::to_string(record.algorithm), record.arrival_s,
                   record.dispatch_s, record.finish_s, record.queue_wait_s(),
                   members.c_str());
       // The resilient control plane keeps a per-attempt history; surface

@@ -2,11 +2,12 @@
 // on networks of workstations).
 //
 // For every algorithm on the fully heterogeneous and fully homogeneous
-// 16-node networks, runs the fault-tolerant master/worker schedule
-// (core/ft.hpp) under escalating deterministic fault plans and reports the
-// recovery-overhead decomposition next to the fault-free run time:
+// 16-node networks, runs the collective schedule (core/ft.hpp), which
+// recovers in place from rank crashes, under escalating deterministic
+// fault plans and reports the recovery-overhead decomposition next to the
+// fault-free run time:
 //
-//   none      -- empty fault plan (the protocol's baseline cost)
+//   none      -- empty fault plan (the fault-free run)
 //   crash1    -- rank 5 fail-stops a quarter into the fault-free run
 //   crash2    -- ranks 5 and 11 fail-stop at 25% / 50% of the run
 //   crash+net -- crash1 plus every inter-segment link at 4x capacity
@@ -80,12 +81,11 @@ int main(int argc, char** argv) {
       cfg.algorithm = alg;
       cfg.policy = core::PartitionPolicy::kHeterogeneous;
 
-      // Fault-free collective reference: the outputs every fault-tolerant
-      // run must reproduce, and the run time the fault plans key off.
+      // Fault-free reference: the outputs every faulted run must
+      // reproduce, and the run time the fault plans key off.
       const auto reference = core::run_algorithm(net, setup.scene.cube, cfg);
       const double fault_free_s = reference.report.total_time;
 
-      cfg.fault_tolerant = true;
       for (const auto& scenario : scenarios) {
         vmpi::Options options;
         options.fault_plan =
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   }
 
   bench::emit(table, setup.csv,
-              "Fault recovery. Overhead decomposition of the fault-tolerant "
+              "Fault recovery. Overhead decomposition of the collective "
               "schedule under deterministic fault plans.");
   if (!json_path.empty() && !bench::write_fault_json(json_path, records)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());

@@ -8,10 +8,10 @@
 // the job ("resume_crash"), and the pair again with the checkpoint store
 // disabled ("cold_clean" / "cold_crash") so the retry recomputes from
 // zero.  Each faulty scenario's outputs are compared bit for bit against
-// an uninterrupted solo run of the job's fault-tolerant program on the
-// gang whose WEA partition froze the chunk list -- the first attempt's
-// gang when checkpoints carried the chunks forward, the final attempt's
-// gang after a cold restart.
+// an uninterrupted solo run of the job's program on the gang whose WEA
+// partition froze the chunk list -- the first attempt's gang when
+// checkpoints carried the chunks forward, the final attempt's gang after
+// a cold restart.
 //
 // Shape to hold: both faulty runs complete with bit-identical outputs,
 // and checkpoint resume strictly beats cold restart -- on the faulty
@@ -49,9 +49,9 @@ std::vector<sched::JobSpec> make_stream(const bench::BenchSetup& setup) {
   return {spec};
 }
 
-/// The output oracle: the job's fault-tolerant program run solo and
-/// uninterrupted on `members` (tests/sched_resilience_test.cpp uses the
-/// same construction).
+/// The output oracle: the job's program under the collective driver, run
+/// solo and uninterrupted on `members` (tests/sched_resilience_test.cpp
+/// uses the same construction).
 sched::JobOutput run_solo_ft(const simnet::Platform& platform,
                              const hsi::HsiCube& scene,
                              const sched::JobSpec& spec,
@@ -66,7 +66,7 @@ sched::JobOutput run_solo_ft(const simnet::Platform& platform,
     vmpi::Comm sub = world.subset(members, spec.id);
     core::AlgorithmProgram built =
         core::make_program(core::RunnerConfig{spec}, scene);
-    core::ft::run_program(sub, scene, built.program);
+    core::ft::run_collective(sub, scene, built.program);
     if (sub.is_root()) out = built.harvest();
   });
   return out;

@@ -33,12 +33,13 @@ ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
 if [[ "$run_sanitizers" == "1" ]]; then
   echo "== tier 1b: fast paths + resilience + trace parser under ASan/UBSan =="
-  # sched_resilience_test abandons crashed leaders' fibers mid-handler, so
-  # LeakSanitizer checks the executor's per-fiber exception state;
-  # serve_traffic_test feeds the trace parser malformed documents.
+  # sched_resilience_test and core_fault_recovery_test unwind crashed
+  # ranks' fibers out of collectives mid-phase, so LeakSanitizer checks
+  # the executor's per-fiber exception state; serve_traffic_test feeds the
+  # trace parser malformed documents.
   asan_tests=(linalg_blocked_test morph_sad_cache_test
               fastpath_equivalence_test sched_resilience_test
-              serve_traffic_test)
+              core_fault_recovery_test serve_traffic_test)
   cmake -S "$repo" -B "$repo/build-asan" \
     -DCMAKE_BUILD_TYPE=Release \
     -DHPRS_ENABLE_SANITIZERS=ON \
@@ -52,7 +53,8 @@ if [[ "$run_sanitizers" == "1" ]]; then
   echo "== tier 1c: vmpi engine + resilience under TSan, both execution modes =="
   vmpi_tests=(vmpi_engine_test vmpi_collectives_test vmpi_engine_stress_test
               vmpi_fault_test vmpi_split_test sched_resilience_test
-              sched_snapshot_test serve_service_test)
+              core_fault_recovery_test sched_snapshot_test
+              serve_service_test)
   cmake -S "$repo" -B "$repo/build-tsan" \
     -DCMAKE_BUILD_TYPE=Release \
     -DHPRS_ENABLE_TSAN=ON \

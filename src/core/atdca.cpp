@@ -78,7 +78,7 @@ ft::Program atdca_ft_program(const hsi::HsiCube& cube,
   prog.handlers.push_back(
       [&cube, config](vmpi::Comm& c, const ft::Chunk& chunk, const std::any*) {
         Candidate best{0, 0, -1.0};
-        detail::sweep_chunk(c, chunk, config.replication,
+        detail::tiled_sweep(c, *chunk.tiles, config.replication,
                             [&](const linalg::TileDesc& t) {
                               const BrightOut out = brightest_range(
                                   cube, t.row_begin, t.row_end);
@@ -100,8 +100,8 @@ ft::Program atdca_ft_program(const hsi::HsiCube& cube,
               linalg::flops::cholesky(u.rows()));
     linalg::ScratchArena arena;
     Candidate best{0, 0, -1.0};
-    detail::sweep_chunk(
-        c, chunk, config.replication, [&](const linalg::TileDesc& t) {
+    detail::tiled_sweep(
+        c, *chunk.tiles, config.replication, [&](const linalg::TileDesc& t) {
           const Candidate cand = detail::osp_argmax_sweep(
               u, gram, cube, t.row_begin, t.row_end, arena);
           if (cand.score > best.score) best = cand;
@@ -124,14 +124,14 @@ ft::Program atdca_ft_program(const hsi::HsiCube& cube,
     };
 
     // Steps 2-3: global brightest pixel.
-    const auto seeds = ft::results_as<Candidate>(driver.phase(0, h[0]));
+    const auto seeds = ft::results_as<Candidate>(driver.phase(h[0]));
     if (root) grow(select_best(comm, seeds, linalg::flops::dot(bands)));
 
     // Steps 4-6: grow U one orthogonal target at a time.
     for (std::size_t t = 1; t < config.targets; ++t) {
       const std::size_t u_bytes = targets.rows() * bands * sizeof(double);
       const auto round = ft::results_as<Candidate>(driver.phase(
-          1, h[1], std::make_shared<const std::any>(targets), u_bytes));
+          h[1], std::make_shared<const std::any>(targets), u_bytes));
       if (root) {
         grow(select_best(comm, round, linalg::flops::osp_score(bands, t)));
       }
@@ -139,7 +139,6 @@ ft::Program atdca_ft_program(const hsi::HsiCube& cube,
     const std::size_t u_bytes = targets.rows() * bands * sizeof(double);
     driver.release(std::make_shared<const std::any>(std::move(targets)),
                    u_bytes);
-    driver.finish();
     if (root) result.targets = std::move(found);
   };
   return prog;
@@ -164,9 +163,8 @@ TargetDetectionResult run_atdca(const simnet::Platform& platform,
                                 const AtdcaConfig& config,
                                 vmpi::Options options) {
   TargetDetectionResult result;
-  result.report =
-      ft::run_on_engine(platform, cube, atdca_ft_program(cube, config, result),
-                        config.fault_tolerant, options);
+  result.report = ft::run_on_engine(
+      platform, cube, atdca_ft_program(cube, config, result), options);
   return result;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -13,147 +12,139 @@
 
 namespace hprs::core::ft {
 
-namespace {
+/// One rank's share of a (re-)distribution: its chunks (ascending id), the
+/// resume depth, or the root's error in their place.
+struct CollectiveDriver::Deal {
+  std::vector<Chunk> chunks;
+  int resume_depth = 0;
+  std::string error;
+};
 
-// Recovery decisions are pure functions of the virtual protocol (who died,
-// when, which chunks were theirs), so these counters are Domain::kStable
-// and golden-comparable.  The recovery path runs at most a few times per
-// program, so publishing directly (registry mutex and all) is fine here.
-void note_worker_lost() { obs::Metrics::instance().add("ft.workers_lost", 1); }
-
-}  // namespace
-
-bool resilient_worker_loop(vmpi::Comm& comm,
-                           const std::vector<Handler>& handlers) {
-  const int root = comm.root();
-  while (true) {
-    auto cmd = comm.try_recv<Command>(root, kCommandTag);
-    if (!cmd.has_value()) return false;  // root died with nothing pending
-    if (cmd->phase < 0) return true;     // graceful release
-    HPRS_REQUIRE(static_cast<std::size_t>(cmd->phase) < handlers.size(),
-                 "fault-tolerant worker received a command for phase " +
-                     std::to_string(cmd->phase) + " but only " +
-                     std::to_string(handlers.size()) + " handlers exist");
-    const Handler& handler = handlers[static_cast<std::size_t>(cmd->phase)];
-    const std::any* payload = cmd->payload ? cmd->payload.get() : nullptr;
-    PhaseResult out;
-    out.results.reserve(cmd->chunks.size());
-    std::size_t bytes = 0;
-    {
-      std::optional<vmpi::Comm::RecoveryScope> scope;
-      if (cmd->recovery) scope.emplace(comm);
-      for (const Chunk& chunk : cmd->chunks) {
-        ChunkOutcome oc = handler(comm, chunk, payload);
-        bytes += oc.bytes + kResultHeaderBytes;
-        out.results.push_back(ChunkResult{chunk.id, std::move(oc.value)});
+CollectiveDriver::CollectiveDriver(vmpi::Comm& comm, const hsi::HsiCube& cube,
+                                   const Program& prog,
+                                   std::vector<Chunk> frozen, int resume_depth)
+    : comm_(&comm), cube_(&cube), prog_(&prog) {
+  std::vector<Deal> deals;
+  if (comm.is_root()) {
+    const auto p = static_cast<std::size_t>(comm.size());
+    deals.resize(p);
+    // An error here (the WEA cannot fit the scene, a resumed chunk fits
+    // nowhere) is shipped in every deal, so the whole gang throws it.
+    std::string error;
+    try {
+      freeze(std::move(frozen));
+      for (std::size_t c = 0; c < chunks_.size(); ++c) {
+        deals[static_cast<std::size_t>(owner_[c])].chunks.push_back(
+            chunks_[c]);
       }
+    } catch (const Error& e) {
+      error = e.what();
     }
-    // try_send: a root that crashed while we computed is detected here
-    // (the next try_recv then reports it); a live root matches this
-    // exactly like a plain send.
-    if (!comm.try_send(root, std::move(out), bytes, kResultTag)) {
-      return false;
+    for (Deal& d : deals) {
+      d.resume_depth = resume_depth;
+      d.error = error;
     }
   }
+  deal(std::move(deals), /*recovery=*/false);
+  recover();
 }
 
-Master::Master(vmpi::Comm& comm, std::vector<RowPartition> parts,
-               PartitionPolicy policy, double memory_fraction,
-               std::size_t cols, std::size_t bytes_per_pixel,
-               std::size_t replication, bool charge_staging)
-    : comm_(&comm),
-      policy_(policy),
-      memory_fraction_(memory_fraction),
-      cols_(cols),
-      bytes_per_pixel_(bytes_per_pixel),
-      replication_(replication),
-      charge_staging_(charge_staging) {
-  HPRS_REQUIRE(comm.is_root(),
-               "ft::Master must be constructed on the root rank");
-  HPRS_REQUIRE(parts.size() == static_cast<std::size_t>(comm.size()),
-               "one initial chunk per rank expected");
-  const std::size_t p = parts.size();
-  chunks_.reserve(p);
-  assignment_.reserve(p);
-  staged_.reserve(p);
-  for (std::size_t i = 0; i < p; ++i) {
-    chunks_.push_back(Chunk{static_cast<int>(i), parts[i]});
-    assignment_.push_back(static_cast<int>(i));
-    // The master's own chunk needs no staging; everything else does.
-    std::vector<bool> staged(p, false);
-    staged[static_cast<std::size_t>(comm.root())] = true;
-    staged_.push_back(std::move(staged));
-  }
-  alive_.assign(p, true);
-}
+CollectiveDriver::~CollectiveDriver() = default;
 
-Master::Master(vmpi::Comm& comm, std::vector<Chunk> chunks,
-               PartitionPolicy policy, double memory_fraction,
-               std::size_t cols, std::size_t bytes_per_pixel,
-               std::size_t replication, bool charge_staging)
-    : comm_(&comm),
-      policy_(policy),
-      memory_fraction_(memory_fraction),
-      cols_(cols),
-      bytes_per_pixel_(bytes_per_pixel),
-      replication_(replication),
-      charge_staging_(charge_staging),
-      chunks_(std::move(chunks)) {
-  HPRS_REQUIRE(comm.is_root(),
-               "ft::Master must be constructed on the root rank");
-  HPRS_REQUIRE(!chunks_.empty(), "resume requires at least one frozen chunk");
+void CollectiveDriver::freeze(std::vector<Chunk> frozen) {
+  vmpi::Comm& comm = *comm_;
+  const Program& prog = *prog_;
   const auto p = static_cast<std::size_t>(comm.size());
-  const auto root = static_cast<std::size_t>(comm.root());
-  const std::size_t n = chunks_.size();
-  alive_.assign(p, true);
-  staged_.reserve(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    std::vector<bool> staged(p, false);
-    staged[root] = true;
-    staged_.push_back(std::move(staged));
-  }
-  assignment_.assign(n, -1);
-  if (n == p) {
-    // Same width as the original gang: the identity assignment of the
-    // primary constructor.
-    for (std::size_t c = 0; c < n; ++c) {
-      assignment_[c] = static_cast<int>(c);
+  if (frozen.empty()) {
+    WorkloadModel model = prog.model;
+    model.tile_stream = prog.tile_stream;
+    const PartitionResult partition = wea_partition(
+        comm.platform(), cube_->rows(), cube_->cols(), model, prog.policy,
+        prog.memory_fraction, prog.overlap, comm.root());
+    // The WEA itself is a handful of arithmetic per processor, performed by
+    // the root before any parallel work exists.
+    comm.compute(64ULL * p, vmpi::Phase::kSequential);
+    for (std::size_t i = 0; i < p; ++i) {
+      chunks_.push_back(Chunk{static_cast<int>(i), partition.parts[i]});
+      owner_.push_back(static_cast<int>(i));
     }
     return;
   }
-  // Elastic resize: spread the frozen chunks over the new width with the
-  // recovery path's placement rule (place), in ascending chunk-id order so
-  // the plan is a pure function of (chunks, platform, policy).
+  chunks_ = std::move(frozen);
+  if (chunks_.size() == p) {
+    // Resume on a gang of the original width: the identity assignment.
+    for (std::size_t i = 0; i < p; ++i) owner_.push_back(static_cast<int>(i));
+    return;
+  }
+  // Elastic resize: spread the frozen chunks over the new width in
+  // ascending chunk-id order, so the plan is a pure function of (chunks,
+  // platform, policy).
   std::vector<double> load(p, 0.0);
   std::vector<double> held(p, 0.0);
-  for (std::size_t c = 0; c < n; ++c) {
-    const int best = place(chunks_[c], load, held);
-    HPRS_REQUIRE(best >= 0,
-                 "elastic restart failed: no rank of the " +
-                     std::to_string(p) + "-wide gang has memory for chunk " +
-                     std::to_string(chunks_[c].id));
-    assignment_[c] = best;
+  for (const Chunk& chunk : chunks_) {
+    owner_.push_back(place(chunk, load, held));
+    if (owner_.back() < 0) {
+      throw Error("elastic restart failed: no rank of the " +
+                  std::to_string(p) + "-wide gang has memory for chunk " +
+                  std::to_string(chunk.id));
+    }
   }
 }
 
-int Master::place(const Chunk& chunk, std::vector<double>& load,
-                  std::vector<double>& held) const {
+void CollectiveDriver::deal(std::vector<Deal> deals, bool recovery) {
+  vmpi::Comm& comm = *comm_;
+  const Program& prog = *prog_;
+  const auto chunk_bytes = [&](const Chunk& chunk) {
+    // Pre-staged data ships a descriptor; scatter_input ships the block.
+    return prog.model.scatter_input
+               ? PartitionView{cube_, chunk.part}.wire_bytes() *
+                     prog.replication
+               : kChunkDescriptorBytes;
+  };
+  std::vector<std::size_t> bytes;
+  for (const Deal& d : deals) {
+    std::size_t b = d.chunks.empty() ? kChunkDescriptorBytes : 0;
+    for (const Chunk& chunk : d.chunks) b += chunk_bytes(chunk);
+    bytes.push_back(b);
+  }
+  Deal mine = comm.scatter(comm.root(), std::move(deals), bytes);
+  if (!mine.error.empty()) throw Error(mine.error);
+  if (!recovery) resume_depth_ = mine.resume_depth;
+  for (Chunk& chunk : mine.chunks) {
+    // Accelerated ranks copy the block across the host<->device path
+    // before any kernel can touch it -- monolithically, or per tile in
+    // streaming mode, overlapping whatever precedes the device sweeps.  A
+    // no-op on plain CPU ranks.
+    const PartitionView view{cube_, chunk.part};
+    if (!prog.tile_stream) {
+      comm.stage_to_device(view.wire_bytes() * prog.replication);
+    }
+    tiles_.push_back(std::make_unique<detail::TileStream>(
+        detail::begin_tile_stream(comm, view, prog.tile_rows,
+                                  prog.tile_stream, prog.replication)));
+    chunk.tiles = tiles_.back().get();
+    (recovery ? adopted_ : owned_).push_back(chunk);
+  }
+}
+
+int CollectiveDriver::place(const Chunk& chunk, std::vector<double>& load,
+                            std::vector<double>& held) const {
   const simnet::Platform& platform = comm_->platform();
+  const Program& prog = *prog_;
   const double rows = static_cast<double>(chunk.part.owned_rows());
-  const double bytes =
-      static_cast<double>(chunk.part.halo_rows() * cols_ * bytes_per_pixel_);
+  const double bytes = static_cast<double>(
+      chunk.part.halo_rows() * cube_->cols() * cube_->bytes_per_pixel());
   int best = -1;
   double best_finish = std::numeric_limits<double>::infinity();
   for (std::size_t r = 0; r < load.size(); ++r) {
-    if (!alive_[r]) continue;
     const double budget =
-        memory_fraction_ *
+        prog.memory_fraction *
         static_cast<double>(platform.processor(r).memory_mb) * 1024.0 * 1024.0;
     if (held[r] + bytes > budget) continue;
     // The WEA over the live ranks: heterogeneous fractions follow compute
     // speed (alpha ~ 1/w, the paper's formula -- the staging term is sunk
     // for already-held chunks), homogeneous stays uniform.
-    const double weight = policy_ == PartitionPolicy::kHeterogeneous
+    const double weight = prog.policy == PartitionPolicy::kHeterogeneous
                               ? 1.0 / platform.cycle_time(r)
                               : 1.0;
     const double finish = (load[r] + rows) / weight;
@@ -169,272 +160,156 @@ int Master::place(const Chunk& chunk, std::vector<double>& load,
   return best;
 }
 
-std::size_t Master::chunk_block_bytes(const Chunk& chunk) const {
-  if (!charge_staging_) return 0;
-  return chunk.part.halo_rows() * cols_ * bytes_per_pixel_ * replication_;
-}
-
-std::vector<std::any> Master::phase(int phase_id, const Handler& handler,
-                                    std::shared_ptr<const std::any> payload,
-                                    std::size_t payload_bytes) {
+void CollectiveDriver::recover() {
   vmpi::Comm& comm = *comm_;
-  const int p = comm.size();
-  const int root = comm.root();
-  const std::size_t n = chunks_.size();
-  std::vector<std::any> results(n);
-  std::vector<bool> have(n, false);
-  bool recovery = false;
-
-  while (true) {
-    // This round's work lists under the current assignment.  Round 0
-    // commands every live worker (even with no chunks: the lockstep reply
-    // keeps it available as an adoption target); recovery rounds only
-    // contact the adopters of orphaned chunks.
-    std::vector<std::vector<Chunk>> todo(static_cast<std::size_t>(p));
-    for (std::size_t c = 0; c < n; ++c) {
-      if (!have[c]) {
-        todo[static_cast<std::size_t>(assignment_[c])].push_back(chunks_[c]);
-      }
+  // Recovery decisions are pure functions of the virtual run (who died,
+  // when, which chunks were theirs), so these counters are Domain::kStable
+  // and golden-comparable.
+  obs::Metrics& metrics = obs::Metrics::instance();
+  while (!comm.failed().empty()) {
+    const std::vector<int> dead = comm.failed();
+    if (std::binary_search(dead.begin(), dead.end(), comm.root())) {
+      throw RootLost("the root (world rank " +
+                     std::to_string(comm.world_rank_of(comm.root())) +
+                     ") crashed; the survivors cannot finish the program");
     }
+    const double t0 = comm.now();
+    std::vector<int> survivor_of(static_cast<std::size_t>(comm.size()));
+    for (int r = 0, next = 0; r < comm.size(); ++r) {
+      const bool gone = std::binary_search(dead.begin(), dead.end(), r);
+      survivor_of[static_cast<std::size_t>(r)] = gone ? -1 : next++;
+    }
+    comm = comm.shrink();
 
-    std::vector<int> commanded;
-    for (int r = 0; r < p; ++r) {
-      const auto ru = static_cast<std::size_t>(r);
-      if (r == root || !alive_[ru]) continue;
-      if (recovery && todo[ru].empty()) continue;
-      std::size_t bytes = payload_bytes + kChunkDescriptorBytes;
-      for (const Chunk& chunk : todo[ru]) {
-        bytes += kChunkDescriptorBytes;
-        if (!staged_[static_cast<std::size_t>(chunk.id)][ru]) {
-          bytes += chunk_block_bytes(chunk);
+    std::vector<Deal> deals;
+    if (comm.is_root()) {
+      const auto p = static_cast<std::size_t>(comm.size());
+      deals.resize(p);
+      // Survivor state: assigned rows (load) and held partition bytes.
+      std::vector<double> load(p, 0.0);
+      std::vector<double> held(p, 0.0);
+      for (std::size_t c = 0; c < chunks_.size(); ++c) {
+        int& owner = owner_[c];
+        owner = survivor_of[static_cast<std::size_t>(owner)];
+        if (owner < 0) continue;
+        load[static_cast<std::size_t>(owner)] +=
+            static_cast<double>(chunks_[c].part.owned_rows());
+        held[static_cast<std::size_t>(owner)] += static_cast<double>(
+            chunks_[c].part.halo_rows() * cube_->cols() *
+            cube_->bytes_per_pixel());
+      }
+      std::string error;
+      for (std::size_t c = 0; c < chunks_.size(); ++c) {
+        if (owner_[c] >= 0) continue;
+        owner_[c] = place(chunks_[c], load, held);
+        if (owner_[c] < 0) {
+          error = "fault recovery failed: no surviving node has memory for "
+                  "chunk " +
+                  std::to_string(c) + " (" + std::to_string(p) +
+                  " survivors)";
+          break;
         }
+        deals[static_cast<std::size_t>(owner_[c])].chunks.push_back(
+            chunks_[c]);
+        metrics.add("ft.chunks_reassigned", 1, obs::Domain::kStable,
+                    owner_[c]);
       }
-      const double t0 = comm.now();
-      if (!comm.try_send(r, Command{phase_id, recovery, payload, todo[ru]},
-                         bytes, kCommandTag)) {
-        // Death detected while posting; the detection wait was charged by
-        // the engine.  The chunks stay missing and are adopted below.
-        alive_[ru] = false;
-        note_worker_lost();
-        continue;
-      }
-      if (recovery) {
-        // Time spent re-shipping lost work (the re-staging transfer) is
-        // redistribution overhead; failed posts above were detection.
-        comm.note_redistribution(comm.now() - t0);
-      }
-      for (const Chunk& chunk : todo[ru]) {
-        staged_[static_cast<std::size_t>(chunk.id)][ru] = true;
-      }
-      commanded.push_back(r);
+      for (Deal& d : deals) d.error = error;
+      metrics.add("ft.workers_lost", dead.size());
+      metrics.add("ft.recovery_rounds", 1);
+      // The replanning is a handful of arithmetic per survivor, performed
+      // by the root alone -- the same charge the initial WEA makes.
+      comm.compute(64ULL * p, vmpi::Phase::kSequential);
     }
-
-    // The master's own share, in chunk order.
-    {
-      std::optional<vmpi::Comm::RecoveryScope> scope;
-      if (recovery) scope.emplace(comm);
-      for (const Chunk& chunk : todo[static_cast<std::size_t>(root)]) {
-        results[static_cast<std::size_t>(chunk.id)] =
-            std::move(handler(comm, chunk, payload ? payload.get() : nullptr)
-                          .value);
-        have[static_cast<std::size_t>(chunk.id)] = true;
-      }
-    }
-
-    // Collect, ascending rank order.  A worker that died after taking the
-    // command surfaces here; its chunks stay missing.
-    for (const int r : commanded) {
-      auto res = comm.try_recv<PhaseResult>(r, kResultTag);
-      if (!res.has_value()) {
-        alive_[static_cast<std::size_t>(r)] = false;
-        note_worker_lost();
-        continue;
-      }
-      for (auto& cr : res->results) {
-        results[static_cast<std::size_t>(cr.chunk)] = std::move(cr.value);
-        have[static_cast<std::size_t>(cr.chunk)] = true;
-      }
-    }
-
-    if (std::all_of(have.begin(), have.end(), [](bool b) { return b; })) {
-      return results;
-    }
-    reassign_lost(have);
-    recovery = true;
+    deal(std::move(deals), /*recovery=*/true);
+    // The root's replanning and re-staging; the others' wait for it is
+    // plain wait time, as at any collective.
+    if (comm.is_root()) comm.note_redistribution(comm.now() - t0);
   }
 }
 
-void Master::reassign_lost(const std::vector<bool>& have) {
+std::shared_ptr<const std::any> CollectiveDriver::share(
+    std::shared_ptr<const std::any> payload, std::size_t payload_bytes) {
+  // Shared broadcast of the payload handle: every rank reads the root's
+  // one immutable copy.
+  const auto shared = comm_->bcast_shared(comm_->root(), std::move(payload),
+                                          payload_bytes);
+  recover();
+  return *shared;
+}
+
+std::vector<std::any> CollectiveDriver::phase(
+    const Handler& handler, std::shared_ptr<const std::any> payload,
+    std::size_t payload_bytes) {
+  std::shared_ptr<const std::any> shared;
+  if (payload) shared = share(std::move(payload), payload_bytes);
   vmpi::Comm& comm = *comm_;
-  const std::size_t p = static_cast<std::size_t>(comm.size());
-  const double t0 = comm.now();
-
-  // Survivor state: assigned rows (load) and held partition bytes (memory).
-  std::vector<double> load(p, 0.0);
-  std::vector<double> held(p, 0.0);
-  for (std::size_t c = 0; c < chunks_.size(); ++c) {
-    const auto r = static_cast<std::size_t>(assignment_[c]);
-    if (!alive_[r]) continue;
-    load[r] += static_cast<double>(chunks_[c].part.owned_rows());
-    held[r] += static_cast<double>(chunks_[c].part.halo_rows() * cols_ *
-                                   bytes_per_pixel_);
-  }
-  const auto survivors = static_cast<std::size_t>(
-      std::count(alive_.begin(), alive_.end(), true));
-
-  for (std::size_t c = 0; c < chunks_.size(); ++c) {
-    if (have[c] || alive_[static_cast<std::size_t>(assignment_[c])]) continue;
-    const int best = place(chunks_[c], load, held);
-    HPRS_REQUIRE(best >= 0,
-                 "fault recovery failed: no surviving node has memory for "
-                 "the partition of crashed rank " +
-                     std::to_string(assignment_[c]) + " (" +
-                     std::to_string(survivors) + " survivors)");
-    assignment_[c] = best;
-    obs::Metrics::instance().add("ft.chunks_reassigned", 1, obs::Domain::kStable,
-                                 best);
-  }
-  obs::Metrics::instance().add("ft.recovery_rounds", 1);
-
-  // The replanning is a handful of arithmetic per survivor, performed by
-  // the master alone -- the same charge distribute_partitions makes for
-  // the initial WEA.
-  comm.compute(64ULL * survivors, vmpi::Phase::kSequential);
-  comm.note_redistribution(comm.now() - t0);
-}
-
-void Master::finish() {
-  if (finished_) return;
-  finished_ = true;
-  vmpi::Comm& comm = *comm_;
-  for (int r = 0; r < comm.size(); ++r) {
-    const auto ru = static_cast<std::size_t>(r);
-    if (r == comm.root() || !alive_[ru]) continue;
-    if (!comm.try_send(r, Command{}, kChunkDescriptorBytes, kCommandTag)) {
-      alive_[ru] = false;
-      note_worker_lost();
+  std::vector<std::any> results(comm.is_root() ? chunks_.size() : 0);
+  // Round 0 runs this rank's chunks; every later round only the chunks it
+  // adopted from ranks the previous gather found dead.
+  std::size_t fresh = 0;
+  for (bool first = true;; first = false) {
+    std::vector<std::pair<int, std::any>> mine;
+    std::size_t bytes = 0;
+    const auto run = [&](const Chunk& chunk) {
+      ChunkOutcome oc = handler(comm, chunk, shared.get());
+      bytes += oc.bytes;
+      mine.emplace_back(chunk.id, std::move(oc.value));
+    };
+    if (first) {
+      for (const Chunk& chunk : owned_) run(chunk);
     }
-  }
-}
-
-int Master::live_workers() const {
-  int n = 0;
-  for (std::size_t r = 0; r < alive_.size(); ++r) {
-    if (alive_[r] && static_cast<int>(r) != comm_->root()) ++n;
-  }
-  return n;
-}
-
-namespace {
-
-/// The collective SPMD driver: each rank owns exactly its own WEA
-/// partition (chunk id == rank), and a phase is broadcast payload ->
-/// handler on the own chunk -> gather to the root.
-class CollectiveDriver final : public PhaseDriver {
- public:
-  CollectiveDriver(vmpi::Comm& comm, const hsi::HsiCube& cube,
-                   const Program& prog)
-      : comm_(&comm) {
-    WorkloadModel model = prog.model;
-    model.tile_stream = prog.tile_stream;
-    const PartitionView view = detail::distribute_partitions(
-        comm, cube, model, prog.policy, prog.memory_fraction, prog.overlap,
-        prog.replication, /*defer_staging=*/prog.tile_stream);
-    // Tile plan over the owned rows; with streaming on, every tile's copy
-    // is enqueued here and the sweeps overlap the remaining transfers.
-    tiles_ = detail::begin_tile_stream(comm, view, prog.tile_rows,
-                                       prog.tile_stream, prog.replication);
-    chunk_ = Chunk{comm.rank(), view.part, &tiles_};
-  }
-
-  [[nodiscard]] std::vector<std::any> phase(
-      int /*phase_id*/, const Handler& handler,
-      std::shared_ptr<const std::any> payload,
-      std::size_t payload_bytes) override {
-    vmpi::Comm& comm = *comm_;
-    // Shared broadcast of the payload handle: every rank reads the root's
-    // one immutable copy.
-    std::shared_ptr<const std::shared_ptr<const std::any>> shared;
-    if (payload) {
-      shared = comm.bcast_shared(comm.root(), std::move(payload),
-                                 payload_bytes);
+    if (fresh < adopted_.size()) {
+      const vmpi::Comm::RecoveryScope scope(comm);
+      for (; fresh < adopted_.size(); ++fresh) run(adopted_[fresh]);
     }
-    ChunkOutcome mine =
-        handler(comm, chunk_, shared ? shared->get() : nullptr);
-    const std::size_t bytes = mine.bytes;
-    std::vector<ChunkOutcome> all =
-        comm.gather(comm.root(), std::move(mine), bytes);
-    std::vector<std::any> results;
-    results.reserve(all.size());
-    for (auto& oc : all) results.push_back(std::move(oc.value));
-    return results;
+    auto all = comm.gather(comm.root(), std::move(mine), bytes);
+    for (auto& list : all) {
+      for (auto& [id, value] : list) {
+        results[static_cast<std::size_t>(id)] = std::move(value);
+      }
+    }
+    if (comm.failed().empty()) break;
+    recover();
   }
+  // Adopted chunks are this rank's own from the next phase on.
+  owned_.insert(owned_.end(), adopted_.begin(), adopted_.end());
+  std::sort(owned_.begin(), owned_.end(),
+            [](const Chunk& a, const Chunk& b) { return a.id < b.id; });
+  adopted_.clear();
+  return results;
+}
 
-  void release(std::shared_ptr<const std::any> payload,
-               std::size_t payload_bytes) override {
-    (void)comm_->bcast(comm_->root(), std::move(payload), payload_bytes);
-  }
-
-  void finish() override {}
-
- private:
-  vmpi::Comm* comm_;
-  detail::TileStream tiles_;
-  Chunk chunk_;
-};
-
-}  // namespace
+void CollectiveDriver::release(std::shared_ptr<const std::any> payload,
+                               std::size_t payload_bytes) {
+  (void)share(std::move(payload), payload_bytes);
+}
 
 void run_collective(vmpi::Comm& comm, const hsi::HsiCube& cube,
                     const Program& prog) {
-  CollectiveDriver driver(comm, cube, prog);
+  vmpi::Comm survivors = comm.tolerant();
+  CollectiveDriver driver(survivors, cube, prog);
   prog.master(comm, driver, prog.handlers);
-}
-
-void run_program(vmpi::Comm& comm, const hsi::HsiCube& cube,
-                 const Program& prog) {
-  if (!comm.is_root()) {
-    // The root is immortal (require_immortal_root), so this only returns
-    // on the exit command.
-    (void)resilient_worker_loop(comm, prog.handlers);
-    return;
-  }
-  const PartitionResult partition =
-      wea_partition(comm.platform(), cube.rows(), cube.cols(), prog.model,
-                    prog.policy, prog.memory_fraction, prog.overlap,
-                    comm.root());
-  comm.compute(64ULL * static_cast<std::uint64_t>(comm.size()),
-               vmpi::Phase::kSequential);
-  Master master(comm, partition.parts, prog.policy, prog.memory_fraction,
-                cube.cols(), cube.bytes_per_pixel(), prog.replication,
-                prog.model.scatter_input);
-  prog.master(comm, master, prog.handlers);
-  master.finish();
 }
 
 vmpi::RunReport run_on_engine(const simnet::Platform& platform,
                               const hsi::HsiCube& cube, const Program& prog,
-                              bool fault_tolerant,
                               const vmpi::Options& options) {
+  require_recoverable(prog, options);
   vmpi::Engine engine(platform, options);
-  if (fault_tolerant) require_immortal_root(options);
-  return engine.run([&](vmpi::Comm& comm) {
-    if (fault_tolerant) {
-      run_program(comm, cube, prog);
-    } else {
-      run_collective(comm, cube, prog);
-    }
-  });
+  return engine.run(
+      [&](vmpi::Comm& comm) { run_collective(comm, cube, prog); });
 }
 
-void require_immortal_root(const vmpi::Options& options) {
+void require_recoverable(const Program& prog, const vmpi::Options& options) {
   for (const auto& crash : options.fault_plan.crashes) {
+    HPRS_REQUIRE(prog.unrecoverable.empty(),
+                 prog.unrecoverable + "; the fault plan crashes rank " +
+                     std::to_string(crash.rank));
     HPRS_REQUIRE(crash.rank != options.root,
-                 "fault-tolerant execution requires an immortal root: the "
-                 "fault plan crashes rank " +
-                     std::to_string(crash.rank) +
-                     ", which is the root; pick a different root or crash "
-                     "a worker instead");
+                 "the fault plan crashes rank " + std::to_string(crash.rank) +
+                     ", which is the root: recovery needs an immortal root; "
+                     "pick a different root or crash a worker instead");
   }
 }
 

@@ -2,10 +2,10 @@
 //
 // Each factory is the only definition of its algorithm (core/ft.hpp): the
 // phase handlers, the control flow with its root-side folds, and the WEA
-// parameters.  ft::run_collective runs it as the paper's SPMD schedule
-// (the run_* entry points and the scheduler's base gangs);
-// ft::run_program runs it fault-tolerant, and the cluster resilience layer
-// (src/sched/resilience) drives it through a checkpointing PhaseDriver.
+// parameters.  ft::CollectiveDriver runs it as the paper's SPMD schedule,
+// recovering in place from non-root crashes (the run_* entry points and
+// the scheduler's gangs); the cluster resilience layer (src/sched/
+// resilience) wraps that driver in a checkpointing PhaseDriver.
 // Each factory also validates its config, throwing hprs::Error that names
 // the offending field, so every path that builds a Program -- run_*,
 // core::make_program, the gang runtimes, admission -- runs the same checks.
@@ -39,9 +39,8 @@ namespace hprs::core {
                                          const PctConfig& config,
                                          ClassificationResult& result);
 
-/// The master/worker drivers require config.overlap_borders: their chunks
-/// carry their own halo rows, so a re-run on an adopting rank needs no
-/// worker-to-worker exchange.
+/// Only overlap-border mode is recoverable: its chunks carry their own halo
+/// rows, so a re-run on an adopting rank needs no neighbour exchange.
 [[nodiscard]] ft::Program morph_ft_program(const hsi::HsiCube& cube,
                                            const MorphConfig& config,
                                            ClassificationResult& result);

@@ -216,8 +216,8 @@ std::vector<MorphRep> MorphWorker::top_candidates() const {
 /// highest-MEI owned pixels.  In overlap-border mode the result depends on
 /// the chunk alone; halo-exchange mode (overlap_borders = false) refreshes
 /// the borders from the neighbouring ranks before every later iteration,
-/// which only the collective driver supports (run_morph refuses it
-/// fault-tolerant).
+/// so a lost chunk cannot be recomputed elsewhere (run_morph refuses crash
+/// plans in that mode).
 std::vector<MorphRep> morph_candidates(vmpi::Comm& comm,
                                        const hsi::HsiCube& cube,
                                        const RowPartition& part,
@@ -353,11 +353,13 @@ ft::Program morph_ft_program(const hsi::HsiCube& cube,
   HPRS_REQUIRE(config.kernel_radius >= 1,
                "kernel_radius = 0: the structuring element needs a radius "
                ">= 1");
-  HPRS_REQUIRE(!config.fault_tolerant || config.overlap_borders,
-               "fault-tolerant MORPH requires overlap borders: the "
-               "halo-exchange mode needs worker-to-worker traffic the "
-               "master/worker protocol excludes");
   ft::Program prog;
+  if (!config.overlap_borders) {
+    prog.unrecoverable =
+        "MORPH's halo-exchange mode cannot survive a rank crash: a "
+        "recomputed partition would need its neighbours' halo rows (use "
+        "overlap borders)";
+  }
   prog.model = morph_workload(cube.bands(), config);
   prog.model.scatter_input = config.charge_data_staging;
   prog.policy = config.policy;
@@ -395,7 +397,7 @@ ft::Program morph_ft_program(const hsi::HsiCube& cube,
 
     // Steps 2-3: candidates, merged at the root.
     auto rep_sets =
-        ft::results_as<std::vector<MorphRep>>(driver.phase(0, h[0]));
+        ft::results_as<std::vector<MorphRep>>(driver.phase(h[0]));
     std::vector<MorphRep> unique;
     if (root) {
       unique = merge_unique_sets(comm, std::move(rep_sets), config, bands);
@@ -405,9 +407,8 @@ ft::Program morph_ft_program(const hsi::HsiCube& cube,
 
     // Steps 4-5: labeling against the shipped unique set.
     const auto blocks = ft::results_as<LabelBlock>(driver.phase(
-        1, h[1], std::make_shared<const std::any>(std::move(unique)),
+        h[1], std::make_shared<const std::any>(std::move(unique)),
         unique_bytes));
-    driver.finish();
     if (root) assemble_label_image(comm, blocks, cube, reps, result);
   };
   return prog;
@@ -434,9 +435,8 @@ ClassificationResult run_morph(const simnet::Platform& platform,
                                const MorphConfig& config,
                                vmpi::Options options) {
   ClassificationResult result;
-  result.report =
-      ft::run_on_engine(platform, cube, morph_ft_program(cube, config, result),
-                        config.fault_tolerant, options);
+  result.report = ft::run_on_engine(
+      platform, cube, morph_ft_program(cube, config, result), options);
   return result;
 }
 

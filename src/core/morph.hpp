@@ -45,15 +45,9 @@ struct MorphConfig {
   bool charge_data_staging = false;
   /// When false, skips the overlap borders and exchanges halo rows between
   /// neighboring ranks before every iteration instead (the communication-
-  /// heavy alternative ablated in bench_ablation_overlap).
+  /// heavy alternative ablated in bench_ablation_overlap).  That mode
+  /// cannot survive rank crashes: run_morph refuses crash plans.
   bool overlap_borders = true;
-  /// Run the fault-tolerant master/worker protocol (core/ft.hpp) instead
-  /// of the collective SPMD schedule: the run survives fail-stop worker
-  /// crashes from Options::fault_plan and still produces the fault-free
-  /// outputs bit for bit.  Requires overlap_borders (halo exchange needs
-  /// worker-to-worker traffic the protocol excludes); the root must not be
-  /// in the crash plan.
-  bool fault_tolerant = false;
 };
 
 /// Per-pixel workload model used by the WEA for this algorithm.

@@ -427,7 +427,7 @@ ft::Program pct_ft_program(const hsi::HsiCube& cube, const PctConfig& config,
   prog.handlers.push_back(
       [&cube, config](vmpi::Comm& c, const ft::Chunk& chunk, const std::any*) {
         std::vector<double> sums(cube.bands(), 0.0);
-        detail::sweep_chunk(c, chunk, config.replication,
+        detail::tiled_sweep(c, *chunk.tiles, config.replication,
                             [&](const linalg::TileDesc& t) {
                               return accum_mean_rows(cube, t.row_begin,
                                                      t.row_end, sums.data());
@@ -443,7 +443,7 @@ ft::Program pct_ft_program(const hsi::HsiCube& cube, const PctConfig& config,
         const auto& mean = std::any_cast<const std::vector<double>&>(*payload);
         const std::size_t tri = cube.bands() * (cube.bands() + 1) / 2;
         std::vector<double> sums(tri, 0.0);
-        detail::sweep_chunk(c, chunk, config.replication,
+        detail::tiled_sweep(c, *chunk.tiles, config.replication,
                             [&](const linalg::TileDesc& t) {
                               return accum_cov_rows(cube, t.row_begin,
                                                     t.row_end, mean,
@@ -472,7 +472,7 @@ ft::Program pct_ft_program(const hsi::HsiCube& cube, const PctConfig& config,
     const std::size_t bands = cube.bands();
 
     // Steps 2-3: unique sets, merged in chunk (== rank) order.
-    auto rep_sets = ft::results_as<std::vector<Rep>>(driver.phase(0, h[0]));
+    auto rep_sets = ft::results_as<std::vector<Rep>>(driver.phase(h[0]));
     std::vector<Rep> unique;
     if (root) {
       unique = merge_unique_sets(comm, std::move(rep_sets), config, bands);
@@ -480,11 +480,11 @@ ft::Program pct_ft_program(const hsi::HsiCube& cube, const PctConfig& config,
 
     // Steps 4-6: mean, then covariance against it.
     const auto mean_parts =
-        ft::results_as<std::vector<double>>(driver.phase(1, h[1]));
+        ft::results_as<std::vector<double>>(driver.phase(h[1]));
     std::vector<double> mean;
     if (root) mean = fold_mean(comm, mean_parts, cube.pixel_count(), bands);
     const auto cov_parts = ft::results_as<std::vector<double>>(
-        driver.phase(2, h[2], std::make_shared<const std::any>(mean),
+        driver.phase(h[2], std::make_shared<const std::any>(mean),
                      bands * sizeof(double)));
 
     // Step 7: sequential eigendecomposition + bundle at the root.
@@ -499,9 +499,8 @@ ft::Program pct_ft_program(const hsi::HsiCube& cube, const PctConfig& config,
 
     // Steps 8-9: labeling against the shipped bundle.
     const auto blocks = ft::results_as<LabelBlock>(driver.phase(
-        3, h[3], std::make_shared<const std::any>(std::move(bundle)),
+        h[3], std::make_shared<const std::any>(std::move(bundle)),
         bundle_bytes));
-    driver.finish();
     if (root) assemble_label_image(comm, blocks, cube, reps, result);
   };
   return prog;
@@ -531,9 +530,8 @@ ClassificationResult run_pct(const simnet::Platform& platform,
                              const hsi::HsiCube& cube, const PctConfig& config,
                              vmpi::Options options) {
   ClassificationResult result;
-  result.report =
-      ft::run_on_engine(platform, cube, pct_ft_program(cube, config, result),
-                        config.fault_tolerant, options);
+  result.report = ft::run_on_engine(
+      platform, cube, pct_ft_program(cube, config, result), options);
   return result;
 }
 

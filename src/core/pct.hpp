@@ -41,11 +41,6 @@ struct PctConfig {
   /// assuming pre-staged data (see DESIGN.md on why pre-staged is the
   /// default).  Also makes the WEA communication-aware.
   bool charge_data_staging = false;
-  /// Run the fault-tolerant master/worker protocol (core/ft.hpp) instead
-  /// of the collective SPMD schedule: the run survives fail-stop worker
-  /// crashes from Options::fault_plan and still produces the fault-free
-  /// outputs bit for bit.  The root must not be in the crash plan.
-  bool fault_tolerant = false;
   /// Rows per tile of the mean/covariance sweeps; 0 = automatic
   /// (linalg::resolve_tile_rows).  Any value is numerics- and
   /// virtual-time-neutral unless tile_stream is on.

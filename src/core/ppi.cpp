@@ -182,11 +182,10 @@ ft::Program ppi_ft_program(const hsi::HsiCube& cube, const PpiConfig& config,
     const std::size_t skewer_bytes = config.skewers * bands * sizeof(double);
     const auto parts =
         ft::results_as<std::vector<SkewerExtreme>>(driver.phase(
-            0, h[0], std::make_shared<const std::any>(std::move(drawn)),
+            h[0], std::make_shared<const std::any>(std::move(drawn)),
             skewer_bytes));
 
     if (root) rank_purity(comm, parts, config, result);
-    driver.finish();
   };
   return prog;
 }
@@ -207,8 +206,7 @@ PpiResult run_ppi(const simnet::Platform& platform, const hsi::HsiCube& cube,
   const ft::Program prog = ppi_ft_program(cube, config, result);
   obs::Metrics::instance().add("core.runs.PPI", 1);
   obs::ScopedHostTimer obs_timer("core.run.PPI");
-  result.report = ft::run_on_engine(platform, cube, prog, config.fault_tolerant,
-                                    options);
+  result.report = ft::run_on_engine(platform, cube, prog, options);
   return result;
 }
 

@@ -34,10 +34,6 @@ struct PpiConfig {
   double memory_fraction = 0.5;
   std::size_t replication = 1;
   bool charge_data_staging = false;
-  /// Use the master/worker fault-tolerant schedule (core/ft.hpp) instead of
-  /// the collective SPMD one.  Requires a fault plan that never kills the
-  /// root.  Output is bit-identical to the collective schedule.
-  bool fault_tolerant = false;
 };
 
 /// Per-pixel workload model used by the WEA for this algorithm.

@@ -24,7 +24,6 @@ template <typename Config>
   c.memory_fraction = rc.memory_fraction;
   c.replication = rc.replication;
   c.charge_data_staging = rc.charge_data_staging;
-  c.fault_tolerant = rc.fault_tolerant;
   if constexpr (requires { c.targets; }) c.targets = rc.targets;
   if constexpr (requires { c.classes; }) c.classes = rc.classes;
   if constexpr (requires { c.iterations; }) {
@@ -133,8 +132,7 @@ RunnerOutput run_algorithm(const simnet::Platform& platform,
                              to_string(config.algorithm));
   AlgorithmProgram built = make_program(config, cube);
   RunnerOutput out;
-  out.report = ft::run_on_engine(platform, cube, built.program,
-                                 config.fault_tolerant, options);
+  out.report = ft::run_on_engine(platform, cube, built.program, options);
   static_cast<AlgorithmOutput&>(out) = built.harvest();
   return out;
 }

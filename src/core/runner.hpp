@@ -77,16 +77,14 @@ void for_each_field(Spec& spec, Visitor&& visit) {
   visit("charge_data_staging", spec.charge_data_staging);
 }
 
-/// A spec plus how this process runs it: the schedule (fault_tolerant,
-/// MORPH's halo strategy) and the tiling (tile_rows, tile_stream).  The
-/// scheduler runs every job with these defaults.
+/// A spec plus how this process runs it: MORPH's halo strategy and the
+/// tiling (tile_rows, tile_stream).  The scheduler runs every job with
+/// these defaults.  Every run survives non-root crashes from
+/// Options::fault_plan with the fault-free outputs (core/ft.hpp).
 struct RunnerConfig : AlgorithmSpec {
-  /// MORPH: overlap borders (true) or a per-iteration halo exchange.
+  /// MORPH: overlap borders (true) or a per-iteration halo exchange (which
+  /// cannot survive rank crashes).
   bool morph_overlap_borders = true;
-  /// Fault-tolerant master/worker execution (core/ft.hpp): survives
-  /// fail-stop worker crashes from Options::fault_plan while producing the
-  /// fault-free outputs bit for bit.
-  bool fault_tolerant = false;
   /// Rows per tile of the tiled BLAS3 sweeps (ATDCA / PCT); 0 = the
   /// automatic split.  Numerics- and virtual-time-neutral unless
   /// tile_stream is on.

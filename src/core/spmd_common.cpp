@@ -9,46 +9,6 @@
 
 namespace hprs::core::detail {
 
-PartitionView distribute_partitions(vmpi::Comm& comm,
-                                    const hsi::HsiCube& cube,
-                                    const WorkloadModel& model,
-                                    PartitionPolicy policy,
-                                    double memory_fraction,
-                                    std::size_t overlap,
-                                    std::size_t replication,
-                                    bool defer_staging) {
-  std::vector<PartitionView> views;
-  std::vector<std::size_t> bytes;
-  if (comm.is_root()) {
-    const PartitionResult partition =
-        wea_partition(comm.platform(), cube.rows(), cube.cols(), model,
-                      policy, memory_fraction, overlap, comm.root());
-    // The WEA itself is a handful of arithmetic per processor, performed by
-    // the master before any parallel work exists.
-    comm.compute(64ULL * static_cast<std::uint64_t>(comm.size()),
-                 vmpi::Phase::kSequential);
-    views.reserve(partition.parts.size());
-    bytes.reserve(partition.parts.size());
-    for (const auto& part : partition.parts) {
-      PartitionView v{&cube, part};
-      // Default: data is pre-staged on the nodes (the only reading
-      // consistent with the paper's measured times; see DESIGN.md), so the
-      // scatter ships a small partition descriptor.  With scatter_input the
-      // full block crosses the wire.
-      bytes.push_back(model.scatter_input ? v.wire_bytes() * replication
-                                          : kPartitionDescriptorBytes);
-      views.push_back(v);
-    }
-  }
-  PartitionView view = comm.scatter(comm.root(), std::move(views), bytes);
-  // Accelerated ranks copy their block across the host<->device path before
-  // any kernel can touch it; a no-op for plain CPU ranks, so historic
-  // platforms keep their virtual clocks bit-for-bit.  Tiled streaming
-  // callers defer the charge to begin_tile_stream instead.
-  if (!defer_staging) comm.stage_to_device(view.wire_bytes() * replication);
-  return view;
-}
-
 TileStream begin_tile_stream(vmpi::Comm& comm, const PartitionView& view,
                              std::size_t tile_rows, bool streaming,
                              std::size_t replication) {

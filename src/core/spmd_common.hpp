@@ -17,10 +17,6 @@
 
 namespace hprs::core::detail {
 
-/// Wire size of the partition descriptor scattered when image data is
-/// pre-staged on the nodes (row range, halo range, cube geometry).
-inline constexpr std::size_t kPartitionDescriptorBytes = 64;
-
 /// A worker's local argmax/argmin proposal sent back to the master.
 struct Candidate {
   std::size_t row = 0;
@@ -30,32 +26,6 @@ struct Candidate {
 /// Wire size of one candidate: two 32-bit coordinates plus the score (the
 /// real implementation would send exactly this struct).
 inline constexpr std::size_t kCandidateBytes = 2 * 4 + 8;
-
-/// Step 1 of every algorithm: the master runs the WEA over the platform and
-/// scatters one partition view per rank (wire-charging the full block
-/// transfer); every rank returns its own view.  `overlap` requests halo
-/// rows (MORPH).
-///
-/// `replication` is the virtual-scale knob shared by all algorithms: each
-/// physical pixel stands for `replication` identical scene pixels, so
-/// per-pixel virtual costs (compute charges, block wire sizes) are
-/// multiplied by it while the numerics run once.  Because every algorithm
-/// here does identical independent work per pixel, this linear
-/// extrapolation of virtual time to the paper's full 2133x512 scene is
-/// exact; DESIGN.md discusses the substitution.
-///
-/// `defer_staging` skips the host->device staging charge after the scatter;
-/// the caller then owes a begin_tile_stream (which stages the same bytes,
-/// monolithically or per tile).  Default false keeps every historic call
-/// site's accounting untouched.
-PartitionView distribute_partitions(vmpi::Comm& comm,
-                                    const hsi::HsiCube& cube,
-                                    const WorkloadModel& model,
-                                    PartitionPolicy policy,
-                                    double memory_fraction,
-                                    std::size_t overlap = 0,
-                                    std::size_t replication = 1,
-                                    bool defer_staging = false);
 
 /// One rank's tile plan for the tiled BLAS3 sweeps: row-strip tiles over
 /// the partition's owned rows plus, in streaming mode, the virtual
@@ -67,13 +37,12 @@ struct TileStream {
   bool streaming = false;
 };
 
-/// Builds the tile plan for `view`.  Callers pass
-/// `defer_staging = streaming` to distribute_partitions: with streaming off
-/// the distribute already staged the whole block synchronously (the
-/// historic charge, bit-identical) and this only cuts tiles; with streaming
-/// on this enqueues one stage_to_device_async per tile, in tile order, so
-/// the DMA pipeline drains in the shadow of whatever host-side phases
-/// precede the device sweeps.
+/// Builds the tile plan for `view`.  With streaming off the caller has
+/// already staged the whole block synchronously (the historic charge,
+/// bit-identical) and this only cuts tiles; with streaming on this
+/// enqueues one stage_to_device_async per tile, in tile order, so the DMA
+/// pipeline drains in the shadow of whatever host-side phases precede the
+/// device sweeps.
 [[nodiscard]] TileStream begin_tile_stream(vmpi::Comm& comm,
                                            const PartitionView& view,
                                            std::size_t tile_rows,
@@ -102,20 +71,6 @@ void tiled_sweep(vmpi::Comm& comm, const TileStream& ts,
     comm.stage_wait(ts.staged_until[k]);
     comm.compute_tile(body(ts.tiles[k]) * replication, k == 0);
   }
-}
-
-/// A sweeping handler's row loop over `chunk`: tile by tile through
-/// tiled_sweep when the collective driver attached the rank's tile plan,
-/// else (master/worker) over the whole owned range in one charge.
-template <typename Body>
-void sweep_chunk(vmpi::Comm& comm, const ft::Chunk& chunk,
-                 std::size_t replication, Body&& body) {
-  if (chunk.tiles != nullptr) {
-    tiled_sweep(comm, *chunk.tiles, replication, body);
-    return;
-  }
-  const linalg::TileDesc whole{0, chunk.part.row_begin, chunk.part.row_end, 0};
-  comm.compute(body(whole) * replication);
 }
 
 /// OSP score ||P_U_perp x||^2 = x.x - b . G^-1 b computed against the

@@ -160,20 +160,19 @@ ft::Program ufcls_ft_program(const hsi::HsiCube& cube,
     };
 
     // Step 1: the brightest pixel seeds the target set.
-    const auto seeds = ft::results_as<Candidate>(driver.phase(0, h[0]));
+    const auto seeds = ft::results_as<Candidate>(driver.phase(h[0]));
     if (root) grow(seeds, linalg::flops::dot(bands));
 
     // Steps 2-5: grow the target set by maximum reconstruction error.
     for (std::size_t t = 1; t < config.targets; ++t) {
       const std::size_t u_bytes = targets.rows() * bands * sizeof(double);
       const auto round = ft::results_as<Candidate>(driver.phase(
-          1, h[1], std::make_shared<const std::any>(targets), u_bytes));
+          h[1], std::make_shared<const std::any>(targets), u_bytes));
       if (root) grow(round, linalg::flops::fcls(bands, t, 2));
     }
     const std::size_t u_bytes = targets.rows() * bands * sizeof(double);
     driver.release(std::make_shared<const std::any>(std::move(targets)),
                    u_bytes);
-    driver.finish();
     if (root) result.targets = std::move(found);
   };
   return prog;
@@ -199,9 +198,8 @@ TargetDetectionResult run_ufcls(const simnet::Platform& platform,
                                 const UfclsConfig& config,
                                 vmpi::Options options) {
   TargetDetectionResult result;
-  result.report =
-      ft::run_on_engine(platform, cube, ufcls_ft_program(cube, config, result),
-                        config.fault_tolerant, options);
+  result.report = ft::run_on_engine(
+      platform, cube, ufcls_ft_program(cube, config, result), options);
   return result;
 }
 

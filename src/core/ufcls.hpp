@@ -28,11 +28,6 @@ struct UfclsConfig {
   /// assuming pre-staged data (see DESIGN.md on why pre-staged is the
   /// default).  Also makes the WEA communication-aware.
   bool charge_data_staging = false;
-  /// Run the fault-tolerant master/worker protocol (core/ft.hpp) instead
-  /// of the collective SPMD schedule: the run survives fail-stop worker
-  /// crashes from Options::fault_plan and still produces the fault-free
-  /// outputs bit for bit.  The root must not be in the crash plan.
-  bool fault_tolerant = false;
 };
 
 /// Per-pixel workload model used by the WEA for this algorithm.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "core/ft.hpp"
 #include "core/spmd_common.hpp"
 #include "linalg/fcls.hpp"
 #include "obs/host_profile.hpp"
@@ -74,38 +75,35 @@ AbundanceMaps run_unmix_map(const simnet::Platform& platform,
   obs::ScopedHostTimer obs_timer("core.run.UNMIX");
   HPRS_REQUIRE(!cube.empty(), "empty cube");
 
-  vmpi::Engine engine(platform, options);
   AbundanceMaps result;
   result.endmembers = endmembers.rows();
   result.rows = cube.rows();
   result.cols = cube.cols();
-
-  WorkloadModel model = unmix_workload(cube.bands(), endmembers.rows());
-  model.scatter_input = config.charge_data_staging;
   const std::size_t bands = cube.bands();
   const std::size_t cols = cube.cols();
   const std::size_t t = endmembers.rows();
 
-  result.report = engine.run([&](vmpi::Comm& comm) {
-    const PartitionView view = detail::distribute_partitions(
-        comm, cube, model, config.policy, config.memory_fraction,
-        /*overlap=*/0, config.replication);
-
-    // Broadcast the endmember matrix and factor it once per rank.  Shared
-    // broadcast: only the root stages a copy; the others alias it.
-    const auto sigs = comm.bcast_shared(
-        comm.root(), comm.is_root() ? endmembers : linalg::Matrix(),
-        t * bands * sizeof(double));
-    const linalg::Unmixer unmixer(*sigs);
+  // One phase under the collective driver (core/ft.hpp): every rank
+  // factors the shipped endmember matrix once and unmixes its chunk.
+  ft::Program prog;
+  prog.model = unmix_workload(bands, t);
+  prog.model.scatter_input = config.charge_data_staging;
+  prog.policy = config.policy;
+  prog.memory_fraction = config.memory_fraction;
+  prog.replication = config.replication;
+  prog.handlers.push_back([&](vmpi::Comm& comm, const ft::Chunk& chunk,
+                              const std::any* payload) {
+    const linalg::Unmixer unmixer(
+        std::any_cast<const linalg::Matrix&>(*payload));
     comm.compute(linalg::flops::gram(bands, t) + linalg::flops::cholesky(t));
-
+    const RowPartition& part = chunk.part;
     AbundanceBlock block;
-    block.row_begin = view.part.row_begin;
-    block.row_end = view.part.row_end;
-    block.abundances.reserve(view.part.owned_rows() * cols * t);
-    block.rmse.reserve(view.part.owned_rows() * cols);
+    block.row_begin = part.row_begin;
+    block.row_end = part.row_end;
+    block.abundances.reserve(part.owned_rows() * cols * t);
+    block.rmse.reserve(part.owned_rows() * cols);
     Count flops = 0;
-    for (std::size_t r = view.part.row_begin; r < view.part.row_end; ++r) {
+    for (std::size_t r = part.row_begin; r < part.row_end; ++r) {
       for (std::size_t c = 0; c < cols; ++c) {
         const auto unmix = unmixer.fcls(cube.pixel(r, c));
         flops += linalg::flops::fcls(
@@ -118,32 +116,37 @@ AbundanceMaps run_unmix_map(const simnet::Platform& platform,
       }
     }
     comm.compute(flops * config.replication);
-
-    const std::size_t block_bytes =
-        (block.abundances.size() + block.rmse.size()) * sizeof(float) *
-        config.replication;
-    auto blocks = comm.gather(comm.root(), std::move(block), block_bytes);
-
-    if (comm.is_root()) {
-      result.planes.assign(t * cube.pixel_count(), 0.0f);
-      result.rmse.assign(cube.pixel_count(), 0.0f);
-      for (const auto& blk : blocks) {
-        std::size_t k = 0;
-        for (std::size_t r = blk.row_begin; r < blk.row_end; ++r) {
-          for (std::size_t c = 0; c < cols; ++c) {
-            for (std::size_t e = 0; e < t; ++e) {
-              result.planes[e * cube.pixel_count() + r * cols + c] =
-                  blk.abundances[k * t + e];
-            }
-            result.rmse[r * cols + c] = blk.rmse[k];
-            ++k;
+    const std::size_t bytes = (block.abundances.size() + block.rmse.size()) *
+                              sizeof(float) * config.replication;
+    return ft::ChunkOutcome{std::move(block), bytes};
+  });
+  prog.master = [&](vmpi::Comm& comm, ft::PhaseDriver& driver,
+                    const std::vector<ft::Handler>& h) {
+    // Shared broadcast: only the root stages a copy; the others alias it.
+    const auto blocks = ft::results_as<AbundanceBlock>(driver.phase(
+        h[0],
+        std::make_shared<const std::any>(comm.is_root() ? endmembers
+                                                        : linalg::Matrix()),
+        t * bands * sizeof(double)));
+    if (!comm.is_root()) return;
+    result.planes.assign(t * cube.pixel_count(), 0.0f);
+    result.rmse.assign(cube.pixel_count(), 0.0f);
+    for (const auto& blk : blocks) {
+      std::size_t k = 0;
+      for (std::size_t r = blk.row_begin; r < blk.row_end; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          for (std::size_t e = 0; e < t; ++e) {
+            result.planes[e * cube.pixel_count() + r * cols + c] =
+                blk.abundances[k * t + e];
           }
+          result.rmse[r * cols + c] = blk.rmse[k];
+          ++k;
         }
       }
-      comm.compute(cube.pixel_count() / 8, vmpi::Phase::kSequential);
     }
-  });
-
+    comm.compute(cube.pixel_count() / 8, vmpi::Phase::kSequential);
+  };
+  result.report = ft::run_on_engine(platform, cube, prog, options);
   return result;
 }
 

@@ -5,8 +5,9 @@
 // consume -- once ATDCA/UFCLS/PPI have extracted target signatures, the
 // per-pixel abundance planes say *how much* of each material sits where
 // (the USGS WTC dust maps are exactly such products).  Parallelization is
-// the same master/worker WEA pattern: the endmember matrix is broadcast,
-// every worker unmixes its partition, and the planes are gathered.
+// the same master/worker WEA pattern, run as one phase of the collective
+// driver (core/ft.hpp): the endmember matrix is broadcast, every worker
+// unmixes its partition, and the planes are gathered.
 #pragma once
 
 #include <span>

@@ -1,6 +1,7 @@
 // Lightweight run-telemetry registry: named counters, gauges, and timers
-// published by the vmpi engine, the fiber executor, the fault-tolerant
-// master/worker loop, the algorithm runners, and the kernel scratch arenas.
+// published by the vmpi engine, the fiber executor, the collective
+// driver's recovery path, the algorithm runners, and the kernel scratch
+// arenas.
 //
 // Two properties drive the design:
 //

@@ -1,11 +1,11 @@
 // Gang checkpoint store for the cluster resilience layer.
 //
-// A checkpoint is algorithm-agnostic progress of one job's master/worker
-// program (core/ft.hpp): the frozen WEA chunk list plus the per-phase
-// result log the ResilientDriver has accumulated (sched/resilience.hpp).
-// Because chunks are atomic and the master folds results in chunk-id
-// order, replaying the log on a restarted gang of *any* width reproduces
-// the original run's outputs bit for bit.
+// A checkpoint is algorithm-agnostic progress of one job's program
+// (core/ft.hpp): the frozen WEA chunk list plus the per-phase result log
+// the ResilientDriver has accumulated (sched/resilience.hpp).  Because
+// chunks are atomic and the root folds results in chunk-id order,
+// replaying the log on a restarted gang of *any* width reproduces the
+// original run's outputs bit for bit.
 //
 // The store itself is host-side state shared by every rank thread of the
 // scheduler engine: only a job's gang leader writes its entry, and the

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/partition.hpp"
+#include "core/runner.hpp"
 
 namespace hprs::sched {
 namespace {
@@ -23,23 +23,22 @@ constexpr std::uint64_t kCheckpointHalfFlops = 1'000'000;
 
 }  // namespace
 
-ResilientDriver::ResilientDriver(vmpi::Comm& comm, core::ft::Master& master,
+ResilientDriver::ResilientDriver(vmpi::Comm& comm,
+                                 core::ft::CollectiveDriver& inner,
                                  CheckpointStore* store, std::uint64_t job_id,
                                  int attempt, const ResilienceConfig& config,
                                  const Checkpoint* resumed)
     : comm_(&comm),
-      master_(&master),
-      store_(store),
+      inner_(&inner),
+      store_(comm.is_root() ? store : nullptr),
       job_id_(job_id),
       attempt_(attempt),
       config_(config),
       attempt_start_s_(comm.now()),
       jitter_(config.checkpoint_seed ^ job_id ^
-              static_cast<std::uint64_t>(attempt)) {
-  if (resumed != nullptr) {
-    log_ = resumed->phase_log;
-    resumed_seq_ = resumed->seq;
-  }
+              static_cast<std::uint64_t>(attempt)),
+      resumed_seq_(inner.resume_depth()) {
+  if (resumed != nullptr) log_ = resumed->phase_log;
   schedule_next_checkpoint();
   // Baseline snapshot on a fresh start: even a crash inside the first
   // phase restarts with the frozen chunk list instead of a new WEA.
@@ -62,7 +61,7 @@ void ResilientDriver::write_checkpoint() {
   snap.attempt = attempt_;
   snap.seq = static_cast<int>(log_.size());
   snap.saved_at_s = t0;
-  snap.chunks = master_->chunks();
+  snap.chunks = inner_->chunks();
   snap.phase_log = log_;
   const std::uint64_t half =
       kCheckpointHalfFlops +
@@ -76,121 +75,102 @@ void ResilientDriver::write_checkpoint() {
   comm_->compute(half, vmpi::Phase::kSequential);
   comm_->compute(half, vmpi::Phase::kSequential);
   store_->commit(job_id_);
-  ++checkpoints_;
   checkpoint_at_s_.push_back(comm_->now());
   checkpoint_cost_s_ += comm_->now() - t0;
   schedule_next_checkpoint();
 }
 
 std::vector<std::any> ResilientDriver::phase(
-    int phase_id, const core::ft::Handler& handler,
-    std::shared_ptr<const std::any> payload, std::size_t payload_bytes) {
-  if (next_replay_ < log_.size()) {
-    // Replaying a phase the checkpoint already holds: no commands, no
+    const core::ft::Handler& handler, std::shared_ptr<const std::any> payload,
+    std::size_t payload_bytes) {
+  if (replayed_ < resumed_seq_) {
+    // Replaying a phase the checkpoint already holds: no collectives, no
     // compute -- the results were paid for by the attempt that logged them.
-    return log_[next_replay_++];
+    ++replayed_;
+    return comm_->is_root() ? log_[static_cast<std::size_t>(replayed_ - 1)]
+                            : std::vector<std::any>{};
   }
   std::vector<std::any> out =
-      master_->phase(phase_id, handler, std::move(payload), payload_bytes);
-  log_.push_back(out);
-  next_replay_ = log_.size();
-  if (store_ != nullptr && next_checkpoint_s_ >= 0.0 &&
-      comm_->now() >= next_checkpoint_s_) {
-    write_checkpoint();
+      inner_->phase(handler, std::move(payload), payload_bytes);
+  if (comm_->is_root()) {
+    log_.push_back(out);
+    if (store_ != nullptr && next_checkpoint_s_ >= 0.0 &&
+        comm_->now() >= next_checkpoint_s_) {
+      write_checkpoint();
+    }
   }
   const double deadline = config_.retry.attempt_deadline_s;
-  if (deadline > 0.0 && comm_->now() - attempt_start_s_ >= deadline) {
-    // Preempt at the phase boundary: persist everything done so far, then
-    // unwind to the leader, which releases the gang and reports back.
-    if (store_ != nullptr) write_checkpoint();
-    throw PreemptSignal{};
+  if (deadline > 0.0) {
+    // Preempt at the phase boundary on the leader's clock; the decision is
+    // broadcast so the whole gang unwinds together.  The leader persists
+    // everything done so far first.
+    const bool overrun =
+        comm_->is_root() && comm_->now() - attempt_start_s_ >= deadline;
+    const auto decision =
+        inner_->share(std::make_shared<const std::any>(overrun), 1);
+    if (std::any_cast<bool>(*decision)) {
+      if (store_ != nullptr) write_checkpoint();
+      throw PreemptSignal{};
+    }
   }
   return out;
 }
 
-void ResilientDriver::finish() { master_->finish(); }
-
-void release_gang(vmpi::Comm& sub) {
-  for (int r = 0; r < sub.size(); ++r) {
-    if (r == sub.root()) continue;
-    (void)sub.try_send(r, core::ft::Command{},
-                       core::ft::kChunkDescriptorBytes, core::ft::kCommandTag);
-  }
+void ResilientDriver::release(std::shared_ptr<const std::any> payload,
+                              std::size_t payload_bytes) {
+  inner_->release(std::move(payload), payload_bytes);
 }
 
-AttemptOutcome run_resilient_leader(vmpi::Comm& sub, const JobSpec& spec,
-                                    const hsi::HsiCube& scene, int attempt,
-                                    const ResilienceConfig& config,
-                                    CheckpointStore* store, JobOutput& out) {
+AttemptOutcome run_attempt(vmpi::Comm& gang, const JobSpec& spec,
+                           const hsi::HsiCube& scene, int attempt,
+                           const ResilienceConfig& config,
+                           CheckpointStore* store, JobOutput& out) {
   AttemptOutcome outcome;
-  // The default execution choices keep MORPH's overlap borders, which the
-  // master/worker protocol needs.
+  // The default execution choices keep MORPH's overlap borders, which
+  // recovery needs.
   core::AlgorithmProgram built =
       core::make_program(core::RunnerConfig{spec}, scene);
   const core::ft::Program& prog = built.program;
 
   std::optional<Checkpoint> resumed;
-  if (store != nullptr && config.resume_from_checkpoint && attempt > 1) {
+  if (config.enabled && store != nullptr && config.resume_from_checkpoint &&
+      attempt > 1 && gang.is_root()) {
     resumed = store->load(spec.id);
   }
-
-  std::optional<core::ft::Master> master;
+  std::optional<core::ft::CollectiveDriver> inner;
   std::optional<ResilientDriver> driver;
   try {
-    if (resumed.has_value()) {
-      // Elastic restart: adopt the frozen chunk list on whatever width this
-      // gang has; Master's resume constructor spreads the chunks.
-      master.emplace(sub, resumed->chunks, prog.policy, prog.memory_fraction,
-                     scene.cols(), scene.bytes_per_pixel(), prog.replication,
-                     prog.model.scatter_input);
-    } else {
-      const core::PartitionResult partition = core::wea_partition(
-          sub.platform(), scene.rows(), scene.cols(), prog.model, prog.policy,
-          prog.memory_fraction, prog.overlap, sub.root());
-      sub.compute(64ULL * static_cast<std::uint64_t>(sub.size()),
-                  vmpi::Phase::kSequential);
-      master.emplace(sub, partition.parts, prog.policy, prog.memory_fraction,
-                     scene.cols(), scene.bytes_per_pixel(), prog.replication,
-                     prog.model.scatter_input);
+    // Elastic restart: the leader deals the frozen chunk list over
+    // whatever width this gang has.
+    inner.emplace(gang, scene, prog,
+                  resumed ? resumed->chunks : std::vector<core::ft::Chunk>{},
+                  resumed ? resumed->seq : 0);
+    core::ft::PhaseDriver* phases = &*inner;
+    if (config.enabled) {
+      driver.emplace(gang, *inner, store, spec.id, attempt, config,
+                     resumed ? &*resumed : nullptr);
+      phases = &*driver;
     }
-    driver.emplace(sub, *master, store, spec.id, attempt, config,
-                   resumed.has_value() ? &*resumed : nullptr);
-    prog.master(sub, *driver, prog.handlers);
-    driver->finish();
-    out = built.harvest();
-    outcome.status = 0;
+    prog.master(gang, *phases, prog.handlers);
+    if (gang.is_root()) out = built.harvest();
   } catch (const PreemptSignal&) {
-    // Deadline overrun: progress is checkpointed; release the survivors so
-    // they rejoin the pool while the job waits in the retry queue.  Only
-    // these two handlers exist on purpose: the engine's crash signal must
-    // keep propagating, so no catch-all.
+    // Deadline overrun: progress is checkpointed; the gang rejoins the
+    // pool while the job waits in the retry queue.  Only these handlers
+    // exist on purpose: the engine's crash signal must keep propagating,
+    // so no catch-all.
     outcome.status = 1;
-    master->finish();
+  } catch (const core::ft::RootLost&) {
+    throw;  // the gang runtime returns this member to the pool
   } catch (const Error& e) {
     outcome.status = 2;
     outcome.error = e.what();
-    if (master.has_value()) {
-      master->finish();
-    } else {
-      // The WEA or the resume construction failed before any Master owned
-      // the workers; unblock them by hand.
-      release_gang(sub);
-    }
   }
   if (driver.has_value()) {
-    outcome.checkpoints = driver->checkpoints();
     outcome.resumed_seq = driver->resumed_seq();
     outcome.checkpoint_s = driver->checkpoint_cost_s();
     outcome.checkpoint_at_s = driver->checkpoint_at_s();
   }
   return outcome;
-}
-
-bool run_resilient_worker(vmpi::Comm& sub, const JobSpec& spec,
-                          const hsi::HsiCube& scene) {
-  const core::AlgorithmProgram built =
-      core::make_program(core::RunnerConfig{spec}, scene);
-  return core::ft::resilient_worker_loop(sub, built.program.handlers);
 }
 
 void validate_cluster_fault_plan(const vmpi::Options& options,

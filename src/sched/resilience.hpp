@@ -2,36 +2,37 @@
 // per-job retry with deterministic backoff (paper Sect. 6 outlook, scaled
 // from one algorithm run to the multi-job cluster of src/sched).
 //
-// The solo fault-tolerant framework (core/ft.hpp) survives worker crashes
-// *inside* one gang whose root is the immortal engine root.  On the
-// cluster, a gang leader is an ordinary worker rank and may itself crash;
-// the dispatcher then has to recover the *job*, not just a chunk.  This
-// layer adds the three mechanisms the scheduler needs for that:
+// Every gang runs its job under core::ft::CollectiveDriver, which already
+// survives the crash of any member but the gang root (core/ft.hpp).  On
+// the cluster that root -- the gang leader -- is an ordinary worker rank
+// and may itself crash; the dispatcher then has to recover the *job*, not
+// just a chunk.  This layer adds the mechanisms the scheduler needs:
 //
-//  * ResilientDriver -- a checkpointing decorator over ft::Master.  At
-//    every phase boundary it appends the per-chunk results to a replay log
-//    and, at seeded virtual-time intervals, snapshots (frozen chunk list +
-//    log) into the job's CheckpointStore entry with two-phase begin/commit
-//    semantics, so a crash inside the (virtual-time) write window tears
-//    the staged snapshot and keeps the previous committed one.  A resumed
-//    attempt replays the logged phases for free and recomputes only the
-//    tail; because chunks are atomic and folds run in chunk-id order, the
-//    resumed outputs equal an uninterrupted run bit for bit on a gang of
-//    *any* width (elastic resize via Master's resume constructor).
+//  * ResilientDriver -- a checkpointing decorator over the collective
+//    driver, on every gang member.  At every phase boundary the leader
+//    appends the per-chunk results to a replay log and, at seeded
+//    virtual-time intervals, snapshots (frozen chunk list + log) into the
+//    job's CheckpointStore entry with two-phase begin/commit semantics, so
+//    a crash inside the (virtual-time) write window tears the staged
+//    snapshot and keeps the previous committed one.  A resumed attempt's
+//    leader deals the frozen chunks over whatever width its gang has and
+//    ships the resume depth with them; every member then replays the
+//    logged phases for free and recomputes only the tail.  Because chunks
+//    are atomic and folds run in chunk-id order, the resumed outputs equal
+//    an uninterrupted run bit for bit on a gang of *any* width.
 //
 //  * Attempt deadlines -- when an attempt overruns its RetryPolicy
-//    deadline at a phase boundary, the driver force-checkpoints and throws
-//    PreemptSignal; the leader releases its workers and reports the
-//    attempt preempted, and the dispatcher immediately requeues the job
-//    (checkpointed progress intact).
+//    deadline at a phase boundary, the leader force-checkpoints and
+//    broadcasts the decision, the whole gang throws PreemptSignal, and the
+//    dispatcher immediately requeues the job (checkpointed progress
+//    intact).
 //
-//  * run_resilient_leader / run_resilient_worker -- the gang-side runtime
-//    the scheduler's resilient mode dispatches onto.  All leader<->worker
-//    traffic uses try-variants (ft::resilient_worker_loop), so a leader
-//    crash is detected, never deadlocked on; surviving workers report
-//    themselves free to the dispatcher, which retries the job with seeded
-//    exponential backoff until it completes or exhausts its attempts
-//    (JobState::kDegraded when checkpoints exist, kFailed otherwise).
+//  * run_attempt -- one attempt of a job on a gang, the body of the
+//    scheduler's gang runtime.  A leader crash surfaces at the dispatcher
+//    as a report that never arrives; the dispatcher then retries the job
+//    with seeded exponential backoff until it completes or exhausts its
+//    attempts (JobState::kDegraded when checkpoints exist, kFailed
+//    otherwise).
 #pragma once
 
 #include <cstdint>
@@ -81,40 +82,41 @@ struct ResilienceConfig {
   bool resume_from_checkpoint = true;
 };
 
-/// Thrown by ResilientDriver when an attempt overruns its deadline.
-/// Deliberately NOT an hprs::Error: the leader catches it separately from
-/// algorithm failures, and nothing else may swallow it accidentally.
+/// Thrown on every gang member when an attempt overruns its deadline.
+/// Deliberately NOT an hprs::Error: the gang runtime catches it separately
+/// from algorithm failures, and nothing else may swallow it accidentally.
 struct PreemptSignal {};
 
-/// Checkpointing decorator over ft::Master (the scheduler side of the
-/// PhaseDriver seam).  The algorithm master closures run against this
-/// unchanged; completed phases replay from the log, live phases delegate
-/// to the wrapped Master and may snapshot afterwards.
+/// Checkpointing decorator over the collective driver (the scheduler side
+/// of the PhaseDriver seam), on every gang member.  The algorithm control
+/// flows run against this unchanged; completed phases replay from the log,
+/// live phases delegate to the wrapped driver and the leader may snapshot
+/// afterwards.
 class ResilientDriver final : public core::ft::PhaseDriver {
  public:
-  /// `resumed` is the committed checkpoint this attempt continues from
-  /// (null for a fresh start).  When `store` is non-null and there is no
-  /// resumed snapshot, a baseline checkpoint (frozen chunks, empty log) is
-  /// written immediately so even a first-phase crash restarts warm.
-  ResilientDriver(vmpi::Comm& comm, core::ft::Master& master,
+  /// `comm` is the gang's handle (the one `inner` runs on).  `resumed` is
+  /// the committed checkpoint `inner` dealt its chunks from (leader only;
+  /// null on a fresh start); the other members take the depth from
+  /// inner.resume_depth().  With a `store` and no resumed snapshot the
+  /// leader writes a baseline checkpoint (frozen chunks, empty log) at
+  /// once, so even a first-phase crash restarts warm.
+  ResilientDriver(vmpi::Comm& comm, core::ft::CollectiveDriver& inner,
                   CheckpointStore* store, std::uint64_t job_id, int attempt,
                   const ResilienceConfig& config, const Checkpoint* resumed);
 
   [[nodiscard]] std::vector<std::any> phase(
-      int phase_id, const core::ft::Handler& handler,
+      const core::ft::Handler& handler,
       std::shared_ptr<const std::any> payload = nullptr,
       std::size_t payload_bytes = 0) override;
+  void release(std::shared_ptr<const std::any> payload,
+               std::size_t payload_bytes) override;
 
-  void finish() override;
-
-  /// Checkpoints committed by this attempt (baseline included).
-  [[nodiscard]] int checkpoints() const { return checkpoints_; }
   /// Phases replayed from the resumed snapshot (0 on a fresh start).
   [[nodiscard]] int resumed_seq() const { return resumed_seq_; }
-  /// Virtual seconds this attempt spent writing checkpoints.
+  /// Virtual seconds the leader spent writing checkpoints.
   [[nodiscard]] double checkpoint_cost_s() const { return checkpoint_cost_s_; }
-  /// Commit times of this attempt's checkpoints (virtual seconds; trace
-  /// instants on the job lane).
+  /// Commit times of the leader's checkpoints, baseline included (virtual
+  /// seconds; trace instants on the job lane).
   [[nodiscard]] const std::vector<double>& checkpoint_at_s() const {
     return checkpoint_at_s_;
   }
@@ -124,7 +126,7 @@ class ResilientDriver final : public core::ft::PhaseDriver {
   void schedule_next_checkpoint();
 
   vmpi::Comm* comm_;
-  core::ft::Master* master_;
+  core::ft::CollectiveDriver* inner_;
   CheckpointStore* store_;
   std::uint64_t job_id_;
   int attempt_;
@@ -132,51 +134,40 @@ class ResilientDriver final : public core::ft::PhaseDriver {
   double attempt_start_s_;
   double next_checkpoint_s_ = 0.0;
   SplitMix64 jitter_;
-  /// Per-phase results in issue order (resumed prefix + live appends).
+  /// Leader: per-phase results in issue order (resumed prefix + live
+  /// appends).
   std::vector<std::vector<std::any>> log_;
-  std::size_t next_replay_ = 0;
+  int replayed_ = 0;
   int resumed_seq_ = 0;
-  int checkpoints_ = 0;
   double checkpoint_cost_s_ = 0.0;
   std::vector<double> checkpoint_at_s_;
 };
 
-/// Leader-side report of one gang attempt.
+/// The leader's report of one gang attempt.
 struct AttemptOutcome {
   /// 0 = completed, 1 = preempted (deadline), 2 = failed (hprs::Error).
   int status = 0;
   std::string error;
-  int checkpoints = 0;
   int resumed_seq = 0;
   double checkpoint_s = 0.0;
   std::vector<double> checkpoint_at_s;
 };
 
-/// Runs one attempt of `spec` as the gang leader (sub root) of `sub`.
-/// Loads the committed checkpoint for resumes (attempt > 1, when enabled),
-/// freezes a fresh WEA partition otherwise, and drives the job's Program
-/// through a ResilientDriver.  Worker crashes are absorbed by the wrapped
-/// Master; deadline overruns and algorithm errors are reported in the
-/// outcome (the workers are released on every path, so they always return
-/// to the dispatcher's pool).  A crash of *this* rank propagates as the
-/// engine's crash signal -- never caught here.
-[[nodiscard]] AttemptOutcome run_resilient_leader(
-    vmpi::Comm& sub, const JobSpec& spec, const hsi::HsiCube& scene,
-    int attempt, const ResilienceConfig& config, CheckpointStore* store,
-    JobOutput& out);
-
-/// Runs one attempt as a non-leader gang member: serves the leader's
-/// commands via ft::resilient_worker_loop.  Returns true when the leader
-/// released this rank, false when the leader was detected dead (the caller
-/// reports itself free to the dispatcher either way).
-[[nodiscard]] bool run_resilient_worker(vmpi::Comm& sub, const JobSpec& spec,
-                                        const hsi::HsiCube& scene);
-
-/// Releases a gang whose leader failed before a Master existed (WEA or
-/// resume-construction error): try_sends the exit command to every
-/// non-root member with Master::finish's exact accounting, so the workers
-/// unblock instead of deadlocking on a command that never comes.
-void release_gang(vmpi::Comm& sub);
+/// Runs one attempt of `spec` on `gang` (a tolerant handle; every member
+/// calls this).  Deals a fresh WEA partition, or -- for a resilient retry
+/// with a committed checkpoint -- the frozen chunks, and drives the job's
+/// Program through the collective driver, wrapped in a ResilientDriver
+/// when `config.enabled`.  Member crashes are absorbed in place; deadline
+/// overruns and algorithm errors end up in the outcome on every member.
+/// The leader's result lands in `out`.  Throws core::ft::RootLost on the
+/// survivors when the leader died; a crash of *this* rank propagates as
+/// the engine's crash signal.
+[[nodiscard]] AttemptOutcome run_attempt(vmpi::Comm& gang, const JobSpec& spec,
+                                         const hsi::HsiCube& scene,
+                                         int attempt,
+                                         const ResilienceConfig& config,
+                                         CheckpointStore* store,
+                                         JobOutput& out);
 
 /// Validates a cluster fault plan at schedule construction: every crash
 /// must name an in-range rank other than the dispatcher root (the control

@@ -26,65 +26,44 @@ namespace {
 // and cannot collide.
 constexpr int kCmdTag = 9001;
 constexpr int kDoneTag = 9002;
-/// Per-member free notification of the resilient mode (kDoneTag stays the
-/// leader's completion report, so the base wire protocol is untouched).
-constexpr int kFreeTag = 9003;
 
 /// Dispatcher -> member gang command (or shutdown).
 struct Cmd {
   bool shutdown = false;
   std::uint32_t index = 0;   ///< stream index of the job
-  std::uint32_t attempt = 1; ///< 1-based attempt (resilient mode; else 1)
+  std::uint32_t attempt = 1; ///< 1-based attempt (always 1 in base mode)
   std::vector<int> members;  ///< engine ranks of the gang, ascending
 };
 
-/// Gang leader -> dispatcher completion report.
+/// Gang leader -> dispatcher report of one attempt.  A leader that crashed
+/// sends nothing, which the dispatcher detects with try_recv.
 struct Done {
   std::uint32_t index = 0;
   double finish_s = 0.0;  ///< gang-aligned completion (virtual seconds)
-  double busy_s = 0.0;    ///< summed member busy time during the job
-};
-
-/// Resilient gang leader -> dispatcher attempt report.  Unlike Done it can
-/// describe a preempted or failed attempt; a *crashed* leader sends
-/// nothing, which the dispatcher detects with try_recv.
-struct RDone {
-  std::uint32_t index = 0;
-  std::uint32_t attempt = 1;
-  std::uint32_t status = 0;  ///< AttemptOutcome::status
-  double finish_s = 0.0;
-  std::int32_t resumed_seq = 0;
-  std::int32_t checkpoints = 0;
-  double checkpoint_s = 0.0;
-  std::vector<double> checkpoint_at_s;
-  std::string error;
-};
-
-/// Every gang member -> dispatcher after an attempt (leader included,
-/// after its RDone): the per-member busy contribution and the implicit
-/// "this rank is alive and free again" signal.
-struct WorkerFree {
-  std::uint32_t index = 0;
-  std::uint32_t attempt = 1;
-  double busy_s = 0.0;
+  double busy_s = 0.0;    ///< summed busy time of the surviving members
+  AttemptOutcome outcome;
+  std::vector<int> lost;  ///< engine ranks of members that died
 };
 
 constexpr std::size_t kCmdBaseBytes = 16;
 constexpr std::size_t kDoneBytes = 24;
-constexpr std::size_t kRDoneBaseBytes = 40;
-constexpr std::size_t kFreeBytes = 16;
 
 [[nodiscard]] std::size_t cmd_bytes(const Cmd& cmd) {
   return kCmdBaseBytes + 4 * cmd.members.size();
 }
 
-[[nodiscard]] std::size_t rdone_bytes(const RDone& done) {
-  return kRDoneBaseBytes + 8 * done.checkpoint_at_s.size() +
-         done.error.size();
+/// A clean attempt's report is kDoneBytes; lost ranks, checkpoint marks
+/// (with the checkpoint cost and resume depth) and the error add bytes only
+/// when present.
+[[nodiscard]] std::size_t done_bytes(const Done& done) {
+  const AttemptOutcome& oc = done.outcome;
+  const bool checkpointed = !oc.checkpoint_at_s.empty() || oc.resumed_seq > 0;
+  return kDoneBytes + 4 * done.lost.size() +
+         (checkpointed ? 12 + 8 * oc.checkpoint_at_s.size() : 0) +
+         oc.error.size();
 }
 
-/// Snapshot-scope label of one job's gang communicator; the resilient mode
-/// appends "#<attempt>" so every attempt gets its own series.
+/// Snapshot-scope label of one job's gang communicator.
 [[nodiscard]] std::string job_snapshot_scope(const JobSpec& spec) {
   return "job:" + std::to_string(spec.id) + "/" + to_string(spec.algorithm);
 }
@@ -190,86 +169,72 @@ class DispatcherPvars {
   return (kCmdBaseBytes + 4 * members) * members;
 }
 
-/// Sub-communicator uid of one resilient attempt: retries of a job must
-/// build a *fresh* communicator (the previous one may contain dead ranks
-/// and half-matched state), so the attempt number is mixed in.
+/// Sub-communicator uid of one attempt: retries of a job must build a
+/// *fresh* communicator (the previous one may contain dead ranks and
+/// half-matched state), so the attempt number is mixed in; a first attempt
+/// keeps the job id.
 [[nodiscard]] std::uint64_t attempt_uid(std::uint64_t job_id,
                                         std::uint32_t attempt) {
-  return job_id + (static_cast<std::uint64_t>(attempt) << 32);
+  return job_id + (static_cast<std::uint64_t>(attempt - 1) << 32);
 }
 
-/// Base gang runtime: the job's ft::Program under the collective driver
-/// (the paper's SPMD schedule) on a fresh sub-communicator over the
-/// commanded members.  Every member executes this; only the gang leader
-/// (members[0]) writes `out` and reports the job's single Done to the
-/// dispatcher.
-void run_spmd_gang(vmpi::Comm& world, const Cmd& cmd, const JobSpec& spec,
-                   const hsi::HsiCube& scene, JobOutput& out) {
-  vmpi::Comm sub = world.subset(cmd.members, spec.id);
-  if (world.snapshots_enabled()) sub.label_snapshots(job_snapshot_scope(spec));
-  const vmpi::RankStats before = sub.stats();
+/// Continues `gang` on its survivors after a collective found dead
+/// members; false when the leader is among them.
+[[nodiscard]] bool survive(vmpi::Comm& gang) {
+  const std::vector<int>& dead = gang.failed();
+  if (dead.empty()) return true;
+  if (std::binary_search(dead.begin(), dead.end(), gang.root())) return false;
+  gang = gang.shrink();
+  return true;
+}
 
-  core::AlgorithmProgram built =
-      core::make_program(core::RunnerConfig{spec}, scene);
-  core::ft::run_collective(sub, scene, built.program);
-  if (sub.is_root()) out = built.harvest();
+/// The gang runtime: one attempt of the job on a fresh sub-communicator
+/// over the commanded members (run_attempt: the collective driver, which
+/// recovers in place from member crashes, checkpointing under
+/// SchedulerConfig::resilience).  Every member executes this; only the
+/// gang leader (members[0]) writes `out` and reports the attempt's one
+/// Done.  When the leader dies the others just return: the dispatcher
+/// reads the missing Done as the leader's death.
+void run_gang(vmpi::Comm& world, const Cmd& cmd, const JobSpec& spec,
+              const hsi::HsiCube& scene, JobOutput& out,
+              const ResilienceConfig& rc, CheckpointStore* store) {
+  vmpi::Comm sub = world.subset(cmd.members, attempt_uid(spec.id, cmd.attempt));
+  // Resilient attempts stay unsampled, so a retried job keeps one series.
+  if (world.snapshots_enabled() && !rc.enabled) {
+    sub.label_snapshots(job_snapshot_scope(spec));
+  }
+  const vmpi::RankStats before = sub.stats();
+  vmpi::Comm gang = sub.tolerant();
+  Done done;
+  try {
+    done.outcome = run_attempt(gang, spec, scene, static_cast<int>(cmd.attempt),
+                               rc, store, out);
+  } catch (const core::ft::RootLost&) {
+    return;
+  }
 
   // Align the gang so the recorded finish covers every member, snapshot
-  // the job's busy window, then fold the per-member busy time to the
+  // the attempt's busy window, then fold the per-member busy time to the
   // leader (the accounting traffic is charged after the finish snapshot,
   // so it never pollutes the job's utilization).
-  sub.barrier();
-  const vmpi::RankStats after = sub.stats();
-  const double busy = after.busy() - before.busy();
-  const auto busys = sub.gather(sub.root(), busy, sizeof(double));
-  if (sub.is_root()) {
-    Done done;
-    done.index = cmd.index;
-    done.finish_s = after.clock;
-    for (double b : busys) done.busy_s += b;
-    world.send(world.root(), done, kDoneBytes, kDoneTag);
+  gang.barrier();
+  if (!survive(gang)) return;
+  const vmpi::RankStats after = gang.stats();
+  const auto busys =
+      gang.gather(gang.root(), after.busy() - before.busy(), sizeof(double));
+  if (!survive(gang) || !gang.is_root()) return;
+  done.index = cmd.index;
+  done.finish_s = after.clock;
+  for (double b : busys) done.busy_s += b;
+  for (int l = 0, g = 0; l < sub.size(); ++l) {
+    if (g < gang.size() && gang.world_rank_of(g) == sub.world_rank_of(l)) {
+      ++g;
+    } else {
+      done.lost.push_back(sub.world_rank_of(l));
+    }
   }
-}
-
-/// Resilient gang runtime: one attempt of the job's ft::Program under a
-/// ResilientDriver, on a per-attempt sub-communicator.  The leader reports
-/// the attempt (RDone), then every member reports itself free
-/// (WorkerFree); a crashed leader reports nothing.
-void run_resilient_gang(vmpi::Comm& world, const Cmd& cmd, const JobSpec& spec,
-                        const hsi::HsiCube& scene, JobOutput& out,
-                        const ResilienceConfig& rc, CheckpointStore* store) {
-  vmpi::Comm sub = world.subset(cmd.members, attempt_uid(spec.id, cmd.attempt));
-  if (world.snapshots_enabled()) {
-    sub.label_snapshots(job_snapshot_scope(spec) + "#" +
-                        std::to_string(cmd.attempt));
-  }
-  const vmpi::RankStats before = sub.stats();
-  if (sub.is_root()) {
-    AttemptOutcome oc =
-        run_resilient_leader(sub, spec, scene, static_cast<int>(cmd.attempt),
-                             rc, store, out);
-    RDone done;
-    done.index = cmd.index;
-    done.attempt = cmd.attempt;
-    done.status = static_cast<std::uint32_t>(oc.status);
-    done.finish_s = sub.stats().clock;
-    done.resumed_seq = oc.resumed_seq;
-    done.checkpoints = oc.checkpoints;
-    done.checkpoint_s = oc.checkpoint_s;
-    done.checkpoint_at_s = std::move(oc.checkpoint_at_s);
-    done.error = std::move(oc.error);
-    const std::size_t bytes = rdone_bytes(done);
-    world.send(world.root(), std::move(done), bytes, kDoneTag);
-  } else {
-    // Released by the leader or detected it dead; either way this rank
-    // is free again and says so below.
-    (void)run_resilient_worker(sub, spec, scene);
-  }
-  WorkerFree free_msg;
-  free_msg.index = cmd.index;
-  free_msg.attempt = cmd.attempt;
-  free_msg.busy_s = sub.stats().busy() - before.busy();
-  world.send(world.root(), free_msg, kFreeBytes, kFreeTag);
+  const std::size_t bytes = done_bytes(done);
+  world.send(world.root(), std::move(done), bytes, kDoneTag);
 }
 
 void worker_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
@@ -279,13 +244,8 @@ void worker_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
     const Cmd cmd = comm.recv<Cmd>(comm.root(), kCmdTag);
     if (cmd.shutdown) break;
     const JobSpec& spec = stream[cmd.index];
-    const hsi::HsiCube& job_scene = spec.scene != nullptr ? *spec.scene : scene;
-    if (rc.enabled) {
-      run_resilient_gang(comm, cmd, spec, job_scene, outputs[cmd.index], rc,
-                         store);
-    } else {
-      run_spmd_gang(comm, cmd, spec, job_scene, outputs[cmd.index]);
-    }
+    run_gang(comm, cmd, spec, spec.scene != nullptr ? *spec.scene : scene,
+             outputs[cmd.index], rc, store);
   }
 }
 
@@ -297,10 +257,9 @@ struct RetryEntry {
 };
 
 /// The control plane: admission, the retry queue, placement, gang
-/// dispatch with compute-once batching, and outcome handling, for both
-/// gang runtimes.  SchedulerConfig::resilience only changes how a finished
-/// attempt reports back (Done vs RDone + WorkerFree) and enables the
-/// resilient-only bookkeeping (attempt history, speed feedback).
+/// dispatch with compute-once batching, and outcome handling.
+/// SchedulerConfig::resilience enables the resilient-only bookkeeping
+/// (attempt history, speed feedback, retries).
 void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
                      const hsi::HsiCube& scene, const SchedulerConfig& config,
                      std::vector<JobRecord>& records, CheckpointStore& store,
@@ -584,56 +543,46 @@ void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
       continue;
     }
 
-    // Consume the attempt.  Its report is the one mode-specific step: a
-    // base leader (immortal -- crash plans are refused) sends one Done
-    // with the gang's summed busy time, read into a completed RDone; a
-    // resilient leader sends RDone and every member a WorkerFree, where
-    // silence means the rank crashed and leaves the pool.  All try_recv
-    // detection time is charged to the dispatcher in virtual time, so the
-    // schedule stays deterministic.
+    // Consume the attempt: the leader's one Done.  Silence means the
+    // leader crashed: it leaves the pool, and the other members are free
+    // again (one that died too is found when next commanded); the members
+    // Done lists as lost leave the pool as well.  try_recv's detection
+    // time is charged to the dispatcher in virtual time, so the schedule
+    // stays deterministic.
     const RunningJob run = std::move(running[next]);
     running.erase(running.begin() + static_cast<std::ptrdiff_t>(next));
     pvars.on_complete(gang_wire_bytes(run.members.size()));
     if (TenantLive* live = live_of(stream[run.index])) --live->running;
     JobRecord& record = records[run.index];
     const int leader = run.members.front();
-    std::optional<RDone> report;
-    double busy = 0.0;
-    if (!resilient) {
-      const Done done = comm.try_recv<Done>(leader, kDoneTag).value();
-      HPRS_ASSERT(done.index == run.index);
-      report.emplace();
-      report->finish_s = done.finish_s;
-      busy = done.busy_s;
-      for (int m : run.members) free.insert(m);
-    } else {
-      report = comm.try_recv<RDone>(leader, kDoneTag);
-      for (int m : run.members) {
-        // A dead leader posted nothing (RDone precedes its WorkerFree);
-        // skip the redundant probe.
-        std::optional<WorkerFree> free_msg;
-        if (m != leader || report.has_value()) {
-          free_msg = comm.try_recv<WorkerFree>(m, kFreeTag);
-        }
-        if (free_msg.has_value()) {
-          free.insert(m);
-          busy += free_msg->busy_s;
-        } else {
-          remove_rank(m);
-        }
+    std::optional<Done> report = comm.try_recv<Done>(leader, kDoneTag);
+    HPRS_ASSERT(!report.has_value() || report->index == run.index);
+    for (int m : run.members) {
+      const bool lost =
+          report.has_value()
+              ? std::find(report->lost.begin(), report->lost.end(), m) !=
+                    report->lost.end()
+              : m == leader;
+      if (lost) {
+        remove_rank(m);
+      } else {
+        free.insert(m);
       }
+    }
+    if (report.has_value()) record.busy_s += report->busy_s;
+    if (resilient) {
       JobAttempt& attempt = record.attempts.back();
       attempt.end_s = report.has_value() ? report->finish_s : comm.now();
       if (report.has_value()) {
-        attempt.resumed_seq = report->resumed_seq;
-        attempt.checkpoints = report->checkpoints;
-        attempt.checkpoint_s = report->checkpoint_s;
-        attempt.checkpoint_at_s = std::move(report->checkpoint_at_s);
+        const AttemptOutcome& oc = report->outcome;
+        attempt.resumed_seq = oc.resumed_seq;
+        attempt.checkpoints = static_cast<int>(oc.checkpoint_at_s.size());
+        attempt.checkpoint_s = oc.checkpoint_s;
+        attempt.checkpoint_at_s = oc.checkpoint_at_s;
       }
     }
-    record.busy_s += busy;
 
-    if (report.has_value() && report->status == 0) {
+    if (report.has_value() && report->outcome.status == 0) {
       record.finish_s = report->finish_s;
       record.batch_fanout = run.riders.size();
       settle(run.index, JobState::kCompleted);
@@ -668,13 +617,19 @@ void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
         settle(ridx, JobState::kCompleted);
       }
     } else {
-      const bool preempted = report.has_value() && report->status == 1;
-      const std::string why = !report.has_value()
-                                  ? "leader crashed"
-                                  : (preempted ? "preempted" : report->error);
-      record.attempts.back().outcome = why;
+      const bool preempted =
+          report.has_value() && report->outcome.status == 1;
+      const std::string why =
+          !report.has_value()
+              ? "leader crashed"
+              : (preempted ? "preempted" : report->outcome.error);
       const int attempts_done = static_cast<int>(record.attempts.size());
-      if (pool.empty() || attempts_done >= retry.max_attempts) {
+      if (resilient) record.attempts.back().outcome = why;
+      if (!resilient) {
+        // Base mode runs one attempt: an error in the gang (a WEA the gang
+        // cannot fit in memory, say) ends the job with its reason.
+        finalize(run.index, why);
+      } else if (pool.empty() || attempts_done >= retry.max_attempts) {
         finalize(run.index,
                  pool.empty()
                      ? "no surviving workers to retry the job (" + why + ")"

@@ -8,13 +8,13 @@
 // job and its rank subset with the pluggable policy (sched/policy.hpp),
 // and gang-dispatches the job by sending each member a command message;
 // the members build a sub-communicator with Comm::subset and run the job
-// on it.  One dispatcher loop serves both gang runtimes, which run the
-// same ft::Program (core::make_program) under different drivers: by default
-// a gang runs it as the paper's SPMD schedule (ft::run_collective) and its
-// leader reports one completion (aligned finish time + summed busy time);
-// under SchedulerConfig::resilience it runs under a checkpointing
-// master/worker driver, and failed or preempted attempts go through the
-// same loop's retry queue.  See DESIGN.md section 11 for the determinism
+// on it.  One dispatcher loop serves one gang runtime: every gang runs the
+// job's ft::Program (core::make_program) as the paper's SPMD schedule under
+// core::ft::CollectiveDriver, and its leader reports one completion
+// (aligned finish time + summed busy time).  Under
+// SchedulerConfig::resilience the driver is wrapped in a checkpointing
+// ResilientDriver, and failed or preempted attempts go through the same
+// loop's retry queue.  See DESIGN.md section 11 for the determinism
 // argument.
 #pragma once
 
@@ -37,13 +37,13 @@ struct SchedulerConfig {
   /// Publish per-job Domain::kStable metrics (queue wait, makespan,
   /// utilization) into the obs registry after the run.
   bool record_metrics = true;
-  /// Cluster resilience (sched/resilience.hpp).  When enabled gangs run the
-  /// checkpointing ft::Program runtime: gang leaders are mortal, crashed
-  /// ranks leave the pool, preempted or failed jobs are retried
-  /// (elastically resized, resumed from their last checkpoint) with seeded
-  /// backoff, and jobs exhausting their attempts go kDegraded / kFailed
-  /// instead of aborting the schedule.  Off by default: gangs then run the
-  /// paper's SPMD schedule and crash plans are refused.
+  /// Cluster resilience (sched/resilience.hpp).  When enabled gangs
+  /// checkpoint: gang leaders are mortal, crashed ranks leave the pool,
+  /// preempted or failed jobs are retried (elastically resized, resumed
+  /// from their last checkpoint) with seeded backoff, and jobs exhausting
+  /// their attempts go kDegraded / kFailed instead of aborting the
+  /// schedule.  Off by default: records then carry no attempt history and
+  /// crash plans are refused.
   ResilienceConfig resilience;
   /// Compute-once batching (serve/batcher.hpp): when a job with a nonzero
   /// JobSpec::batch_key is dispatched or running, compute-equivalent jobs

@@ -16,6 +16,15 @@
 // used when the member list is already agreed out of band.  All rank
 // arguments (collective roots, p2p sources/destinations, exchange targets)
 // are local to this communicator.
+//
+// Member crashes follow ULFM (Bland et al., "Post-failure recovery of MPI
+// communication capability", IJHPCA 2013).  A collective resolves once
+// every member has arrived or died.  On a default handle a dead member
+// then throws hprs::Error naming the crash (MPI_ERRORS_ARE_FATAL); a
+// tolerant() handle instead returns normally -- live members' data
+// delivered, dead members' contributions value-initialized -- and failed()
+// names the dead members, after one heartbeat of detection, until the next
+// collective.  shrink() continues on the survivors.
 #pragma once
 
 #include <algorithm>
@@ -60,6 +69,49 @@ class Comm {
   /// Content-derived communicator id (0 for the world communicator);
   /// identical across runs and executor modes for identical programs.
   [[nodiscard]] std::uint64_t group_id() const { return group_->id; }
+
+  // --- failure notification and recovery (ULFM) ---
+  /// A handle to this communicator whose collectives survive member
+  /// crashes (see the file comment).
+  [[nodiscard]] Comm tolerant() const {
+    Comm out = *this;
+    out.tolerant_ = true;
+    return out;
+  }
+  /// Local ranks the last collective of this tolerant handle found dead
+  /// (ascending; empty when every member arrived).  Every survivor sees
+  /// the same set.
+  [[nodiscard]] const std::vector<int>& failed() const { return failed_; }
+  /// The survivors' communicator after failed() (MPI_Comm_shrink): the
+  /// members outside failed(), in order, rooted at this communicator's
+  /// root and sampled under its snapshot scope.  Its id derives from this
+  /// communicator's id and the dead set, so every survivor names the same
+  /// communicator without exchanging a message -- the collective that
+  /// reported the failure was the agreement.  The root must have survived.
+  [[nodiscard]] Comm shrink() const {
+    HPRS_REQUIRE(!std::binary_search(failed_.begin(), failed_.end(), root()),
+                 "shrink: the root (rank " + std::to_string(root()) +
+                     ") is dead");
+    std::uint64_t id = SplitMix64(group_->id ^ 0x3c6ef372fe94f82bULL).next();
+    std::vector<int> members;
+    int new_local = -1;
+    int new_root = -1;
+    for (int l = 0; l < size(); ++l) {
+      if (std::binary_search(failed_.begin(), failed_.end(), l)) {
+        id = SplitMix64(id ^ static_cast<std::uint64_t>(l)).next();
+        continue;
+      }
+      if (l == local_) new_local = static_cast<int>(members.size());
+      if (l == root()) new_root = static_cast<int>(members.size());
+      members.push_back(group_->world_rank(l));
+    }
+    if (id == 0) id = 1;
+    Comm out(*engine_,
+             engine_->ensure_group(id, members, new_root, group_),
+             new_local);
+    out.tolerant_ = tolerant_;
+    return out;
+  }
   /// Current virtual time of this rank, seconds.
   [[nodiscard]] double now() const { return engine_->core_now(rank_); }
 
@@ -83,11 +135,11 @@ class Comm {
   [[nodiscard]] const obs::SnapshotConfig& snapshot_config() const {
     return engine_->options_.snapshot;
   }
-  /// Renames this communicator's snapshot scope (default "comm_<id>",
-  /// "world" for the world communicator).  The scheduler labels each gang
-  /// "job:<id>/<algorithm>" so a job's timeline survives gang reshuffles.
-  /// Call it with the same label from every member before the first
-  /// collective.
+  /// Names this communicator's snapshot scope ("world" for the world
+  /// communicator; other communicators are unsampled until labeled).  The
+  /// scheduler labels each gang "job:<id>/<algorithm>" so a job's timeline
+  /// survives gang reshuffles.  Call it with the same label from every
+  /// member before the first collective.
   void label_snapshots(std::string_view label) {
     engine_->core_label_snapshots(*group_, label);
   }
@@ -202,7 +254,7 @@ class Comm {
     engine_->core_compute(rank_, flops, phase, first_in_sweep);
   }
 
-  void barrier() { engine_->core_barrier(*group_, local_); }
+  void barrier() { engine_->core_barrier(*group_, local_, failure_sink()); }
 
   /// Broadcast from `root`.  All ranks receive (a value equal to) the
   /// root's value.  The engine fans the payload out by reference; each
@@ -212,9 +264,10 @@ class Comm {
   template <typename T>
   [[nodiscard]] T bcast(int root, T value, std::size_t bytes) {
     check_local(root);
-    Packet out = engine_->core_bcast(
-        *group_, local_, root, Packet{std::move(value), bytes});
-    return out.take<T>();
+    Packet out = engine_->core_bcast(*group_, local_, root,
+                                     Packet{std::move(value), bytes},
+                                     failure_sink());
+    return out.take_or_default<T>();
   }
 
   /// Broadcast from `root`, returning a shared handle to one immutable
@@ -226,8 +279,10 @@ class Comm {
   [[nodiscard]] std::shared_ptr<const T> bcast_shared(int root, T value,
                                                       std::size_t bytes) {
     check_local(root);
-    Packet out = engine_->core_bcast(
-        *group_, local_, root, Packet{std::move(value), bytes});
+    Packet out = engine_->core_bcast(*group_, local_, root,
+                                     Packet{std::move(value), bytes},
+                                     failure_sink());
+    if (out.empty()) return nullptr;  // the root died
     if (out.shared) {
       const T* typed = std::any_cast<T>(out.shared.get());
       HPRS_ASSERT(typed != nullptr);
@@ -238,16 +293,17 @@ class Comm {
   }
 
   /// Gather to `root`: returns every rank's value, in rank order, at the
-  /// root; an empty vector elsewhere.
+  /// root (value-initialized for dead members); an empty vector elsewhere.
   template <typename T>
   [[nodiscard]] std::vector<T> gather(int root, T value, std::size_t bytes) {
     check_local(root);
-    std::vector<Packet> packets = engine_->core_gather(
-        *group_, local_, root, Packet{std::move(value), bytes});
+    std::vector<Packet> packets =
+        engine_->core_gather(*group_, local_, root,
+                             Packet{std::move(value), bytes}, failure_sink());
     std::vector<T> out;
     out.reserve(packets.size());
     for (auto& p : packets) {
-      out.push_back(p.take<T>());
+      out.push_back(p.take_or_default<T>());
     }
     engine_->core_recycle_gather(rank_, std::move(packets));
     return out;
@@ -270,9 +326,10 @@ class Comm {
         scatter_stage_.push_back(Packet{std::move(parts[i]), bytes[i]});
       }
     }
-    Packet mine = engine_->core_scatter(*group_, local_, root, scatter_stage_);
+    Packet mine = engine_->core_scatter(*group_, local_, root, scatter_stage_,
+                                        failure_sink());
     scatter_stage_.clear();
-    return mine.take<T>();
+    return mine.take_or_default<T>();
   }
 
   /// Reduction to the root followed by a broadcast of the combined value
@@ -317,7 +374,8 @@ class Comm {
     for (auto& [dst, value, bytes] : sends) {
       exchange_stage_.emplace_back(dst, Packet{std::move(value), bytes});
     }
-    auto received = engine_->core_exchange(*group_, local_, exchange_stage_);
+    auto received = engine_->core_exchange(*group_, local_, exchange_stage_,
+                                           failure_sink());
     exchange_stage_.clear();
     std::vector<std::pair<int, T>> out;
     out.reserve(received.size());
@@ -390,13 +448,19 @@ class Comm {
   };
 
   /// Tags `seconds` of already-charged time on this rank as redistribution
-  /// overhead (the fault-tolerant master calls this around re-partitioning
-  /// and re-issuing lost work).
+  /// overhead (the collective driver's root calls this around re-placing
+  /// and re-staging lost work).
   void note_redistribution(double seconds) {
     engine_->core_note_redistribution(rank_, seconds);
   }
 
  private:
+  /// Where the engine reports a collective's dead members: failed_ for a
+  /// tolerant handle, else nowhere (the engine throws instead).
+  [[nodiscard]] std::vector<int>* failure_sink() {
+    return tolerant_ ? &failed_ : nullptr;
+  }
+
   [[nodiscard]] double resolve_timeout(double timeout_s) const {
     return timeout_s >= 0.0 ? timeout_s : engine_->options_.fault_detection_s;
   }
@@ -416,6 +480,8 @@ class Comm {
   /// child-communicator id.  split() is collective, so every member's
   /// counter agrees.
   std::uint64_t split_seq_ = 0;
+  bool tolerant_ = false;
+  std::vector<int> failed_;
   // Reused staging buffers (this Comm is single-context, see the class
   // comment): collective inputs are moved through these instead of a fresh
   // vector per call.

@@ -329,7 +329,7 @@ RunReport Engine::run(const std::function<void(Comm&)>& program) {
 
 void Engine::maybe_snapshot_group_locked(Group& group) {
   const obs::SnapshotConfig& cfg = options_.snapshot;
-  if (!cfg.enabled) return;
+  if (!cfg.enabled || group.snap_scope.empty()) return;
   // The sample point is the collective boundary every member has reached:
   // the max member clock after the collective's accounting.
   double t = 0.0;
@@ -573,28 +573,18 @@ void Engine::die_locked(int rank) {
   ++crashed_count_;
   fault_log_.push_back(FaultEvent{FaultEventKind::kCrash, rank, -1,
                                   stats_[r].clock, 0});
-  // Peers already committed to a collective on a communicator containing
-  // this rank will never see it join; that communicator -- and with it the
-  // run -- cannot proceed.  Collectives on groups the dead rank is *not* a
-  // member of are unaffected.
-  bool poisons_collective = false;
+  // A pending collective of a communicator containing this rank may have
+  // been waiting only for it: it resolves now, without it.  Collectives on
+  // groups the dead rank is *not* a member of are unaffected.
   for (const auto& [id, g] : groups_) {
     if (g->arrived > 0 &&
         std::find(g->members.begin(), g->members.end(), rank) !=
-            g->members.end()) {
-      poisons_collective = true;
-      break;
+            g->members.end() &&
+        resolvable_locked(*g)) {
+      finish_collective_locked(*g);
     }
   }
-  if (poisons_collective && !poisoned_) {
-    poison_locked("rank " + std::to_string(rank) +
-                  " crashed (fail-stop) at t=" +
-                  std::to_string(stats_[r].clock) +
-                  "s during a pending collective; " +
-                  describe_blocked_locked());
-  } else {
-    wake_all_locked();
-  }
+  wake_all_locked();
   throw RankCrashedSignal{};
 }
 
@@ -682,14 +672,14 @@ Packet Engine::match_recv_locked(int rank, int src, int tag, PendingSend& ps) {
   return out;
 }
 
-void Engine::charge_detection_locked(int rank, int peer, double timeout_s) {
+void Engine::charge_detection_locked(int rank, int peer, double death_s,
+                                     double timeout_s) {
   const auto r = static_cast<std::size_t>(rank);
   auto& s = stats_[r];
   const double start = s.clock;
   // The failure is discovered one virtual heartbeat after the later of
   // "this rank started waiting" and "the peer actually died".
-  const double detect =
-      std::max(start, death_time_[static_cast<std::size_t>(peer)]) + timeout_s;
+  const double detect = std::max(start, death_s) + timeout_s;
   if (options_.enable_trace && detect > start) {
     trace_[r].push_back(TraceEvent{rank, TraceKind::kIdle, start, detect, 0});
   }
@@ -805,29 +795,8 @@ void Engine::wake_all_locked() {
 
 void Engine::begin_collective(Group& group, int rank, CollectiveKind kind,
                               int root) {
-  const int grank = group.world_rank(rank);
-  maybe_crash_locked(grank);
+  maybe_crash_locked(group.world_rank(rank));
   check_poison_locked();
-  if (crashed_count_ > 0) {
-    // A collective needs every member of its communicator; fail fast when
-    // one is dead (instead of a wall-clock timeout) so non-fault-tolerant
-    // programs stay fast to diagnose.  Fault-tolerant code uses
-    // try_send/try_recv and never reaches a collective after a crash.
-    // Crashes of non-members leave this group's collectives untouched.
-    for (const int m : group.members) {
-      if (rank_state_[static_cast<std::size_t>(m)] == RankState::kCrashed) {
-        poison_locked(
-            group.id == 0
-                ? "a full-world collective can never complete after a "
-                  "fail-stop crash; " +
-                      describe_blocked_locked()
-                : "a collective on a sub-communicator with a crashed member "
-                  "can never complete; " +
-                      describe_blocked_locked());
-        check_poison_locked();
-      }
-    }
-  }
   if (group.arrived == 0) {
     group.coll_kind = kind;
     group.coll_root = root;
@@ -838,29 +807,60 @@ void Engine::begin_collective(Group& group, int rank, CollectiveKind kind,
   ++group.arrived;
 }
 
-void Engine::wait_for_generation(std::unique_lock<std::mutex>& lock,
-                                 Group& group, int rank,
-                                 std::uint64_t generation) {
-  const int grank = group.world_rank(rank);
-  // Lock held since begin_collective, so the group's coll_kind/coll_root
-  // still describe the collective this rank is parked in.
-  waiting_[static_cast<std::size_t>(grank)] =
-      WaitInfo{WaitInfo::What::kCollective, group.world_rank(group.coll_root),
-               0, group.coll_kind};
-  const auto deadline = deadline_after(options_.deadlock_timeout_s);
-  bool deadline_expired = false;
-  while (group.generation == generation && !poisoned_) {
-    if (deadline_expired) {
-      // The deadline passed *and* a fresh predicate check still failed:
-      // only now is it a deadlock (a wakeup racing the deadline is not).
-      poison_locked("collective operation timed out (virtual MPI deadlock?); " +
-                    describe_blocked_locked());
-      break;
+bool Engine::resolvable_locked(const Group& group) const {
+  int dead = 0;
+  if (crashed_count_ > 0) {
+    for (const int m : group.members) {
+      dead += rank_state_[static_cast<std::size_t>(m)] == RankState::kCrashed;
     }
-    deadline_expired = wait_rank(lock, grank, deadline);
   }
-  check_poison_locked();
-  waiting_[static_cast<std::size_t>(grank)] = WaitInfo{};
+  return group.arrived + dead == group.size();
+}
+
+void Engine::complete_collective(std::unique_lock<std::mutex>& lock,
+                                 Group& group, int rank,
+                                 std::vector<int>* failed) {
+  if (resolvable_locked(group)) {
+    finish_collective_locked(group);
+  } else {
+    const auto grank = static_cast<std::size_t>(group.world_rank(rank));
+    const std::uint64_t generation = group.generation;
+    // Lock held since begin_collective, so the group's coll_kind/coll_root
+    // still describe the collective this rank is parked in.
+    waiting_[grank] =
+        WaitInfo{WaitInfo::What::kCollective, group.world_rank(group.coll_root),
+                 0, group.coll_kind};
+    const auto deadline = deadline_after(options_.deadlock_timeout_s);
+    bool deadline_expired = false;
+    while (group.generation == generation && !poisoned_) {
+      if (deadline_expired) {
+        // The deadline passed *and* a fresh predicate check still failed:
+        // only now is it a deadlock (a wakeup racing the deadline is not).
+        poison_locked(
+            "collective operation timed out (virtual MPI deadlock?); " +
+            describe_blocked_locked());
+        break;
+      }
+      deadline_expired = wait_rank(lock, static_cast<int>(grank), deadline);
+    }
+    check_poison_locked();
+    waiting_[grank] = WaitInfo{};
+  }
+  // group.dead stays valid until this rank arrives at the group's next
+  // collective: that one cannot resolve without it.
+  if (failed != nullptr) {
+    *failed = group.dead;
+  } else if (!group.dead.empty()) {
+    const int dead = group.world_rank(group.dead.front());
+    throw Error(
+        "rank " + std::to_string(dead) + " crashed (fail-stop) at t=" +
+        std::to_string(death_time_[static_cast<std::size_t>(dead)]) +
+        "s, so a collective on " +
+        (group.id == 0 ? std::string("the world communicator")
+                       : "communicator " + std::to_string(group.id)) +
+        " resolved without it; only a Comm::tolerant() handle survives a "
+        "member crash");
+  }
 }
 
 void Engine::poison_locked(const std::string& reason) {
@@ -934,12 +934,44 @@ void Engine::finish_collective_locked(Group& group) {
   // (stats_, trace_, and the transfer scheduler).  For the world group the
   // translation is the identity, so world collectives cost exactly what
   // they did before sub-communicators existed.
+  //
+  // Only arrived members take part: slot i of the schedule is local rank
+  // live[i], and the dead members' transfers are simply absent.  Without a
+  // crash live[i] == i, so every schedule below is the fault-free one.
   const int p = group.size();
+  std::vector<int>& live = group.live;
+  live.clear();
+  group.dead.clear();
+  double last_death = 0.0;
+  for (int r = 0; r < p; ++r) {
+    const auto w = static_cast<std::size_t>(group.world_rank(r));
+    if (crashed_count_ > 0 && rank_state_[w] == RankState::kCrashed) {
+      group.dead.push_back(r);
+      last_death = std::max(last_death, death_time_[w]);
+    } else {
+      live.push_back(r);
+    }
+  }
+  const int q = static_cast<int>(live.size());
   const int root = group.coll_root;
   const auto ru = static_cast<std::size_t>(root);
+  // The root's slot, or -1 when it died: then nothing fans out or in.
+  const auto root_it = std::find(live.begin(), live.end(), root);
+  const int rs = root_it == live.end()
+                     ? -1
+                     : static_cast<int>(root_it - live.begin());
   const auto obs_kind = static_cast<std::size_t>(group.coll_kind);
   const std::uint64_t obs_bytes_before = obs_scheduled_bytes_;
   const auto gr = [&group](int local) { return group.world_rank(local); };
+  // Local rank of the member `v` tree steps away from the root.
+  const auto at = [&](int v) {
+    return live[static_cast<std::size_t>((v + rs) % q)];
+  };
+  // Empties the members' slots (a dead root's collective moves nothing).
+  const auto clear = [](std::vector<Packet>& slots,
+                        const std::vector<int>& members) {
+    for (const int r : members) slots[static_cast<std::size_t>(r)] = Packet{};
+  };
 
   std::vector<double> arrival(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
@@ -950,8 +982,10 @@ void Engine::finish_collective_locked(Group& group) {
   switch (group.coll_kind) {
     case CollectiveKind::kBarrier: {
       double t = 0.0;
-      for (double a : arrival) t = std::max(t, a);
-      for (int r = 0; r < p; ++r) {
+      for (const int r : live) {
+        t = std::max(t, arrival[static_cast<std::size_t>(r)]);
+      }
+      for (const int r : live) {
         const int w = gr(r);
         auto& s = stats_[static_cast<std::size_t>(w)];
         if (options_.enable_trace && t > s.clock) {
@@ -965,25 +999,29 @@ void Engine::finish_collective_locked(Group& group) {
     }
 
     case CollectiveKind::kBcast: {
+      if (rs < 0) {
+        clear(group.single_out, live);
+        break;
+      }
       Packet& payload = group.inputs[ru];
       const std::size_t bytes = payload.bytes;
       // Freeze the root's payload once (a move, not a copy); every
       // destination below takes a refcounted view, so the fan-out performs
-      // zero deep copies regardless of p.  With p == 1 there is no fan-out
-      // and the root's value passes through exclusively (pure move).
+      // zero deep copies regardless of p.  With one live member there is
+      // no fan-out and the root's value passes through exclusively.
       std::shared_ptr<const std::any> shared;
-      if (p > 1) shared = payload.share();
+      if (q > 1) shared = payload.share();
       if (platform_.switched_fabric()) {
-        // Binomial-tree broadcast (cluster message-passing layers).  vrank
-        // is the rank rotated so the root is 0; in step k every holder
-        // vsrc < 2^k forwards to vsrc + 2^k.
-        std::vector<double> known(static_cast<std::size_t>(p), 0.0);
+        // Binomial-tree broadcast (cluster message-passing layers).  In
+        // step k every holder vsrc < 2^k forwards to vsrc + 2^k, where v
+        // counts members from the root.
+        std::vector<double> known(static_cast<std::size_t>(q), 0.0);
         known[0] = arrival[ru];
-        for (int step = 1; step < p; step <<= 1) {
-          for (int vsrc = 0; vsrc < step && vsrc + step < p; ++vsrc) {
+        for (int step = 1; step < q; step <<= 1) {
+          for (int vsrc = 0; vsrc < step && vsrc + step < q; ++vsrc) {
             const int vdst = vsrc + step;
-            const int src = (vsrc + root) % p;
-            const int dst = (vdst + root) % p;
+            const int src = at(vsrc);
+            const int dst = at(vdst);
             const auto du = static_cast<std::size_t>(dst);
             double active = 0.0;
             const double end = schedule_transfer_locked(group.id, 
@@ -1004,7 +1042,7 @@ void Engine::finish_collective_locked(Group& group) {
         // order; its NIC serializes the sends (network-of-workstations
         // behavior).
         double root_busy_from = arrival[ru];
-        for (int dst = 0; dst < p; ++dst) {
+        for (const int dst : live) {
           if (dst == root) continue;
           const auto du = static_cast<std::size_t>(dst);
           double active = 0.0;
@@ -1024,27 +1062,32 @@ void Engine::finish_collective_locked(Group& group) {
     }
 
     case CollectiveKind::kGather: {
+      if (rs < 0) {
+        clear(group.inputs, live);
+        break;
+      }
       auto& gathered = group.multi_out[ru];
       gathered.resize(static_cast<std::size_t>(p));
+      clear(gathered, group.dead);
       if (platform_.switched_fabric()) {
         // Binomial-tree gather: in step k, every vrank whose low k bits are
         // zero and whose k-th bit is one forwards its accumulated buffer to
         // vrank - 2^k.  Intermediate nodes concatenate, so transferred
         // bytes grow with the subtree.
-        std::vector<double> ready(static_cast<std::size_t>(p));
-        std::vector<std::size_t> acc(static_cast<std::size_t>(p));
-        for (int v = 0; v < p; ++v) {
-          const int r = (v + root) % p;
+        std::vector<double> ready(static_cast<std::size_t>(q));
+        std::vector<std::size_t> acc(static_cast<std::size_t>(q));
+        for (int v = 0; v < q; ++v) {
+          const int r = at(v);
           ready[static_cast<std::size_t>(v)] =
               arrival[static_cast<std::size_t>(r)];
           acc[static_cast<std::size_t>(v)] =
               group.inputs[static_cast<std::size_t>(r)].bytes;
         }
-        for (int step = 1; step < p; step <<= 1) {
-          for (int vsrc = step; vsrc < p; vsrc += 2 * step) {
+        for (int step = 1; step < q; step <<= 1) {
+          for (int vsrc = step; vsrc < q; vsrc += 2 * step) {
             const int vdst = vsrc - step;
-            const int src = (vsrc + root) % p;
-            const int dst = (vdst + root) % p;
+            const int src = at(vsrc);
+            const int dst = at(vdst);
             const std::size_t bytes = acc[static_cast<std::size_t>(vsrc)];
             double active = 0.0;
             const double end = schedule_transfer_locked(group.id, 
@@ -1061,7 +1104,7 @@ void Engine::finish_collective_locked(Group& group) {
             acc[static_cast<std::size_t>(vdst)] += bytes;
           }
         }
-        for (int src = 0; src < p; ++src) {
+        for (const int src : live) {
           gathered[static_cast<std::size_t>(src)] =
               std::move(group.inputs[static_cast<std::size_t>(src)]);
         }
@@ -1069,7 +1112,7 @@ void Engine::finish_collective_locked(Group& group) {
         // Workers transmit to the root in rank order; the root's NIC is the
         // serializing resource.
         double root_busy_from = arrival[ru];
-        for (int src = 0; src < p; ++src) {
+        for (const int src : live) {
           const auto su = static_cast<std::size_t>(src);
           if (src == root) {
             gathered[su] = std::move(group.inputs[su]);
@@ -1090,28 +1133,32 @@ void Engine::finish_collective_locked(Group& group) {
     }
 
     case CollectiveKind::kScatter: {
+      if (rs < 0) {
+        clear(group.single_out, live);
+        break;
+      }
       auto& parts = group.scatter_parts[ru];
       HPRS_ASSERT(parts.size() == static_cast<std::size_t>(p));
       if (platform_.switched_fabric()) {
         // Binomial-tree scatter (mirror of the tree gather): holders pass
         // the byte-sum of the destination subtree down in halving steps.
         const auto vbytes = [&](int v) {
-          return parts[static_cast<std::size_t>((v + root) % p)].bytes;
+          return parts[static_cast<std::size_t>(at(v))].bytes;
         };
-        std::vector<double> known(static_cast<std::size_t>(p), 0.0);
+        std::vector<double> known(static_cast<std::size_t>(q), 0.0);
         known[0] = arrival[ru];
         int top = 1;
-        while (top < p) top <<= 1;
+        while (top < q) top <<= 1;
         for (int step = top >> 1; step >= 1; step >>= 1) {
-          for (int vsrc = 0; vsrc < p; vsrc += 2 * step) {
+          for (int vsrc = 0; vsrc < q; vsrc += 2 * step) {
             const int vdst = vsrc + step;
-            if (vdst >= p) continue;
+            if (vdst >= q) continue;
             std::size_t bytes = 0;
-            for (int v = vdst; v < std::min(vdst + step, p); ++v) {
+            for (int v = vdst; v < std::min(vdst + step, q); ++v) {
               bytes += vbytes(v);
             }
-            const int src = (vsrc + root) % p;
-            const int dst = (vdst + root) % p;
+            const int src = at(vsrc);
+            const int dst = at(vdst);
             const auto du = static_cast<std::size_t>(dst);
             double active = 0.0;
             const double end = schedule_transfer_locked(group.id, 
@@ -1126,13 +1173,13 @@ void Engine::finish_collective_locked(Group& group) {
             known[static_cast<std::size_t>(vdst)] = std::max(end, arrival[du]);
           }
         }
-        for (int dst = 0; dst < p; ++dst) {
+        for (const int dst : live) {
           group.single_out[static_cast<std::size_t>(dst)] =
               std::move(parts[static_cast<std::size_t>(dst)]);
         }
       } else {
         double root_busy_from = arrival[ru];
-        for (int dst = 0; dst < p; ++dst) {
+        for (const int dst : live) {
           const auto du = static_cast<std::size_t>(dst);
           if (dst == root) {
             group.single_out[du] = std::move(parts[du]);
@@ -1157,12 +1204,16 @@ void Engine::finish_collective_locked(Group& group) {
     case CollectiveKind::kExchange: {
       // All pairwise transfers scheduled in (src, dst) order; a rank's
       // clock advances to the end of the last transfer it participates in.
-      // Destinations in the staged sends are local ranks.
-      for (int src = 0; src < p; ++src) {
+      // Destinations in the staged sends are local ranks; packets for dead
+      // members are dropped.
+      for (const int src : live) {
         const auto su = static_cast<std::size_t>(src);
         for (auto& [dst, packet] : group.exchange_in[su]) {
           HPRS_ASSERT(dst >= 0 && dst < p && dst != src);
           const auto du = static_cast<std::size_t>(dst);
+          if (std::binary_search(group.dead.begin(), group.dead.end(), dst)) {
+            continue;
+          }
           const std::size_t bytes = packet.bytes;
           double active = 0.0;
           const double end = schedule_transfer_locked(group.id, gr(src), gr(dst), bytes,
@@ -1182,6 +1233,16 @@ void Engine::finish_collective_locked(Group& group) {
       HPRS_ASSERT(false);
   }
 
+  // Every survivor learns the same dead set one heartbeat after the last
+  // death: the collective's failure notification (ULFM).
+  if (!group.dead.empty()) {
+    const int first_dead = gr(group.dead.front());
+    for (const int r : live) {
+      charge_detection_locked(gr(r), first_dead, last_death,
+                              options_.fault_detection_s);
+    }
+  }
+
   ++obs_.collectives[obs_kind];
   const std::uint64_t wire = obs_scheduled_bytes_ - obs_bytes_before;
   obs_.collective_wire_bytes[obs_kind] += wire;
@@ -1198,31 +1259,25 @@ void Engine::finish_collective_locked(Group& group) {
   wake_all_locked();
 }
 
-void Engine::core_barrier(Group& group, int rank) {
+void Engine::core_barrier(Group& group, int rank, std::vector<int>* failed) {
   std::unique_lock<std::mutex> lock(mutex_);
   begin_collective(group, rank, CollectiveKind::kBarrier, group.root_local);
-  if (group.arrived == group.size()) {
-    finish_collective_locked(group);
-    return;
-  }
-  wait_for_generation(lock, group, rank, group.generation);
+  complete_collective(lock, group, rank, failed);
 }
 
-Packet Engine::core_bcast(Group& group, int rank, int root, Packet payload) {
+Packet Engine::core_bcast(Group& group, int rank, int root, Packet payload,
+                          std::vector<int>* failed) {
   std::unique_lock<std::mutex> lock(mutex_);
   begin_collective(group, rank, CollectiveKind::kBcast, root);
   const auto r = static_cast<std::size_t>(rank);
   if (rank == root) group.inputs[r] = std::move(payload);
-  if (group.arrived == group.size()) {
-    finish_collective_locked(group);
-  } else {
-    wait_for_generation(lock, group, rank, group.generation);
-  }
+  complete_collective(lock, group, rank, failed);
   return std::move(group.single_out[r]);
 }
 
 std::vector<Packet> Engine::core_gather(Group& group, int rank, int root,
-                                        Packet payload) {
+                                        Packet payload,
+                                        std::vector<int>* failed) {
   std::unique_lock<std::mutex> lock(mutex_);
   begin_collective(group, rank, CollectiveKind::kGather, root);
   const auto r = static_cast<std::size_t>(rank);
@@ -1237,16 +1292,13 @@ std::vector<Packet> Engine::core_gather(Group& group, int rank, int root,
     out_slot.swap(gather_pool_[w]);
   }
   group.inputs[r] = std::move(payload);
-  if (group.arrived == group.size()) {
-    finish_collective_locked(group);
-  } else {
-    wait_for_generation(lock, group, rank, group.generation);
-  }
+  complete_collective(lock, group, rank, failed);
   return std::move(group.multi_out[r]);
 }
 
 Packet Engine::core_scatter(Group& group, int rank, int root,
-                            std::vector<Packet>& parts) {
+                            std::vector<Packet>& parts,
+                            std::vector<int>* failed) {
   std::unique_lock<std::mutex> lock(mutex_);
   begin_collective(group, rank, CollectiveKind::kScatter, root);
   const auto r = static_cast<std::size_t>(rank);
@@ -1259,16 +1311,13 @@ Packet Engine::core_scatter(Group& group, int rank, int root,
       staged[i] = std::move(parts[i]);
     }
   }
-  if (group.arrived == group.size()) {
-    finish_collective_locked(group);
-  } else {
-    wait_for_generation(lock, group, rank, group.generation);
-  }
+  complete_collective(lock, group, rank, failed);
   return std::move(group.single_out[r]);
 }
 
 std::vector<std::pair<int, Packet>> Engine::core_exchange(
-    Group& group, int rank, std::vector<std::pair<int, Packet>>& sends) {
+    Group& group, int rank, std::vector<std::pair<int, Packet>>& sends,
+    std::vector<int>* failed) {
   std::unique_lock<std::mutex> lock(mutex_);
   begin_collective(group, rank, CollectiveKind::kExchange, group.root_local);
   const auto r = static_cast<std::size_t>(rank);
@@ -1283,15 +1332,12 @@ std::vector<std::pair<int, Packet>> Engine::core_exchange(
   if (exchange_pool_[w].capacity() > out_slot.capacity()) {
     out_slot.swap(exchange_pool_[w]);
   }
-  if (group.arrived == group.size()) {
-    finish_collective_locked(group);
-  } else {
-    wait_for_generation(lock, group, rank, group.generation);
-  }
+  complete_collective(lock, group, rank, failed);
   return std::move(group.exchange_out[r]);
 }
 
-Group& Engine::ensure_group(std::uint64_t id, const std::vector<int>& members) {
+Group& Engine::ensure_group(std::uint64_t id, const std::vector<int>& members,
+                            int root_local, const Group* parent) {
   HPRS_REQUIRE(!members.empty(), "a communicator group needs at least one member");
   for (const int m : members) {
     HPRS_REQUIRE(m >= 0 && m < size(),
@@ -1324,8 +1370,8 @@ Group& Engine::ensure_group(std::uint64_t id, const std::vector<int>& members) {
   }
   simnet::Platform sub(platform_.name(), std::move(specs), std::move(seg),
                        platform_.switched_fabric());
-  auto group = std::make_unique<Group>(id, members, 0, std::move(sub));
-  group->snap_scope = "comm_" + std::to_string(id);
+  auto group = std::make_unique<Group>(id, members, root_local, std::move(sub));
+  if (parent != nullptr) group->snap_scope = parent->snap_scope;
   const auto n = members.size();
   group->inputs.assign(n, Packet{});
   group->single_out.assign(n, Packet{});
@@ -1480,7 +1526,8 @@ bool Engine::core_try_send(int rank, int dst, int tag, Packet payload,
   // The receiver died without matching: withdraw the posting and charge the
   // virtual heartbeat that discovered the death.
   queue.erase(it);
-  charge_detection_locked(rank, dst, timeout_s);
+  charge_detection_locked(rank, dst, death_time_[static_cast<std::size_t>(dst)],
+                          timeout_s);
   return false;
 }
 
@@ -1549,7 +1596,9 @@ std::optional<Packet> Engine::core_try_recv(int rank, int src, int tag,
     const RankState peer = rank_state_[static_cast<std::size_t>(src)];
     if (peer == RankState::kCrashed) {
       waiting_[static_cast<std::size_t>(rank)] = WaitInfo{};
-      charge_detection_locked(rank, src, timeout_s);
+      charge_detection_locked(rank, src,
+                              death_time_[static_cast<std::size_t>(src)],
+                              timeout_s);
       return std::nullopt;
     }
     if (peer == RankState::kFinished) {

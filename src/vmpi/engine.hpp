@@ -27,7 +27,11 @@
 //
 // Determinism: collective cost models run once -- executed by the
 // last-arriving rank under the engine lock -- scheduling member transfers
-// in rank order, so the coordinator's identity never affects results.  For
+// in rank order, so the coordinator's identity never affects results.  A
+// collective whose communicator lost a member resolves once every member
+// has either arrived or died (Comm::tolerant, DESIGN.md §9); both events
+// happen on the member's own virtual clock, so the dead set every
+// survivor observes is the same on every run and in both modes.  For
 // point-to-point transfers the receiver computes the schedule and the
 // sender applies its own half of the accounting when it completes the
 // send, which keeps every rank's stats, clock, and trace owned by exactly
@@ -103,7 +107,8 @@ struct Group {
   /// Local rank -> world rank, in local-rank order.
   std::vector<int> members;
   /// The rank that plays master inside this communicator (world: the
-  /// engine root; sub-communicators: local rank 0).
+  /// engine root; split/subset communicators: local rank 0; a shrunken
+  /// communicator keeps its parent's root).
   int root_local = 0;
   /// Restricted platform view: processor i is the spec of world rank
   /// members[i], with the segment structure of the full platform.  Lets
@@ -126,11 +131,16 @@ struct Group {
   std::vector<Packet> single_out;
   std::vector<std::vector<Packet>> multi_out;
   std::vector<std::vector<std::pair<int, Packet>>> exchange_out;
+  /// Local ranks found dead when the last collective resolved (ascending);
+  /// read by each survivor before it can reach the next collective.
+  std::vector<int> dead;
+  /// Scratch: local ranks that arrived at the resolving collective.
+  std::vector<int> live;
 
   // --- counter plane (engine mutex; see obs/snapshot.hpp) ---
-  /// Scope label this group's snapshot samples are filed under; "world"
-  /// for group 0, "comm_<id>" by default, overridden per job through
-  /// Comm::label_snapshots.
+  /// Scope label this group's snapshot samples are filed under: "world"
+  /// for group 0, set per job through Comm::label_snapshots, inherited by
+  /// a shrunken communicator.  Unlabeled groups are never sampled.
   std::string snap_scope;
   /// Per-group stable counters, sampled at collective boundaries.  Indexed
   /// by CollectiveKind like Engine::ObsCounters; [0] stays unused.
@@ -175,8 +185,9 @@ struct Options {
   /// Injected failures, all in virtual time (see vmpi/fault.hpp).  An empty
   /// plan leaves every run bit-identical to a fault-free engine.
   FaultPlan fault_plan;
-  /// Default virtual-time heartbeat for Comm::try_send / try_recv: how long
-  /// a rank waits past a dead peer's death before declaring it lost.
+  /// Virtual-time heartbeat: how long a rank waits past a dead peer's death
+  /// before declaring it lost (Comm::try_send / try_recv by default, and
+  /// every survivor of a collective that resolved without a member).
   double fault_detection_s = 0.1;
   /// Counter-plane snapshot service (off by default).  Enabling it samples
   /// per-communicator stable pvars on a seeded virtual-time cadence into
@@ -231,16 +242,21 @@ class Engine {
   [[nodiscard]] RankStats core_stats(int rank) const;
   // Collectives take the communicator's Group and the caller's *local*
   // rank; roots and exchange destinations are local too.  The group maps
-  // them onto world ranks for transfer scheduling and accounting.
-  void core_barrier(Group& group, int rank);
-  Packet core_bcast(Group& group, int rank, int root, Packet payload);
+  // them onto world ranks for transfer scheduling and accounting.  Each
+  // resolves once every member has arrived or died; `failed` then receives
+  // the dead members (local, ascending), or, when null, a nonempty dead
+  // set throws hprs::Error naming the crash.  Dead members contribute and
+  // receive nothing (empty packets).
+  void core_barrier(Group& group, int rank, std::vector<int>* failed);
+  Packet core_bcast(Group& group, int rank, int root, Packet payload,
+                    std::vector<int>* failed);
   std::vector<Packet> core_gather(Group& group, int rank, int root,
-                                  Packet payload);
+                                  Packet payload, std::vector<int>* failed);
   /// Scatter: the root fills `parts` (one per member); the engine moves the
   /// elements out and leaves the vector's capacity with the caller for
   /// reuse.
   Packet core_scatter(Group& group, int rank, int root,
-                      std::vector<Packet>& parts);
+                      std::vector<Packet>& parts, std::vector<int>* failed);
   /// Deterministic generalized all-to-all: every member contributes a list
   /// of (destination, packet) sends; the coordinator schedules all
   /// transfers in (src, dst) order and each member receives its incoming
@@ -248,13 +264,17 @@ class Engine {
   /// Element contents are moved out of `sends`; its capacity stays with the
   /// caller.
   std::vector<std::pair<int, Packet>> core_exchange(
-      Group& group, int rank, std::vector<std::pair<int, Packet>>& sends);
+      Group& group, int rank, std::vector<std::pair<int, Packet>>& sends,
+      std::vector<int>* failed);
   /// Idempotent registration of a sub-communicator: returns the existing
   /// group when `id` is already known (validating that `members` match) or
-  /// creates it with a platform restricted to `members`.  Every member of a
-  /// new communicator calls this with identical arguments; the first caller
-  /// creates, the rest attach.
-  Group& ensure_group(std::uint64_t id, const std::vector<int>& members);
+  /// creates it with a platform restricted to `members`, rooted at local
+  /// rank `root_local` and sampled under `parent`'s snapshot scope (a
+  /// shrunken communicator; unsampled without a parent).  Every member of
+  /// a new communicator calls this with identical arguments; the first
+  /// caller creates, the rest attach.
+  Group& ensure_group(std::uint64_t id, const std::vector<int>& members,
+                      int root_local = 0, const Group* parent = nullptr);
   // P2p send-side entry points take the communicator's group id as
   // `channel`: inter-segment link serialization is scoped per communicator
   // (see schedule_transfer_locked), and a message contends on the channel
@@ -298,9 +318,16 @@ class Engine {
   // --- collective machinery (all called with mutex_ held) ---
   void begin_collective(Group& group, int rank, CollectiveKind kind,
                         int root);
+  /// True once every member of `group` has arrived or died.
+  [[nodiscard]] bool resolvable_locked(const Group& group) const;
+  /// Runs the pending collective's cost model over the arrived members,
+  /// records the dead ones in group.dead, and charges every survivor one
+  /// detection heartbeat when any member died.
   void finish_collective_locked(Group& group);
-  void wait_for_generation(std::unique_lock<std::mutex>& lock, Group& group,
-                           int rank, std::uint64_t generation);
+  /// Resolves the pending collective when `rank` arrived last, else parks
+  /// until it resolves; then hands the dead set to `failed` (or throws).
+  void complete_collective(std::unique_lock<std::mutex>& lock, Group& group,
+                           int rank, std::vector<int>* failed);
 
   // --- host-side blocking layer (two implementations, one protocol) ---
   /// Blocks `rank` until woken or the deadline expires; returns true on
@@ -378,9 +405,9 @@ class Engine {
   };
 
   /// Kills `rank` (fail-stop) if its clock has reached its planned crash
-  /// time: records the death, wakes peers (or poisons a pending
-  /// collective), and unwinds the rank body via an internal signal that
-  /// run() absorbs without treating it as an error.
+  /// time: records the death, resolves any pending collective that was
+  /// only waiting for it, wakes peers, and unwinds the rank body via an
+  /// internal signal that run() absorbs without treating it as an error.
   void maybe_crash_locked(int rank);
   [[noreturn]] void die_locked(int rank);
   /// Link capacity src-segment -> dst-segment for a transfer starting at
@@ -396,9 +423,11 @@ class Engine {
   /// the posting.  Shared by core_recv and core_try_recv.
   struct PendingSend;
   Packet match_recv_locked(int rank, int src, int tag, PendingSend& ps);
-  /// Charges the virtual heartbeat wait for discovering `peer` dead and
+  /// Charges the virtual heartbeat wait for discovering `peer` dead (it
+  /// died at `death_s`, the latest death of a collective's dead set) and
   /// logs the detection event.
-  void charge_detection_locked(int rank, int peer, double timeout_s);
+  void charge_detection_locked(int rank, int peer, double death_s,
+                               double timeout_s);
   /// One-line-per-rank description of every blocked or crashed rank, for
   /// deadlock diagnostics.
   [[nodiscard]] std::string describe_blocked_locked() const;

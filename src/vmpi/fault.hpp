@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 namespace hprs::vmpi {
@@ -71,6 +72,13 @@ struct FaultPlan {
   }
 };
 
+/// Parses "<rank>@<time>[,<rank>@<time>...]" (the tools' --crash flag).
+/// Each rank must be a whole number and each time a number of seconds,
+/// with nothing trailing either; anything else ("3x@0.05", "2@0.1s", an
+/// empty entry such as a trailing comma) throws hprs::Error naming the
+/// entry.  Range checks stay with the Engine, which knows the platform.
+[[nodiscard]] std::vector<RankCrash> parse_crashes(std::string_view text);
+
 /// What a recorded fault-log entry describes.
 enum class FaultEventKind : std::uint8_t {
   kCrash,        ///< `rank` died (fail-stop) at its frozen clock `time_s`
@@ -92,10 +100,11 @@ struct FaultEvent {
 /// (aggregated over ranks; all zero for a fault-free run).
 struct RecoveryStats {
   /// Virtual time spent blocked on operations that ultimately failed
-  /// (waiting out the heartbeat timeout on a dead peer).
+  /// (waiting out the heartbeat timeout on a dead peer; every survivor of
+  /// a collective that lost a member pays one).
   double detection_s = 0.0;
-  /// Master-side time re-running the WEA and re-issuing work after a loss
-  /// (reported by the fault-tolerant master loop via Comm::note_redistribution).
+  /// Root-side time re-placing and re-staging lost work after a loss
+  /// (reported by core::ft::CollectiveDriver via Comm::note_redistribution).
   double redistribution_s = 0.0;
   /// Compute re-executed to regenerate lost partition results.
   double recomputed_s = 0.0;

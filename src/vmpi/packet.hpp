@@ -60,6 +60,9 @@ struct Packet {
     return shared;
   }
 
+  /// True for the empty packet a dead member contributes or receives.
+  [[nodiscard]] bool empty() const { return !shared && !value.has_value(); }
+
   /// Extracts the payload as a T: moves out of an exclusive packet, copies
   /// out of a shared one (on the caller's thread, outside any engine
   /// lock).  Throws std::bad_any_cast on a type mismatch, as any_cast
@@ -68,6 +71,12 @@ struct Packet {
   [[nodiscard]] T take() {
     if (shared) return std::any_cast<const T&>(*shared);
     return std::any_cast<T>(std::move(value));
+  }
+
+  /// take(), or a value-initialized T for an empty packet.
+  template <typename T>
+  [[nodiscard]] T take_or_default() {
+    return empty() ? T{} : take<T>();
   }
 };
 

@@ -285,13 +285,12 @@ TEST(TileEquivalenceTest, TilingCannotPerturbAnything) {
 }
 
 TEST(TileEquivalenceTest, TilingUnderFaultPlanAlsoIdentical) {
-  // Fault-tolerant runs go through the chunk-replay handlers, which call
-  // the same shared-accumulator range kernels the tiles do -- a crash plan
-  // must not let tile configuration leak into recovery numerics.
+  // Recovery recomputes lost chunks on their adopters' own tile plans,
+  // through the same shared-accumulator range kernels -- a crash plan must
+  // not let tile configuration leak into recovery numerics.
   const hsi::Scene scene = small_scene();
   const simnet::Platform platform = simnet::fully_heterogeneous();
-  core::RunnerConfig cfg = config_for(core::Algorithm::kPct);
-  cfg.fault_tolerant = true;
+  const core::RunnerConfig cfg = config_for(core::Algorithm::kPct);
   const double fault_free_s =
       core::run_algorithm(platform, scene.cube, cfg).report.total_time;
   vmpi::Options options;

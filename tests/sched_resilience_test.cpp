@@ -3,8 +3,8 @@
 //
 //  * outputs first -- a checkpointed, crashed, preempted, or elastically
 //    resized job's outputs equal an *uninterrupted* solo run of the same
-//    fault-tolerant program on the gang that froze its chunks, bit for
-//    bit (replay + chunk-id-order folds must never change the science);
+//    program on the gang that froze its chunks, bit for bit (replay +
+//    chunk-id-order folds must never change the science);
 //  * determinism second -- a fixed fault plan yields bit-identical
 //    records, outputs, lost-rank sets, and stable metrics across repeated
 //    runs and across both host execution modes, including a many-rank
@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -176,11 +177,11 @@ void expect_outputs_equal(const std::vector<JobOutput>& a,
   }
 }
 
-/// The output oracle: the job's fault-tolerant program, run solo and
-/// uninterrupted on `members` -- the gang whose WEA partition froze the
-/// job's chunk list.  Any resilient execution (worker crashes absorbed,
-/// checkpoint resume on a *different* width, preemption) must reproduce
-/// this bit for bit.
+/// The output oracle: the job's program under the collective driver, run
+/// solo and uninterrupted on `members` -- the gang whose WEA partition
+/// froze the job's chunk list.  Any resilient execution (worker crashes
+/// absorbed, checkpoint resume on a *different* width, preemption) must
+/// reproduce this bit for bit.
 JobOutput run_solo_ft(const simnet::Platform& platform,
                       const hsi::HsiCube& scene, const JobSpec& spec,
                       const std::vector<int>& members) {
@@ -194,7 +195,7 @@ JobOutput run_solo_ft(const simnet::Platform& platform,
     vmpi::Comm sub = world.subset(members, spec.id);
     core::AlgorithmProgram built =
         core::make_program(core::RunnerConfig{spec}, scene);
-    core::ft::run_program(sub, scene, built.program);
+    core::ft::run_collective(sub, scene, built.program);
     if (sub.is_root()) out = built.harvest();
   });
   return out;
@@ -469,18 +470,20 @@ TEST(SchedResilienceTest, CrashInsideCheckpointWriteKeepsPreviousCommit) {
   // Mean virtual cost of one checkpoint write (two compute halves).
   const double write_s =
       attempt.checkpoint_s / static_cast<double>(attempt.checkpoints);
-  // Aim crashes around the *third* commit: shortly before it (inside the
-  // write window, tearing the staged snapshot), at its first half, and a
-  // hair after (the commit survives).  Whatever side of the torn window
-  // each lands on, the job must complete bit-identically from whichever
-  // snapshot actually committed.
+  // Sweep crashes evenly over the *third* commit's whole write window and
+  // a little past it: 16 instants from 1.0 write times before the commit
+  // (the write begins, tearing the staged snapshot) to 0.25 after (the
+  // commit survives).  Whatever side of the torn window each lands on, the
+  // job must complete bit-identically from whichever snapshot actually
+  // committed.
   const double commit_t = attempt.checkpoint_at_s[2];
   ASSERT_GT(commit_t - write_s, attempt.checkpoint_at_s[1]);
-  const double offsets[] = {0.9 * write_s, 0.4 * write_s, -0.25 * write_s};
   const JobOutput solo =
       run_solo_ft(platform, scene, stream[0], probe.records[0].members);
 
-  for (const double off : offsets) {
+  std::set<int> resumed_from;
+  for (int k = 0; k < 16; ++k) {
+    const double off = (1.0 - 1.25 * k / 15.0) * write_s;
     vmpi::Options faulty = fast_options();
     faulty.fault_plan.crashes.push_back({1, commit_t - off});
     const ScheduleResult result =
@@ -489,8 +492,12 @@ TEST(SchedResilienceTest, CrashInsideCheckpointWriteKeepsPreviousCommit) {
     const JobRecord& record = result.records[0];
     ASSERT_EQ(record.attempts.size(), 2u) << "offset " << off;
     EXPECT_GT(record.attempts[1].resumed_seq, 0) << "offset " << off;
+    resumed_from.insert(record.attempts[1].resumed_seq);
     expect_output_matches_solo(result.outputs[0], solo, record.id);
   }
+  // The sweep lands on both sides of the torn window: some retries resume
+  // the second commit, the rest the third.
+  EXPECT_EQ(resumed_from.size(), 2u);
 }
 
 TEST(SchedResilienceTest, PreemptThenCrashOnResizedGangStaysBitIdentical) {

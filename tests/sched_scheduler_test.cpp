@@ -464,5 +464,39 @@ TEST(SchedSchedulerTest, AdmissionRejectsInvalidParametersByName) {
   }
 }
 
+TEST(SchedSchedulerTest, GangErrorFailsOnlyItsJobByName) {
+  // The two fastest workers, which the hetero policy picks first, have the
+  // least memory: admission (roomiest subset) accepts the job, but its
+  // gang's WEA cannot fit the scene.  Every member of that gang gets the
+  // same error, the job fails with it, and the stream goes on.
+  std::vector<simnet::ProcessorSpec> procs;
+  for (std::size_t i = 0; i < 5; ++i) {
+    const bool fast = i == 1 || i == 2;
+    procs.push_back(simnet::ProcessorSpec{"p" + std::to_string(i), "t",
+                                          fast ? 0.001 : 0.004,
+                                          fast ? 1u : 1024u, 512, 0});
+  }
+  const simnet::Platform platform("sched-mem", std::move(procs), {{10.0}});
+  const hsi::HsiCube scene = testing::striped_cube(32, 16, 24, 4);
+  std::vector<JobSpec> stream = mixed_stream();
+  stream.resize(1);
+  stream[0].ranks = 2;
+  stream[0].memory_fraction = 0.01;  // 10 KiB per fast rank, 48 KiB scene
+  JobSpec later = mixed_stream()[1];
+  later.arrival_s = 1.0;
+  stream.push_back(later);
+
+  for (const vmpi::ExecMode mode :
+       {vmpi::ExecMode::kBoundedExecutor, vmpi::ExecMode::kThreadPerRank}) {
+    const ScheduleResult result =
+        run_schedule(platform, scene, stream, {}, fast_options(mode));
+    const JobRecord& failed = result.records[0];
+    EXPECT_EQ(failed.state, JobState::kFailed);
+    EXPECT_EQ(failed.members, (std::vector<int>{1, 2}));
+    EXPECT_NE(failed.error.find("memory"), std::string::npos) << failed.error;
+    EXPECT_TRUE(result.records[1].completed());
+  }
+}
+
 }  // namespace
 }  // namespace hprs::sched

@@ -3,9 +3,11 @@
 // RunReports -- including the fault-event log and the recovery-overhead
 // decomposition -- across repeated runs, engine reuse, and both host
 // execution modes; an empty plan must leave try_send/try_recv programs
-// bit-identical to their plain send/recv twins; crashes poison full-world
-// collectives promptly; invalid plans and options fail at Engine
-// construction; and deadlock diagnostics name the blocked ranks.
+// bit-identical to their plain send/recv twins; a collective that lost a
+// member resolves on a tolerant handle with the same dead set on every
+// survivor and fails the run on a default one; invalid plans and options
+// fail at Engine construction (and malformed --crash text at parse time);
+// and deadlock diagnostics name the blocked ranks.
 //
 // HPRS_STRESS_RANKS overrides the rank count (ThreadSanitizer runs use a
 // smaller world so 2x-instrumented thread-per-rank mode stays fast).
@@ -66,7 +68,8 @@ FaultPlan mixed_plan(std::size_t n) {
 /// A miniature fault-tolerant master/worker protocol: three rounds of
 /// command/reply driven by the root over try_send/try_recv, then a stop
 /// message.  Workers use plain operations toward the immortal root.  This
-/// is the communication shape of core/ft.hpp without the numerics.
+/// is the communication shape of the scheduler's control plane
+/// (sched/scheduler.cpp) without the numerics.
 void master_worker_program(Comm& comm) {
   constexpr int kCmdTag = 1;
   constexpr int kResTag = 2;
@@ -263,6 +266,160 @@ TEST(VmpiFaultTest, CrashPoisonsFullWorldCollectives) {
     FAIL() << "expected Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("crash"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// What one rank observed around a failure-aware collective.
+struct Seen {
+  bool survived = false;
+  std::vector<int> failed;
+  std::uint64_t value = 0;
+  std::vector<std::uint64_t> gathered;
+  int shrunk_root = -1;  ///< world rank of the shrunken communicator's root
+  int shrunk_size = 0;
+  std::uint64_t shrunk_id = 0;
+  std::vector<int> failed_after;  ///< after a barrier on the survivors
+
+  bool operator==(const Seen&) const = default;
+};
+
+/// Eight ranks rooted at rank 2 run one collective on a tolerant handle.
+/// Rank 5 dies before it (at t = 0, on its first operation); rank 6 dies
+/// at its arrival, while the others wait in the collective.
+RunReport run_failing_collective(CollectiveKind kind, ExecMode mode,
+                                 std::vector<Seen>& seen) {
+  Options opts = fault_options(mode);
+  opts.root = 2;
+  opts.fault_plan.crashes.push_back({5, 0.0});
+  opts.fault_plan.crashes.push_back({6, 1e-6});
+  Engine engine(fault_platform(8), opts);
+  seen.assign(8, Seen{});
+  return engine.run([&](Comm& world) {
+    Comm comm = world.tolerant();
+    const int me = comm.rank();
+    comm.compute(1000 * static_cast<std::uint64_t>(1 + me));
+    Seen& s = seen[static_cast<std::size_t>(me)];
+    const std::uint64_t mine = 100 + static_cast<std::uint64_t>(me);
+    switch (kind) {
+      case CollectiveKind::kBcast:
+        s.value = comm.bcast(comm.root(), comm.is_root() ? 42 : mine, 8);
+        break;
+      case CollectiveKind::kGather:
+        s.gathered = comm.gather(comm.root(), mine, 8);
+        break;
+      default: {
+        std::vector<std::uint64_t> parts;
+        if (comm.is_root()) {
+          for (int r = 0; r < comm.size(); ++r) parts.push_back(100 + r);
+        }
+        const std::vector<std::size_t> bytes(parts.size(), 8);
+        s.value = comm.scatter(comm.root(), std::move(parts), bytes);
+        break;
+      }
+    }
+    s.survived = true;
+    s.failed = comm.failed();
+    Comm survivors = comm.shrink();
+    s.shrunk_root = survivors.world_rank_of(survivors.root());
+    s.shrunk_size = survivors.size();
+    s.shrunk_id = survivors.group_id();
+    survivors.barrier();
+    s.failed_after = survivors.failed();
+  });
+}
+
+TEST(VmpiFaultTest, FailureAwareCollectivesAgreeOnTheDeadSet) {
+  for (const CollectiveKind kind :
+       {CollectiveKind::kBcast, CollectiveKind::kGather,
+        CollectiveKind::kScatter}) {
+    SCOPED_TRACE("collective kind " + std::to_string(static_cast<int>(kind)));
+    std::vector<Seen> first;
+    const RunReport report =
+        run_failing_collective(kind, ExecMode::kBoundedExecutor, first);
+    EXPECT_EQ(report.recovery.crashes, 2);
+    EXPECT_EQ(report.recovery.detections, 6);  // one heartbeat per survivor
+    for (int r = 0; r < 8; ++r) {
+      const Seen& s = first[static_cast<std::size_t>(r)];
+      SCOPED_TRACE("rank " + std::to_string(r));
+      EXPECT_EQ(s.survived, r != 5 && r != 6);
+      if (!s.survived) continue;
+      EXPECT_EQ(s.failed, (std::vector<int>{5, 6}));
+      EXPECT_EQ(s.shrunk_root, 2);
+      EXPECT_EQ(s.shrunk_size, 6);
+      EXPECT_EQ(s.shrunk_id, first[2].shrunk_id);
+      EXPECT_NE(s.shrunk_id, 0u);
+      EXPECT_TRUE(s.failed_after.empty());
+      if (kind == CollectiveKind::kBcast) {
+        EXPECT_EQ(s.value, 42u);
+      } else if (kind == CollectiveKind::kScatter) {
+        EXPECT_EQ(s.value, 100u + r);
+      } else if (r == 2) {
+        // Live members' data is delivered; dead members' slots are empty.
+        EXPECT_EQ(s.gathered, (std::vector<std::uint64_t>{100, 101, 102, 103,
+                                                          104, 0, 0, 107}));
+      }
+    }
+
+    std::vector<Seen> again;
+    expect_reports_bit_identical(
+        report, run_failing_collective(kind, ExecMode::kBoundedExecutor, again),
+        "repeat");
+    EXPECT_EQ(first, again);
+    std::vector<Seen> threads;
+    expect_reports_bit_identical(
+        report, run_failing_collective(kind, ExecMode::kThreadPerRank, threads),
+        "executor-vs-threads");
+    EXPECT_EQ(first, threads);
+  }
+}
+
+TEST(VmpiFaultTest, CollectivesOfADeadRootDeliverNothing) {
+  // The root dies before a bcast and a gather: the survivors still resolve
+  // both, learn the root is dead, get nothing from it, and cannot shrink.
+  Options opts = fault_options(ExecMode::kBoundedExecutor);
+  opts.root = 2;
+  opts.fault_plan.crashes.push_back({2, 0.0});
+  Engine engine(fault_platform(4), opts);
+  std::vector<int> checked(4, 0);
+  const RunReport report = engine.run([&](Comm& world) {
+    Comm comm = world.tolerant();
+    comm.compute(1000);
+    EXPECT_EQ(comm.bcast_shared(comm.root(), std::uint64_t{7}, 8), nullptr);
+    EXPECT_EQ(comm.failed(), (std::vector<int>{2}));
+    EXPECT_TRUE(comm.gather(comm.root(), std::uint64_t{1}, 8).empty());
+    EXPECT_EQ(comm.failed(), (std::vector<int>{2}));
+    EXPECT_THROW((void)comm.shrink(), Error);
+    checked[static_cast<std::size_t>(comm.rank())] = 1;
+  });
+  EXPECT_EQ(checked, (std::vector<int>{1, 1, 0, 1}));
+  EXPECT_EQ(report.recovery.crashes, 1);
+  EXPECT_EQ(report.recovery.detections, 6);  // 3 survivors x 2 collectives
+}
+
+TEST(VmpiFaultTest, ParseCrashesRejectsMalformedEntriesByName) {
+  const std::vector<RankCrash> ok = parse_crashes("3@0.05,7@1e-2");
+  ASSERT_EQ(ok.size(), 2u);
+  EXPECT_EQ(ok[0].rank, 3);
+  EXPECT_EQ(ok[0].time_s, 0.05);
+  EXPECT_EQ(ok[1].rank, 7);
+  EXPECT_EQ(ok[1].time_s, 0.01);
+  for (const std::string bad :
+       {"3x@0.05", "2@0.1s", "2@0.1,", "", "@0.1", "3@", "3@0.1,,4@0.2",
+        "3"}) {
+    try {
+      (void)parse_crashes(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("crash entry"), std::string::npos)
+          << e.what();
+    }
+  }
+  try {
+    (void)parse_crashes("1@0.5,2@0.1s");
+    ADD_FAILURE() << "accepted a trailing unit";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'2@0.1s'"), std::string::npos)
         << e.what();
   }
 }

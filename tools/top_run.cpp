@@ -39,58 +39,11 @@
 #include "sched/scheduler.hpp"
 #include "serve/traffic.hpp"
 #include "simnet/platform.hpp"
+#include "tool_common.hpp"
 
 namespace {
 
 using namespace hprs;
-
-bool make_platform(const std::string& name, std::size_t cpus,
-                   std::size_t accels, simnet::Platform& out) {
-  if (name == "fully-heterogeneous") {
-    out = simnet::fully_heterogeneous();
-  } else if (name == "fully-homogeneous") {
-    out = simnet::fully_homogeneous();
-  } else if (name == "partially-heterogeneous") {
-    out = simnet::partially_heterogeneous();
-  } else if (name == "partially-homogeneous") {
-    out = simnet::partially_homogeneous();
-  } else if (name == "thunderhead") {
-    out = simnet::thunderhead(cpus);
-  } else if (name == "accelerated-now") {
-    out = simnet::accelerated_now(cpus, accels);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool parse_crashes(const std::string& text, vmpi::FaultPlan& plan) {
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string entry = text.substr(pos, comma - pos);
-    const std::size_t at = entry.find('@');
-    if (at == std::string::npos || at == 0 || at + 1 >= entry.size()) {
-      return false;
-    }
-    try {
-      plan.crashes.push_back(
-          {std::stoi(entry.substr(0, at)), std::stod(entry.substr(at + 1))});
-    } catch (const std::exception&) {
-      return false;
-    }
-    pos = comma + 1;
-  }
-  return !plan.crashes.empty();
-}
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  f << text;
-  return f.good();
-}
 
 double pvar_value(const obs::PvarSet& set, const std::string& name) {
   for (const obs::Pvar& var : set.sorted()) {
@@ -243,7 +196,7 @@ int main(int argc, char** argv) {
     }
   } else {
     simnet::Platform platform = simnet::fully_heterogeneous();
-    if (!make_platform(args.get("network", "fully-heterogeneous"),
+    if (!tools::make_platform(args.get("network", "fully-heterogeneous"),
                        static_cast<std::size_t>(args.get_int("cpus", 16)),
                        static_cast<std::size_t>(args.get_int("accels", 2)),
                        platform)) {
@@ -270,9 +223,13 @@ int main(int argc, char** argv) {
     }
     vmpi::FaultPlan fault_plan;
     const std::string crash_spec = args.get("crash", "");
-    if (!crash_spec.empty() && !parse_crashes(crash_spec, fault_plan)) {
-      std::fprintf(stderr, "top_run: bad --crash (want <rank>@<time>[,...])\n");
-      return 2;
+    if (!crash_spec.empty()) {
+      try {
+        fault_plan.crashes = vmpi::parse_crashes(crash_spec);
+      } catch (const Error& e) {
+        std::fprintf(stderr, "top_run: --crash: %s\n", e.what());
+        return 2;
+      }
     }
     if (args.get_bool("resilient", false) || !fault_plan.crashes.empty()) {
       sched_cfg.resilience.enabled = true;
@@ -345,7 +302,7 @@ int main(int argc, char** argv) {
 
   const std::string out_path = args.get("out", "");
   if (!out_path.empty()) {
-    if (!write_file(out_path, obs::snapshot_timeline_json(timeline))) {
+    if (!tools::write_file(out_path, obs::snapshot_timeline_json(timeline))) {
       std::fprintf(stderr, "top_run: failed to write %s\n", out_path.c_str());
       return 1;
     }
@@ -353,7 +310,7 @@ int main(int argc, char** argv) {
   }
   const std::string csv_path = args.get("csv", "");
   if (!csv_path.empty()) {
-    if (!write_file(csv_path, obs::snapshot_timeline_csv(timeline))) {
+    if (!tools::write_file(csv_path, obs::snapshot_timeline_csv(timeline))) {
       std::fprintf(stderr, "top_run: failed to write %s\n", csv_path.c_str());
       return 1;
     }

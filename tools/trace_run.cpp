@@ -31,7 +31,6 @@
 //
 //   trace_run --sched --resilient --checkpoint 0.01 --crash 2@0.05
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -43,73 +42,10 @@
 #include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
 #include "simnet/platform.hpp"
+#include "tool_common.hpp"
 #include "vmpi/trace.hpp"
 
-namespace {
-
 using namespace hprs;
-
-bool parse_algorithm(const std::string& name, core::Algorithm& out) {
-  for (const auto alg : {core::Algorithm::kAtdca, core::Algorithm::kUfcls,
-                         core::Algorithm::kPct, core::Algorithm::kMorph}) {
-    if (name == core::to_string(alg)) {
-      out = alg;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool make_platform(const std::string& name, std::size_t cpus,
-                   std::size_t accels, simnet::Platform& out) {
-  if (name == "fully-heterogeneous") {
-    out = simnet::fully_heterogeneous();
-  } else if (name == "fully-homogeneous") {
-    out = simnet::fully_homogeneous();
-  } else if (name == "partially-heterogeneous") {
-    out = simnet::partially_heterogeneous();
-  } else if (name == "partially-homogeneous") {
-    out = simnet::partially_homogeneous();
-  } else if (name == "thunderhead") {
-    out = simnet::thunderhead(cpus);
-  } else if (name == "accelerated-now") {
-    out = simnet::accelerated_now(cpus, accels);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// Parses "--crash <rank>@<time>[,<rank>@<time>...]" into a fault plan.
-bool parse_crashes(const std::string& text, vmpi::FaultPlan& plan) {
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string entry = text.substr(pos, comma - pos);
-    const std::size_t at = entry.find('@');
-    if (at == std::string::npos || at == 0 || at + 1 >= entry.size()) {
-      return false;
-    }
-    try {
-      plan.crashes.push_back(
-          {std::stoi(entry.substr(0, at)), std::stod(entry.substr(at + 1))});
-    } catch (const std::exception&) {
-      return false;
-    }
-    pos = comma + 1;
-  }
-  return !plan.crashes.empty();
-}
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  f << text;
-  return f.good();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv,
@@ -120,13 +56,14 @@ int main(int argc, char** argv) {
                       "checkpoint", "crash"});
 
   core::Algorithm alg = core::Algorithm::kAtdca;
-  if (!parse_algorithm(args.get("alg", "ATDCA"), alg)) {
-    std::fprintf(stderr,
-                 "trace_run: unknown --alg (want ATDCA, UFCLS, PCT, MORPH)\n");
+  try {
+    alg = core::parse_algorithm(args.get("alg", "ATDCA"));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "trace_run: --alg: %s\n", e.what());
     return 2;
   }
   simnet::Platform platform = simnet::fully_heterogeneous();
-  if (!make_platform(args.get("network", "fully-heterogeneous"),
+  if (!tools::make_platform(args.get("network", "fully-heterogeneous"),
                      static_cast<std::size_t>(args.get_int("cpus", 16)),
                      static_cast<std::size_t>(args.get_int("accels", 2)),
                      platform)) {
@@ -155,10 +92,13 @@ int main(int argc, char** argv) {
     const bool resilient = args.get_bool("resilient", false);
     vmpi::FaultPlan fault_plan;
     const std::string crash_spec = args.get("crash", "");
-    if (!crash_spec.empty() && !parse_crashes(crash_spec, fault_plan)) {
-      std::fprintf(stderr,
-                   "trace_run: bad --crash (want <rank>@<time>[,...])\n");
-      return 2;
+    if (!crash_spec.empty()) {
+      try {
+        fault_plan.crashes = vmpi::parse_crashes(crash_spec);
+      } catch (const Error& e) {
+        std::fprintf(stderr, "trace_run: --crash: %s\n", e.what());
+        return 2;
+      }
     }
     if (resilient) {
       sched_cfg.resilience.enabled = true;
@@ -249,7 +189,7 @@ int main(int argc, char** argv) {
       const std::string json =
           obs::chrome_trace_json(result.report, sched::job_track_groups(result),
                                  obs::HostProfiler::instance().spans());
-      if (!write_file(trace_path, json)) {
+      if (!tools::write_file(trace_path, json)) {
         std::fprintf(stderr, "trace_run: failed to write %s\n",
                      trace_path.c_str());
         return 1;
@@ -259,7 +199,7 @@ int main(int argc, char** argv) {
     }
     const std::string csv_path = args.get("csv", "");
     if (!csv_path.empty()) {
-      if (!write_file(csv_path, vmpi::trace_csv(result.report))) {
+      if (!tools::write_file(csv_path, vmpi::trace_csv(result.report))) {
         std::fprintf(stderr, "trace_run: failed to write %s\n",
                      csv_path.c_str());
         return 1;
@@ -300,7 +240,7 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) {
     const std::string json = obs::chrome_trace_json(
         out.report, obs::HostProfiler::instance().spans());
-    if (!write_file(trace_path, json)) {
+    if (!tools::write_file(trace_path, json)) {
       std::fprintf(stderr, "trace_run: failed to write %s\n",
                    trace_path.c_str());
       return 1;
@@ -310,7 +250,7 @@ int main(int argc, char** argv) {
   }
   const std::string csv_path = args.get("csv", "");
   if (!csv_path.empty()) {
-    if (!write_file(csv_path, vmpi::trace_csv(out.report))) {
+    if (!tools::write_file(csv_path, vmpi::trace_csv(out.report))) {
       std::fprintf(stderr, "trace_run: failed to write %s\n",
                    csv_path.c_str());
       return 1;

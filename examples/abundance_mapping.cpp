@@ -12,7 +12,6 @@
 #include <filesystem>
 
 #include "common/cli.hpp"
-#include "core/ppi.hpp"
 #include "core/runner.hpp"
 #include "core/unmix_map.hpp"
 #include "hsi/render.hpp"
@@ -43,10 +42,11 @@ int main(int argc, char** argv) {
   std::printf("ATDCA extracted %zu endmembers in %.1f simulated s\n",
               atdca.targets.size(), atdca.report.total_time);
 
-  core::PpiConfig ppi_cfg;
+  core::RunnerConfig ppi_cfg;
+  ppi_cfg.algorithm = core::Algorithm::kPpi;
   ppi_cfg.targets = det.targets;
   ppi_cfg.skewers = 512;
-  const auto ppi = core::run_ppi(platform, scene.cube, ppi_cfg);
+  const auto ppi = core::run_algorithm(platform, scene.cube, ppi_cfg);
   std::size_t shared = 0;
   for (const auto& t : atdca.targets) {
     for (const auto& p : ppi.targets) {

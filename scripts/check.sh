@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification wrapper: configure (warnings as errors, as CI does),
 # build, run the full test suite, then rebuild the kernel-equivalence tests,
-# the cluster-resilience suite and the trace parser's suite under
-# ASan/UBSan and run them once, and finally rebuild the vmpi engine and
-# fault-injection tests under ThreadSanitizer and run them in both host
-# execution modes (bounded executor and HPRS_THREAD_PER_RANK).  This is the
-# gate a change must pass before merging.
+# the scheduler and cluster-resilience suites and the input parsers' suites
+# under ASan/UBSan and run them once, and finally rebuild the vmpi engine,
+# fault-injection and scheduler tests under ThreadSanitizer and run them in
+# both host execution modes (bounded executor and HPRS_THREAD_PER_RANK).
+# This is the gate a change must pass before merging.
 #
 # A final bench-smoke tier reruns the table 5/7/8 + fault benches at
 # reduced size and diffs their run summaries against bench/golden/
@@ -32,14 +32,16 @@ cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
 if [[ "$run_sanitizers" == "1" ]]; then
-  echo "== tier 1b: fast paths + resilience + trace parser under ASan/UBSan =="
-  # sched_resilience_test and core_fault_recovery_test unwind crashed
-  # ranks' fibers out of collectives mid-phase, so LeakSanitizer checks
-  # the executor's per-fiber exception state; serve_traffic_test feeds the
-  # trace parser malformed documents.
+  echo "== tier 1b: fast paths + scheduler + parsers under ASan/UBSan =="
+  # sched_scheduler_test, sched_resilience_test and core_fault_recovery_test
+  # unwind crashed ranks' fibers out of collectives mid-phase, so
+  # LeakSanitizer checks the executor's per-fiber exception state;
+  # serve_traffic_test, hsi_io_test and simnet_platform_io_test feed the
+  # trace, ENVI and platform-file parsers malformed input.
   asan_tests=(linalg_blocked_test morph_sad_cache_test
-              fastpath_equivalence_test sched_resilience_test
-              core_fault_recovery_test serve_traffic_test)
+              fastpath_equivalence_test sched_scheduler_test
+              sched_resilience_test core_fault_recovery_test
+              serve_traffic_test hsi_io_test simnet_platform_io_test)
   cmake -S "$repo" -B "$repo/build-asan" \
     -DCMAKE_BUILD_TYPE=Release \
     -DHPRS_ENABLE_SANITIZERS=ON \
@@ -50,11 +52,11 @@ if [[ "$run_sanitizers" == "1" ]]; then
     "$repo/build-asan/tests/$t"
   done
 
-  echo "== tier 1c: vmpi engine + resilience under TSan, both execution modes =="
+  echo "== tier 1c: vmpi engine + scheduler under TSan, both execution modes =="
   vmpi_tests=(vmpi_engine_test vmpi_collectives_test vmpi_engine_stress_test
-              vmpi_fault_test vmpi_split_test sched_resilience_test
-              core_fault_recovery_test sched_snapshot_test
-              serve_service_test)
+              vmpi_fault_test vmpi_split_test sched_scheduler_test
+              sched_resilience_test core_fault_recovery_test
+              sched_snapshot_test serve_service_test)
   cmake -S "$repo" -B "$repo/build-tsan" \
     -DCMAKE_BUILD_TYPE=Release \
     -DHPRS_ENABLE_TSAN=ON \

@@ -8,7 +8,6 @@
 #include "core/ft_programs.hpp"
 #include "core/spmd_common.hpp"
 #include "linalg/flops.hpp"
-#include "linalg/vec.hpp"
 #include "vmpi/comm.hpp"
 
 namespace hprs::core {
@@ -17,28 +16,6 @@ namespace {
 
 using detail::Candidate;
 using linalg::flops::Count;
-
-/// First row-major argmax of the squared norm over rows
-/// [row_begin, row_end), plus the flops performed.  Tiles of a partition
-/// fold their results with the same strictly-greater comparison in tile
-/// order, which reproduces the monolithic sweep's first-maximum exactly.
-struct BrightOut {
-  Candidate best{0, 0, -1.0};
-  Count flops = 0;
-};
-
-BrightOut brightest_range(const hsi::HsiCube& cube, std::size_t row_begin,
-                          std::size_t row_end) {
-  BrightOut out;
-  for (std::size_t r = row_begin; r < row_end; ++r) {
-    for (std::size_t c = 0; c < cube.cols(); ++c) {
-      const double score = linalg::norm_sq(cube.pixel(r, c));
-      out.flops += linalg::flops::dot(cube.bands());
-      if (score > out.best.score) out.best = Candidate{r, c, score};
-    }
-  }
-  return out;
-}
 
 /// Master-side selection of the winning candidate, charged as the paper
 /// describes: the master re-applies the current operator at the P proposed
@@ -58,21 +35,16 @@ Candidate select_best(vmpi::Comm& comm, const std::vector<Candidate>& cands,
 
 /// Paper Alg. 2 as one Program (core/ft.hpp): the brightest-pixel and OSP
 /// sweeps are the phase handlers, the root grows U.  Folding candidates in
-/// chunk order reproduces the gather's rank-order fold, so both drivers
-/// extract the same targets.
+/// chunk order reproduces the gather's rank-order fold, so a recovered run
+/// extracts the same targets.
 ft::Program atdca_ft_program(const hsi::HsiCube& cube,
-                             const AtdcaConfig& config,
-                             TargetDetectionResult& result) {
-  HPRS_REQUIRE(!cube.empty(), "empty cube");
+                             const RunnerConfig& config,
+                             AlgorithmOutput& result) {
   HPRS_REQUIRE(config.targets >= 1, "targets = 0: need at least one target");
   ft::Program prog;
   prog.model = atdca_workload(cube.bands(), config.targets);
-  prog.model.scatter_input = config.charge_data_staging;
-  prog.policy = config.policy;
-  prog.memory_fraction = config.memory_fraction;
-  prog.replication = config.replication;
+  prog.model.tile_stream = config.tile_stream;
   prog.tile_rows = config.tile_rows;
-  prog.tile_stream = config.tile_stream;
   // Phase 0: the chunk's brightest pixel, swept tile by tile (fold order ==
   // tile order == row-major order, so the pick is the monolithic one).
   prog.handlers.push_back(
@@ -80,8 +52,9 @@ ft::Program atdca_ft_program(const hsi::HsiCube& cube,
         Candidate best{0, 0, -1.0};
         detail::tiled_sweep(c, *chunk.tiles, config.replication,
                             [&](const linalg::TileDesc& t) {
-                              const BrightOut out = brightest_range(
-                                  cube, t.row_begin, t.row_end);
+                              const detail::BrightestOut out =
+                                  detail::brightest_sweep(cube, t.row_begin,
+                                                          t.row_end);
                               if (out.best.score > best.score) best = out.best;
                               return out.flops;
                             });
@@ -156,16 +129,6 @@ WorkloadModel atdca_workload(std::size_t bands, std::size_t targets) {
   model.scatter_input = false;
   model.sync_rounds = static_cast<double>(targets);
   return model;
-}
-
-TargetDetectionResult run_atdca(const simnet::Platform& platform,
-                                const hsi::HsiCube& cube,
-                                const AtdcaConfig& config,
-                                vmpi::Options options) {
-  TargetDetectionResult result;
-  result.report = ft::run_on_engine(
-      platform, cube, atdca_ft_program(cube, config, result), options);
-  return result;
 }
 
 }  // namespace hprs::core

@@ -56,10 +56,8 @@ void CollectiveDriver::freeze(std::vector<Chunk> frozen) {
   const Program& prog = *prog_;
   const auto p = static_cast<std::size_t>(comm.size());
   if (frozen.empty()) {
-    WorkloadModel model = prog.model;
-    model.tile_stream = prog.tile_stream;
     const PartitionResult partition = wea_partition(
-        comm.platform(), cube_->rows(), cube_->cols(), model, prog.policy,
+        comm.platform(), cube_->rows(), cube_->cols(), prog.model, prog.policy,
         prog.memory_fraction, prog.overlap, comm.root());
     // The WEA itself is a handful of arithmetic per processor, performed by
     // the root before any parallel work exists.
@@ -116,12 +114,12 @@ void CollectiveDriver::deal(std::vector<Deal> deals, bool recovery) {
     // streaming mode, overlapping whatever precedes the device sweeps.  A
     // no-op on plain CPU ranks.
     const PartitionView view{cube_, chunk.part};
-    if (!prog.tile_stream) {
+    if (!prog.model.tile_stream) {
       comm.stage_to_device(view.wire_bytes() * prog.replication);
     }
     tiles_.push_back(std::make_unique<detail::TileStream>(
         detail::begin_tile_stream(comm, view, prog.tile_rows,
-                                  prog.tile_stream, prog.replication)));
+                                  prog.model.tile_stream, prog.replication)));
     chunk.tiles = tiles_.back().get();
     (recovery ? adopted_ : owned_).push_back(chunk);
   }

@@ -109,7 +109,8 @@ struct Program {
   std::function<void(vmpi::Comm&, PhaseDriver&, const std::vector<Handler>&)>
       master;
   /// WEA inputs for the chunk freeze; model.scatter_input also charges the
-  /// full block (not a descriptor) whenever a chunk is dealt or re-staged.
+  /// full block (not a descriptor) whenever a chunk is dealt or re-staged,
+  /// and model.tile_stream stages each chunk per tile instead of upfront.
   WorkloadModel model;
   PartitionPolicy policy = PartitionPolicy::kHeterogeneous;
   double memory_fraction = 0.5;
@@ -122,9 +123,8 @@ struct Program {
   /// linear extrapolation to the paper's full 2133x512 scene is exact
   /// (DESIGN.md discusses the substitution).
   std::size_t replication = 1;
-  /// Tile plan (linalg::resolve_tile_rows) and per-tile streamed staging.
+  /// Rows per tile of the tile plan (linalg::resolve_tile_rows).
   std::size_t tile_rows = 0;
-  bool tile_stream = false;
   /// Why a recomputed chunk could not reproduce a lost result (MORPH's
   /// halo-exchange mode needs its neighbours' rows); empty when it can.
   /// run_on_engine refuses crash plans for such a program.

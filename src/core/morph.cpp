@@ -69,7 +69,7 @@ struct SplitFlops {
 class MorphWorker {
  public:
   MorphWorker(const hsi::HsiCube& cube, const RowPartition& part,
-              const MorphConfig& config)
+              const RunnerConfig& config)
       : cube_(cube),
         config_(config),
         block_begin_(part.halo_begin),
@@ -101,7 +101,7 @@ class MorphWorker {
   }
 
   const hsi::HsiCube& cube_;
-  const MorphConfig& config_;
+  const RunnerConfig& config_;
   std::size_t block_begin_;
   std::size_t owned_begin_;
   std::size_t owned_end_;
@@ -214,20 +214,20 @@ std::vector<MorphRep> MorphWorker::top_candidates() const {
 /// Step 2 + candidate selection for one partition: runs all I_max
 /// morphology iterations (charging each pass) and returns the c
 /// highest-MEI owned pixels.  In overlap-border mode the result depends on
-/// the chunk alone; halo-exchange mode (overlap_borders = false) refreshes
-/// the borders from the neighbouring ranks before every later iteration,
-/// so a lost chunk cannot be recomputed elsewhere (run_morph refuses crash
-/// plans in that mode).
+/// the chunk alone; halo-exchange mode (morph_overlap_borders = false)
+/// refreshes the borders from the neighbouring ranks before every later
+/// iteration, so a lost chunk cannot be recomputed elsewhere
+/// (ft::run_on_engine refuses crash plans in that mode).
 std::vector<MorphRep> morph_candidates(vmpi::Comm& comm,
                                        const hsi::HsiCube& cube,
                                        const RowPartition& part,
-                                       const MorphConfig& config) {
+                                       const RunnerConfig& config) {
   MorphWorker worker(cube, part, config);
-  for (std::size_t j = 1; j <= config.iterations; ++j) {
-    if (!config.overlap_borders && j > 1) {
+  for (std::size_t j = 1; j <= config.morph_iterations; ++j) {
+    if (!config.morph_overlap_borders && j > 1) {
       worker.exchange_halo(comm, config.kernel_radius);
     }
-    const SplitFlops flops = worker.iterate(j == config.iterations);
+    const SplitFlops flops = worker.iterate(j == config.morph_iterations);
     comm.compute(flops.charge(config.replication));
   }
   return worker.top_candidates();
@@ -238,7 +238,7 @@ std::vector<MorphRep> morph_candidates(vmpi::Comm& comm,
 /// consolidation SADs.
 std::vector<MorphRep> merge_unique_sets(
     vmpi::Comm& comm, std::vector<std::vector<MorphRep>> rep_sets,
-    const MorphConfig& config, std::size_t bands) {
+    const RunnerConfig& config, std::size_t bands) {
   std::vector<detail::SpectralCandidate> pool;
   for (auto& set : rep_sets) {
     for (auto& rep : set) {
@@ -324,7 +324,7 @@ LabelOut label_partition(const hsi::HsiCube& cube, std::size_t row_begin,
 void assemble_label_image(vmpi::Comm& comm,
                           const std::vector<LabelBlock>& blocks,
                           const hsi::HsiCube& cube, std::size_t reps,
-                          ClassificationResult& result) {
+                          AlgorithmOutput& result) {
   result.labels.assign(cube.pixel_count(), 0);
   for (const auto& blk : blocks) {
     std::copy(blk.labels.begin(), blk.labels.end(),
@@ -344,28 +344,24 @@ void assemble_label_image(vmpi::Comm& comm,
 /// per side, the companion JPDC'06 paper's sizing), so a re-run on an
 /// adopting rank reproduces the lost candidates bit for bit.
 ft::Program morph_ft_program(const hsi::HsiCube& cube,
-                             const MorphConfig& config,
-                             ClassificationResult& result) {
-  HPRS_REQUIRE(!cube.empty(), "empty cube");
+                             const RunnerConfig& config,
+                             AlgorithmOutput& result) {
   HPRS_REQUIRE(config.classes >= 1, "classes = 0: need at least one class");
-  HPRS_REQUIRE(config.iterations >= 1,
+  HPRS_REQUIRE(config.morph_iterations >= 1,
                "iterations = 0: need at least one iteration");
   HPRS_REQUIRE(config.kernel_radius >= 1,
                "kernel_radius = 0: the structuring element needs a radius "
                ">= 1");
   ft::Program prog;
-  if (!config.overlap_borders) {
+  if (!config.morph_overlap_borders) {
     prog.unrecoverable =
         "MORPH's halo-exchange mode cannot survive a rank crash: a "
         "recomputed partition would need its neighbours' halo rows (use "
         "overlap borders)";
   }
-  prog.model = morph_workload(cube.bands(), config);
-  prog.model.scatter_input = config.charge_data_staging;
-  prog.policy = config.policy;
-  prog.memory_fraction = config.memory_fraction;
+  prog.model = morph_workload(cube.bands(), config.classes,
+                              config.morph_iterations, config.kernel_radius);
   prog.overlap = config.kernel_radius;
-  prog.replication = config.replication;
   // Phase 0: morphology + candidate selection on the chunk.
   prog.handlers.push_back(
       [&cube, config](vmpi::Comm& c, const ft::Chunk& chunk, const std::any*) {
@@ -414,30 +410,21 @@ ft::Program morph_ft_program(const hsi::HsiCube& cube,
   return prog;
 }
 
-WorkloadModel morph_workload(std::size_t bands, const MorphConfig& config) {
-  const std::size_t w = 2 * config.kernel_radius + 1;
+WorkloadModel morph_workload(std::size_t bands, std::size_t classes,
+                             std::size_t iterations,
+                             std::size_t kernel_radius) {
+  const std::size_t w = 2 * kernel_radius + 1;
   const Count per_iter =
       (w * w + 1) * hsi::flops::sad(bands) + 2 * w * w;
-  const Count label = config.classes * hsi::flops::sad(bands);
+  const Count label = classes * hsi::flops::sad(bands);
   WorkloadModel model;
-  model.flops_per_pixel =
-      static_cast<double>(per_iter * config.iterations + label);
+  model.flops_per_pixel = static_cast<double>(per_iter * iterations + label);
   model.bytes_per_pixel = bands * sizeof(float);
   model.scatter_input = false;
   // One synchronized block: the morphology runs locally; only the
   // candidate gather and label pass re-synchronize.
   model.sync_rounds = 2.0;
   return model;
-}
-
-ClassificationResult run_morph(const simnet::Platform& platform,
-                               const hsi::HsiCube& cube,
-                               const MorphConfig& config,
-                               vmpi::Options options) {
-  ClassificationResult result;
-  result.report = ft::run_on_engine(
-      platform, cube, morph_ft_program(cube, config, result), options);
-  return result;
 }
 
 }  // namespace hprs::core

@@ -54,7 +54,7 @@ struct UniqueOut {
 };
 
 UniqueOut local_unique_sets(const hsi::HsiCube& cube, std::size_t row_begin,
-                            std::size_t row_end, const PctConfig& config) {
+                            std::size_t row_end, const RunnerConfig& config) {
   const std::size_t cols = cube.cols();
   struct LocalCluster {
     Rep exemplar;
@@ -109,7 +109,7 @@ UniqueOut local_unique_sets(const hsi::HsiCube& cube, std::size_t row_begin,
 /// order, into at most c exemplars.  Charges the consolidation SADs.
 std::vector<Rep> merge_unique_sets(vmpi::Comm& comm,
                                    std::vector<std::vector<Rep>> rep_sets,
-                                   const PctConfig& config,
+                                   const RunnerConfig& config,
                                    std::size_t bands) {
   std::vector<detail::SpectralCandidate> pool;
   for (auto& set : rep_sets) {
@@ -229,7 +229,7 @@ PctBundle build_bundle(vmpi::Comm& comm,
                        const std::vector<std::vector<double>>& cov_parts,
                        const std::vector<double>& mean,
                        const std::vector<Rep>& unique,
-                       const PctConfig& config, const hsi::HsiCube& cube) {
+                       const RunnerConfig& config, const hsi::HsiCube& cube) {
   const std::size_t bands = cube.bands();
   const std::size_t tri = bands * (bands + 1) / 2;
   std::vector<double> cov_sum(tri, 0.0);
@@ -290,7 +290,7 @@ struct LabelOut {
 
 LabelOut label_partition(const hsi::HsiCube& cube, std::size_t row_begin,
                          std::size_t row_end, const PctBundle& bundle,
-                         const PctConfig& config) {
+                         const RunnerConfig& config) {
   const std::size_t bands = cube.bands();
   const std::size_t cols = cube.cols();
   const std::size_t reps = bundle.reduced_reps.rows();
@@ -372,7 +372,7 @@ LabelOut label_partition(const hsi::HsiCube& cube, std::size_t row_begin,
 void assemble_label_image(vmpi::Comm& comm,
                           const std::vector<LabelBlock>& blocks,
                           const hsi::HsiCube& cube, std::size_t reps,
-                          ClassificationResult& result) {
+                          AlgorithmOutput& result) {
   result.labels.assign(cube.pixel_count(), 0);
   for (const auto& blk : blocks) {
     std::copy(blk.labels.begin(), blk.labels.end(),
@@ -389,9 +389,9 @@ void assemble_label_image(vmpi::Comm& comm,
 /// band sums, covariance and labeling are the phase handlers; the root
 /// merges the unique sets, folds the mean, solves the eigenproblem and
 /// assembles the label image.
-ft::Program pct_ft_program(const hsi::HsiCube& cube, const PctConfig& config,
-                           ClassificationResult& result) {
-  HPRS_REQUIRE(!cube.empty(), "empty cube");
+ft::Program pct_ft_program(const hsi::HsiCube& cube,
+                           const RunnerConfig& config,
+                           AlgorithmOutput& result) {
   HPRS_REQUIRE(config.classes >= 1, "classes = 0: need at least one class");
   HPRS_REQUIRE(config.classes <= cube.bands(),
                "classes = " + std::to_string(config.classes) +
@@ -399,12 +399,8 @@ ft::Program pct_ft_program(const hsi::HsiCube& cube, const PctConfig& config,
                    " bands: cannot extract more components than bands");
   ft::Program prog;
   prog.model = pct_workload(cube.bands(), config.classes);
-  prog.model.scatter_input = config.charge_data_staging;
-  prog.policy = config.policy;
-  prog.memory_fraction = config.memory_fraction;
-  prog.replication = config.replication;
+  prog.model.tile_stream = config.tile_stream;
   prog.tile_rows = config.tile_rows;
-  prog.tile_stream = config.tile_stream;
   // Phase 0 (step 2): local unique spectral sets.  Online SAD clustering of
   // the chunk's pixels: each pixel either joins the first cluster whose
   // exemplar is within the threshold or founds a new cluster; the
@@ -524,15 +520,6 @@ WorkloadModel pct_workload(std::size_t bands, std::size_t classes) {
   model.seq_flops = 8.0 * static_cast<double>(linalg::flops::jacobi_sweep(
                               static_cast<Count>(bands)));
   return model;
-}
-
-ClassificationResult run_pct(const simnet::Platform& platform,
-                             const hsi::HsiCube& cube, const PctConfig& config,
-                             vmpi::Options options) {
-  ClassificationResult result;
-  result.report = ft::run_on_engine(
-      platform, cube, pct_ft_program(cube, config, result), options);
-  return result;
 }
 
 }  // namespace hprs::core

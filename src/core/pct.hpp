@@ -19,45 +19,14 @@
 // the deviation.
 #pragma once
 
+#include <cstddef>
+
 #include "core/partition.hpp"
-#include "core/types.hpp"
-#include "hsi/cube.hpp"
-#include "simnet/platform.hpp"
-#include "vmpi/engine.hpp"
 
 namespace hprs::core {
-
-struct PctConfig {
-  /// Number of classes c (the paper uses 7, the USGS dust/debris classes).
-  std::size_t classes = 7;
-  /// SAD threshold (radians) for the unique-set deduplication; two pixels
-  /// closer than this are considered the same substance.
-  double sad_threshold = 0.06;
-  PartitionPolicy policy = PartitionPolicy::kHeterogeneous;
-  double memory_fraction = 0.5;
-  /// Virtual scale (see spmd_common.hpp).
-  std::size_t replication = 1;
-  /// Charge the full image distribution over the network instead of
-  /// assuming pre-staged data (see DESIGN.md on why pre-staged is the
-  /// default).  Also makes the WEA communication-aware.
-  bool charge_data_staging = false;
-  /// Rows per tile of the mean/covariance sweeps; 0 = automatic
-  /// (linalg::resolve_tile_rows).  Any value is numerics- and
-  /// virtual-time-neutral unless tile_stream is on.
-  std::size_t tile_rows = 0;
-  /// Per-tile streamed staging overlapped with compute on accelerated
-  /// ranks (collective schedule only).  Off reproduces the historic
-  /// upfront-staging charge bit for bit.
-  bool tile_stream = false;
-};
 
 /// Per-pixel workload model used by the WEA for this algorithm.
 [[nodiscard]] WorkloadModel pct_workload(std::size_t bands,
                                          std::size_t classes);
-
-[[nodiscard]] ClassificationResult run_pct(const simnet::Platform& platform,
-                                           const hsi::HsiCube& cube,
-                                           const PctConfig& config,
-                                           vmpi::Options options = {});
 
 }  // namespace hprs::core

@@ -11,8 +11,6 @@
 #include "common/rng.hpp"
 #include "core/ft_programs.hpp"
 #include "core/spmd_common.hpp"
-#include "obs/host_profile.hpp"
-#include "obs/metrics.hpp"
 #include "linalg/flops.hpp"
 #include "linalg/vec.hpp"
 #include "vmpi/comm.hpp"
@@ -64,7 +62,7 @@ linalg::Matrix make_skewers(std::size_t k, std::size_t bands,
 /// the partitioning, then the `config.targets` highest purity counts.
 void rank_purity(vmpi::Comm& comm,
                  const std::vector<std::vector<SkewerExtreme>>& parts,
-                 const PpiConfig& config, PpiResult& result) {
+                 const RunnerConfig& config, AlgorithmOutput& result) {
   std::map<std::pair<std::size_t, std::size_t>, std::uint32_t> counts;
   for (std::size_t s = 0; s < config.skewers; ++s) {
     std::size_t lo_row = 0, lo_col = 0, hi_row = 0, hi_col = 0;
@@ -119,17 +117,13 @@ void rank_purity(vmpi::Comm& comm,
 /// chunk order with row-major position tie-breaks, so the purity counts
 /// (and hence the ranked targets) cannot depend on the partitioning or on
 /// which rank computed which chunk.
-ft::Program ppi_ft_program(const hsi::HsiCube& cube, const PpiConfig& config,
-                           PpiResult& result) {
-  HPRS_REQUIRE(!cube.empty(), "empty cube");
+ft::Program ppi_ft_program(const hsi::HsiCube& cube,
+                           const RunnerConfig& config,
+                           AlgorithmOutput& result) {
   HPRS_REQUIRE(config.targets >= 1, "targets = 0: need at least one target");
   HPRS_REQUIRE(config.skewers >= 1, "skewers = 0: need at least one skewer");
   ft::Program prog;
   prog.model = ppi_workload(cube.bands(), config.skewers);
-  prog.model.scatter_input = config.charge_data_staging;
-  prog.policy = config.policy;
-  prog.memory_fraction = config.memory_fraction;
-  prog.replication = config.replication;
   // Phase 0: per-skewer projection extremes over the chunk's rows.
   prog.handlers.push_back(
       [&cube, config](vmpi::Comm& c, const ft::Chunk& chunk,
@@ -198,16 +192,6 @@ WorkloadModel ppi_workload(std::size_t bands, std::size_t skewers) {
   model.scatter_input = false;
   model.sync_rounds = 1.0;  // single projection pass, single reduction
   return model;
-}
-
-PpiResult run_ppi(const simnet::Platform& platform, const hsi::HsiCube& cube,
-                  const PpiConfig& config, vmpi::Options options) {
-  PpiResult result;
-  const ft::Program prog = ppi_ft_program(cube, config, result);
-  obs::Metrics::instance().add("core.runs.PPI", 1);
-  obs::ScopedHostTimer obs_timer("core.run.PPI");
-  result.report = ft::run_on_engine(platform, cube, prog, options);
-  return result;
 }
 
 }  // namespace hprs::core

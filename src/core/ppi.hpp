@@ -16,41 +16,14 @@
 // cleanly than ATDCA.
 #pragma once
 
+#include <cstddef>
+
 #include "core/partition.hpp"
-#include "core/types.hpp"
-#include "hsi/cube.hpp"
-#include "simnet/platform.hpp"
-#include "vmpi/engine.hpp"
 
 namespace hprs::core {
-
-struct PpiConfig {
-  /// Endmember candidates to return.
-  std::size_t targets = 18;
-  /// Random projections ("skewers") to score against.
-  std::size_t skewers = 512;
-  std::uint64_t seed = 1;
-  PartitionPolicy policy = PartitionPolicy::kHeterogeneous;
-  double memory_fraction = 0.5;
-  std::size_t replication = 1;
-  bool charge_data_staging = false;
-};
 
 /// Per-pixel workload model used by the WEA for this algorithm.
 [[nodiscard]] WorkloadModel ppi_workload(std::size_t bands,
                                          std::size_t skewers);
-
-struct PpiResult {
-  /// The t candidates, ordered by decreasing purity index.
-  std::vector<PixelLocation> targets;
-  /// Purity count per candidate (same order).
-  std::vector<std::uint32_t> scores;
-  vmpi::RunReport report;
-};
-
-[[nodiscard]] PpiResult run_ppi(const simnet::Platform& platform,
-                                const hsi::HsiCube& cube,
-                                const PpiConfig& config,
-                                vmpi::Options options = {});
 
 }  // namespace hprs::core

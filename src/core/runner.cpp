@@ -15,36 +15,6 @@ constexpr Algorithm kAlgorithms[] = {Algorithm::kAtdca, Algorithm::kUfcls,
                                      Algorithm::kPct, Algorithm::kMorph,
                                      Algorithm::kPpi};
 
-/// The RunnerConfig -> per-algorithm config mapping: copies every field the
-/// config has a counterpart for.
-template <typename Config>
-[[nodiscard]] Config algorithm_config(const RunnerConfig& rc) {
-  Config c;
-  c.policy = rc.policy;
-  c.memory_fraction = rc.memory_fraction;
-  c.replication = rc.replication;
-  c.charge_data_staging = rc.charge_data_staging;
-  if constexpr (requires { c.targets; }) c.targets = rc.targets;
-  if constexpr (requires { c.classes; }) c.classes = rc.classes;
-  if constexpr (requires { c.iterations; }) {
-    c.iterations = rc.morph_iterations;
-  }
-  if constexpr (requires { c.kernel_radius; }) {
-    c.kernel_radius = rc.kernel_radius;
-  }
-  if constexpr (requires { c.overlap_borders; }) {
-    c.overlap_borders = rc.morph_overlap_borders;
-  }
-  if constexpr (requires { c.skewers; }) c.skewers = rc.skewers;
-  if constexpr (requires { c.seed; }) c.seed = rc.seed;
-  if constexpr (requires { c.sad_threshold; }) {
-    c.sad_threshold = rc.sad_threshold;
-  }
-  if constexpr (requires { c.tile_rows; }) c.tile_rows = rc.tile_rows;
-  if constexpr (requires { c.tile_stream; }) c.tile_stream = rc.tile_stream;
-  return c;
-}
-
 }  // namespace
 
 const char* to_string(Algorithm a) {
@@ -72,54 +42,35 @@ std::string display_name(Algorithm a, PartitionPolicy policy) {
   return std::string(prefix) + to_string(a);
 }
 
-AlgorithmOutput AlgorithmProgram::harvest() {
-  AlgorithmOutput out;
-  std::visit(
-      [&out](auto& r) {
-        if constexpr (requires { r.targets; }) {
-          out.targets = std::move(r.targets);
-        }
-        if constexpr (requires { r.scores; }) out.scores = std::move(r.scores);
-        if constexpr (requires { r.labels; }) {
-          out.labels = std::move(r.labels);
-          out.label_count = r.label_count;
-        }
-      },
-      *result);
-  return out;
-}
+AlgorithmOutput AlgorithmProgram::harvest() { return std::move(*result); }
 
 AlgorithmProgram make_program(const RunnerConfig& config,
                               const hsi::HsiCube& cube) {
+  HPRS_REQUIRE(!cube.empty(), "empty cube");
   AlgorithmProgram built;
-  built.result = std::make_shared<AlgorithmProgram::Result>();
-  auto& result = *built.result;
+  built.result = std::make_unique<AlgorithmOutput>();
+  ft::Program& prog = built.program;
   switch (config.algorithm) {
     case Algorithm::kAtdca:
-      built.program = atdca_ft_program(
-          cube, algorithm_config<AtdcaConfig>(config),
-          result.emplace<TargetDetectionResult>());
+      prog = atdca_ft_program(cube, config, *built.result);
       break;
     case Algorithm::kUfcls:
-      built.program = ufcls_ft_program(
-          cube, algorithm_config<UfclsConfig>(config),
-          result.emplace<TargetDetectionResult>());
+      prog = ufcls_ft_program(cube, config, *built.result);
       break;
     case Algorithm::kPct:
-      built.program =
-          pct_ft_program(cube, algorithm_config<PctConfig>(config),
-                         result.emplace<ClassificationResult>());
+      prog = pct_ft_program(cube, config, *built.result);
       break;
     case Algorithm::kMorph:
-      built.program =
-          morph_ft_program(cube, algorithm_config<MorphConfig>(config),
-                           result.emplace<ClassificationResult>());
+      prog = morph_ft_program(cube, config, *built.result);
       break;
     case Algorithm::kPpi:
-      built.program = ppi_ft_program(cube, algorithm_config<PpiConfig>(config),
-                                     result.emplace<PpiResult>());
+      prog = ppi_ft_program(cube, config, *built.result);
       break;
   }
+  prog.model.scatter_input = config.charge_data_staging;
+  prog.policy = config.policy;
+  prog.memory_fraction = config.memory_fraction;
+  prog.replication = config.replication;
   return built;
 }
 

@@ -6,23 +6,19 @@
 // (sched::JobSpec), and the serving plane hashes and serializes it through
 // the one field list below.  make_program is the only place a request
 // becomes its algorithm's ft::Program, so the parameter checks run on
-// every path: the solo runner, both gang runtimes and admission.
+// every path: the solo runner (run_algorithm), the gang runtime and
+// admission.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <variant>
 #include <vector>
 
-#include "core/atdca.hpp"
 #include "core/ft.hpp"
-#include "core/morph.hpp"
-#include "core/pct.hpp"
-#include "core/ppi.hpp"
 #include "core/types.hpp"
-#include "core/ufcls.hpp"
+#include "vmpi/engine.hpp"
 
 namespace hprs::core {
 
@@ -39,7 +35,7 @@ enum class Algorithm : std::uint8_t { kAtdca, kUfcls, kPct, kMorph, kPpi };
 /// its result.  Two equal specs over the same scene run the identical
 /// computation (sched::compute_equivalent).  Defaults are the paper's
 /// values; PPI, which the paper does not run, defaults to 128 skewers (the
-/// scheduler's request size; PpiConfig keeps 512 for run_ppi callers).
+/// scheduler's request size).
 struct AlgorithmSpec {
   Algorithm algorithm = Algorithm::kAtdca;
   std::size_t targets = 18;          // ATDCA / UFCLS / PPI
@@ -80,7 +76,9 @@ void for_each_field(Spec& spec, Visitor&& visit) {
 /// A spec plus how this process runs it: MORPH's halo strategy and the
 /// tiling (tile_rows, tile_stream).  The scheduler runs every job with
 /// these defaults.  Every run survives non-root crashes from
-/// Options::fault_plan with the fault-free outputs (core/ft.hpp).
+/// Options::fault_plan with the fault-free outputs (core/ft.hpp).  This is
+/// the one parameter set: the algorithm factories (core/ft_programs.hpp)
+/// read it directly.
 struct RunnerConfig : AlgorithmSpec {
   /// MORPH: overlap borders (true) or a per-iteration halo exchange (which
   /// cannot survive rank crashes).
@@ -111,18 +109,18 @@ struct RunnerOutput : AlgorithmOutput {
 /// root's result into `*result`, which lives on the heap so this struct can
 /// move without leaving them dangling.
 struct AlgorithmProgram {
-  using Result =
-      std::variant<TargetDetectionResult, ClassificationResult, PpiResult>;
   ft::Program program;
-  std::shared_ptr<Result> result;
+  std::unique_ptr<AlgorithmOutput> result;
 
   /// Moves the numeric result out (root side, after a completed run).
   [[nodiscard]] AlgorithmOutput harvest();
 };
 
 /// The one factory: `config` -> its algorithm's ft::Program over `cube`.
-/// Throws hprs::Error naming the offending field when a parameter is
-/// invalid for the algorithm or the cube.  `cube` must outlive the result.
+/// Sets the fields every Program shares (staging, policy, memory fraction,
+/// replication) and leaves the rest to the algorithm's factory.  Throws
+/// hprs::Error naming the offending field when a parameter is invalid for
+/// the algorithm or the cube.  `cube` must outlive the result.
 [[nodiscard]] AlgorithmProgram make_program(const RunnerConfig& config,
                                             const hsi::HsiCube& cube);
 

@@ -33,6 +33,19 @@ TileStream begin_tile_stream(vmpi::Comm& comm, const PartitionView& view,
   return ts;
 }
 
+BrightestOut brightest_sweep(const hsi::HsiCube& cube, std::size_t row_begin,
+                             std::size_t row_end) {
+  BrightestOut out;
+  for (std::size_t r = row_begin; r < row_end; ++r) {
+    for (std::size_t c = 0; c < cube.cols(); ++c) {
+      const double score = linalg::norm_sq(cube.pixel(r, c));
+      out.flops += linalg::flops::dot(cube.bands());
+      if (score > out.best.score) out.best = Candidate{r, c, score};
+    }
+  }
+  return out;
+}
+
 double osp_score(const linalg::Matrix& targets,
                  const linalg::Cholesky& gram_factor,
                  std::span<const float> pixel) {

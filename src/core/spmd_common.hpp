@@ -73,6 +73,19 @@ void tiled_sweep(vmpi::Comm& comm, const TileStream& ts,
   }
 }
 
+/// The brightest pixel of rows [row_begin, row_end) -- the first row-major
+/// argmax of the squared norm -- plus the flops performed, for the caller to
+/// charge.  Tiles of a partition fold their results with the same
+/// strictly-greater comparison in tile order, which reproduces the
+/// monolithic sweep's first maximum exactly.
+struct BrightestOut {
+  Candidate best{0, 0, -1.0};
+  std::uint64_t flops = 0;
+};
+[[nodiscard]] BrightestOut brightest_sweep(const hsi::HsiCube& cube,
+                                           std::size_t row_begin,
+                                           std::size_t row_end);
+
 /// OSP score ||P_U_perp x||^2 = x.x - b . G^-1 b computed against the
 /// factored Gram of the current target matrix.  Cost:
 /// linalg::flops::osp_score(n, U.rows()).

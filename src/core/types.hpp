@@ -1,13 +1,10 @@
-// Shared result types for the parallel hyperspectral algorithms.
+// Shared types for the parallel hyperspectral algorithms.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "core/partition.hpp"
 #include "hsi/cube.hpp"
-#include "vmpi/stats.hpp"
 
 namespace hprs::core {
 
@@ -17,21 +14,6 @@ struct PixelLocation {
   std::size_t col = 0;
 
   bool operator==(const PixelLocation&) const = default;
-};
-
-/// Output of the target-detection algorithms (ATDCA, UFCLS): the t target
-/// locations in extraction order plus the simulated run report.
-struct TargetDetectionResult {
-  std::vector<PixelLocation> targets;
-  vmpi::RunReport report;
-};
-
-/// Output of the classifiers (PCT, MORPH): a row-major label image (one
-/// label per pixel, values < label_count) plus the run report.
-struct ClassificationResult {
-  std::vector<std::uint16_t> labels;
-  std::size_t label_count = 0;
-  vmpi::RunReport report;
 };
 
 /// The partition message scattered to workers.  Ranks share one address

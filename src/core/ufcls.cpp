@@ -10,7 +10,6 @@
 #include "core/spmd_common.hpp"
 #include "linalg/fcls.hpp"
 #include "linalg/flops.hpp"
-#include "linalg/vec.hpp"
 #include "vmpi/comm.hpp"
 
 namespace hprs::core {
@@ -19,25 +18,6 @@ namespace {
 
 using detail::Candidate;
 using linalg::flops::Count;
-
-/// The brightest pixel of rows [row_begin, row_end) plus the flop charge.
-struct BrightestOut {
-  Candidate best{0, 0, -1.0};
-  Count flops = 0;
-};
-
-BrightestOut brightest_sweep(const hsi::HsiCube& cube, std::size_t row_begin,
-                             std::size_t row_end) {
-  BrightestOut out;
-  for (std::size_t r = row_begin; r < row_end; ++r) {
-    for (std::size_t c = 0; c < cube.cols(); ++c) {
-      const double score = linalg::norm_sq(cube.pixel(r, c));
-      out.flops += linalg::flops::dot(cube.bands());
-      if (score > out.best.score) out.best = Candidate{r, c, score};
-    }
-  }
-  return out;
-}
 
 /// Argmax of the FCLS reconstruction error over rows [row_begin, row_end),
 /// dispatching between the reference per-pixel loop and the strip-blocked
@@ -105,21 +85,16 @@ ErrorSweepOut fcls_error_sweep(const hsi::HsiCube& cube,
 /// FCLS-error sweeps are the phase handlers, the root grows the target set
 /// with chunk-order folds.
 ft::Program ufcls_ft_program(const hsi::HsiCube& cube,
-                             const UfclsConfig& config,
-                             TargetDetectionResult& result) {
-  HPRS_REQUIRE(!cube.empty(), "empty cube");
+                             const RunnerConfig& config,
+                             AlgorithmOutput& result) {
   HPRS_REQUIRE(config.targets >= 1, "targets = 0: need at least one target");
   ft::Program prog;
   prog.model = ufcls_workload(cube.bands(), config.targets);
-  prog.model.scatter_input = config.charge_data_staging;
-  prog.policy = config.policy;
-  prog.memory_fraction = config.memory_fraction;
-  prog.replication = config.replication;
-  // Phase 0: the chunk's brightest pixel.
+  // Phase 0: the chunk's brightest pixel, charged in one compute.
   prog.handlers.push_back(
       [&cube, config](vmpi::Comm& c, const ft::Chunk& chunk, const std::any*) {
-        const BrightestOut out =
-            brightest_sweep(cube, chunk.part.row_begin, chunk.part.row_end);
+        const detail::BrightestOut out = detail::brightest_sweep(
+            cube, chunk.part.row_begin, chunk.part.row_end);
         c.compute(out.flops * config.replication);
         return ft::ChunkOutcome{out.best, detail::kCandidateBytes};
       });
@@ -191,16 +166,6 @@ WorkloadModel ufcls_workload(std::size_t bands, std::size_t targets) {
   model.scatter_input = false;
   model.sync_rounds = static_cast<double>(targets);
   return model;
-}
-
-TargetDetectionResult run_ufcls(const simnet::Platform& platform,
-                                const hsi::HsiCube& cube,
-                                const UfclsConfig& config,
-                                vmpi::Options options) {
-  TargetDetectionResult result;
-  result.report = ft::run_on_engine(
-      platform, cube, ufcls_ft_program(cube, config, result), options);
-  return result;
 }
 
 }  // namespace hprs::core

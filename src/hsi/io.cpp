@@ -1,6 +1,7 @@
 #include "hsi/io.hpp"
 
 #include <bit>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -123,13 +124,23 @@ HsiCube read_envi(const std::string& path_stem) {
                "embedded headers (header offset != 0) are not supported");
   const Interleave il = parse_interleave(need("interleave"));
 
-  std::ifstream raw(path_stem + ".raw", std::ios::binary);
+  std::ifstream raw(path_stem + ".raw", std::ios::binary | std::ios::ate);
   HPRS_REQUIRE(raw.good(), "cannot open raw file: " + path_stem + ".raw");
+  // Size the buffer only once the file matches it: the header's
+  // dimensions are outside input, and a few bytes of header must not be
+  // able to ask for an allocation larger than the address space, nor a
+  // header that under-states a dimension load a shorter cube.
+  const std::size_t bytes = count * sizeof(float);
+  const std::streamoff have = raw.tellg();
+  HPRS_REQUIRE(have >= 0 && static_cast<std::uintmax_t>(have) == bytes,
+               "raw file size does not match the header: " + path_stem +
+                   ".raw holds " + std::to_string(have) +
+                   " bytes, the header needs " + std::to_string(bytes));
+  raw.seekg(0);
   std::vector<float> samples(count);
   raw.read(reinterpret_cast<char*>(samples.data()),
-           static_cast<std::streamsize>(samples.size() * sizeof(float)));
-  HPRS_REQUIRE(raw.gcount() ==
-                   static_cast<std::streamsize>(samples.size() * sizeof(float)),
+           static_cast<std::streamsize>(bytes));
+  HPRS_REQUIRE(raw.gcount() == static_cast<std::streamsize>(bytes),
                "raw file truncated: " + path_stem + ".raw");
 
   return HsiCube::from_interleave(rows, cols, bands, il, samples);

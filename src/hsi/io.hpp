@@ -17,7 +17,9 @@ namespace hprs::hsi {
 void write_envi(const HsiCube& cube, const std::string& path_stem,
                 Interleave il = Interleave::kBip);
 
-/// Reads a cube written by write_envi (or any ENVI float32 cube).
+/// Reads a cube written by write_envi (or any ENVI float32 cube).  Throws
+/// hprs::Error naming the key or the sizes when the header is malformed or
+/// the .raw file does not hold exactly lines x samples x bands floats.
 [[nodiscard]] HsiCube read_envi(const std::string& path_stem);
 
 }  // namespace hprs::hsi

@@ -59,11 +59,12 @@ struct JobSpec : core::AlgorithmSpec {
 /// batching against batch-key hash collisions.
 [[nodiscard]] bool compute_equivalent(const JobSpec& a, const JobSpec& b);
 
-/// Terminal disposition of a job.  Every job ends kCompleted or kRejected
-/// (memory admission or a tenant rank cap), or under
-/// SchedulerConfig::resilience kDegraded (retries exhausted but
-/// checkpointed progress exists) or kFailed (retries exhausted with
-/// nothing saved) instead of aborting the whole schedule.
+/// Terminal disposition of a job.  Every job ends kCompleted, kRejected
+/// (memory admission or a tenant rank cap), kFailed (its attempts ended
+/// without a result and nothing was saved: a leader crash or a gang error,
+/// retried first under SchedulerConfig::resilience) or, under resilience,
+/// kDegraded (retries exhausted but checkpointed progress exists) instead
+/// of aborting the whole schedule.
 enum class JobState : std::uint8_t {
   kPending,
   kCompleted,

@@ -741,15 +741,9 @@ ScheduleResult run_schedule(const simnet::Platform& platform,
   const int root = options.root;
   HPRS_REQUIRE(root >= 0 && static_cast<std::size_t>(root) < platform.size(),
                "dispatcher (root) rank out of range");
-  if (config.resilience.enabled) {
-    // Fail fast at schedule construction: a crash aimed at the dispatcher
-    // or a nonexistent rank is a plan bug, not a survivable fault.
-    validate_cluster_fault_plan(options, platform.size());
-  } else {
-    HPRS_REQUIRE(options.fault_plan.crashes.empty(),
-                 "the base scheduler cannot survive rank crashes; enable "
-                 "SchedulerConfig::resilience for fault plans with crashes");
-  }
+  // Fail fast at schedule construction: a crash aimed at the dispatcher or
+  // a nonexistent rank is a plan bug, not a survivable fault.
+  validate_cluster_fault_plan(options, platform.size());
   std::vector<int> pool;
   for (std::size_t r = 0; r < platform.size(); ++r) {
     if (static_cast<int>(r) != root) pool.push_back(static_cast<int>(r));

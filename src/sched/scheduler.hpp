@@ -38,12 +38,14 @@ struct SchedulerConfig {
   /// utilization) into the obs registry after the run.
   bool record_metrics = true;
   /// Cluster resilience (sched/resilience.hpp).  When enabled gangs
-  /// checkpoint: gang leaders are mortal, crashed ranks leave the pool,
-  /// preempted or failed jobs are retried (elastically resized, resumed
-  /// from their last checkpoint) with seeded backoff, and jobs exhausting
-  /// their attempts go kDegraded / kFailed instead of aborting the
-  /// schedule.  Off by default: records then carry no attempt history and
-  /// crash plans are refused.
+  /// checkpoint, preempted or failed jobs are retried (elastically
+  /// resized, resumed from their last checkpoint) with seeded backoff, and
+  /// jobs exhausting their attempts go kDegraded / kFailed instead of
+  /// aborting the schedule.  Off by default: each job then runs one
+  /// attempt and records carry no attempt history.  Both modes accept
+  /// crash plans: every gang absorbs member crashes in place, crashed
+  /// ranks leave the pool, and in base mode a job whose leader crashed or
+  /// whose gang failed ends kFailed with the reason.
   ResilienceConfig resilience;
   /// Compute-once batching (serve/batcher.hpp): when a job with a nonzero
   /// JobSpec::batch_key is dispatched or running, compute-equivalent jobs
@@ -76,13 +78,14 @@ struct ScheduleResult {
   /// Summed job busy time over (worker count x makespan): the cluster-wide
   /// busy fraction while the stream was in flight.
   double utilization = 0.0;
-  /// Engine ranks the resilient dispatcher detected dead and removed from
-  /// the worker pool (ascending; always empty in base mode).
+  /// Engine ranks the dispatcher detected dead and removed from the worker
+  /// pool (ascending).
   std::vector<int> lost_ranks;
   [[nodiscard]] std::size_t completed() const;
   [[nodiscard]] std::size_t rejected() const;
-  /// Jobs that exhausted their retries with / without checkpointed
-  /// progress (resilient mode only; zero in base mode).
+  /// Jobs that ended without completing, with / without checkpointed
+  /// progress (degraded needs resilience's checkpoints, so base mode has
+  /// failed jobs only).
   [[nodiscard]] std::size_t degraded() const;
   [[nodiscard]] std::size_t failed() const;
 };
@@ -90,8 +93,8 @@ struct ScheduleResult {
 /// Admits, places, and runs `stream` on `platform` under `config.policy`.
 /// Jobs that fail memory-bound admission or a tenant rank cap are marked
 /// rejected (with the named reason) and never dispatch; every other job
-/// ends in exactly one terminal state -- completed, or under resilience
-/// degraded / failed.  Deterministic: identical streams produce
+/// ends in exactly one terminal state -- completed, failed, or under
+/// resilience degraded.  Deterministic: identical streams produce
 /// bit-identical records, outputs, and stable metrics across runs and
 /// both executor modes.
 [[nodiscard]] ScheduleResult run_schedule(const simnet::Platform& platform,

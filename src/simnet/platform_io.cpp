@@ -46,8 +46,21 @@ Platform parse_platform(const std::string& text) {
         fail(line_no, "unknown fabric '" + kind + "'");
       }
     } else if (key == "segments") {
-      if (!(line >> segments) || segments == 0) {
+      // Read signed: an unsigned extraction would wrap "-1" around.
+      long long k = 0;
+      if (!(line >> k) || k <= 0) {
         fail(line_no, "expected a positive segment count");
+      }
+      segments = static_cast<std::size_t>(k);
+      // Each of the K*K capacity values takes at least one character, so a
+      // count whose matrix cannot fit in the text is malformed.
+      if (segments > text.size() / segments) {
+        fail(line_no, "segment count " + std::to_string(segments) +
+                          " needs " + std::to_string(segments) + " x " +
+                          std::to_string(segments) +
+                          " capacity values, more than the " +
+                          std::to_string(text.size()) +
+                          "-character file can hold");
       }
     } else if (key == "capacity") {
       if (segments == 0) fail(line_no, "capacity before segments");

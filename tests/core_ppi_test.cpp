@@ -1,25 +1,25 @@
-#include "core/ppi.hpp"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "core/runner.hpp"
 #include "simnet/platform.hpp"
 #include "test_scenes.hpp"
 
 namespace hprs::core {
 namespace {
 
-bool found(const PpiResult& result, const testing::Plant& plant) {
+bool found(const AlgorithmOutput& result, const testing::Plant& plant) {
   return std::any_of(result.targets.begin(), result.targets.end(),
                      [&](const PixelLocation& t) {
                        return t.row == plant.row && t.col == plant.col;
                      });
 }
 
-PpiConfig small_config() {
-  PpiConfig cfg;
+RunnerConfig small_config() {
+  RunnerConfig cfg;
+  cfg.algorithm = Algorithm::kPpi;
   cfg.targets = 6;
   cfg.skewers = 128;
   return cfg;
@@ -29,7 +29,7 @@ TEST(PpiTest, FindsPlantedExtremes) {
   auto cube = testing::striped_cube(48, 32, 32, 3);
   const auto plants = testing::plant_targets(cube, 3);
   const auto result =
-      run_ppi(simnet::fully_heterogeneous(), cube, small_config());
+      run_algorithm(simnet::fully_heterogeneous(), cube, small_config());
   for (const auto& plant : plants) {
     EXPECT_TRUE(found(result, plant))
         << "missed extreme at " << plant.row << "," << plant.col;
@@ -38,7 +38,8 @@ TEST(PpiTest, FindsPlantedExtremes) {
 
 TEST(PpiTest, ScoresAreSortedDescending) {
   const auto cube = testing::striped_cube(48, 32, 32, 3);
-  const auto result = run_ppi(simnet::thunderhead(4), cube, small_config());
+  const auto result =
+      run_algorithm(simnet::thunderhead(4), cube, small_config());
   ASSERT_FALSE(result.scores.empty());
   for (std::size_t i = 1; i < result.scores.size(); ++i) {
     EXPECT_GE(result.scores[i - 1], result.scores[i]);
@@ -49,20 +50,20 @@ TEST(PpiTest, ScoresAreSortedDescending) {
 TEST(PpiTest, ResultIsIndependentOfProcessorCount) {
   const auto cube = testing::striped_cube(64, 24, 24, 3);
   const auto cfg = small_config();
-  const auto r1 = run_ppi(simnet::thunderhead(1), cube, cfg);
-  const auto r8 = run_ppi(simnet::thunderhead(8), cube, cfg);
+  const auto r1 = run_algorithm(simnet::thunderhead(1), cube, cfg);
+  const auto r8 = run_algorithm(simnet::thunderhead(8), cube, cfg);
   EXPECT_EQ(r1.targets, r8.targets);
   EXPECT_EQ(r1.scores, r8.scores);
 }
 
 TEST(PpiTest, IsDeterministicInTheSeed) {
   const auto cube = testing::striped_cube(48, 24, 24, 3);
-  const auto a = run_ppi(simnet::thunderhead(4), cube, small_config());
-  const auto b = run_ppi(simnet::thunderhead(4), cube, small_config());
+  const auto a = run_algorithm(simnet::thunderhead(4), cube, small_config());
+  const auto b = run_algorithm(simnet::thunderhead(4), cube, small_config());
   EXPECT_EQ(a.targets, b.targets);
-  PpiConfig other = small_config();
+  RunnerConfig other = small_config();
   other.seed = 999;
-  const auto c = run_ppi(simnet::thunderhead(4), cube, other);
+  const auto c = run_algorithm(simnet::thunderhead(4), cube, other);
   // A different skewer draw may change candidate order; only the top pixel
   // (a planted global extreme, if any) is expected to be stable -- here we
   // just require the runs to be valid.
@@ -71,24 +72,24 @@ TEST(PpiTest, IsDeterministicInTheSeed) {
 
 TEST(PpiTest, MoreSkewersCostMoreVirtualTime) {
   const auto cube = testing::striped_cube(48, 24, 24, 3);
-  PpiConfig few = small_config();
+  RunnerConfig few = small_config();
   few.skewers = 32;
-  PpiConfig many = small_config();
+  RunnerConfig many = small_config();
   many.skewers = 256;
   const auto platform = simnet::thunderhead(4);
-  EXPECT_LT(run_ppi(platform, cube, few).report.total_time,
-            run_ppi(platform, cube, many).report.total_time);
+  EXPECT_LT(run_algorithm(platform, cube, few).report.total_time,
+            run_algorithm(platform, cube, many).report.total_time);
 }
 
 TEST(PpiTest, HeteroBeatsHomoOnHeterogeneousPlatform) {
   const auto cube = testing::striped_cube(64, 32, 32, 3);
-  PpiConfig het = small_config();
+  RunnerConfig het = small_config();
   het.replication = 64;
-  PpiConfig homo = het;
+  RunnerConfig homo = het;
   homo.policy = PartitionPolicy::kHomogeneous;
   const auto platform = simnet::fully_heterogeneous();
-  EXPECT_LT(run_ppi(platform, cube, het).report.total_time,
-            run_ppi(platform, cube, homo).report.total_time * 0.6);
+  EXPECT_LT(run_algorithm(platform, cube, het).report.total_time,
+            run_algorithm(platform, cube, homo).report.total_time * 0.6);
 }
 
 TEST(PpiTest, FaultTolerantOutputsMatchCollective) {
@@ -97,9 +98,9 @@ TEST(PpiTest, FaultTolerantOutputsMatchCollective) {
   // never change the science).
   const auto cube = testing::striped_cube(48, 16, 24, 4);
   const auto platform = simnet::fully_heterogeneous();
-  PpiConfig cfg = small_config();
+  RunnerConfig cfg = small_config();
   cfg.replication = 64;  // projections, not the skewer shipment, dominate
-  const auto collective = run_ppi(platform, cube, cfg);
+  const auto collective = run_algorithm(platform, cube, cfg);
   const auto& clean = collective;
   EXPECT_TRUE(clean.report.fault_events.empty());
 
@@ -107,7 +108,7 @@ TEST(PpiTest, FaultTolerantOutputsMatchCollective) {
   vmpi::Options crashes;
   crashes.fault_plan.crashes.push_back({3, 0.25 * clean.report.total_time});
   crashes.fault_plan.crashes.push_back({11, 0.50 * clean.report.total_time});
-  const auto crashed = run_ppi(platform, cube, cfg, crashes);
+  const auto crashed = run_algorithm(platform, cube, cfg, crashes);
   EXPECT_EQ(crashed.targets, collective.targets);
   EXPECT_EQ(crashed.scores, collective.scores);
   EXPECT_EQ(crashed.report.recovery.crashes, 2);
@@ -116,14 +117,14 @@ TEST(PpiTest, FaultTolerantOutputsMatchCollective) {
 
 TEST(PpiTest, ValidatesInputs) {
   const auto cube = testing::striped_cube(32, 16, 16, 2);
-  PpiConfig cfg = small_config();
+  RunnerConfig cfg = small_config();
   cfg.targets = 0;
-  EXPECT_THROW((void)run_ppi(simnet::thunderhead(2), cube, cfg), Error);
+  EXPECT_THROW((void)run_algorithm(simnet::thunderhead(2), cube, cfg), Error);
   cfg = small_config();
   cfg.skewers = 0;
-  EXPECT_THROW((void)run_ppi(simnet::thunderhead(2), cube, cfg), Error);
+  EXPECT_THROW((void)run_algorithm(simnet::thunderhead(2), cube, cfg), Error);
   cfg = small_config();
-  EXPECT_THROW((void)run_ppi(simnet::thunderhead(2), hsi::HsiCube(), cfg),
+  EXPECT_THROW((void)run_algorithm(simnet::thunderhead(2), hsi::HsiCube(), cfg),
                Error);
 }
 

@@ -75,6 +75,41 @@ TEST_F(HsiIoTest, TruncatedRawThrows) {
   EXPECT_THROW((void)read_envi(stem("trunc")), Error);
 }
 
+TEST_F(HsiIoTest, RejectsARawFileOfTheWrongSizeNamingBothSizes) {
+  const auto expect_sizes = [this](const std::string& name,
+                                   const std::string& holds,
+                                   const std::string& needs) {
+    try {
+      (void)read_envi(stem(name));
+      ADD_FAILURE() << name << ": expected Error";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("holds " + holds + " bytes"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("needs " + needs), std::string::npos) << what;
+    }
+  };
+  // 10^15 samples: the 4 * 10^15-byte buffer exceeds the address space, so
+  // a reader that allocated before checking the file would fail with
+  // std::bad_alloc instead of naming both sizes.
+  {
+    std::ofstream hdr(stem("vast") + ".hdr");
+    hdr << "ENVI\nsamples = 100000\nlines = 100000\nbands = 100000\n"
+        << "data type = 4\ninterleave = bip\n";
+    std::ofstream raw(stem("vast") + ".raw", std::ios::binary);
+    raw << "abcd";
+  }
+  expect_sizes("vast", "4", "4000000000000000");
+  // A header that under-states a dimension must not load a shorter cube.
+  write_envi(random_cube(4, 4, 4, 3), stem("long"));
+  {
+    std::ofstream hdr(stem("long") + ".hdr");
+    hdr << "ENVI\nsamples = 4\nlines = 2\nbands = 4\n"
+        << "data type = 4\ninterleave = bip\n";
+  }
+  expect_sizes("long", "256", "128");
+}
+
 TEST_F(HsiIoTest, CorruptHeaderThrows) {
   {
     std::ofstream hdr(stem("bad") + ".hdr");

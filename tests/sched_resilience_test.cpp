@@ -27,7 +27,6 @@
 
 #include "common/env.hpp"
 #include "common/error.hpp"
-#include "core/ft.hpp"
 #include "hsi/scene.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
@@ -35,6 +34,7 @@
 #include "sched/scheduler.hpp"
 #include "serve/batcher.hpp"
 #include "serve/traffic.hpp"
+#include "sched_solo_oracle.hpp"
 #include "test_scenes.hpp"
 #include "vmpi/comm.hpp"
 #include "vmpi/engine.hpp"
@@ -177,30 +177,6 @@ void expect_outputs_equal(const std::vector<JobOutput>& a,
   }
 }
 
-/// The output oracle: the job's program under the collective driver, run
-/// solo and uninterrupted on `members` -- the gang whose WEA partition
-/// froze the job's chunk list.  Any resilient execution (worker crashes
-/// absorbed, checkpoint resume on a *different* width, preemption) must
-/// reproduce this bit for bit.
-JobOutput run_solo_ft(const simnet::Platform& platform,
-                      const hsi::HsiCube& scene, const JobSpec& spec,
-                      const std::vector<int>& members) {
-  JobOutput out;
-  vmpi::Engine engine(platform, fast_options());
-  engine.run([&](vmpi::Comm& world) {
-    if (std::find(members.begin(), members.end(), world.rank()) ==
-        members.end()) {
-      return;
-    }
-    vmpi::Comm sub = world.subset(members, spec.id);
-    core::AlgorithmProgram built =
-        core::make_program(core::RunnerConfig{spec}, scene);
-    core::ft::run_collective(sub, scene, built.program);
-    if (sub.is_root()) out = built.harvest();
-  });
-  return out;
-}
-
 void expect_output_matches_solo(const JobOutput& got, const JobOutput& solo,
                                 std::uint64_t job_id) {
   EXPECT_EQ(got.targets, solo.targets) << "job " << job_id;
@@ -256,8 +232,8 @@ TEST(SchedResilienceTest, NoFaultRunCompletesEverythingInOneAttempt) {
     // checkpointing disabled.
     EXPECT_GE(attempt.checkpoints, 1) << "job " << record.id;
     EXPECT_EQ(attempt.resumed_seq, 0) << "job " << record.id;
-    const JobOutput solo =
-        run_solo_ft(platform, scene, stream[i], record.members);
+    const JobOutput solo = testing::run_solo(platform, scene, stream[i],
+                                             record.members, fast_options());
     expect_output_matches_solo(result.outputs[i], solo, record.id);
   }
 }
@@ -319,8 +295,9 @@ TEST(SchedResilienceTest, FaultyScheduleBitIdenticalAcrossRunsAndModes) {
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const JobRecord& record = first.records[i];
     ASSERT_FALSE(record.attempts.empty()) << "job " << record.id;
-    const JobOutput solo = run_solo_ft(platform, scene, stream[i],
-                                       chunk_owner_members(record, true));
+    const JobOutput solo =
+        testing::run_solo(platform, scene, stream[i],
+                          chunk_owner_members(record, true), fast_options());
     expect_output_matches_solo(first.outputs[i], solo, record.id);
   }
 
@@ -363,8 +340,8 @@ TEST(SchedResilienceTest, CrashDuringRecoveryIsAbsorbedWithinTheAttempt) {
   EXPECT_EQ(result.lost_ranks, (std::vector<int>{2, 3}));
   EXPECT_GT(record.finish_s, solo_record.finish_s);
 
-  const JobOutput solo =
-      run_solo_ft(platform, scene, stream[0], solo_record.members);
+  const JobOutput solo = testing::run_solo(platform, scene, stream[0],
+                                           solo_record.members, fast_options());
   expect_output_matches_solo(result.outputs[0], solo, record.id);
 }
 
@@ -415,7 +392,8 @@ TEST(SchedResilienceTest, LeaderCrashResumesOnNarrowerGangBitIdentically) {
   // The tentpole invariant: the resumed two-rank gang reproduces the
   // three-rank chunk partition's outputs bit for bit.
   const JobOutput solo =
-      run_solo_ft(platform, scene, stream[0], record.attempts[0].members);
+      testing::run_solo(platform, scene, stream[0], record.attempts[0].members,
+                        fast_options());
   expect_output_matches_solo(result.outputs[0], solo, record.id);
 }
 
@@ -446,7 +424,8 @@ TEST(SchedResilienceTest, ColdRestartRecomputesOnSurvivorsBitIdentically) {
   // The retry re-partitioned on the surviving two-rank gang, so the oracle
   // is that gang's own uninterrupted run.
   const JobOutput solo =
-      run_solo_ft(platform, scene, stream[0], record.attempts[1].members);
+      testing::run_solo(platform, scene, stream[0], record.attempts[1].members,
+                        fast_options());
   expect_output_matches_solo(result.outputs[0], solo, record.id);
 }
 
@@ -479,7 +458,8 @@ TEST(SchedResilienceTest, CrashInsideCheckpointWriteKeepsPreviousCommit) {
   const double commit_t = attempt.checkpoint_at_s[2];
   ASSERT_GT(commit_t - write_s, attempt.checkpoint_at_s[1]);
   const JobOutput solo =
-      run_solo_ft(platform, scene, stream[0], probe.records[0].members);
+      testing::run_solo(platform, scene, stream[0], probe.records[0].members,
+                        fast_options());
 
   std::set<int> resumed_from;
   for (int k = 0; k < 16; ++k) {
@@ -551,7 +531,8 @@ TEST(SchedResilienceTest, PreemptThenCrashOnResizedGangStaysBitIdentical) {
   EXPECT_GT(record.attempts[2].backoff_s, 0.0);
 
   const JobOutput solo =
-      run_solo_ft(platform, scene, stream[0], record.attempts[0].members);
+      testing::run_solo(platform, scene, stream[0], record.attempts[0].members,
+                        fast_options());
   expect_output_matches_solo(result.outputs[0], solo, record.id);
 }
 
@@ -730,14 +711,16 @@ TEST(SchedResilienceTest, RejectsMalformedClusterFaultPlans) {
           << e.what();
     }
   }
-  {  // The base scheduler refuses crash plans outright.
+  {  // The base scheduler runs crash plans, so it validates them the same
+     // way.
     vmpi::Options options = fast_options();
-    options.fault_plan.crashes.push_back({1, 0.5});
+    options.fault_plan.crashes.push_back({0, 0.5});
     try {
       (void)run_schedule(platform, scene, stream, SchedulerConfig{}, options);
       FAIL() << "expected hprs::Error";
     } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("resilience"), std::string::npos)
+      EXPECT_NE(std::string(e.what()).find("fault_plan.crashes[0].rank"),
+                std::string::npos)
           << e.what();
     }
   }
@@ -842,8 +825,9 @@ TEST(SchedResilienceTest, CrashJustAfterReportingFreeLeavesThePool) {
     const JobRecord& record = runs[0].records[i];
     if (!record.completed()) continue;
     const JobOutput solo =
-        run_solo_ft(platform, scene.cube, stream[i],
-                    chunk_owner_members(record, /*resumed=*/true));
+        testing::run_solo(platform, scene.cube, stream[i],
+                          chunk_owner_members(record, /*resumed=*/true),
+                          fast_options());
     expect_output_matches_solo(runs[0].outputs[i], solo, record.id);
   }
 }
@@ -940,8 +924,9 @@ TEST(SchedResilienceTest, BatchedRidersAndTenantCapsSurviveALeaderCrash) {
                                  record.id);
     }
     const JobOutput solo =
-        run_solo_ft(platform, scene, stream[i],
-                    chunk_owner_members(result.records[owner], true));
+        testing::run_solo(platform, scene, stream[i],
+                          chunk_owner_members(result.records[owner], true),
+                          fast_options());
     expect_output_matches_solo(result.outputs[i], solo, record.id);
   }
   EXPECT_EQ(riders, 3u);

@@ -3,16 +3,17 @@
 // numeric outputs bit-identical to a solo run of the same algorithm on the
 // same rank subset; FIFO ordering; record consistency; conservative
 // backfill never starving the queue head; admission rejections that do not
-// block the rest of the stream.
+// block the rest of the stream; crash plans without resilience (a worker
+// crash absorbed, a leader crash failing only its job).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
-#include "core/ft_programs.hpp"
 #include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
+#include "sched_solo_oracle.hpp"
 #include "test_scenes.hpp"
 #include "vmpi/comm.hpp"
 
@@ -182,84 +183,6 @@ TEST(SchedSchedulerTest, BitIdenticalAcrossModesOnMultiSegmentPlatform) {
   EXPECT_EQ(bounded.utilization, threads.utilization);
 }
 
-/// Runs one job's Program solo under the collective driver on the exact
-/// rank subset the scheduler used, from hand-built configs (so the
-/// scheduler's spec-to-config mapping is checked independently): the output
-/// must match the scheduled run bit for bit.
-JobOutput run_solo(const simnet::Platform& platform, const hsi::HsiCube& scene,
-                   const JobSpec& spec, const std::vector<int>& members) {
-  JobOutput out;
-  vmpi::Engine engine(platform, fast_options());
-  engine.run([&](vmpi::Comm& world) {
-    if (std::find(members.begin(), members.end(), world.rank()) ==
-        members.end()) {
-      return;
-    }
-    vmpi::Comm sub = world.subset(members, spec.id);
-    switch (spec.algorithm) {
-      case core::Algorithm::kAtdca: {
-        core::AtdcaConfig config;
-        config.targets = spec.targets;
-        core::TargetDetectionResult result;
-        core::ft::run_collective(
-            sub, scene, core::atdca_ft_program(scene, config, result));
-        if (sub.is_root()) out.targets = std::move(result.targets);
-        break;
-      }
-      case core::Algorithm::kUfcls: {
-        core::UfclsConfig config;
-        config.targets = spec.targets;
-        core::TargetDetectionResult result;
-        core::ft::run_collective(
-            sub, scene, core::ufcls_ft_program(scene, config, result));
-        if (sub.is_root()) out.targets = std::move(result.targets);
-        break;
-      }
-      case core::Algorithm::kPct: {
-        core::PctConfig config;
-        config.classes = spec.classes;
-        core::ClassificationResult result;
-        core::ft::run_collective(
-            sub, scene, core::pct_ft_program(scene, config, result));
-        if (sub.is_root()) {
-          out.labels = std::move(result.labels);
-          out.label_count = result.label_count;
-        }
-        break;
-      }
-      case core::Algorithm::kMorph: {
-        core::MorphConfig config;
-        config.classes = spec.classes;
-        config.iterations = spec.morph_iterations;
-        config.kernel_radius = spec.kernel_radius;
-        core::ClassificationResult result;
-        core::ft::run_collective(
-            sub, scene, core::morph_ft_program(scene, config, result));
-        if (sub.is_root()) {
-          out.labels = std::move(result.labels);
-          out.label_count = result.label_count;
-        }
-        break;
-      }
-      case core::Algorithm::kPpi: {
-        core::PpiConfig config;
-        config.targets = spec.targets;
-        config.skewers = spec.skewers;
-        config.seed = spec.seed;
-        core::PpiResult result;
-        core::ft::run_collective(
-            sub, scene, core::ppi_ft_program(scene, config, result));
-        if (sub.is_root()) {
-          out.targets = std::move(result.targets);
-          out.scores = std::move(result.scores);
-        }
-        break;
-      }
-    }
-  });
-  return out;
-}
-
 TEST(SchedSchedulerTest, JobOutputsMatchSoloRunsOnSameSubset) {
   const simnet::Platform platform = cluster(7);
   const hsi::HsiCube scene = testing::striped_cube(32, 16, 24, 4);
@@ -271,8 +194,8 @@ TEST(SchedSchedulerTest, JobOutputsMatchSoloRunsOnSameSubset) {
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const JobRecord& record = result.records[i];
     ASSERT_TRUE(record.completed()) << "job " << record.id;
-    const JobOutput solo =
-        run_solo(platform, scene, stream[i], record.members);
+    const JobOutput solo = testing::run_solo(platform, scene, stream[i],
+                                             record.members, fast_options());
     EXPECT_EQ(result.outputs[i].targets, solo.targets) << "job " << record.id;
     EXPECT_EQ(result.outputs[i].scores, solo.scores) << "job " << record.id;
     EXPECT_EQ(result.outputs[i].labels, solo.labels) << "job " << record.id;
@@ -458,7 +381,8 @@ TEST(SchedSchedulerTest, AdmissionRejectsInvalidParametersByName) {
     }
     const JobRecord& valid = result.records[4];
     ASSERT_TRUE(valid.completed());
-    const JobOutput solo = run_solo(platform, scene, stream[4], valid.members);
+    const JobOutput solo = testing::run_solo(platform, scene, stream[4],
+                                             valid.members, fast_options());
     EXPECT_EQ(result.outputs[4].targets, solo.targets);
     EXPECT_FALSE(solo.targets.empty());
   }
@@ -496,6 +420,74 @@ TEST(SchedSchedulerTest, GangErrorFailsOnlyItsJobByName) {
     EXPECT_NE(failed.error.find("memory"), std::string::npos) << failed.error;
     EXPECT_TRUE(result.records[1].completed());
   }
+}
+
+TEST(SchedSchedulerTest, BaseModeSurvivesWorkerAndLeaderCrashes) {
+  // Jobs 1 (ATDCA, 3 ranks) and 2 (PCT, 2 ranks) arrive together and run
+  // side by side.  Halfway through each, job 1 loses a worker and job 2
+  // its leader.  Without resilience each job runs one attempt: job 1's
+  // gang recovers in place and still matches the solo oracle, job 2 fails
+  // by name, both ranks leave the pool, and the rest of the stream runs on
+  // the survivors.
+  const simnet::Platform platform = cluster(7);
+  const hsi::HsiCube scene = testing::striped_cube(32, 16, 24, 4);
+  const std::vector<JobSpec> stream = mixed_stream();
+  const ScheduleResult probe =
+      run_schedule(platform, scene, stream, {}, fast_options());
+  const JobRecord& first = probe.records[0];
+  const JobRecord& second = probe.records[1];
+  ASSERT_TRUE(first.completed());
+  ASSERT_TRUE(second.completed());
+  const auto midpoint = [](const JobRecord& r) {
+    return r.dispatch_s + 0.5 * (r.finish_s - r.dispatch_s);
+  };
+  // Both gangs are running before either crash fires.
+  ASSERT_LT(std::max(first.dispatch_s, second.dispatch_s),
+            std::min(midpoint(first), midpoint(second)));
+  const int worker = first.members[1];
+  const int leader = second.members[0];
+
+  ScheduleResult runs[2];
+  int run = 0;
+  for (const vmpi::ExecMode mode :
+       {vmpi::ExecMode::kBoundedExecutor, vmpi::ExecMode::kThreadPerRank}) {
+    vmpi::Options options = fast_options(mode);
+    options.fault_plan.crashes.push_back({worker, midpoint(first)});
+    options.fault_plan.crashes.push_back({leader, midpoint(second)});
+    const ScheduleResult result =
+        run_schedule(platform, scene, stream, {}, options);
+
+    EXPECT_EQ(result.report.recovery.crashes, 2);
+    EXPECT_GT(result.report.recovery.recomputed_flops, 0u);
+    const JobRecord& absorbed = result.records[0];
+    ASSERT_TRUE(absorbed.completed());
+    EXPECT_EQ(absorbed.members, first.members);
+    const JobOutput solo = testing::run_solo(platform, scene, stream[0],
+                                             absorbed.members, fast_options());
+    EXPECT_EQ(result.outputs[0].targets, solo.targets);
+    EXPECT_FALSE(solo.targets.empty());
+
+    const JobRecord& failed = result.records[1];
+    EXPECT_EQ(failed.state, JobState::kFailed);
+    EXPECT_EQ(failed.error, "leader crashed");
+    EXPECT_EQ(result.failed(), 1u);
+    EXPECT_EQ(result.lost_ranks,
+              (std::vector<int>{std::min(worker, leader),
+                                std::max(worker, leader)}));
+    for (std::size_t i = 2; i < stream.size(); ++i) {
+      const JobRecord& record = result.records[i];
+      ASSERT_TRUE(record.completed()) << "job " << record.id;
+      EXPECT_EQ(std::count(record.members.begin(), record.members.end(),
+                           worker) +
+                    std::count(record.members.begin(), record.members.end(),
+                               leader),
+                0)
+          << "job " << record.id;
+    }
+    runs[run++] = result;
+  }
+  expect_records_equal(runs[0].records, runs[1].records);
+  expect_outputs_equal(runs[0].outputs, runs[1].outputs);
 }
 
 }  // namespace

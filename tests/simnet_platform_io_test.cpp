@@ -133,6 +133,23 @@ TEST(PlatformIoTest, RejectsMalformedInput) {
                Error);
 }
 
+TEST(PlatformIoTest, RejectsImpossibleSegmentCountsNamingTheLine) {
+  // -1 wraps around an unsigned read; 10^14 segments need 10^28 capacity
+  // values, more than any text holds.  Both sizes are chosen so a parser
+  // that sized the matrix first fails at once instead of paging.
+  for (const char* count : {"0", "-1", "100000000000000"}) {
+    try {
+      (void)parse_platform(std::string("platform x\nsegments ") + count +
+                           "\ncapacity 1\nprocessor y 0.01 64 64 0\n");
+      ADD_FAILURE() << "segments " << count << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("platform file, line 2:"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(PlatformIoTest, MissingFileThrows) {
   EXPECT_THROW((void)load_platform("/nonexistent/net.platform"), Error);
 }

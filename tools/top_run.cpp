@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if (args.get_bool("resilient", false) || !fault_plan.crashes.empty()) {
+    if (args.get_bool("resilient", false)) {
       sched_cfg.resilience.enabled = true;
       sched_cfg.resilience.checkpoint_interval_s =
           args.get_double("checkpoint", 0.01);

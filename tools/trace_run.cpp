@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
         }
       }
     }
-    if (resilient && !result.lost_ranks.empty()) {
+    if (!result.lost_ranks.empty()) {
       std::string lost;
       for (const int r : result.lost_ranks) {
         if (!lost.empty()) lost += ",";

@@ -34,14 +34,16 @@ ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 if [[ "$run_sanitizers" == "1" ]]; then
   echo "== tier 1b: fast paths + scheduler + parsers under ASan/UBSan =="
   # sched_scheduler_test, sched_resilience_test and core_fault_recovery_test
-  # unwind crashed ranks' fibers out of collectives mid-phase, so
+  # unwind crashed ranks' fibers out of collectives mid-phase, and
+  # vmpi_engine_test and vmpi_fault_test out of point-to-point waits, so
   # LeakSanitizer checks the executor's per-fiber exception state;
   # serve_traffic_test, hsi_io_test and simnet_platform_io_test feed the
   # trace, ENVI and platform-file parsers malformed input.
   asan_tests=(linalg_blocked_test morph_sad_cache_test
               fastpath_equivalence_test sched_scheduler_test
               sched_resilience_test core_fault_recovery_test
-              serve_traffic_test hsi_io_test simnet_platform_io_test)
+              serve_traffic_test hsi_io_test simnet_platform_io_test
+              vmpi_engine_test vmpi_fault_test)
   cmake -S "$repo" -B "$repo/build-asan" \
     -DCMAKE_BUILD_TYPE=Release \
     -DHPRS_ENABLE_SANITIZERS=ON \

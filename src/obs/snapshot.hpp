@@ -30,8 +30,8 @@
 
 namespace hprs::obs {
 
-/// Default snapshot seed; override via SnapshotConfig::seed to decorrelate
-/// snapshot points from other seeded cadences (e.g. checkpoints).
+/// Seed of every snapshot cadence; each scope mixes in its own id, and the
+/// value differs from the other seeded cadences (e.g. checkpoints).
 inline constexpr std::uint64_t kDefaultSnapshotSeed = 0x5eedbea7'0b5e55edULL;
 
 /// Snapshot service configuration, carried in vmpi::Engine::Options.
@@ -41,7 +41,6 @@ inline constexpr std::uint64_t kDefaultSnapshotSeed = 0x5eedbea7'0b5e55edULL;
 struct SnapshotConfig {
   bool enabled = false;
   double interval_s = 0.05;  ///< mean virtual-time sampling interval
-  std::uint64_t seed = kDefaultSnapshotSeed;
 };
 
 /// Seeded jittered virtual-time cadence (the PR 8 checkpoint idiom): each

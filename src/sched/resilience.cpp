@@ -17,6 +17,9 @@ namespace {
 /// over more chunks costs more.
 constexpr std::uint64_t kCheckpointHalfFlops = 1'000'000;
 
+/// Seed of the checkpoint-interval jitter (see ResilienceConfig).
+constexpr std::uint64_t kCheckpointSeed = 0xc0ffee11ULL;
+
 [[nodiscard]] double u01(SplitMix64& rng) {
   return static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
 }
@@ -35,7 +38,7 @@ ResilientDriver::ResilientDriver(vmpi::Comm& comm,
       attempt_(attempt),
       config_(config),
       attempt_start_s_(comm.now()),
-      jitter_(config.checkpoint_seed ^ job_id ^
+      jitter_(kCheckpointSeed ^ job_id ^
               static_cast<std::uint64_t>(attempt)),
       resumed_seq_(inner.resume_depth()) {
   if (resumed != nullptr) log_ = resumed->phase_log;

@@ -54,12 +54,10 @@ struct RetryPolicy {
   /// Total attempts (first run included) before the job goes terminal.
   int max_attempts = 3;
   /// Backoff before retry k (k >= 2) is
-  ///   backoff_base_s * backoff_factor^(k-2) * (0.5 + u),
-  /// u drawn from SplitMix64(backoff_seed ^ job id ^ k) -- deterministic
+  ///   backoff_base_s * 2^(k-2) * (0.5 + u),
+  /// u drawn from SplitMix64(0x5eedf00d ^ job id ^ k) -- deterministic
   /// jittered exponential backoff in virtual time.
   double backoff_base_s = 0.05;
-  double backoff_factor = 2.0;
-  std::uint64_t backoff_seed = 0x5eedf00dULL;
   /// Per-attempt virtual deadline: an attempt overrunning it at a phase
   /// boundary is checkpointed and preempted (requeued without backoff).
   /// <= 0 disables preemption.
@@ -72,11 +70,10 @@ struct ResilienceConfig {
   bool enabled = false;
   RetryPolicy retry;
   /// Mean virtual seconds between gang checkpoints.  Each interval is
-  /// jittered by (0.75 + 0.5u), u from SplitMix64(checkpoint_seed ^ job id
-  /// ^ attempt), so gangs do not checkpoint in lockstep.  <= 0 disables
+  /// jittered by (0.75 + 0.5u), u from SplitMix64(0xc0ffee11 ^ job id ^
+  /// attempt), so gangs do not checkpoint in lockstep.  <= 0 disables
   /// periodic checkpoints (the baseline snapshot is still written).
   double checkpoint_interval_s = 0.25;
-  std::uint64_t checkpoint_seed = 0xc0ffee11ULL;
   /// When false, retries restart from scratch (the cold-restart baseline
   /// bench_sched_resilience compares checkpoint resume against).
   bool resume_from_checkpoint = true;

@@ -72,6 +72,10 @@ constexpr std::size_t kDoneBytes = 24;
 /// cadences (which are keyed on communicator ids).
 constexpr std::uint64_t kDispatcherScopeId = 0xd15ba7c4e5c09e1dULL;
 
+/// Growth factor and jitter seed of the retry backoff (see RetryPolicy).
+constexpr double kRetryBackoffFactor = 2.0;
+constexpr std::uint64_t kRetryBackoffSeed = 0x5eedf00dULL;
+
 /// Live per-tenant accounting the dispatcher keeps for quota admission and
 /// the "tenant:<name>" pvar scopes.  All fields advance at deterministic
 /// dispatcher events (arrival processing, dispatch, completion), so the
@@ -91,17 +95,19 @@ using TenantMap = std::map<std::string, TenantLive>;
 
 /// Dispatcher-side counter plane: job/retry counters plus queue-depth and
 /// bytes-in-flight levels, sampled on the engine's snapshot cadence at the
-/// top of the dispatch loop.  Every sampled quantity and the loop's `now`
-/// sequence are deterministic virtual-time state (DESIGN.md §11), so the
-/// series is bit-identical across runs and exec modes.
+/// top of the dispatch loop, and once more after the shutdown drain so the
+/// timeline records how the schedule ended.  Every sampled quantity and
+/// the loop's `now` sequence are deterministic virtual-time state
+/// (DESIGN.md §11), so the series is bit-identical across runs and exec
+/// modes.
 class DispatcherPvars {
  public:
   explicit DispatcherPvars(vmpi::Comm& comm)
       : comm_(comm), enabled_(comm.snapshots_enabled()) {
     if (enabled_) {
-      const obs::SnapshotConfig& cfg = comm.snapshot_config();
-      cadence_ =
-          obs::SnapshotCadence(cfg.interval_s, cfg.seed, kDispatcherScopeId);
+      cadence_ = obs::SnapshotCadence(comm.snapshot_config().interval_s,
+                                      obs::kDefaultSnapshotSeed,
+                                      kDispatcherScopeId);
     }
   }
 
@@ -122,6 +128,13 @@ class DispatcherPvars {
                     const TenantMap* tenants) {
     if (!enabled_ || !cadence_.due(now)) return;
     cadence_.advance_past(now);
+    sample(ready, running, free, retry_queue, tenants);
+  }
+
+  /// One sample at the dispatcher's current clock, outside the cadence.
+  void sample(std::size_t ready, std::size_t running, std::size_t free,
+              std::size_t retry_queue, const TenantMap* tenants) {
+    if (!enabled_) return;
     obs::PvarSet set;
     set.counter("jobs.dispatched", dispatched_);
     set.counter("jobs.completed", completed_);
@@ -643,12 +656,12 @@ void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
         double backoff = 0.0;
         if (!preempted) {
           const int next_attempt = attempts_done + 1;
-          SplitMix64 rng(retry.backoff_seed ^ stream[run.index].id ^
+          SplitMix64 rng(kRetryBackoffSeed ^ stream[run.index].id ^
                          static_cast<std::uint64_t>(next_attempt));
           const double u =
               static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
           backoff = retry.backoff_base_s *
-                    std::pow(retry.backoff_factor, next_attempt - 2) *
+                    std::pow(kRetryBackoffFactor, next_attempt - 2) *
                     (0.5 + u);
         }
         retryq.push_back(RetryEntry{comm.now() + backoff, run.index, backoff});
@@ -691,6 +704,8 @@ void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
   for (int m : std::vector<int>(pool)) {
     if (!comm.try_send(m, bye, kCmdBaseBytes, kCmdTag)) remove_rank(m);
   }
+  pvars.sample(ready.size(), running.size(), free.size(), retryq.size(),
+               tenant_view);
 }
 
 }  // namespace

@@ -43,37 +43,4 @@ std::vector<std::vector<double>> load_epochs(std::size_t nodes,
   return out;
 }
 
-Platform with_degraded_processor(const Platform& platform, std::size_t rank,
-                                 double slowdown) {
-  HPRS_REQUIRE(rank < platform.size(), "degraded rank out of range");
-  HPRS_REQUIRE(slowdown >= 1.0, "processor slowdown must be >= 1");
-  std::vector<ProcessorSpec> procs = platform.processors();
-  procs[rank].cycle_time *= slowdown;
-  std::vector<std::vector<double>> capacity(
-      platform.segment_count(),
-      std::vector<double>(platform.segment_count()));
-  for (std::size_t a = 0; a < platform.segment_count(); ++a) {
-    for (std::size_t b = 0; b < platform.segment_count(); ++b) {
-      capacity[a][b] = platform.segment_capacity_ms_per_mbit(a, b);
-    }
-  }
-  return Platform(platform.name() + "+slow", std::move(procs),
-                  std::move(capacity), platform.switched_fabric());
-}
-
-Platform with_degraded_links(const Platform& platform, double factor) {
-  HPRS_REQUIRE(factor >= 1.0, "link degradation factor must be >= 1");
-  std::vector<ProcessorSpec> procs = platform.processors();
-  std::vector<std::vector<double>> capacity(
-      platform.segment_count(),
-      std::vector<double>(platform.segment_count()));
-  for (std::size_t a = 0; a < platform.segment_count(); ++a) {
-    for (std::size_t b = 0; b < platform.segment_count(); ++b) {
-      capacity[a][b] = platform.segment_capacity_ms_per_mbit(a, b) * factor;
-    }
-  }
-  return Platform(platform.name() + "+slowlinks", std::move(procs),
-                  std::move(capacity), platform.switched_fabric());
-}
-
 }  // namespace hprs::simnet

@@ -30,19 +30,4 @@ namespace hprs::simnet {
     std::size_t nodes, std::size_t epochs, double max_load,
     std::uint64_t seed);
 
-/// Persistently slows one processor: its cycle-time is multiplied by
-/// `slowdown` (>= 1).  The static counterpart of a vmpi::LinkDegradation-
-/// style perturbation, for what-if planning around a known-sick node
-/// (bench_fault_recovery's degraded scenarios).
-[[nodiscard]] Platform with_degraded_processor(const Platform& platform,
-                                               std::size_t rank,
-                                               double slowdown);
-
-/// Persistently slows every communication link: all segment capacities
-/// (ms per megabit; larger = slower) are multiplied by `factor` (>= 1).
-/// Models saturated shared media for the whole run, as opposed to the
-/// windowed vmpi::LinkDegradation fault.
-[[nodiscard]] Platform with_degraded_links(const Platform& platform,
-                                           double factor);
-
 }  // namespace hprs::simnet

@@ -24,7 +24,10 @@
 // tolerant() handle instead returns normally -- live members' data
 // delivered, dead members' contributions value-initialized -- and failed()
 // names the dead members, after one heartbeat of detection, until the next
-// collective.  shrink() continues on the survivors.
+// collective.  shrink() continues on the survivors.  Point-to-point has
+// the same two faces: send/recv toward a dead peer fail the run, while
+// try_send/try_recv report a crashed peer after one heartbeat.  Both pairs
+// run the engine's one rendezvous, which takes the rule as an argument.
 #pragma once
 
 #include <algorithm>
@@ -393,29 +396,31 @@ class Comm {
   template <typename T>
   void send(int dst, T value, std::size_t bytes, int tag = 0) {
     engine_->core_send(rank_, world_rank_of(dst), tag,
-                       Packet{std::move(value), bytes}, group_->id);
+                       Packet{std::move(value), bytes}, group_->id,
+                       /*tolerant=*/false);
   }
 
   /// Blocking point-to-point receive from a specific source and tag.
   template <typename T>
   [[nodiscard]] T recv(int src, int tag = 0) {
-    Packet p = engine_->core_recv(rank_, world_rank_of(src), tag);
-    return p.take<T>();
+    std::optional<Packet> p =
+        engine_->core_recv(rank_, world_rank_of(src), tag, /*tolerant=*/false);
+    return p->take<T>();
   }
 
   // --- fault-tolerant point-to-point (see vmpi/fault.hpp) ---
 
   /// Rendezvous send that survives a dead peer: true when `dst` received
   /// the message; false when `dst` crashed without matching it, in which
-  /// case this rank's clock advances one virtual heartbeat (`timeout_s`,
-  /// or Options::fault_detection_s when negative) past the peer's death,
-  /// charged as detection overhead in RunReport::recovery.
+  /// case this rank's clock advances one virtual heartbeat
+  /// (Options::fault_detection_s) past the peer's death, charged as
+  /// detection overhead in RunReport::recovery.
   template <typename T>
-  [[nodiscard]] bool try_send(int dst, T value, std::size_t bytes, int tag = 0,
-                              double timeout_s = -1.0) {
-    return engine_->core_try_send(rank_, world_rank_of(dst), tag,
-                                  Packet{std::move(value), bytes},
-                                  resolve_timeout(timeout_s), group_->id);
+  [[nodiscard]] bool try_send(int dst, T value, std::size_t bytes,
+                              int tag = 0) {
+    return engine_->core_send(rank_, world_rank_of(dst), tag,
+                              Packet{std::move(value), bytes}, group_->id,
+                              /*tolerant=*/true);
   }
 
   /// Receive that survives a dead peer: the value when `src` delivered one
@@ -423,10 +428,9 @@ class Comm {
   /// nullopt when `src` is dead with nothing pending, with the same
   /// detection accounting as try_send.
   template <typename T>
-  [[nodiscard]] std::optional<T> try_recv(int src, int tag = 0,
-                                          double timeout_s = -1.0) {
-    std::optional<Packet> p = engine_->core_try_recv(
-        rank_, world_rank_of(src), tag, resolve_timeout(timeout_s));
+  [[nodiscard]] std::optional<T> try_recv(int src, int tag = 0) {
+    std::optional<Packet> p =
+        engine_->core_recv(rank_, world_rank_of(src), tag, /*tolerant=*/true);
     if (!p.has_value()) return std::nullopt;
     return p->take<T>();
   }
@@ -459,10 +463,6 @@ class Comm {
   /// tolerant handle, else nowhere (the engine throws instead).
   [[nodiscard]] std::vector<int>* failure_sink() {
     return tolerant_ ? &failed_ : nullptr;
-  }
-
-  [[nodiscard]] double resolve_timeout(double timeout_s) const {
-    return timeout_s >= 0.0 ? timeout_s : engine_->options_.fault_detection_s;
   }
 
   void check_local(int local) const {

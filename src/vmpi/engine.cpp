@@ -45,13 +45,17 @@ bool env_thread_per_rank() {
   return !(v[0] == '0' && v[1] == '\0');
 }
 
-/// resize-without-deallocating: keeps each element's capacity so collective
-/// scratch survives across runs as well as across generations.
+/// resize-without-deallocating: keeps each element's capacity so the
+/// recycled result buffers survive across runs.
 template <typename Vec>
 void resize_and_clear(Vec& v, std::size_t n) {
   v.resize(n);
   for (auto& e : v) e.clear();
 }
+
+/// Extra delay of each lost p2p attempt, on top of its wasted wire time
+/// (the MessageLoss model, vmpi/fault.hpp).
+constexpr double kLossRetryBackoffS = 5e-4;
 
 }  // namespace
 
@@ -149,11 +153,6 @@ Engine::Engine(simnet::Platform platform, Options options)
   HPRS_REQUIRE(loss.probability >= 0.0 && loss.probability < 1.0,
                "message-loss probability must lie in [0, 1), got " +
                    std::to_string(loss.probability));
-  HPRS_REQUIRE(std::isfinite(loss.retry_backoff_s) &&
-                   loss.retry_backoff_s >= 0.0,
-               "message-loss retry backoff must be finite and non-negative, "
-               "got " +
-                   std::to_string(loss.retry_backoff_s));
 }
 
 RunReport Engine::run(const std::function<void(Comm&)>& program) {
@@ -185,12 +184,6 @@ RunReport Engine::run(const std::function<void(Comm&)>& program) {
       auto world = std::make_unique<Group>(0, std::move(everyone),
                                            options_.root, platform_);
       world->snap_scope = "world";
-      world->inputs.assign(pu, Packet{});
-      world->single_out.assign(pu, Packet{});
-      resize_and_clear(world->scatter_parts, pu);
-      resize_and_clear(world->exchange_in, pu);
-      resize_and_clear(world->multi_out, pu);
-      resize_and_clear(world->exchange_out, pu);
       world_ = world.get();
       groups_.emplace(0, std::move(world));
     }
@@ -337,8 +330,8 @@ void Engine::maybe_snapshot_group_locked(Group& group) {
     t = std::max(t, stats_[static_cast<std::size_t>(m)].clock);
   }
   if (!group.snap_init) {
-    group.snap_cadence = obs::SnapshotCadence(cfg.interval_s, cfg.seed,
-                                              group.id);
+    group.snap_cadence = obs::SnapshotCadence(
+        cfg.interval_s, obs::kDefaultSnapshotSeed, group.id);
     group.snap_init = true;
   }
   if (!group.snap_cadence.due(t)) return;
@@ -405,17 +398,30 @@ void Engine::publish_metrics(const RunReport& report) const {
   using obs::Domain;
   // Stable domain: everything below the host section derives from the
   // virtual protocol and byte/flop counts, so it is golden-comparable.
+  // Groups live until the next run() starts, so their counters sum to the
+  // run's traffic totals.
   static constexpr const char* kCollNames[] = {"none",    "barrier", "bcast",
                                                "gather",  "scatter", "exchange"};
-  for (std::size_t k = 1; k < 6; ++k) {
-    if (obs_.collectives[k] == 0) continue;
-    const std::string name = kCollNames[k];
-    metrics.add("vmpi.collectives." + name, obs_.collectives[k]);
-    metrics.add("vmpi.collective_wire_bytes." + name,
-                obs_.collective_wire_bytes[k]);
+  std::uint64_t collectives[6] = {};
+  std::uint64_t collective_bytes[6] = {};
+  std::uint64_t p2p_messages = 0;
+  std::uint64_t p2p_bytes = 0;
+  for (const auto& [id, group] : groups_) {
+    for (std::size_t k = 1; k < 6; ++k) {
+      collectives[k] += group->coll_count[k];
+      collective_bytes[k] += group->coll_bytes[k];
+    }
+    p2p_messages += group->p2p_messages;
+    p2p_bytes += group->p2p_bytes;
   }
-  metrics.add("vmpi.p2p.messages", obs_.p2p_messages);
-  metrics.add("vmpi.p2p.wire_bytes", obs_.p2p_wire_bytes);
+  for (std::size_t k = 1; k < 6; ++k) {
+    if (collectives[k] == 0) continue;
+    const std::string name = kCollNames[k];
+    metrics.add("vmpi.collectives." + name, collectives[k]);
+    metrics.add("vmpi.collective_wire_bytes." + name, collective_bytes[k]);
+  }
+  metrics.add("vmpi.p2p.messages", p2p_messages);
+  metrics.add("vmpi.p2p.wire_bytes", p2p_bytes);
   for (std::size_t r = 0; r < report.ranks.size(); ++r) {
     const RankStats& s = report.ranks[r];
     metrics.add("vmpi.bytes_sent", s.bytes_sent, Domain::kStable,
@@ -460,14 +466,9 @@ double Engine::core_now(int rank) const {
 
 void Engine::core_compute(int rank, std::uint64_t flops, Phase phase,
                           bool charge_launch) {
+  maybe_crash(rank);
   const auto r = static_cast<std::size_t>(rank);
   auto& s = stats_[r];
-  // Fail-stop boundary: crash_time_ is immutable during the run and the
-  // clock is rank-confined, so this check needs no lock until it fires.
-  if (s.clock >= crash_time_[r]) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    die_locked(rank);
-  }
   double seconds = static_cast<double>(flops) * 1e-6 *
                    platform_.cycle_time(static_cast<std::size_t>(rank));
   // Accelerated nodes pay a fixed host<->device launch latency on every
@@ -499,13 +500,8 @@ void Engine::core_stage(int rank, std::uint64_t bytes) {
   const double seconds =
       platform_.stage_seconds(r, static_cast<std::size_t>(bytes));
   if (seconds <= 0.0) return;  // plain CPU rank, or nothing to copy
+  maybe_crash(rank);
   auto& s = stats_[r];
-  // Same fail-stop boundary as core_compute: crash_time_ is immutable
-  // during the run and the clock is rank-confined.
-  if (s.clock >= crash_time_[r]) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    die_locked(rank);
-  }
   if (options_.enable_trace) {
     trace_[r].push_back(TraceEvent{rank, TraceKind::kTransmit, s.clock,
                                    s.clock + seconds, bytes});
@@ -521,12 +517,8 @@ double Engine::core_stage_async(int rank, std::uint64_t bytes) {
   const double seconds =
       platform_.stage_seconds(r, static_cast<std::size_t>(bytes));
   if (seconds <= 0.0) return 0.0;  // plain CPU rank, or nothing to copy
+  maybe_crash(rank);  // a dead rank never enqueues DMA
   auto& s = stats_[r];
-  // Same fail-stop boundary as core_stage: a dead rank never enqueues DMA.
-  if (s.clock >= crash_time_[r]) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    die_locked(rank);
-  }
   // One DMA engine per accelerator: copies serialize on the staging pipe
   // but run in the background, so the rank's clock does not advance here.
   const double begin = std::max(s.clock, stage_pipe_free_[r]);
@@ -541,12 +533,8 @@ double Engine::core_stage_async(int rank, std::uint64_t bytes) {
 }
 
 void Engine::core_stage_wait(int rank, double until) {
-  const auto r = static_cast<std::size_t>(rank);
-  auto& s = stats_[r];
-  if (s.clock >= crash_time_[r]) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    die_locked(rank);
-  }
+  maybe_crash(rank);
+  auto& s = stats_[static_cast<std::size_t>(rank)];
   if (until <= s.clock) return;  // the copy already finished in the shadow
   // The exposed remainder of the copy is host<->device transfer time the
   // rank actually waits out, so it lands in the comm bucket exactly like
@@ -558,12 +546,11 @@ void Engine::core_stage_wait(int rank, double until) {
 
 // --- fault machinery --------------------------------------------------------
 
-void Engine::maybe_crash_locked(int rank) {
+void Engine::maybe_crash(int rank) {
   const auto r = static_cast<std::size_t>(rank);
-  if (rank_state_[r] == RankState::kRunning &&
-      stats_[r].clock >= crash_time_[r]) {
-    die_locked(rank);
-  }
+  if (stats_[r].clock < crash_time_[r]) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  die_locked(rank);
 }
 
 void Engine::die_locked(int rank) {
@@ -644,25 +631,21 @@ Packet Engine::match_recv_locked(int rank, int src, int tag, PendingSend& ps) {
       // when it started) plus the retry backoff before the next attempt.
       ready += transfer_seconds(bytes, effective_link_ms_locked(su, du, ready),
                                 options_.per_message_latency_s) +
-               loss.retry_backoff_s;
+               kLossRetryBackoffS;
     }
   }
   double active = 0.0;
   const double end =
       schedule_transfer_locked(ps.channel, src, rank, bytes, ready, &active);
-  ++obs_.p2p_messages;
-  obs_.p2p_wire_bytes += bytes;
-  // The message was sent over the communicator identified by ps.channel;
-  // file it on that group's counter plane (the group can already be gone
-  // only for world-tag traffic of a finished run, never mid-collective).
-  if (auto git = groups_.find(ps.channel); git != groups_.end()) {
-    ++git->second->p2p_messages;
-    git->second->p2p_bytes += bytes;
-  }
+  // The message was sent over the communicator identified by ps.channel,
+  // a group that lives until the run ends: file it on that group's
+  // counters.
+  Group& sent_over = *groups_.at(ps.channel);
+  ++sent_over.p2p_messages;
+  sent_over.p2p_bytes += bytes;
   account_transfer_locked(rank, me.clock, end, active, 0, bytes);
-  // Record the sender's half for it to apply itself when it wakes
-  // (core_send / core_try_send), so a rank's stats stay written by its own
-  // context.
+  // Record the sender's half for it to apply itself when it wakes in
+  // core_send, so a rank's stats stay written by its own context.
   Packet out = std::move(ps.payload);
   ps.matched = true;
   ps.sender_end = end;
@@ -672,14 +655,13 @@ Packet Engine::match_recv_locked(int rank, int src, int tag, PendingSend& ps) {
   return out;
 }
 
-void Engine::charge_detection_locked(int rank, int peer, double death_s,
-                                     double timeout_s) {
+void Engine::charge_detection_locked(int rank, int peer, double death_s) {
   const auto r = static_cast<std::size_t>(rank);
   auto& s = stats_[r];
   const double start = s.clock;
   // The failure is discovered one virtual heartbeat after the later of
   // "this rank started waiting" and "the peer actually died".
-  const double detect = std::max(start, death_s) + timeout_s;
+  const double detect = std::max(start, death_s) + options_.fault_detection_s;
   if (options_.enable_trace && detect > start) {
     trace_[r].push_back(TraceEvent{rank, TraceKind::kIdle, start, detect, 0});
   }
@@ -738,12 +720,6 @@ std::string Engine::describe_blocked_locked() const {
       case WaitInfo::What::kRecv:
         add(rnk, "recv from rank " + peer + " (tag " + tag + ")");
         break;
-      case WaitInfo::What::kTrySend:
-        add(rnk, "try_send to rank " + peer + " (tag " + tag + ")");
-        break;
-      case WaitInfo::What::kTryRecv:
-        add(rnk, "try_recv from rank " + peer + " (tag " + tag + ")");
-        break;
     }
   }
   if (out.empty()) out = "no ranks blocked at engine operations";
@@ -772,6 +748,30 @@ bool Engine::wait_rank(std::unique_lock<std::mutex>& lock, int rank,
          std::cv_status::timeout;
 }
 
+template <typename Ready>
+void Engine::park_locked(std::unique_lock<std::mutex>& lock, int rank,
+                         const WaitInfo& wait, Ready ready) {
+  const auto r = static_cast<std::size_t>(rank);
+  waiting_[r] = wait;
+  const auto deadline = deadline_after(options_.deadlock_timeout_s);
+  bool expired = false;
+  while (!poisoned_ && !ready()) {
+    if (expired) {
+      // The deadline passed *and* a fresh predicate check still failed:
+      // only now is it a deadlock (a wakeup racing the deadline is not).
+      static constexpr const char* kStalled[] = {
+          "", "collective operation timed out", "send never matched",
+          "recv never matched"};
+      poison_locked(std::string(kStalled[static_cast<std::size_t>(wait.what)]) +
+                    " (virtual MPI deadlock?); " + describe_blocked_locked());
+      break;
+    }
+    expired = wait_rank(lock, rank, deadline);
+  }
+  waiting_[r] = WaitInfo{};
+  check_poison_locked();
+}
+
 void Engine::wake_rank_locked(int rank) {
   ++obs_.wakeups_targeted;
   if (executor_ != nullptr) {
@@ -793,9 +793,11 @@ void Engine::wake_all_locked() {
 
 // --- collectives -----------------------------------------------------------
 
-void Engine::begin_collective(Group& group, int rank, CollectiveKind kind,
-                              int root) {
-  maybe_crash_locked(group.world_rank(rank));
+std::unique_lock<std::mutex> Engine::begin_collective(Group& group, int rank,
+                                                      CollectiveKind kind,
+                                                      int root) {
+  maybe_crash(group.world_rank(rank));
+  std::unique_lock<std::mutex> lock(mutex_);
   check_poison_locked();
   if (group.arrived == 0) {
     group.coll_kind = kind;
@@ -805,6 +807,7 @@ void Engine::begin_collective(Group& group, int rank, CollectiveKind kind,
     check_poison_locked();
   }
   ++group.arrived;
+  return lock;
 }
 
 bool Engine::resolvable_locked(const Group& group) const {
@@ -823,28 +826,13 @@ void Engine::complete_collective(std::unique_lock<std::mutex>& lock,
   if (resolvable_locked(group)) {
     finish_collective_locked(group);
   } else {
-    const auto grank = static_cast<std::size_t>(group.world_rank(rank));
     const std::uint64_t generation = group.generation;
     // Lock held since begin_collective, so the group's coll_kind/coll_root
     // still describe the collective this rank is parked in.
-    waiting_[grank] =
-        WaitInfo{WaitInfo::What::kCollective, group.world_rank(group.coll_root),
-                 0, group.coll_kind};
-    const auto deadline = deadline_after(options_.deadlock_timeout_s);
-    bool deadline_expired = false;
-    while (group.generation == generation && !poisoned_) {
-      if (deadline_expired) {
-        // The deadline passed *and* a fresh predicate check still failed:
-        // only now is it a deadlock (a wakeup racing the deadline is not).
-        poison_locked(
-            "collective operation timed out (virtual MPI deadlock?); " +
-            describe_blocked_locked());
-        break;
-      }
-      deadline_expired = wait_rank(lock, static_cast<int>(grank), deadline);
-    }
-    check_poison_locked();
-    waiting_[grank] = WaitInfo{};
+    park_locked(lock, group.world_rank(rank),
+                WaitInfo{WaitInfo::What::kCollective,
+                         group.world_rank(group.coll_root), 0, group.coll_kind},
+                [&] { return group.generation != generation; });
   }
   // group.dead stays valid until this rank arrives at the group's next
   // collective: that one cannot resolve without it.
@@ -1238,16 +1226,12 @@ void Engine::finish_collective_locked(Group& group) {
   if (!group.dead.empty()) {
     const int first_dead = gr(group.dead.front());
     for (const int r : live) {
-      charge_detection_locked(gr(r), first_dead, last_death,
-                              options_.fault_detection_s);
+      charge_detection_locked(gr(r), first_dead, last_death);
     }
   }
 
-  ++obs_.collectives[obs_kind];
-  const std::uint64_t wire = obs_scheduled_bytes_ - obs_bytes_before;
-  obs_.collective_wire_bytes[obs_kind] += wire;
   ++group.coll_count[obs_kind];
-  group.coll_bytes[obs_kind] += wire;
+  group.coll_bytes[obs_kind] += obs_scheduled_bytes_ - obs_bytes_before;
   // Sample the group's counter plane while every member is still blocked
   // at this boundary: the values are then a pure function of the group's
   // program order and virtual clocks (DESIGN.md §15).
@@ -1260,15 +1244,14 @@ void Engine::finish_collective_locked(Group& group) {
 }
 
 void Engine::core_barrier(Group& group, int rank, std::vector<int>* failed) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  begin_collective(group, rank, CollectiveKind::kBarrier, group.root_local);
+  auto lock =
+      begin_collective(group, rank, CollectiveKind::kBarrier, group.root_local);
   complete_collective(lock, group, rank, failed);
 }
 
 Packet Engine::core_bcast(Group& group, int rank, int root, Packet payload,
                           std::vector<int>* failed) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  begin_collective(group, rank, CollectiveKind::kBcast, root);
+  auto lock = begin_collective(group, rank, CollectiveKind::kBcast, root);
   const auto r = static_cast<std::size_t>(rank);
   if (rank == root) group.inputs[r] = std::move(payload);
   complete_collective(lock, group, rank, failed);
@@ -1278,8 +1261,7 @@ Packet Engine::core_bcast(Group& group, int rank, int root, Packet payload,
 std::vector<Packet> Engine::core_gather(Group& group, int rank, int root,
                                         Packet payload,
                                         std::vector<int>* failed) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  begin_collective(group, rank, CollectiveKind::kGather, root);
+  auto lock = begin_collective(group, rank, CollectiveKind::kGather, root);
   const auto r = static_cast<std::size_t>(rank);
   const auto w = static_cast<std::size_t>(group.world_rank(rank));
   // Adopt this rank's recycled result buffer so the coordinator's resize
@@ -1299,8 +1281,7 @@ std::vector<Packet> Engine::core_gather(Group& group, int rank, int root,
 Packet Engine::core_scatter(Group& group, int rank, int root,
                             std::vector<Packet>& parts,
                             std::vector<int>* failed) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  begin_collective(group, rank, CollectiveKind::kScatter, root);
+  auto lock = begin_collective(group, rank, CollectiveKind::kScatter, root);
   const auto r = static_cast<std::size_t>(rank);
   if (rank == root) {
     // Move element contents into the (capacity-retaining) staging slot;
@@ -1318,8 +1299,8 @@ Packet Engine::core_scatter(Group& group, int rank, int root,
 std::vector<std::pair<int, Packet>> Engine::core_exchange(
     Group& group, int rank, std::vector<std::pair<int, Packet>>& sends,
     std::vector<int>* failed) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  begin_collective(group, rank, CollectiveKind::kExchange, group.root_local);
+  auto lock =
+      begin_collective(group, rank, CollectiveKind::kExchange, group.root_local);
   const auto r = static_cast<std::size_t>(rank);
   const auto w = static_cast<std::size_t>(group.world_rank(rank));
   auto& in_slot = group.exchange_in[r];
@@ -1372,28 +1353,15 @@ Group& Engine::ensure_group(std::uint64_t id, const std::vector<int>& members,
                        platform_.switched_fabric());
   auto group = std::make_unique<Group>(id, members, root_local, std::move(sub));
   if (parent != nullptr) group->snap_scope = parent->snap_scope;
-  const auto n = members.size();
-  group->inputs.assign(n, Packet{});
-  group->single_out.assign(n, Packet{});
-  resize_and_clear(group->scatter_parts, n);
-  resize_and_clear(group->exchange_in, n);
-  resize_and_clear(group->multi_out, n);
-  resize_and_clear(group->exchange_out, n);
   Group& ref = *group;
   groups_.emplace(id, std::move(group));
   return ref;
 }
 
 void Engine::core_sleep_until(int rank, double deadline) {
+  maybe_crash(rank);
   const auto r = static_cast<std::size_t>(rank);
   auto& s = stats_[r];
-  // Same fail-stop boundary as core_compute: crash_time_ is immutable
-  // during the run and the clock is rank-confined, so no lock is needed
-  // until a death actually fires.
-  if (s.clock >= crash_time_[r]) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    die_locked(rank);
-  }
   if (deadline <= s.clock) return;
   if (options_.enable_trace) {
     trace_[r].push_back(
@@ -1401,10 +1369,7 @@ void Engine::core_sleep_until(int rank, double deadline) {
   }
   s.wait += deadline - s.clock;
   s.clock = deadline;
-  if (s.clock >= crash_time_[r]) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    die_locked(rank);
-  }
+  maybe_crash(rank);
 }
 
 RankStats Engine::core_stats(int rank) const {
@@ -1431,12 +1396,24 @@ void Engine::core_recycle_exchange(
 
 // --- point-to-point ---------------------------------------------------------
 
-void Engine::core_send(int rank, int dst, int tag, Packet payload,
-                       std::uint64_t channel) {
+bool Engine::peer_lost_locked(const char* op, int rank, int peer, int tag,
+                              bool tolerant) {
+  const RankState state = rank_state_[static_cast<std::size_t>(peer)];
+  if (state == RankState::kRunning) return false;
+  // Finishing without matching is a protocol bug, not a failure the caller
+  // can recover from; only a tolerant op survives a crash.
+  if (!tolerant || state == RankState::kFinished) {
+    poison_locked(peer_failure_locked(op, rank, peer, tag));
+  }
+  return true;
+}
+
+bool Engine::core_send(int rank, int dst, int tag, Packet payload,
+                       std::uint64_t channel, bool tolerant) {
   HPRS_REQUIRE(dst >= 0 && dst < size() && dst != rank,
                "invalid destination rank");
+  maybe_crash(rank);
   std::unique_lock<std::mutex> lock(mutex_);
-  maybe_crash_locked(rank);
   check_poison_locked();
   auto& queue = mailbox_[{rank, dst, tag}];
   PendingSend ps;
@@ -1450,170 +1427,52 @@ void Engine::core_send(int rank, int dst, int tag, Packet payload,
   wake_rank_locked(dst);
 
   // Rendezvous: block until the receiver matches and times the transfer.
-  waiting_[static_cast<std::size_t>(rank)] =
-      WaitInfo{WaitInfo::What::kSend, dst, tag, CollectiveKind::kNone};
-  const auto deadline = deadline_after(options_.deadlock_timeout_s);
-  bool deadline_expired = false;
-  while (!it->matched && !poisoned_) {
-    if (rank_state_[static_cast<std::size_t>(dst)] != RankState::kRunning) {
-      // Dead or finished receiver: a plain send can never complete.  The
-      // fault-tolerant path uses core_try_send, which survives this.
-      poison_locked(peer_failure_locked("send", rank, dst, tag));
-      break;
-    }
-    if (deadline_expired) {
-      poison_locked("send never matched (virtual MPI deadlock?); " +
-                    describe_blocked_locked());
-      break;
-    }
-    deadline_expired = wait_rank(lock, rank, deadline);
+  park_locked(lock, rank, WaitInfo{WaitInfo::What::kSend, dst, tag}, [&] {
+    return it->matched || peer_lost_locked("send", rank, dst, tag, tolerant);
+  });
+  if (!it->matched) {
+    // The receiver crashed without matching: withdraw the posting and
+    // charge the virtual heartbeat that discovered the death.
+    queue.erase(it);
+    charge_detection_locked(rank, dst,
+                            death_time_[static_cast<std::size_t>(dst)]);
+    return false;
   }
-  check_poison_locked();
-  waiting_[static_cast<std::size_t>(rank)] = WaitInfo{};
   // Apply this side of the transfer (the receiver computed it at match
   // time but deliberately left the sender's stats to the sender).
   account_transfer_locked(rank, it->ready, it->sender_end, it->active,
                           it->bytes, 0);
   queue.erase(it);
+  return true;
 }
 
-bool Engine::core_try_send(int rank, int dst, int tag, Packet payload,
-                           double timeout_s, std::uint64_t channel) {
-  HPRS_REQUIRE(dst >= 0 && dst < size() && dst != rank,
-               "invalid destination rank");
-  std::unique_lock<std::mutex> lock(mutex_);
-  maybe_crash_locked(rank);
-  check_poison_locked();
-  auto& queue = mailbox_[{rank, dst, tag}];
-  PendingSend ps;
-  ps.payload = std::move(payload);
-  ps.ready = stats_[static_cast<std::size_t>(rank)].clock;
-  ps.channel = channel;
-  queue.push_back(std::move(ps));
-  obs_.mailbox_depth_max = std::max<std::uint64_t>(obs_.mailbox_depth_max,
-                                                   queue.size());
-  auto it = std::prev(queue.end());
-  wake_rank_locked(dst);
-
-  waiting_[static_cast<std::size_t>(rank)] =
-      WaitInfo{WaitInfo::What::kTrySend, dst, tag, CollectiveKind::kNone};
-  const auto deadline = deadline_after(options_.deadlock_timeout_s);
-  bool deadline_expired = false;
-  while (!it->matched && !poisoned_) {
-    const RankState peer = rank_state_[static_cast<std::size_t>(dst)];
-    if (peer == RankState::kCrashed) break;
-    if (peer == RankState::kFinished) {
-      // Finishing without receiving is a protocol bug, not a failure the
-      // caller can recover from.
-      poison_locked(peer_failure_locked("try_send", rank, dst, tag));
-      break;
-    }
-    if (deadline_expired) {
-      poison_locked("try_send never matched (virtual MPI deadlock?); " +
-                    describe_blocked_locked());
-      break;
-    }
-    deadline_expired = wait_rank(lock, rank, deadline);
-  }
-  check_poison_locked();
-  waiting_[static_cast<std::size_t>(rank)] = WaitInfo{};
-  if (it->matched) {
-    account_transfer_locked(rank, it->ready, it->sender_end, it->active,
-                            it->bytes, 0);
-    queue.erase(it);
-    return true;
-  }
-  // The receiver died without matching: withdraw the posting and charge the
-  // virtual heartbeat that discovered the death.
-  queue.erase(it);
-  charge_detection_locked(rank, dst, death_time_[static_cast<std::size_t>(dst)],
-                          timeout_s);
-  return false;
-}
-
-Packet Engine::core_recv(int rank, int src, int tag) {
+std::optional<Packet> Engine::core_recv(int rank, int src, int tag,
+                                        bool tolerant) {
   HPRS_REQUIRE(src >= 0 && src < size() && src != rank, "invalid source rank");
+  maybe_crash(rank);
   std::unique_lock<std::mutex> lock(mutex_);
-  maybe_crash_locked(rank);
   const auto key = std::make_tuple(src, rank, tag);
-
-  waiting_[static_cast<std::size_t>(rank)] =
-      WaitInfo{WaitInfo::What::kRecv, src, tag, CollectiveKind::kNone};
-  const auto deadline = deadline_after(options_.deadlock_timeout_s);
-  bool deadline_expired = false;
-  std::list<PendingSend>::iterator it;
-  while (true) {
-    check_poison_locked();
-    const auto q = mailbox_.find(key);
-    if (q != mailbox_.end()) {
-      it = std::find_if(q->second.begin(), q->second.end(),
-                        [](const PendingSend& ps) { return !ps.matched; });
-      if (it != q->second.end()) break;
-    }
-    if (rank_state_[static_cast<std::size_t>(src)] != RankState::kRunning) {
-      // Nothing pending and the sender is dead or finished: a plain recv
-      // can never match.  The fault-tolerant path uses core_try_recv.
-      poison_locked(peer_failure_locked("recv", rank, src, tag));
-      check_poison_locked();
-    }
-    if (deadline_expired) {
-      // Deadline passed and the re-check above still found no posting.
-      poison_locked("recv never matched (virtual MPI deadlock?); " +
-                    describe_blocked_locked());
-      check_poison_locked();
-    }
-    deadline_expired = wait_rank(lock, rank, deadline);
-  }
-  waiting_[static_cast<std::size_t>(rank)] = WaitInfo{};
-  return match_recv_locked(rank, src, tag, *it);
-}
-
-std::optional<Packet> Engine::core_try_recv(int rank, int src, int tag,
-                                            double timeout_s) {
-  HPRS_REQUIRE(src >= 0 && src < size() && src != rank, "invalid source rank");
-  std::unique_lock<std::mutex> lock(mutex_);
-  maybe_crash_locked(rank);
-  const auto key = std::make_tuple(src, rank, tag);
-
-  waiting_[static_cast<std::size_t>(rank)] =
-      WaitInfo{WaitInfo::What::kTryRecv, src, tag, CollectiveKind::kNone};
-  const auto deadline = deadline_after(options_.deadlock_timeout_s);
-  bool deadline_expired = false;
-  while (true) {
-    check_poison_locked();
-    const auto q = mailbox_.find(key);
-    if (q != mailbox_.end()) {
-      // A message posted before the sender's death is still delivered (the
-      // data already left the sender); only silence is a failure.
+  PendingSend* posted = nullptr;
+  park_locked(lock, rank, WaitInfo{WaitInfo::What::kRecv, src, tag}, [&] {
+    // A message posted before the sender's death is still delivered (the
+    // data already left the sender); only silence is a failure.
+    if (const auto q = mailbox_.find(key); q != mailbox_.end()) {
       const auto it =
           std::find_if(q->second.begin(), q->second.end(),
                        [](const PendingSend& ps) { return !ps.matched; });
-      if (it != q->second.end()) {
-        waiting_[static_cast<std::size_t>(rank)] = WaitInfo{};
-        return match_recv_locked(rank, src, tag, *it);
-      }
+      if (it != q->second.end()) posted = &*it;
     }
-    const RankState peer = rank_state_[static_cast<std::size_t>(src)];
-    if (peer == RankState::kCrashed) {
-      waiting_[static_cast<std::size_t>(rank)] = WaitInfo{};
-      charge_detection_locked(rank, src,
-                              death_time_[static_cast<std::size_t>(src)],
-                              timeout_s);
-      return std::nullopt;
-    }
-    if (peer == RankState::kFinished) {
-      // Finishing without sending is a protocol bug, not a failure the
-      // caller can recover from.
-      poison_locked(peer_failure_locked("try_recv", rank, src, tag));
-      check_poison_locked();
-    }
-    if (deadline_expired) {
-      poison_locked("try_recv never matched (virtual MPI deadlock?); " +
-                    describe_blocked_locked());
-      check_poison_locked();
-    }
-    deadline_expired = wait_rank(lock, rank, deadline);
+    return posted != nullptr ||
+           peer_lost_locked("recv", rank, src, tag, tolerant);
+  });
+  if (posted == nullptr) {
+    // The sender crashed with nothing pending: charge the virtual
+    // heartbeat that discovered the death.
+    charge_detection_locked(rank, src,
+                            death_time_[static_cast<std::size_t>(src)]);
+    return std::nullopt;
   }
+  return match_recv_locked(rank, src, tag, *posted);
 }
 
 }  // namespace hprs::vmpi

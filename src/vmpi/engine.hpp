@@ -25,6 +25,11 @@
 //    for differential testing and selectable at runtime with the
 //    HPRS_THREAD_PER_RANK environment variable.
 //
+// Each operation has one implementation: collectives take their
+// dead-member rule as the `failed` argument, point-to-point its dead-peer
+// rule as `tolerant` (DESIGN.md §9), and every operation crosses one
+// fail-stop check and blocks through one wait helper.
+//
 // Determinism: collective cost models run once -- executed by the
 // last-arriving rank under the engine lock -- scheduling member transfers
 // in rank order, so the coordinator's identity never affects results.  A
@@ -101,7 +106,13 @@ struct Group {
       : id(id_),
         members(std::move(members_)),
         root_local(root_local_),
-        platform(std::move(platform_)) {}
+        platform(std::move(platform_)),
+        inputs(members.size()),
+        scatter_parts(members.size()),
+        exchange_in(members.size()),
+        single_out(members.size()),
+        multi_out(members.size()),
+        exchange_out(members.size()) {}
 
   std::uint64_t id = 0;
   /// Local rank -> world rank, in local-rank order.
@@ -142,8 +153,9 @@ struct Group {
   /// for group 0, set per job through Comm::label_snapshots, inherited by
   /// a shrunken communicator.  Unlabeled groups are never sampled.
   std::string snap_scope;
-  /// Per-group stable counters, sampled at collective boundaries.  Indexed
-  /// by CollectiveKind like Engine::ObsCounters; [0] stays unused.
+  /// Per-group stable counters, sampled at collective boundaries; their
+  /// sums over the run's groups are the engine's vmpi.collectives.* and
+  /// vmpi.p2p.* metrics.  Indexed by CollectiveKind; [0] stays unused.
   std::uint64_t coll_count[6] = {};
   std::uint64_t coll_bytes[6] = {};
   std::uint64_t p2p_messages = 0;
@@ -186,8 +198,8 @@ struct Options {
   /// plan leaves every run bit-identical to a fault-free engine.
   FaultPlan fault_plan;
   /// Virtual-time heartbeat: how long a rank waits past a dead peer's death
-  /// before declaring it lost (Comm::try_send / try_recv by default, and
-  /// every survivor of a collective that resolved without a member).
+  /// before declaring it lost (Comm::try_send / try_recv, and every
+  /// survivor of a collective that resolved without a member).
   double fault_detection_s = 0.1;
   /// Counter-plane snapshot service (off by default).  Enabling it samples
   /// per-communicator stable pvars on a seeded virtual-time cadence into
@@ -275,24 +287,20 @@ class Engine {
   /// caller creates, the rest attach.
   Group& ensure_group(std::uint64_t id, const std::vector<int>& members,
                       int root_local = 0, const Group* parent = nullptr);
-  // P2p send-side entry points take the communicator's group id as
-  // `channel`: inter-segment link serialization is scoped per communicator
-  // (see schedule_transfer_locked), and a message contends on the channel
-  // of the communicator it was sent over.
-  void core_send(int rank, int dst, int tag, Packet payload,
-                 std::uint64_t channel);
-  Packet core_recv(int rank, int src, int tag);
-  /// Fault-aware rendezvous send: true when `dst` matched the message,
-  /// false when `dst` is dead (the posting is withdrawn and this rank's
-  /// clock advances past the peer's death by `timeout_s` -- the virtual
-  /// heartbeat -- charged as detection overhead).
-  [[nodiscard]] bool core_try_send(int rank, int dst, int tag, Packet payload,
-                                   double timeout_s, std::uint64_t channel);
-  /// Fault-aware receive: the payload when `src` delivered one, nullopt
-  /// when `src` is dead with nothing pending (same detection accounting as
-  /// core_try_send).
-  [[nodiscard]] std::optional<Packet> core_try_recv(int rank, int src, int tag,
-                                                    double timeout_s);
+  // Point-to-point takes world ranks and one dead-peer rule.  A peer that
+  // is no longer running poisons the run and names it, except that a
+  // `tolerant` op toward a *crashed* peer withdraws its posting, is charged
+  // one fault_detection_s heartbeat past the death, and reports failure.
+  // A message contends on the inter-segment links of the communicator it
+  // was sent over, whose group id is `channel` (schedule_transfer_locked).
+  /// Rendezvous send: true once `dst` matched the message, false when a
+  /// tolerant send found `dst` crashed.
+  bool core_send(int rank, int dst, int tag, Packet payload,
+                 std::uint64_t channel, bool tolerant);
+  /// Receive: the payload once `src` posted one (a message posted before
+  /// the sender's death is still delivered), nullopt when a tolerant
+  /// receive found `src` crashed with nothing pending.
+  std::optional<Packet> core_recv(int rank, int src, int tag, bool tolerant);
   /// Renames the snapshot scope of `group` (e.g. "job:7/atdca" instead of
   /// the default "comm_<id>"); every member calls it with the same label
   /// right after creating the communicator, so it lands before the group's
@@ -315,9 +323,11 @@ class Engine {
   void core_recycle_exchange(int rank,
                              std::vector<std::pair<int, Packet>> buffer);
 
-  // --- collective machinery (all called with mutex_ held) ---
-  void begin_collective(Group& group, int rank, CollectiveKind kind,
-                        int root);
+  // --- collective machinery ---
+  /// Crosses `rank`'s fail-stop boundary, takes the engine lock and
+  /// registers the arrival; the remaining helpers run with mutex_ held.
+  [[nodiscard]] std::unique_lock<std::mutex> begin_collective(
+      Group& group, int rank, CollectiveKind kind, int root);
   /// True once every member of `group` has arrived or died.
   [[nodiscard]] bool resolvable_locked(const Group& group) const;
   /// Runs the pending collective's cost model over the arrived members,
@@ -331,7 +341,7 @@ class Engine {
 
   // --- host-side blocking layer (two implementations, one protocol) ---
   /// Blocks `rank` until woken or the deadline expires; returns true on
-  /// expiry (which, like a spurious wakeup, obliges the caller to re-check
+  /// expiry (which, like a spurious wakeup, obliges park_locked to re-check
   /// its predicate before concluding deadlock).
   bool wait_rank(std::unique_lock<std::mutex>& lock, int rank,
                  std::chrono::steady_clock::time_point deadline);
@@ -378,8 +388,9 @@ class Engine {
   void poison_locked(const std::string& reason);
   void check_poison_locked() const;
 
-  /// Publishes the per-run ObsCounters (and report-derived totals) into
-  /// obs::Metrics.  Called once at the end of run(); a disabled registry
+  /// Publishes the run's metrics into obs::Metrics: traffic totals summed
+  /// over the groups' counters, report-derived totals and the host-domain
+  /// ObsCounters.  Called once at the end of run(); a disabled registry
   /// returns immediately.
   void publish_metrics(const RunReport& report) const;
 
@@ -390,25 +401,36 @@ class Engine {
   /// by the owning rank under the engine lock, read by whichever rank
   /// declares deadlock.
   struct WaitInfo {
-    enum class What : std::uint8_t {
-      kNone,
-      kCollective,
-      kSend,
-      kRecv,
-      kTrySend,
-      kTryRecv,
-    };
+    enum class What : std::uint8_t { kNone, kCollective, kSend, kRecv };
     What what = What::kNone;
     int peer = -1;  ///< p2p peer, or the collective root
     int tag = 0;
     CollectiveKind coll = CollectiveKind::kNone;
   };
+  /// The one place a rank blocks.  Publishes `wait` for the deadlock
+  /// diagnostics and parks `rank` until `ready()` holds; `ready` runs under
+  /// the lock before the first park and after every wakeup, and may poison
+  /// the run (a p2p peer that can never match).  Once
+  /// options_.deadlock_timeout_s of host time has passed, one more failed
+  /// `ready()` poisons the run as a deadlock -- a wakeup racing the
+  /// deadline is not one.  Throws hprs::Error once the run is poisoned.
+  template <typename Ready>
+  void park_locked(std::unique_lock<std::mutex>& lock, int rank,
+                   const WaitInfo& wait, Ready ready);
+  /// The p2p dead-peer rule (see core_send): whether `peer` can no longer
+  /// match `rank`'s pending `op`, poisoning the run unless the op is
+  /// `tolerant` and the peer crashed.
+  bool peer_lost_locked(const char* op, int rank, int peer, int tag,
+                        bool tolerant);
 
-  /// Kills `rank` (fail-stop) if its clock has reached its planned crash
-  /// time: records the death, resolves any pending collective that was
-  /// only waiting for it, wakes peers, and unwinds the rank body via an
+  /// The fail-stop boundary of every engine operation: kills `rank` if its
+  /// clock has reached its planned crash time.  crash_time_ is immutable
+  /// during the run and the clock is rank-confined, so the check takes the
+  /// engine lock only when it fires.
+  void maybe_crash(int rank);
+  /// Records the death, resolves any pending collective that was only
+  /// waiting for it, wakes peers, and unwinds the rank body via an
   /// internal signal that run() absorbs without treating it as an error.
-  void maybe_crash_locked(int rank);
   [[noreturn]] void die_locked(int rank);
   /// Link capacity src-segment -> dst-segment for a transfer starting at
   /// virtual time `at`, with any matching degradation windows applied.
@@ -420,14 +442,13 @@ class Engine {
   std::uint64_t loss_attempts_locked(int src, int dst, int tag);
   /// Receiver's half of matching a pending send: applies the loss model,
   /// schedules and accounts the transfer, and records the sender's half on
-  /// the posting.  Shared by core_recv and core_try_recv.
+  /// the posting.
   struct PendingSend;
   Packet match_recv_locked(int rank, int src, int tag, PendingSend& ps);
-  /// Charges the virtual heartbeat wait for discovering `peer` dead (it
-  /// died at `death_s`, the latest death of a collective's dead set) and
-  /// logs the detection event.
-  void charge_detection_locked(int rank, int peer, double death_s,
-                               double timeout_s);
+  /// Charges the fault_detection_s heartbeat wait for discovering `peer`
+  /// dead (it died at `death_s`, the latest death of a collective's dead
+  /// set) and logs the detection event.
+  void charge_detection_locked(int rank, int peer, double death_s);
   /// One-line-per-rank description of every blocked or crashed rank, for
   /// deadlock diagnostics.
   [[nodiscard]] std::string describe_blocked_locked() const;
@@ -517,17 +538,12 @@ class Engine {
   /// Per-(src, dst, tag) transfer sequence numbers for the loss model.
   std::map<std::tuple<int, int, int>, std::uint64_t> loss_seq_;
 
-  // Per-run observability accumulators (published into obs::Metrics once at
-  // the end of run()).  Bumped only on paths that already hold mutex_, so
-  // telemetry never adds a lock acquisition to a hot path; plain integers
-  // keep the cost of the disabled case to a handful of increments.
+  // Per-run host-domain (scheduling-dependent) observations, published
+  // into obs::Metrics once at the end of run(); the stable traffic totals
+  // come from the groups' counters instead.  Bumped only on paths that
+  // already hold mutex_, so telemetry never adds a lock acquisition to a
+  // hot path.
   struct ObsCounters {
-    // Indexed by CollectiveKind; [0] (kNone) stays unused.
-    std::uint64_t collectives[6] = {};
-    std::uint64_t collective_wire_bytes[6] = {};
-    std::uint64_t p2p_messages = 0;
-    std::uint64_t p2p_wire_bytes = 0;
-    // Host-domain (scheduling-dependent) observations.
     std::uint64_t wakeups_targeted = 0;
     std::uint64_t wakeups_broadcast = 0;
     std::uint64_t mailbox_depth_max = 0;
@@ -538,7 +554,7 @@ class Engine {
   obs::SnapshotTimeline timeline_;
   /// Wire bytes of every transfer scheduled since run() started;
   /// finish_collective_locked differences it around the fan-out to obtain
-  /// per-collective-kind byte totals.
+  /// the group's per-collective-kind byte totals.
   std::uint64_t obs_scheduled_bytes_ = 0;
 
   bool poisoned_ = false;

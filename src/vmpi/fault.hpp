@@ -18,10 +18,10 @@
 //  * MessageLoss -- seeded transient loss of point-to-point messages: each
 //    p2p transfer deterministically loses `k >= 0` attempts (a hash of the
 //    seed and the per-queue sequence number), and each lost attempt delays
-//    the transfer by one wire time plus `retry_backoff_s`.  Collective
-//    schedules are not subjected to loss: they model a message-passing
-//    layer with its own reliability, while p2p loss models the commodity
-//    link layer under it.
+//    the transfer by one wire time plus a fixed 0.5 ms retry backoff.
+//    Collective schedules are not subjected to loss: they model a
+//    message-passing layer with its own reliability, while p2p loss models
+//    the commodity link layer under it.
 //
 // Determinism: crashes trigger on the rank's own virtual clock at operation
 // boundaries, degradation keys off virtual transfer start times, and loss
@@ -53,13 +53,12 @@ struct LinkDegradation {
   double end_s = 0.0;
 };
 
-/// Seeded transient point-to-point message loss.
+/// Seeded transient point-to-point message loss.  Each lost attempt costs
+/// its wire time plus a fixed 0.5 ms retry backoff.
 struct MessageLoss {
   /// Per-attempt loss probability in [0, 1).  Zero disables the model.
   double probability = 0.0;
   std::uint64_t seed = 0;
-  /// Extra delay per lost attempt, on top of the wasted wire time.
-  double retry_backoff_s = 5e-4;
 };
 
 struct FaultPlan {

@@ -4,8 +4,9 @@
 // repeated runs and both executor modes; enabling snapshots never changes
 // the schedule itself; an injected mid-run counter drift is caught and
 // localized by the timeline diff even though the end-of-run states agree;
-// and the property holds at fleet scale (HPRS_STRESS_RANKS shrinks the
-// 192-rank world for sanitizer runs).
+// the last dispatcher sample records how the schedule ended, crashes
+// included; and the property holds at fleet scale (HPRS_STRESS_RANKS
+// shrinks the 192-rank world for sanitizer runs).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -169,6 +170,50 @@ TEST(SchedSnapshotTest, MidRunDriftCaughtWhileEndStateMatches) {
   EXPECT_NE(diff.first_divergence.find("\"dispatcher\""), std::string::npos)
       << diff.first_divergence;
   EXPECT_NE(diff.first_divergence.find("sample 1"), std::string::npos);
+}
+
+TEST(SchedSnapshotTest, LastDispatcherSampleRecordsHowTheScheduleEnded) {
+  // A worker of job 1 crashes halfway through the job.  The dispatcher's
+  // closing sample must account for every dispatched gang, hold no running
+  // gang, and count every rank the schedule lost.
+  const simnet::Platform platform = cluster(7);
+  const hsi::HsiCube scene = testing::striped_cube(32, 16, 24, 4);
+  const std::vector<JobSpec> stream = mixed_stream();
+  const auto probe = run_schedule(platform, scene, stream, SchedulerConfig{},
+                                  snap_options());
+  const JobRecord& first = probe.records[0];
+  ASSERT_TRUE(first.completed());
+  ASSERT_GE(first.members.size(), 2u);
+  const double midpoint =
+      first.dispatch_s + 0.5 * (first.finish_s - first.dispatch_s);
+
+  std::string timelines[2];
+  int run = 0;
+  for (const vmpi::ExecMode mode :
+       {vmpi::ExecMode::kBoundedExecutor, vmpi::ExecMode::kThreadPerRank}) {
+    vmpi::Options options = snap_options(mode);
+    options.fault_plan.crashes.push_back({first.members[1], midpoint});
+    const auto result =
+        run_schedule(platform, scene, stream, SchedulerConfig{}, options);
+    ASSERT_EQ(result.report.recovery.crashes, 1);
+    ASSERT_EQ(result.lost_ranks, std::vector<int>{first.members[1]});
+
+    const obs::SnapshotSample* last = nullptr;
+    for (const auto& sample : result.report.snapshots.samples()) {
+      if (sample.scope == "dispatcher") last = &sample;
+    }
+    ASSERT_NE(last, nullptr);
+    std::map<std::string, obs::Pvar> pvars;
+    for (const obs::Pvar& pvar : last->pvars.sorted()) {
+      pvars[pvar.name] = pvar;
+    }
+    EXPECT_EQ(pvars.at("jobs.completed").count,
+              pvars.at("jobs.dispatched").count);
+    EXPECT_EQ(pvars.at("gangs.running").value, 0.0);
+    EXPECT_EQ(pvars.at("workers.lost").count, result.lost_ranks.size());
+    timelines[run++] = obs::snapshot_timeline_json(result.report.snapshots);
+  }
+  EXPECT_EQ(timelines[0], timelines[1]);
 }
 
 // Fleet-scale stress: wide gangs on a Thunderhead-sized cluster, snapshots

@@ -7,7 +7,10 @@
 // member resolves on a tolerant handle with the same dead set on every
 // survivor and fails the run on a default one; invalid plans and options
 // fail at Engine construction (and malformed --crash text at parse time);
-// and deadlock diagnostics name the blocked ranks.
+// point-to-point keeps its dead-peer rules (plain ops toward a crashed peer
+// fail the run, try ops report it after one heartbeat, and either kind
+// toward a peer that finished without matching aborts the run); and
+// deadlock diagnostics name the blocked ranks.
 //
 // HPRS_STRESS_RANKS overrides the rank count (ThreadSanitizer runs use a
 // smaller world so 2x-instrumented thread-per-rank mode stays fast).
@@ -15,7 +18,10 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/env.hpp"
@@ -460,6 +466,110 @@ TEST(VmpiFaultTest, InvalidPlansFailAtEngineConstruction) {
     Options o;
     o.deadlock_timeout_s = 0.0;  // must be positive
     EXPECT_THROW(Engine(platform, o), Error);
+  }
+}
+
+/// Runs a two-rank program whose rank 1 computes once, then dies at its
+/// next operation (planned crash at 1e-6 s, clock 1.1e-6 s) or, with
+/// `crash` false, finishes without communicating; rank 0 runs `op` toward
+/// it under tag 3.
+RunReport run_toward_rank_one(ExecMode mode, bool crash,
+                              const std::function<void(Comm&)>& op) {
+  Options opts = fault_options(mode);
+  if (crash) opts.fault_plan.crashes.push_back({1, 1e-6});
+  Engine engine(fault_platform(2), opts);
+  return engine.run([&](Comm& comm) {
+    if (comm.rank() == 0) {
+      op(comm);
+    } else {
+      comm.compute(1000);
+      if (crash) comm.compute(1000);
+    }
+  });
+}
+
+/// The hprs::Error message of a run that must abort.
+std::string abort_message(ExecMode mode, bool crash,
+                          const std::function<void(Comm&)>& op) {
+  try {
+    (void)run_toward_rank_one(mode, crash, op);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected the run to abort";
+  return {};
+}
+
+constexpr ExecMode kBothModes[] = {ExecMode::kBoundedExecutor,
+                                   ExecMode::kThreadPerRank};
+
+TEST(VmpiFaultTest, PlainP2pTowardACrashedPeerFailsTheRun) {
+  for (const ExecMode mode : kBothModes) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+    const std::string sent = abort_message(
+        mode, true, [](Comm& comm) { comm.send(1, 7, 8, /*tag=*/3); });
+    const std::string received = abort_message(
+        mode, true, [](Comm& comm) { (void)comm.recv<int>(1, /*tag=*/3); });
+    for (const auto& [what, op] :
+         {std::pair{sent, "send involving rank 1 (tag 3)"},
+          std::pair{received, "recv involving rank 1 (tag 3)"}}) {
+      EXPECT_NE(what.find(op), std::string::npos) << what;
+      EXPECT_NE(what.find("rank 1 crashed (fail-stop)"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("blocked ranks:"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(VmpiFaultTest, TryP2pTowardACrashedPeerChargesOneDetection) {
+  for (const ExecMode mode : kBothModes) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+    bool sent = true;
+    std::optional<int> received = 0;
+    double after_send = 0.0;
+    double after_recv = 0.0;
+    const RunReport send_report =
+        run_toward_rank_one(mode, true, [&](Comm& comm) {
+          sent = comm.try_send(1, 7, 8, /*tag=*/3);
+          after_send = comm.now();
+        });
+    const RunReport recv_report =
+        run_toward_rank_one(mode, true, [&](Comm& comm) {
+          received = comm.try_recv<int>(1, /*tag=*/3);
+          after_recv = comm.now();
+        });
+    EXPECT_FALSE(sent);
+    EXPECT_FALSE(received.has_value());
+    for (const auto& [report, after] :
+         {std::pair{&send_report, after_send},
+          std::pair{&recv_report, after_recv}}) {
+      EXPECT_EQ(report->recovery.crashes, 1);
+      EXPECT_EQ(report->recovery.detections, 1);
+      // Rank 0 started waiting at t = 0, before the death: the heartbeat
+      // runs from the death.
+      const double death = report->ranks[1].clock;
+      EXPECT_GT(death, 0.0);
+      EXPECT_EQ(after, death + fault_options(mode).fault_detection_s);
+      EXPECT_EQ(report->recovery.detection_s, after);
+    }
+  }
+}
+
+TEST(VmpiFaultTest, TryP2pTowardAFinishedPeerAbortsTheRun) {
+  for (const ExecMode mode : kBothModes) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+    for (const std::string& what :
+         {abort_message(mode, false,
+                        [](Comm& comm) {
+                          (void)comm.try_send(1, 7, 8, /*tag=*/3);
+                        }),
+          abort_message(mode, false, [](Comm& comm) {
+            (void)comm.try_recv<int>(1, /*tag=*/3);
+          })}) {
+      EXPECT_NE(what.find("rank 1 finished without matching it"),
+                std::string::npos)
+          << what;
+    }
   }
 }
 

@@ -15,8 +15,8 @@
 //
 // Every scenario's outputs are compared bit for bit against the fault-free
 // collective outputs; `match` must read "yes" everywhere -- recovery must
-// never change the science.  The JSON twin (--json BENCH_fault.json) makes
-// the overheads machine-checkable.
+// never change the science.  --summary writes every cell as a run summary;
+// at the default size that summary is the committed BENCH_fault.json.
 #include "bench_common.hpp"
 
 namespace {
@@ -60,7 +60,6 @@ FaultPlan plan_crash_net(double t, std::size_t segments) {
 
 int main(int argc, char** argv) {
   using namespace hprs;
-  const std::string json_path = bench::take_json_flag(argc, argv);
   const auto setup = bench::make_setup(argc, argv);
 
   const std::vector<Scenario> scenarios = {
@@ -72,7 +71,7 @@ int main(int argc, char** argv) {
   const std::vector<simnet::Platform> networks = {
       simnet::fully_heterogeneous(), simnet::fully_homogeneous()};
 
-  std::vector<bench::FaultRecord> records;
+  obs::RunSummary summary;
   TextTable table({"Algorithm", "Network", "Scenario", "Time (s)",
                    "Detect (s)", "Redist (s)", "Recompute (s)", "Match"});
   for (const auto alg : bench::all_algorithms()) {
@@ -94,22 +93,30 @@ int main(int argc, char** argv) {
             core::run_algorithm(net, setup.scene.cube, cfg, options);
         const bool match = run.targets == reference.targets &&
                            run.labels == reference.labels;
-
-        bench::FaultRecord rec;
-        rec.algorithm = core::to_string(alg);
-        rec.network = net.name();
-        rec.scenario = scenario.name;
-        rec.virtual_seconds = run.report.total_time;
-        rec.recovery = run.report.recovery;
-        rec.outputs_match = match;
-        records.push_back(rec);
+        const vmpi::RecoveryStats& recovery = run.report.recovery;
 
         table.add_row({core::to_string(alg), net.name(), scenario.name,
-                       TextTable::num(rec.virtual_seconds, 3),
-                       TextTable::num(rec.recovery.detection_s, 3),
-                       TextTable::num(rec.recovery.redistribution_s, 3),
-                       TextTable::num(rec.recovery.recomputed_s, 3),
+                       TextTable::num(run.report.total_time, 3),
+                       TextTable::num(recovery.detection_s, 3),
+                       TextTable::num(recovery.redistribution_s, 3),
+                       TextTable::num(recovery.recomputed_s, 3),
                        match ? "yes" : "NO"});
+
+        const std::string prefix = std::string("fault.") +
+                                   core::to_string(alg) + "." + net.name() +
+                                   "." + scenario.name;
+        summary.set_number(prefix + ".virtual_s", run.report.total_time);
+        summary.set_number(prefix + ".detection_s", recovery.detection_s);
+        summary.set_number(prefix + ".redistribution_s",
+                           recovery.redistribution_s);
+        summary.set_number(prefix + ".recomputed_s", recovery.recomputed_s);
+        summary.set_count(prefix + ".recomputed_flops",
+                          recovery.recomputed_flops);
+        summary.set_count(prefix + ".crashes",
+                          static_cast<std::uint64_t>(recovery.crashes));
+        summary.set_count(prefix + ".detections",
+                          static_cast<std::uint64_t>(recovery.detections));
+        summary.set_bool(prefix + ".outputs_match", match);
       }
     }
   }
@@ -117,27 +124,5 @@ int main(int argc, char** argv) {
   bench::emit(table, setup.csv,
               "Fault recovery. Overhead decomposition of the collective "
               "schedule under deterministic fault plans.");
-  if (!json_path.empty() && !bench::write_fault_json(json_path, records)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
-
-  obs::RunSummary summary;
-  for (const auto& rec : records) {
-    const std::string prefix =
-        "fault." + rec.algorithm + "." + rec.network + "." + rec.scenario;
-    summary.set_number(prefix + ".virtual_s", rec.virtual_seconds);
-    summary.set_number(prefix + ".detection_s", rec.recovery.detection_s);
-    summary.set_number(prefix + ".redistribution_s",
-                       rec.recovery.redistribution_s);
-    summary.set_number(prefix + ".recomputed_s", rec.recovery.recomputed_s);
-    summary.set_count(prefix + ".recomputed_flops",
-                      rec.recovery.recomputed_flops);
-    summary.set_count(prefix + ".crashes",
-                      static_cast<std::uint64_t>(rec.recovery.crashes));
-    summary.set_count(prefix + ".detections",
-                      static_cast<std::uint64_t>(rec.recovery.detections));
-    summary.set_bool(prefix + ".outputs_match", rec.outputs_match);
-  }
-  return bench::write_summary(setup, summary) ? 0 : 1;
+  return bench::write_summary(setup.summary_path, summary) ? 0 : 1;
 }

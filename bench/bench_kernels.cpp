@@ -6,8 +6,9 @@
 // The *_Reference / *_Fast pairs pin the scalar loops against the blocked
 // kernels (linalg/kernels.hpp) on the dominant sweeps: the MORPH windowed
 // eccentricity pass, the PCT covariance accumulation, and the ATDCA OSP
-// sweep.  Pass --json <path> (conventionally BENCH_kernels.json) for a
-// machine-readable ns/op + bytes/op summary.
+// sweep.  --summary <path> writes every benchmark's ns/op (a "host" key,
+// compared by threshold) and bytes/op as a run summary; that summary of a
+// default run is the committed BENCH_kernels.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -361,34 +362,35 @@ BENCHMARK(BM_OspSweep_Tiled)
     ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-/// Console reporter that additionally collects ns/op + bytes/op per run for
-/// the --json summary.
-class KernelJsonCollector : public benchmark::ConsoleReporter {
+/// Console reporter that also records each run's ns/op and bytes/op in a
+/// run summary.
+class KernelSummaryReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const auto& run : reports) {
-      bench::KernelRecord rec;
-      rec.name = run.benchmark_name();
+      const std::string prefix = "kernels." + run.benchmark_name();
       if (run.iterations > 0) {
-        rec.ns_per_op = run.real_accumulated_time /
-                        static_cast<double>(run.iterations) * 1e9;
+        summary.set_number(prefix + ".host_ns_per_op",
+                           run.real_accumulated_time /
+                               static_cast<double>(run.iterations) * 1e9);
       }
       const auto it = run.counters.find("bytes_per_op");
       if (it != run.counters.end()) {
-        rec.bytes_per_op = static_cast<double>(it->second);
+        summary.set_number(prefix + ".bytes_per_op",
+                           static_cast<double>(it->second));
       }
-      records.push_back(std::move(rec));
     }
     ConsoleReporter::ReportRuns(reports);
   }
 
-  std::vector<bench::KernelRecord> records;
+  obs::RunSummary summary;
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = bench::take_json_flag(argc, argv);
+  const std::string summary_path =
+      bench::take_string_flag(argc, argv, "summary");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   const std::size_t hw_threads = std::thread::hardware_concurrency();
@@ -400,14 +402,9 @@ int main(int argc, char** argv) {
                  "stalls and are not comparable to the committed artifact\n",
                  kernel_threads, hw_threads);
   }
-  KernelJsonCollector reporter;
+  KernelSummaryReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  if (!json_path.empty() &&
-      !bench::write_kernel_json(json_path, reporter.records, hw_threads,
-                                kernel_threads)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
+  if (!bench::write_summary(summary_path, reporter.summary)) return 1;
   benchmark::Shutdown();
   return 0;
 }

@@ -18,8 +18,8 @@
 // makespan outright, and on the recovery overhead (faulty minus clean
 // makespan) even after paying for every checkpoint write.  All numbers
 // are virtual time, so every cell is bit-identical across runs and
-// executor modes; the JSON twin (--json BENCH_resilience.json) makes
-// them machine-checkable.
+// executor modes; at the default size, the --summary of every cell is the
+// committed BENCH_resilience.json.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -77,32 +77,41 @@ bool outputs_equal(const sched::JobOutput& a, const sched::JobOutput& b) {
          a.labels == b.labels && a.label_count == b.label_count;
 }
 
-/// Condenses one schedule into a bench record; `clean_makespan_s < 0`
-/// marks a clean scenario (no overhead to report).
-bench::ResilienceRecord condense(const std::string& scenario,
-                                 const sched::ScheduleResult& result,
-                                 double clean_makespan_s,
-                                 bool outputs_match) {
+/// Adds one scenario's schedule to the table and the summary;
+/// `clean_makespan_s < 0` marks a clean scenario (no overhead to report).
+void add_scenario(TextTable& table, obs::RunSummary& summary,
+                  const std::string& scenario,
+                  const sched::ScheduleResult& result,
+                  double clean_makespan_s, bool outputs_match) {
   const sched::JobRecord& record = result.records.front();
-  bench::ResilienceRecord rec;
-  rec.scenario = scenario;
-  rec.makespan_s = result.makespan_s;
-  rec.recovery_overhead_s =
+  const double overhead_s =
       clean_makespan_s >= 0.0 ? result.makespan_s - clean_makespan_s : 0.0;
-  rec.attempts = record.attempts.size();
+  int checkpoints = 0;
   for (const auto& attempt : record.attempts) {
-    rec.checkpoints += attempt.checkpoints;
+    checkpoints += attempt.checkpoints;
   }
-  rec.resumed_seq =
+  const int resumed_seq =
       record.attempts.empty() ? 0 : record.attempts.back().resumed_seq;
-  rec.outputs_match = outputs_match;
-  return rec;
+  table.add_row({scenario, TextTable::num(result.makespan_s, 4),
+                 TextTable::num(overhead_s, 4),
+                 std::to_string(record.attempts.size()),
+                 std::to_string(checkpoints), std::to_string(resumed_seq),
+                 outputs_match ? "bit-identical" : "MISMATCH"});
+
+  const std::string prefix = "resilience." + scenario;
+  summary.set_number(prefix + ".makespan_s", result.makespan_s);
+  summary.set_number(prefix + ".recovery_overhead_s", overhead_s);
+  summary.set_count(prefix + ".attempts", record.attempts.size());
+  summary.set_count(prefix + ".checkpoints",
+                    static_cast<std::uint64_t>(checkpoints));
+  summary.set_count(prefix + ".resumed_seq",
+                    static_cast<std::uint64_t>(resumed_seq));
+  summary.set_bool(prefix + ".outputs_match", outputs_match);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = bench::take_json_flag(argc, argv);
   const auto setup = bench::make_setup(argc, argv);
   const simnet::Platform net = simnet::fully_heterogeneous();
   const std::vector<sched::JobSpec> stream = make_stream(setup);
@@ -130,18 +139,9 @@ int main(int argc, char** argv) {
   sched::SchedulerConfig cold_cfg = resume_cfg;
   cold_cfg.resilience.resume_from_checkpoint = false;
 
-  std::vector<bench::ResilienceRecord> records;
+  obs::RunSummary summary;
   TextTable table({"Scenario", "Makespan (s)", "Overhead (s)", "Attempts",
                    "Checkpoints", "Resumed", "Outputs"});
-  const auto add = [&](const bench::ResilienceRecord& rec) {
-    records.push_back(rec);
-    table.add_row({rec.scenario, TextTable::num(rec.makespan_s, 4),
-                   TextTable::num(rec.recovery_overhead_s, 4),
-                   std::to_string(rec.attempts),
-                   std::to_string(rec.checkpoints),
-                   std::to_string(rec.resumed_seq),
-                   rec.outputs_match ? "bit-identical" : "MISMATCH"});
-  };
 
   int status = 0;
   double clean_makespan[2] = {0.0, 0.0};
@@ -158,8 +158,8 @@ int main(int argc, char** argv) {
     }
     const sched::JobOutput clean_solo =
         run_solo_ft(net, scene, stream.front(), job.members);
-    add(condense(std::string(mode_name[m]) + "_clean", clean, -1.0,
-                 outputs_equal(clean.outputs.front(), clean_solo)));
+    add_scenario(table, summary, std::string(mode_name[m]) + "_clean", clean,
+                 -1.0, outputs_equal(clean.outputs.front(), clean_solo));
     clean_makespan[m] = clean.makespan_s;
 
     vmpi::Options faulty;
@@ -183,8 +183,8 @@ int main(int argc, char** argv) {
     const sched::JobOutput crash_solo =
         run_solo_ft(net, scene, stream.front(), chunk_owners);
     const bool match = outputs_equal(crashed.outputs.front(), crash_solo);
-    add(condense(std::string(mode_name[m]) + "_crash", crashed,
-                 clean_makespan[m], match));
+    add_scenario(table, summary, std::string(mode_name[m]) + "_crash",
+                 crashed, clean_makespan[m], match);
     crash_makespan[m] = crashed.makespan_s;
     if (!match) {
       std::fprintf(stderr,
@@ -218,25 +218,6 @@ int main(int argc, char** argv) {
     status = 1;
   }
 
-  if (!json_path.empty() &&
-      !bench::write_resilience_json(json_path, records)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
-
-  obs::RunSummary summary;
-  for (const auto& rec : records) {
-    const std::string prefix = "resilience." + rec.scenario;
-    summary.set_number(prefix + ".makespan_s", rec.makespan_s);
-    summary.set_number(prefix + ".recovery_overhead_s",
-                       rec.recovery_overhead_s);
-    summary.set_count(prefix + ".attempts", rec.attempts);
-    summary.set_count(prefix + ".checkpoints",
-                      static_cast<std::uint64_t>(rec.checkpoints));
-    summary.set_count(prefix + ".resumed_seq",
-                      static_cast<std::uint64_t>(rec.resumed_seq));
-    summary.set_bool(prefix + ".outputs_match", rec.outputs_match);
-  }
-  if (!bench::write_summary(setup, summary)) return 1;
+  if (!bench::write_summary(setup.summary_path, summary)) return 1;
   return status;
 }

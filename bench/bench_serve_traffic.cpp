@@ -17,8 +17,8 @@
 //    requests.
 //
 // All numbers are virtual time: every cell is bit-identical across runs
-// and executor modes; the JSON twin (--json BENCH_serve.json) makes them
-// machine-checkable.
+// and executor modes; at the default size, the --summary of every cell is
+// the committed BENCH_serve.json.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -80,10 +80,11 @@ const char* mode_name(vmpi::ExecMode mode) {
   return mode == vmpi::ExecMode::kBoundedExecutor ? "executor" : "threads";
 }
 
-/// Stream-wide wait / slowdown percentiles of one service run.
-bench::ServeRecord make_record(const std::string& scenario,
-                               const std::string& mode,
-                               const serve::ServiceResult& result) {
+/// Adds one service run's stream-wide makespan, utilization, wait and
+/// slowdown percentiles, and request counts to the table and the summary.
+void add_cell(TextTable& table, obs::RunSummary& summary,
+              const std::string& scenario, const std::string& mode,
+              const serve::ServiceResult& result, std::size_t total) {
   std::vector<double> waits;
   std::vector<double> slowdowns;
   for (const sched::JobRecord& record : result.schedule.records) {
@@ -93,24 +94,32 @@ bench::ServeRecord make_record(const std::string& scenario,
     slowdowns.push_back(
         makespan > 0.0 ? (record.queue_wait_s() + makespan) / makespan : 1.0);
   }
-  bench::ServeRecord rec;
-  rec.scenario = scenario;
-  rec.mode = mode;
-  rec.makespan_s = result.schedule.makespan_s;
-  rec.utilization = result.schedule.utilization;
-  rec.wait_p50_s = serve::percentile(waits, 0.50);
-  rec.wait_p95_s = serve::percentile(waits, 0.95);
-  rec.slowdown_p95 = serve::percentile(slowdowns, 0.95);
-  rec.completed = result.schedule.completed();
-  rec.rejected = result.schedule.rejected();
-  rec.riders = result.batches.riders;
-  return rec;
+  const sched::ScheduleResult& schedule = result.schedule;
+  const double wait_p50_s = serve::percentile(waits, 0.50);
+  const double wait_p95_s = serve::percentile(waits, 0.95);
+  const double slowdown_p95 = serve::percentile(slowdowns, 0.95);
+  table.add_row({scenario, mode, TextTable::num(schedule.makespan_s, 3),
+                 TextTable::num(schedule.utilization, 3),
+                 TextTable::num(wait_p50_s, 3), TextTable::num(wait_p95_s, 3),
+                 TextTable::num(slowdown_p95, 3),
+                 std::to_string(schedule.completed()) + "/" +
+                     std::to_string(total),
+                 std::to_string(result.batches.riders)});
+
+  const std::string prefix = "serve." + scenario + "." + mode;
+  summary.set_number(prefix + ".makespan_s", schedule.makespan_s);
+  summary.set_number(prefix + ".utilization", schedule.utilization);
+  summary.set_number(prefix + ".wait_p50_s", wait_p50_s);
+  summary.set_number(prefix + ".wait_p95_s", wait_p95_s);
+  summary.set_number(prefix + ".slowdown_p95", slowdown_p95);
+  summary.set_count(prefix + ".completed", schedule.completed());
+  summary.set_count(prefix + ".rejected", schedule.rejected());
+  summary.set_count(prefix + ".riders", result.batches.riders);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = bench::take_json_flag(argc, argv);
   const auto jobs = static_cast<std::size_t>(
       take_double_flag(argc, argv, "jobs", 1000));
   const double duration_s = take_double_flag(argc, argv, "duration", 600.0);
@@ -128,21 +137,9 @@ int main(int argc, char** argv) {
   }
   const int pool = static_cast<int>(net->size()) - 1;
   int status = 0;
-  std::vector<bench::ServeRecord> records;
+  obs::RunSummary summary;
   TextTable table({"Scenario", "Mode", "Makespan (s)", "Util", "Wait p50 (s)",
                    "Wait p95 (s)", "Slow p95", "Done", "Riders"});
-  const auto add = [&records, &table](const bench::ServeRecord& rec,
-                                      std::size_t total) {
-    records.push_back(rec);
-    table.add_row({rec.scenario, rec.mode, TextTable::num(rec.makespan_s, 3),
-                   TextTable::num(rec.utilization, 3),
-                   TextTable::num(rec.wait_p50_s, 3),
-                   TextTable::num(rec.wait_p95_s, 3),
-                   TextTable::num(rec.slowdown_p95, 3),
-                   std::to_string(rec.completed) + "/" +
-                       std::to_string(total),
-                   std::to_string(rec.riders)});
-  };
 
   // -- diurnal SLA cell: both executor modes, SLA plane bit-identical ----
   const auto diurnal = make_trace(serve::TrafficShape::kDiurnal, jobs,
@@ -159,7 +156,8 @@ int main(int argc, char** argv) {
     obs::RunSummary sla;
     serve::add_sla_summary(sla, "serve.diurnal", result);
     sla_doc[mode == vmpi::ExecMode::kThreadPerRank ? 1 : 0] = sla.to_json();
-    add(make_record("diurnal", mode_name(mode), result), diurnal.size());
+    add_cell(table, summary, "diurnal", mode_name(mode), result,
+             diurnal.size());
   }
   if (sla_doc[0] != sla_doc[1]) {
     std::fprintf(stderr,
@@ -183,8 +181,8 @@ int main(int argc, char** argv) {
       serve::run_service(*net, setup.scene.cube, mix, mix_config);
   const auto batch =
       serve::run_service(*net, setup.scene.cube, mix, batch_config);
-  add(make_record("mix_nobatch", "executor", nobatch), mix.size());
-  add(make_record("mix_batch", "executor", batch), mix.size());
+  add_cell(table, summary, "mix_nobatch", "executor", nobatch, mix.size());
+  add_cell(table, summary, "mix_batch", "executor", batch, mix.size());
   std::printf("tenant-mix: batch/nobatch makespan %.3f/%.3f s (%.2fx), "
               "%zu riders\n",
               batch.schedule.makespan_s, nobatch.schedule.makespan_s,
@@ -206,30 +204,13 @@ int main(int argc, char** argv) {
       serve::run_service(*net, setup.scene.cube, mix, mix_config);
   const auto bagofjobs =
       serve::run_service(*net, setup.scene.cube, bag, mix_config);
-  add(make_record("taskpar", "executor", taskpar), mix.size());
-  add(make_record("bagofjobs", "executor", bagofjobs), bag.size());
+  add_cell(table, summary, "taskpar", "executor", taskpar, mix.size());
+  add_cell(table, summary, "bagofjobs", "executor", bagofjobs, bag.size());
 
   bench::emit(table, setup.csv,
               "Scene-service traffic. Tenant-mix traces on the fully "
               "heterogeneous NOW (virtual time).");
 
-  if (!json_path.empty() && !bench::write_serve_json(json_path, records)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
-
-  obs::RunSummary summary;
-  for (const auto& rec : records) {
-    const std::string prefix = "serve." + rec.scenario + "." + rec.mode;
-    summary.set_number(prefix + ".makespan_s", rec.makespan_s);
-    summary.set_number(prefix + ".utilization", rec.utilization);
-    summary.set_number(prefix + ".wait_p50_s", rec.wait_p50_s);
-    summary.set_number(prefix + ".wait_p95_s", rec.wait_p95_s);
-    summary.set_number(prefix + ".slowdown_p95", rec.slowdown_p95);
-    summary.set_count(prefix + ".completed", rec.completed);
-    summary.set_count(prefix + ".rejected", rec.rejected);
-    summary.set_count(prefix + ".riders", rec.riders);
-  }
-  if (!bench::write_summary(setup, summary)) return 1;
+  if (!bench::write_summary(setup.summary_path, summary)) return 1;
   return status;
 }

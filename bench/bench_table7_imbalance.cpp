@@ -30,5 +30,5 @@ int main(int argc, char** argv) {
                                                             rec.network),
                           rec.report);
   }
-  return bench::write_summary(setup, summary) ? 0 : 1;
+  return bench::write_summary(setup.summary_path, summary) ? 0 : 1;
 }

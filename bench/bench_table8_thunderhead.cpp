@@ -8,18 +8,16 @@
 // The default scene is taller than the other benches' (the 256-way
 // partition needs at least 256 image rows).
 //
-// With --json <path>, also records the *host* wall time of each
-// (algorithm, CPUs) cell -- the cost of simulating the run, as opposed to
-// the virtual time the run reports -- which is how engine-scaling changes
-// are tracked (large p exercises the engine's scheduling/wakeup paths far
-// more than its numerics).
+// The --summary also records the *host* wall time of each (algorithm,
+// CPUs) cell -- the cost of simulating the run, as opposed to the virtual
+// time the run reports; large p exercises the engine's scheduling/wakeup
+// paths far more than its numerics.
 #include <chrono>
 
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace hprs;
-  const std::string json_path = bench::take_json_flag(argc, argv);
   const auto setup = bench::make_setup(argc, argv, /*default_rows=*/1067,
                                        /*default_cols=*/32,
                                        /*default_replication=*/32);
@@ -30,7 +28,7 @@ int main(int argc, char** argv) {
   }
   TextTable table(std::move(header));
 
-  std::vector<bench::EngineRecord> records;
+  obs::RunSummary summary;
   for (const std::size_t cpus : bench::thunderhead_cpus()) {
     std::vector<std::string> row = {
         TextTable::num(static_cast<long long>(cpus))};
@@ -43,27 +41,17 @@ int main(int argc, char** argv) {
       const std::chrono::duration<double> host_elapsed =
           std::chrono::steady_clock::now() - host_start;
       row.push_back(TextTable::num(out.report.total_time, 0));
-      records.push_back(bench::EngineRecord{core::to_string(alg), cpus,
-                                            host_elapsed.count(),
-                                            out.report.total_time});
+      const std::string prefix = std::string("table8.") +
+                                 core::to_string(alg) + ".p" +
+                                 std::to_string(cpus);
+      summary.set_number(prefix + ".virtual_s", out.report.total_time);
+      // "host" in the key routes it to report_diff's threshold comparison.
+      summary.set_number(prefix + ".host_s", host_elapsed.count());
     }
     table.add_row(std::move(row));
   }
   bench::emit(table, setup.csv,
               "Table 8. Execution times (seconds) of the heterogeneous "
               "algorithms on Thunderhead.");
-  if (!json_path.empty() && !bench::write_engine_json(json_path, records)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
-
-  obs::RunSummary summary;
-  for (const auto& rec : records) {
-    const std::string prefix =
-        "table8." + rec.algorithm + ".p" + std::to_string(rec.cpus);
-    summary.set_number(prefix + ".virtual_s", rec.virtual_seconds);
-    // "host" in the key routes it to report_diff's threshold comparison.
-    summary.set_number(prefix + ".host_s", rec.host_seconds);
-  }
-  return bench::write_summary(setup, summary) ? 0 : 1;
+  return bench::write_summary(setup.summary_path, summary) ? 0 : 1;
 }

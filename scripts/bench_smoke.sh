@@ -1,14 +1,21 @@
 #!/usr/bin/env bash
-# Bench-smoke regression gate: run the table 5/6/7/8 and fault-recovery
-# benches at reduced size, emit their canonical run summaries
-# (bench/bench_common.hpp --summary), and compare each against the
-# checked-in golden under bench/golden/ with tools/report_diff.
+# Bench-smoke regression gate.  Every gated bench writes its canonical run
+# summary (bench/bench_common.hpp --summary), and tools/report_diff compares
+# it with the committed copy:
 #
-# Virtual-time and count fields must match the goldens bit for bit (they
-# are deterministic by construction); keys containing "host" are wall-clock
-# measurements and are compared with loose thresholds.  This script is the
-# single source of truth for the smoke sizes -- CI and local runs use the
-# same flags.
+#   summaries      table 5/6/7/8, fault, sched, resilience and serve benches
+#                  at reduced size, against their goldens under bench/golden/
+#   artifacts      the benches behind the committed BENCH_*.json at the repo
+#                  root, at their default size, against those files
+#   counter-plane  the bench_sched_throughput snapshot cell, see below
+#
+# report_diff's rule (obs/report_diff.hpp): virtual-time and count fields
+# must match bit for bit (they are deterministic by construction); keys
+# containing "host" are wall-clock measurements and are compared with loose
+# thresholds; keys under "_metadata." (hardware threads and kernel threads
+# of the recording host) are never compared.  The command table below is
+# the single source of truth for every gated command -- CI, local runs and
+# --update use the same flags.
 #
 # The counter-plane gate runs the bench_sched_throughput snapshot cell
 # (vmpi::Options::snapshot, obs/snapshot.hpp) in BOTH executor modes and
@@ -18,12 +25,13 @@
 # drifts back by the end is still caught and localized in virtual time.
 #
 # Usage:
-#   scripts/bench_smoke.sh                       # full gate
-#   scripts/bench_smoke.sh --only summaries      # summary + artifact gates
+#   scripts/bench_smoke.sh                       # every gate
+#   scripts/bench_smoke.sh --only summaries      # bench/golden/ summaries
+#   scripts/bench_smoke.sh --only artifacts      # root BENCH_*.json
 #   scripts/bench_smoke.sh --only counter-plane  # snapshot-timeline gate
-#   scripts/bench_smoke.sh --update              # regenerate bench/golden/
-#                                                # (after an intentional
-#                                                # virtual-time change;
+#   scripts/bench_smoke.sh --update              # rewrite the committed
+#                                                # copies (after an
+#                                                # intentional change;
 #                                                # commit the diff)
 #
 # Environment:
@@ -37,23 +45,25 @@ out="${OUT_DIR:-$(mktemp -d)}"
 golden="$repo/bench/golden"
 update=0
 only="all"
+usage="usage: bench_smoke.sh [--update] [--only summaries|artifacts|counter-plane]"
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --update) update=1; shift ;;
     --only)
-      only="${2:?bench_smoke: --only needs summaries|counter-plane}"
+      only="${2:?$usage}"
       shift 2 ;;
     *)
       echo "bench_smoke: unknown argument $1" >&2
-      echo "usage: bench_smoke.sh [--update] [--only summaries|counter-plane]" >&2
+      echo "$usage" >&2
       exit 2 ;;
   esac
 done
 case "$only" in
-  all|summaries|counter-plane) ;;
-  *) echo "bench_smoke: --only must be summaries or counter-plane" >&2
+  all|summaries|artifacts|counter-plane) ;;
+  *) echo "$usage" >&2
      exit 2 ;;
 esac
+mkdir -p "$out"
 
 status=0
 
@@ -64,118 +74,48 @@ need_bin() {
   fi
 }
 
-# Every committed perf artifact must carry the _metadata header (hardware
-# threads, HPRS_KERNEL_THREADS, oversubscription warning) so the recording
-# conditions travel with the numbers.  Structural: values are host-specific.
-require_metadata() {
-  local label="$1" file="$2" key
-  if [[ ! -f "$file" ]]; then
-    echo "bench_smoke: $label: missing artifact $file" >&2
-    status=1
-    return 0
-  fi
-  for key in '"_metadata"' '"hw_threads"' '"kernel_threads"' '"oversubscribed"'; do
-    if ! grep -q "$key" "$file"; then
-      echo "bench_smoke: $label: $file lacks $key in its _metadata header" >&2
-      status=1
-      return 0
-    fi
-  done
-}
-
-for artifact in "$repo"/BENCH_*.json; do
-  require_metadata "committed $(basename "$artifact")" "$artifact"
-done
-
 # --- Summary gates ----------------------------------------------------
-# One entry per gated bench: name, binary, and the reduced-size flags.
-# Table 8 partitions by rows across up to 256 ranks, so it keeps >= 256
-# rows and trims the other axes instead.
-declare -A bench_cmd=(
-  [table5]="bench/bench_table5_exec_times --rows 48 --cols 48 --replication 8"
-  [table6]="bench/bench_table6_breakdown --rows 48 --cols 48 --replication 8"
-  [table7]="bench/bench_table7_imbalance --rows 48 --cols 48 --replication 8"
-  [table8]="bench/bench_table8_thunderhead --rows 256 --cols 16 --replication 4"
-  [fault]="bench/bench_fault_recovery --rows 48 --cols 48 --replication 8"
-  [sched]="bench/bench_sched_throughput --rows 48 --cols 48 --replication 8"
-  [resilience]="bench/bench_sched_resilience --rows 48 --cols 48 --replication 8"
-  [serve]="bench/bench_serve_traffic --rows 48 --cols 48 --replication 8 --jobs 48 --duration 30"
+# One entry per gated summary: leg, committed file (repo-relative), bench
+# binary and flags.  The summaries leg runs at reduced size; Table 8
+# partitions by rows across up to 256 ranks, so it keeps >= 256 rows and
+# trims the other axes instead.  The artifacts leg runs each bench at its
+# default size, so the committed numbers are the ones README and DESIGN
+# quote.
+gates=(
+  "summaries bench/golden/table5.json bench/bench_table5_exec_times --rows 48 --cols 48 --replication 8"
+  "summaries bench/golden/table6.json bench/bench_table6_breakdown --rows 48 --cols 48 --replication 8"
+  "summaries bench/golden/table7.json bench/bench_table7_imbalance --rows 48 --cols 48 --replication 8"
+  "summaries bench/golden/table8.json bench/bench_table8_thunderhead --rows 256 --cols 16 --replication 4"
+  "summaries bench/golden/fault.json bench/bench_fault_recovery --rows 48 --cols 48 --replication 8"
+  "summaries bench/golden/sched.json bench/bench_sched_throughput --rows 48 --cols 48 --replication 8"
+  "summaries bench/golden/resilience.json bench/bench_sched_resilience --rows 48 --cols 48 --replication 8"
+  "summaries bench/golden/serve.json bench/bench_serve_traffic --rows 48 --cols 48 --replication 8 --jobs 48 --duration 30"
+  "artifacts BENCH_resilience.json bench/bench_sched_resilience"
+  "artifacts BENCH_fault.json bench/bench_fault_recovery"
+  "artifacts BENCH_stream.json bench/bench_table6_breakdown"
+  "artifacts BENCH_kernels.json bench/bench_kernels"
+  "artifacts BENCH_serve.json bench/bench_serve_traffic"
 )
 
-if [[ "$only" == "all" || "$only" == "summaries" ]]; then
-  for name in table5 table6 table7 table8 fault sched resilience serve; do
-    cmd=(${bench_cmd[$name]})
-    bin="$build/${cmd[0]}"
-    need_bin "$bin"
-    echo "== bench_smoke: $name =="
-    extra=()
-    if [[ "$name" == "table8" ]]; then
-      # The same run doubles as the BENCH_engine.json structural gate below.
-      extra=(--json "$out/engine.json")
-    elif [[ "$name" == "table6" ]]; then
-      # The same run doubles as the BENCH_stream.json structural gate below.
-      extra=(--json "$out/stream.json")
-    elif [[ "$name" == "resilience" ]]; then
-      # The same run doubles as the BENCH_resilience.json structural gate below.
-      extra=(--json "$out/resilience_cells.json")
-    elif [[ "$name" == "serve" ]]; then
-      # The same run doubles as the BENCH_serve.json structural gate below.
-      extra=(--json "$out/serve_cells.json")
-    fi
-    "$bin" "${cmd[@]:1}" "${extra[@]}" --summary "$out/$name.json" > "$out/$name.txt"
-
-    if [[ "$update" == "1" ]]; then
-      mkdir -p "$golden"
-      cp "$out/$name.json" "$golden/$name.json"
-      echo "updated $golden/$name.json"
-    elif ! "$build/tools/report_diff" "$golden/$name.json" "$out/$name.json"; then
-      status=1
-    fi
-  done
-
-  # --- Perf-artifact structural gates ---------------------------------
-  # BENCH_kernels.json / BENCH_engine.json at the repo root are measured on
-  # a quiet machine at full size; their *values* are host wall time and
-  # cannot be bit-gated.  The smoke runs the same benches small and checks
-  # that the artifact KEY SETS still match -- a renamed/added/removed
-  # benchmark or table cell must come with a regenerated artifact.
-  json_keys() {
-    sed -n 's/^  "\([^"]*\)".*/\1/p' "$1" | sort
-  }
-  gate_keys() {
-    local name="$1" committed="$2" fresh="$3"
-    require_metadata "fresh $name" "$fresh"
-    if [[ "$update" == "1" ]]; then
-      return 0  # root artifacts are regenerated by hand at full size
-    fi
-    if [[ ! -f "$committed" ]]; then
-      echo "bench_smoke: missing committed artifact $committed" >&2
-      status=1
-      return 0
-    fi
-    if ! diff <(json_keys "$committed") <(json_keys "$fresh") >/dev/null; then
-      echo "bench_smoke: $name artifact key set drifted from $committed" >&2
-      diff <(json_keys "$committed") <(json_keys "$fresh") >&2 || true
-      echo "Regenerate the root artifact at full size and commit it." >&2
-      status=1
-    else
-      echo "== bench_smoke: $name artifact keys match $(basename "$committed") =="
-    fi
-  }
-
-  echo "== bench_smoke: kernels (artifact key gate) =="
-  "$build/bench/bench_kernels" --benchmark_min_time=0.02 \
-    --json "$out/kernels.json" > "$out/kernels.txt" 2>&1
-  gate_keys kernels "$repo/BENCH_kernels.json" "$out/kernels.json"
-
-  gate_keys engine "$repo/BENCH_engine.json" "$out/engine.json"
-
-  gate_keys stream "$repo/BENCH_stream.json" "$out/stream.json"
-
-  gate_keys resilience "$repo/BENCH_resilience.json" "$out/resilience_cells.json"
-
-  gate_keys serve "$repo/BENCH_serve.json" "$out/serve_cells.json"
-fi
+for entry in "${gates[@]}"; do
+  read -r -a cmd <<< "$entry"
+  leg="${cmd[0]}"
+  file="${cmd[1]}"
+  bin="$build/${cmd[2]}"
+  if [[ "$only" != "all" && "$only" != "$leg" ]]; then
+    continue
+  fi
+  need_bin "$bin"
+  fresh="$out/$(basename "$file")"
+  echo "== bench_smoke: $leg: $file =="
+  "$bin" "${cmd[@]:3}" --summary "$fresh" > "${fresh%.json}.txt"
+  if [[ "$update" == "1" ]]; then
+    cp "$fresh" "$repo/$file"
+    echo "updated $file"
+  elif ! "$build/tools/report_diff" "$repo/$file" "$fresh"; then
+    status=1
+  fi
+done
 
 # --- Counter-plane gate -----------------------------------------------
 # The snapshot cell is one fully-heterogeneous hetero-policy stream with
@@ -218,12 +158,12 @@ if [[ "$only" == "all" || "$only" == "counter-plane" ]]; then
 fi
 
 if [[ "$update" == "1" ]]; then
-  echo "bench_smoke: goldens regenerated under bench/golden/ -- review and commit"
+  echo "bench_smoke: committed summaries regenerated -- review and commit"
 elif [[ "$status" == "0" ]]; then
-  echo "bench_smoke: all gates match bench/golden/"
+  echo "bench_smoke: all gates match their committed summaries"
 else
   echo "bench_smoke: MISMATCH -- see report_diff output above." >&2
-  echo "If the virtual-time change is intentional, regenerate with" >&2
-  echo "  scripts/bench_smoke.sh --update" >&2
+  echo "If the change is intentional, regenerate with" >&2
+  echo "  scripts/bench_smoke.sh --only <leg> --update" >&2
 fi
 exit "$status"

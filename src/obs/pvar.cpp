@@ -45,31 +45,4 @@ const std::vector<Pvar>& PvarSet::sorted() const {
   return vars_;
 }
 
-PvarSet pvars_from_metrics(const Metrics::Snapshot& snapshot,
-                           bool include_host) {
-  PvarSet set;
-  for (const auto& [name, value] : snapshot) {
-    if (value.domain == Domain::kHost && !include_host) continue;
-    std::string pvar_name = name;
-    if (value.domain == Domain::kHost &&
-        name.find("host") == std::string::npos) {
-      // Route host values into report_diff's threshold rule, which keys on
-      // the substring "host".
-      pvar_name += ".host";
-    }
-    switch (value.kind) {
-      case MetricKind::kCounter:
-        set.counter(pvar_name, value.count, value.domain);
-        break;
-      case MetricKind::kGauge:
-        set.level(pvar_name, value.value, value.domain);
-        break;
-      case MetricKind::kTimer:
-        set.timer(pvar_name, value.value, value.count);
-        break;
-    }
-  }
-  return set;
-}
-
 }  // namespace hprs::obs

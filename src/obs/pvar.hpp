@@ -71,12 +71,4 @@ class PvarSet {
   mutable bool dirty_ = false;
 };
 
-/// Exposes a metrics-registry snapshot (obs/metrics.hpp) as named pvars:
-/// counters map to kCounter, gauges to kLevel, timers to kTimer.  Host
-/// metrics are included only when `include_host` is set, and any host pvar
-/// whose name does not already contain "host" is suffixed ".host" so the
-/// report_diff threshold rule (key contains "host") applies to it.
-[[nodiscard]] PvarSet pvars_from_metrics(const Metrics::Snapshot& snapshot,
-                                         bool include_host = false);
-
 }  // namespace hprs::obs

@@ -1,6 +1,7 @@
 #include "obs/report_diff.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -33,27 +34,45 @@ bool read_string(Cursor& c, std::string& out, std::string& error) {
   ++c.pos;
   out.clear();
   while (!c.eof() && c.peek() != '"') {
-    char ch = c.text[c.pos++];
-    if (ch == '\\') {
-      if (c.eof()) break;
-      char esc = c.text[c.pos++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'u':
-          // Our writer only emits \u00XX for control bytes; decode those.
-          if (c.pos + 4 <= c.text.size()) {
-            const std::string hex(c.text.substr(c.pos, 4));
-            out += static_cast<char>(std::strtol(hex.c_str(), nullptr, 16));
-            c.pos += 4;
-          }
-          break;
-        default: out += esc;
-      }
-    } else {
+    const char ch = c.text[c.pos++];
+    if (ch != '\\') {
       out += ch;
+      continue;
+    }
+    if (c.eof()) break;
+    const std::size_t at = c.pos - 1;
+    const char esc = c.text[c.pos++];
+    switch (esc) {
+      case '"':
+      case '\\':
+      case '/': out += esc; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        // Exactly four hex digits naming an ASCII code point: the writer
+        // escapes only control bytes, and passes other text through as
+        // raw UTF-8, so a wider code point is not one of its documents.
+        const std::string_view hex = c.text.substr(c.pos, 4);
+        unsigned code = 0;
+        const auto [last, ec] =
+            std::from_chars(hex.data(), hex.data() + hex.size(), code, 16);
+        if (hex.size() != 4 || ec != std::errc() ||
+            last != hex.data() + hex.size() || code > 0x7F) {
+          error = "bad \\u escape at offset " + std::to_string(at) +
+                  " (want four hex digits of an ASCII code point)";
+          return false;
+        }
+        c.pos += 4;
+        out += static_cast<char>(code);
+        break;
+      }
+      default:
+        error = std::string("unknown escape '\\") + esc + "' at offset " +
+                std::to_string(at);
+        return false;
     }
   }
   if (c.eof()) {
@@ -96,6 +115,10 @@ bool parse_number(std::string_view token, double& out) {
   return end != nullptr && end == s.c_str() + s.size() && !s.empty();
 }
 
+bool is_metadata_key(std::string_view key) {
+  return key.rfind("_metadata.", 0) == 0;
+}
+
 }  // namespace
 
 bool parse_flat_json(std::string_view text,
@@ -125,7 +148,10 @@ bool parse_flat_json(std::string_view text,
     }
     ++c.pos;
     std::string token;
-    if (!read_token(c, token, error)) return false;
+    if (!read_token(c, token, error)) {
+      error = "key \"" + key + "\": " + error;
+      return false;
+    }
     if (out.count(key) != 0) {
       error = "duplicate key \"" + key + "\"";
       return false;
@@ -145,6 +171,18 @@ bool parse_flat_json(std::string_view text,
   }
 }
 
+bool decode_string_token(std::string_view token, std::string& out,
+                         std::string& error) {
+  Cursor c{token};
+  if (!read_string(c, out, error)) return false;
+  if (!c.eof()) {
+    error = "trailing characters after the string at offset " +
+            std::to_string(c.pos);
+    return false;
+  }
+  return true;
+}
+
 bool is_host_time_key(std::string_view key) {
   return key.find("host") != std::string_view::npos;
 }
@@ -154,6 +192,7 @@ DiffResult diff_summaries(const std::map<std::string, std::string>& golden,
                           const DiffOptions& options) {
   DiffResult result;
   for (const auto& [key, gold_token] : golden) {
+    if (is_metadata_key(key)) continue;
     auto it = actual.find(key);
     if (it == actual.end()) {
       result.mismatches.push_back(
@@ -190,7 +229,7 @@ DiffResult diff_summaries(const std::map<std::string, std::string>& golden,
     }
   }
   for (const auto& [key, act_token] : actual) {
-    if (golden.find(key) == golden.end()) {
+    if (!is_metadata_key(key) && golden.find(key) == golden.end()) {
       result.mismatches.push_back(
           {key, "<missing>", act_token, "key absent from golden summary"});
     }

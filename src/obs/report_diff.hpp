@@ -11,6 +11,9 @@
 //    they gate only order-of-magnitude performance collapses.
 //  * A key present on one side only is always a failure: summaries are
 //    schemas as much as values.
+//  * Keys under "_metadata." record how a summary was measured (hardware
+//    threads, kernel threads) and are never compared: either side may lack
+//    them or carry other values.
 #pragma once
 
 #include <map>
@@ -23,12 +26,19 @@
 namespace hprs::obs {
 
 /// Parses the flat one-object JSON produced by RunSummary::to_json into
-/// key -> raw-value-token.  Returns false (and sets `error`) on documents
-/// that are not in that shape; this is a reader for our own writer, not a
-/// general JSON parser.
+/// key -> raw-value-token.  Returns false (and sets `error`, naming the key
+/// when a value is at fault) on documents that are not in that shape; this
+/// is a reader for our own writer, not a general JSON parser.
 bool parse_flat_json(std::string_view text,
                      std::map<std::string, std::string>& out,
                      std::string& error);
+
+/// Decodes `token`, one JSON string literal with its quotes, into `out` with
+/// the decoder parse_flat_json applies to keys: the escapes \" \\ \/ \b \f
+/// \n \r \t and \u followed by four hex digits of an ASCII code point.
+/// Returns false (and sets `error`) on anything else.
+bool decode_string_token(std::string_view token, std::string& out,
+                         std::string& error);
 
 /// True when `key` is compared by threshold instead of exact identity.
 [[nodiscard]] bool is_host_time_key(std::string_view key);

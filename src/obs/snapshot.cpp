@@ -28,8 +28,8 @@ std::string sample_key_prefix(const SnapshotSample& sample) {
   return sample.scope + "|" + seq + "|";
 }
 
-// Applies the same host-name rule as pvars_from_metrics: the report_diff
-// threshold rule keys on the substring "host".
+// Suffixes ".host" to a host pvar whose name lacks "host": the report_diff
+// threshold rule keys on that substring.
 std::string exported_name(const Pvar& var) {
   if (var.domain == Domain::kHost &&
       var.name.find("host") == std::string::npos) {

@@ -155,24 +155,12 @@ double number_of(const std::map<std::string, std::string>& flat,
 
 std::string string_of(const std::map<std::string, std::string>& flat,
                       const std::string& key) {
-  const std::string& token = token_of(flat, key);
-  if (token.size() < 2 || token.front() != '"' || token.back() != '"') {
-    throw Error("trace JSON: key '" + key + "' is not a string token");
+  std::string value;
+  std::string error;
+  if (!obs::decode_string_token(token_of(flat, key), value, error)) {
+    throw Error("trace JSON: key '" + key + "': " + error);
   }
-  std::string out;
-  for (std::size_t i = 1; i + 1 < token.size(); ++i) {
-    if (token[i] == '\\' && i + 2 < token.size()) {
-      ++i;
-      switch (token[i]) {
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        default: out += token[i];
-      }
-    } else {
-      out += token[i];
-    }
-  }
-  return out;
+  return value;
 }
 
 }  // namespace

@@ -301,10 +301,10 @@ class Engine {
   /// the sender's death is still delivered), nullopt when a tolerant
   /// receive found `src` crashed with nothing pending.
   std::optional<Packet> core_recv(int rank, int src, int tag, bool tolerant);
-  /// Renames the snapshot scope of `group` (e.g. "job:7/atdca" instead of
-  /// the default "comm_<id>"); every member calls it with the same label
-  /// right after creating the communicator, so it lands before the group's
-  /// first sample.
+  /// Sets the snapshot scope of `group` (e.g. "job:7/atdca"); a group that
+  /// is never labeled is never sampled.  Every member calls it with the
+  /// same label right after creating the communicator, so it lands before
+  /// the group's first sample.
   void core_label_snapshots(Group& group, std::string_view label);
   /// Appends one caller-assembled pvar sample at `rank`'s current virtual
   /// clock (used by the scheduler's dispatcher for queue-depth series).

@@ -1,9 +1,9 @@
 // Pvar / snapshot counter-plane unit suite: PvarSet ordering and classes,
-// metrics-registry export, cadence determinism, timeline sequencing and
-// canonical order, the JSON/CSV export goldens, the flat-JSON round trip,
-// and the property the timeline gate exists for -- a counter that drifts
-// mid-run and recovers by the end is caught and localized by
-// diff_timelines even though the end-of-run states compare equal.
+// cadence determinism, timeline sequencing and canonical order, the
+// JSON/CSV export goldens, the flat-JSON round trip, and the property the
+// timeline gate exists for -- a counter that drifts mid-run and recovers by
+// the end is caught and localized by diff_timelines even though the
+// end-of-run states compare equal.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -60,50 +60,6 @@ TEST(PvarSetTest, ClassesAndDomains) {
   EXPECT_STREQ(to_string(PvarClass::kCounter), "counter");
   EXPECT_STREQ(to_string(PvarClass::kLevel), "level");
   EXPECT_STREQ(to_string(PvarClass::kTimer), "timer");
-}
-
-Metrics::Snapshot fake_registry() {
-  Metrics::Snapshot snap;
-  MetricValue counter;
-  counter.kind = MetricKind::kCounter;
-  counter.count = 11;
-  snap.emplace_back("engine.flops", counter);
-  MetricValue gauge;
-  gauge.kind = MetricKind::kGauge;
-  gauge.value = 4.0;
-  snap.emplace_back("arena.high_water", gauge);
-  MetricValue wakeups;
-  wakeups.kind = MetricKind::kCounter;
-  wakeups.domain = Domain::kHost;
-  wakeups.count = 99;
-  snap.emplace_back("executor.wakeups", wakeups);
-  MetricValue timer;
-  timer.kind = MetricKind::kTimer;
-  timer.domain = Domain::kHost;
-  timer.count = 3;
-  timer.value = 0.5;
-  snap.emplace_back("host.solve_s", timer);
-  return snap;
-}
-
-TEST(PvarsFromMetricsTest, StableSubsetByDefault) {
-  const PvarSet set = pvars_from_metrics(fake_registry());
-  ASSERT_EQ(set.size(), 2u);
-  EXPECT_EQ(set.sorted()[0].name, "arena.high_water");
-  EXPECT_EQ(set.sorted()[0].cls, PvarClass::kLevel);
-  EXPECT_EQ(set.sorted()[1].name, "engine.flops");
-  EXPECT_EQ(set.sorted()[1].count, 11u);
-}
-
-TEST(PvarsFromMetricsTest, HostNamesRoutedIntoThresholdRule) {
-  const PvarSet set = pvars_from_metrics(fake_registry(), true);
-  ASSERT_EQ(set.size(), 4u);
-  // "executor.wakeups" lacks the substring "host", so the export renames
-  // it; "host.solve_s" already matches the report_diff threshold rule.
-  EXPECT_EQ(set.sorted()[2].name, "executor.wakeups.host");
-  EXPECT_EQ(set.sorted()[2].domain, Domain::kHost);
-  EXPECT_EQ(set.sorted()[3].name, "host.solve_s");
-  EXPECT_EQ(set.sorted()[3].cls, PvarClass::kTimer);
 }
 
 TEST(SnapshotCadenceTest, DeterministicPerSeedAndScope) {

@@ -5,8 +5,9 @@
 //  * population -- add_run_report and add_metrics emit the documented keys
 //    (recovery block only when non-trivial, host metrics only on request);
 //  * the gate -- diff_summaries accepts identical documents, rejects any
-//    stable-token change and any missing/extra key, and compares
-//    "host"-named keys by threshold instead of identity.
+//    stable-token change and any missing/extra key, compares "host"-named
+//    keys by threshold instead of identity, and never compares the
+//    "_metadata." keys.
 #include "obs/report_diff.hpp"
 #include "obs/run_summary.hpp"
 
@@ -52,12 +53,17 @@ TEST(ParseFlatJsonTest, ParsesItsOwnWriterAndRejectsMalformedInput) {
   RunSummary s;
   s.set_count("k1", 1);
   s.set_string("k2", "v");
+  s.set_string("k3", "night\rshift\x01\"\\");
   Entries parsed;
   std::string error;
   ASSERT_TRUE(parse_flat_json(s.to_json(), parsed, error)) << error;
-  EXPECT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed.size(), 3u);
   EXPECT_EQ(parsed.at("k1"), "1");
   EXPECT_EQ(parsed.at("k2"), "\"v\"");
+  std::string decoded;
+  ASSERT_TRUE(decode_string_token(parsed.at("k3"), decoded, error)) << error;
+  EXPECT_EQ(decoded, "night\rshift\x01\"\\");
+  EXPECT_FALSE(decode_string_token(parsed.at("k1"), decoded, error));
 
   for (const char* bad : {"", "[1, 2]", "{\"a\" 1}", "{\"a\": }",
                           "{\"a\": 1, \"a\": 2}", "{\"a\": 1", "not json"}) {
@@ -65,6 +71,15 @@ TEST(ParseFlatJsonTest, ParsesItsOwnWriterAndRejectsMalformedInput) {
     std::string err;
     EXPECT_FALSE(parse_flat_json(bad, out, err)) << bad;
     EXPECT_FALSE(err.empty()) << bad;
+  }
+  // A \u escape takes exactly four hex digits of an ASCII code point, and
+  // an escape in a value is reported under its key.
+  for (const char* bad : {"{\"a\": \"\\uZZZZ\"}", "{\"a\": \"\\u12\"}",
+                          "{\"a\": \"\\u00e9\"}", "{\"a\": \"\\q\"}"}) {
+    Entries out;
+    std::string err;
+    EXPECT_FALSE(parse_flat_json(bad, out, err)) << bad;
+    EXPECT_NE(err.find("key \"a\""), std::string::npos) << bad << ": " << err;
   }
 }
 
@@ -166,6 +181,29 @@ TEST(ReportDiffTest, MissingAndExtraKeysAlwaysFail) {
   EXPECT_EQ(result.mismatches[0].actual, "<missing>");
   EXPECT_EQ(result.mismatches[1].key, "c");
   EXPECT_EQ(result.mismatches[1].golden, "<missing>");
+}
+
+TEST(ReportDiffTest, MetadataKeysAreNeverCompared) {
+  const Entries golden = {{"_metadata.hw_threads", "1"}, {"a", "1"}};
+  // Missing on either side, or different: the recording conditions of a
+  // summary are not part of its result.
+  EXPECT_TRUE(diff_summaries(golden, {{"a", "1"}}).ok());
+  EXPECT_TRUE(diff_summaries({{"a", "1"}}, golden).ok());
+  const auto other = diff_summaries(
+      golden, {{"_metadata.hw_threads", "4"},
+               {"_metadata.kernel_threads", "4"},
+               {"a", "1"}});
+  EXPECT_TRUE(other.ok());
+  EXPECT_EQ(other.keys_compared, 1u);
+
+  // Only the "_metadata." prefix is exempt: every other key that is
+  // missing or differs still fails.
+  const auto bad = diff_summaries(
+      golden, {{"_metadata", "4"}, {"a._metadata.x", "1"}, {"a", "2"}});
+  ASSERT_EQ(bad.mismatches.size(), 3u);
+  EXPECT_EQ(bad.mismatches[0].key, "a");
+  EXPECT_EQ(bad.mismatches[1].key, "_metadata");
+  EXPECT_EQ(bad.mismatches[2].key, "a._metadata.x");
 }
 
 TEST(ReportDiffTest, HostKeysCompareByThreshold) {

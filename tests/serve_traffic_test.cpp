@@ -129,7 +129,8 @@ TEST(ServeTrafficTest, TraceJsonRoundTripsEveryRequestField) {
   spec.id = 7;
   spec.arrival_s = 1.25;
   spec.ranks = 3;
-  spec.tenant = "survey";
+  // Control bytes travel as \u00XX escapes and must decode back.
+  spec.tenant = "night\rshift\x01";
   spec.batch_key = 99;
   spec.algorithm = core::Algorithm::kMorph;
   spec.targets = 5;
@@ -220,6 +221,9 @@ TEST(ServeTrafficTest, ParseRejectsMalformedDocuments) {
   // not silently replay short.
   EXPECT_THROW(parse_trace_json("{\n  \"trace.jobs\": 1\n}\n"), Error);
   EXPECT_THROW((void)parse_traffic_shape("nope"), Error);
+  // A string with a \u escape that is not four hex digits.
+  expect_rejected_by_key("req.000000.tenant", "\"\\uZZZZ\"");
+  expect_rejected_by_key("req.000000.tenant", "\"a\\u00\"");
 }
 
 TEST(ServeTrafficTest, DiurnalArrivalsCrowdThePeaks) {

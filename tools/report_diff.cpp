@@ -7,7 +7,8 @@
 // Exit status: 0 when the summaries agree, 1 on any mismatch (every
 // mismatching key is printed), 2 on usage / unreadable or unparsable input.
 // This is the decision procedure of the CI bench-smoke job: goldens live in
-// bench/golden/ and are regenerated with scripts/bench_smoke.sh --update.
+// bench/golden/, default-size artifacts in the root BENCH_*.json, and both
+// are regenerated with scripts/bench_smoke.sh --update.
 //
 // --timeline treats both documents as counter-plane snapshot timelines
 // (obs/snapshot.hpp): same key-by-key policy, but on mismatch the earliest

@@ -23,9 +23,11 @@
 #include "core/partition.hpp"
 #include "simnet/load.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
-  const auto setup = bench::make_setup(argc, argv);
+  const auto setup = bench::make_setup(argc, argv, bench::Summary::kNone);
   const auto& cube = setup.scene.cube;
 
   const simnet::Platform nominal = simnet::fully_heterogeneous();
@@ -81,4 +83,10 @@ int main(int argc, char** argv) {
               "static heterogeneous partitioning\n",
               100.0 * (1.0 - sum_adaptive / sum_static));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

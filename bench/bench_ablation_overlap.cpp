@@ -10,9 +10,11 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
-  const auto setup = bench::make_setup(argc, argv);
+  const auto setup = bench::make_setup(argc, argv, bench::Summary::kNone);
 
   TextTable table({"Network", "Overlap time (s)", "Exchange time (s)",
                    "Overlap bytes", "Exchange bytes", "Label agreement %"});
@@ -56,4 +58,10 @@ int main(int argc, char** argv) {
               "Ablation: MORPH overlap borders (redundant compute) vs halo "
               "exchange (extra communication).");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

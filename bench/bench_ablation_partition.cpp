@@ -8,9 +8,11 @@
 // WEA-balanced version stays near the aggregate-speed optimum.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
-  const auto setup = bench::make_setup(argc, argv);
+  const auto setup = bench::make_setup(argc, argv, bench::Summary::kNone);
 
   TextTable table({"Speed spread", "Hetero time (s)", "Homo time (s)",
                    "Homo/Hetero", "Hetero D_all", "Homo D_all"});
@@ -36,4 +38,10 @@ int main(int argc, char** argv) {
               "Ablation: WEA partitioning vs equal partitioning under "
               "growing processor heterogeneity (ATDCA, 16 nodes).");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

@@ -12,9 +12,11 @@
 #include "bench_common.hpp"
 #include "core/partition.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
-  const auto setup = bench::make_setup(argc, argv);
+  const auto setup = bench::make_setup(argc, argv, bench::Summary::kNone);
   const auto& cube = setup.scene.cube;
   const std::size_t pixels = cube.pixel_count() * setup.config.replication;
   const std::size_t bands = cube.bands();
@@ -55,4 +57,10 @@ int main(int argc, char** argv) {
               "Ablation: communication per full-spectrum kernel pass under "
               "hybrid vs spectral-domain partitioning (Sec. 2.1).");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

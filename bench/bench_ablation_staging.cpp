@@ -4,9 +4,11 @@
 // difference and shows the communication-aware WEA softening the blow.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
-  const auto setup = bench::make_setup(argc, argv);
+  const auto setup = bench::make_setup(argc, argv, bench::Summary::kNone);
 
   TextTable table({"Network", "Pre-staged (s)", "Staged hetero (s)",
                    "Staged homo (s)", "Staging penalty"});
@@ -30,4 +32,10 @@ int main(int argc, char** argv) {
               "Ablation: charging full image distribution over the "
               "network vs pre-staged data (ATDCA).");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
 #include "core/runner.hpp"
 #include "hsi/scene.hpp"
@@ -33,21 +34,22 @@ struct BenchSetup {
   std::string summary_path;
 };
 
-inline const std::vector<std::string>& common_options() {
-  static const std::vector<std::string> opts = {
-      "rows", "cols",   "bands",  "seed",       "replication", "targets",
-      "classes", "iters", "radius", "threshold", "csv", "summary",
-  };
-  return opts;
-}
+/// Whether a bench writes a run summary.  Only one that does accepts
+/// --summary; for the others it is an unknown option, so asking them for a
+/// summary fails instead of silently writing nothing.
+enum class Summary { kNone, kWritten };
 
 /// Parses the common options and generates the scene.  `default_rows/cols`
 /// let the Thunderhead benches default to taller scenes (>= 256 rows).
-inline BenchSetup make_setup(int argc, char** argv,
+inline BenchSetup make_setup(int argc, char** argv, Summary summary,
                              std::size_t default_rows = 96,
                              std::size_t default_cols = 96,
                              std::size_t default_replication = 119) {
-  const CliArgs args(argc, argv, common_options());
+  std::vector<std::string> options = {
+      "rows",    "cols",  "bands",  "seed",      "replication",
+      "targets", "classes", "iters", "radius", "threshold", "csv"};
+  if (summary == Summary::kWritten) options.emplace_back("summary");
+  const CliArgs args(argc, argv, options);
   hsi::SceneConfig scene_cfg;
   scene_cfg.rows = static_cast<std::size_t>(
       args.get_int("rows", static_cast<std::int64_t>(default_rows)));
@@ -192,6 +194,18 @@ inline bool take_bool_flag(int& argc, char** argv, const std::string& name) {
   }
   argc = out;
   return value;
+}
+
+/// The body of every bench's main: runs `body` and turns an hprs::Error --
+/// a rejected option, or a size the partitioner cannot split -- into its
+/// message on stderr and exit status 1 instead of an abort.
+inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 1;
+  }
 }
 
 inline void emit(const TextTable& table, bool csv, const char* title) {

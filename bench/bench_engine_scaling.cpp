@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "simnet/platform.hpp"
@@ -61,9 +62,7 @@ void workload(hprs::vmpi::Comm& comm, int rounds) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace hprs;
   const CliArgs args(argc, argv, {"rounds", "csv"});
   const int rounds = static_cast<int>(args.get_int("rounds", 40));
@@ -107,4 +106,10 @@ int main(int argc, char** argv) {
     std::printf("%s", table.to_string().c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

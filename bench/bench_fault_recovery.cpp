@@ -56,11 +56,9 @@ FaultPlan plan_crash_net(double t, std::size_t segments) {
   return plan;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace hprs;
-  const auto setup = bench::make_setup(argc, argv);
+  const auto setup = bench::make_setup(argc, argv, bench::Summary::kWritten);
 
   const std::vector<Scenario> scenarios = {
       {"none", plan_none},
@@ -125,4 +123,10 @@ int main(int argc, char** argv) {
               "Fault recovery. Overhead decomposition of the collective "
               "schedule under deterministic fault plans.");
   return bench::write_summary(setup.summary_path, summary) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

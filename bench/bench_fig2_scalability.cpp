@@ -10,9 +10,12 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
-  const auto setup = bench::make_setup(argc, argv, /*default_rows=*/1067,
+  const auto setup = bench::make_setup(argc, argv, bench::Summary::kNone,
+                                       /*default_rows=*/1067,
                                        /*default_cols=*/32,
                                        /*default_replication=*/32);
 
@@ -86,4 +89,10 @@ int main(int argc, char** argv) {
     std::printf("+%s> CPUs (0..256)\n", std::string(kCols, '-').c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

@@ -6,9 +6,12 @@
 // The *_Reference / *_Fast pairs pin the scalar loops against the blocked
 // kernels (linalg/kernels.hpp) on the dominant sweeps: the MORPH windowed
 // eccentricity pass, the PCT covariance accumulation, and the ATDCA OSP
-// sweep.  --summary <path> writes every benchmark's ns/op (a "host" key,
-// compared by threshold) and bytes/op as a run summary; that summary of a
-// default run is the committed BENCH_kernels.json.
+// sweep; BM_JacobiEigen_Reference/224 pins the PCT eigensolver's reference
+// loop against its row-only default (BM_JacobiEigen/224).  --summary <path>
+// writes every benchmark's ns/op (a "host" key, compared by threshold) and
+// bytes/op as a run summary, the median when --benchmark_repetitions runs
+// each benchmark more than once; that summary of a three-repetition run
+// is the committed BENCH_kernels.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -108,7 +111,8 @@ void BM_Fcls(benchmark::State& state) {
 }
 BENCHMARK(BM_Fcls)->Arg(2)->Arg(9)->Arg(18);
 
-void BM_JacobiEigen(benchmark::State& state) {
+void BM_JacobiEigenPath(benchmark::State& state, bool reference) {
+  const linalg::ScopedKernelPath path(reference);
   const auto n = static_cast<std::size_t>(state.range(0));
   Xoshiro256 rng(9);
   linalg::Matrix b(n, n);
@@ -118,7 +122,16 @@ void BM_JacobiEigen(benchmark::State& state) {
     benchmark::DoNotOptimize(linalg::jacobi_eigen(cov));
   }
 }
+// The row-only solver, the default path, keeps the unsuffixed name.
+void BM_JacobiEigen(benchmark::State& state) {
+  BM_JacobiEigenPath(state, false);
+}
+void BM_JacobiEigen_Reference(benchmark::State& state) {
+  BM_JacobiEigenPath(state, true);
+}
 BENCHMARK(BM_JacobiEigen)->Arg(32)->Arg(64)->Arg(224)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_JacobiEigen_Reference)->Arg(224)
     ->Unit(benchmark::kMillisecond);
 
 void BM_CovarianceAccumulation(benchmark::State& state) {
@@ -362,17 +375,25 @@ BENCHMARK(BM_OspSweep_Tiled)
     ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-/// Console reporter that also records each run's ns/op and bytes/op in a
-/// run summary.
+/// Console reporter that also records each benchmark's ns/op and bytes/op
+/// in a run summary.  With --benchmark_repetitions=N (N > 1) it records the
+/// median over the repetitions, under the same key as a single run.
 class KernelSummaryReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const auto& run : reports) {
-      const std::string prefix = "kernels." + run.benchmark_name();
+      const bool repeated = run.run_type == Run::RT_Aggregate
+                                ? run.aggregate_name != "median"
+                                : run.repetitions > 1;
+      if (repeated) continue;
+      const std::string prefix = "kernels." + run.run_name.str();
       if (run.iterations > 0) {
+        // GetAdjustedRealTime() is per iteration in the run's time unit,
+        // for single runs and aggregates alike.
         summary.set_number(prefix + ".host_ns_per_op",
-                           run.real_accumulated_time /
-                               static_cast<double>(run.iterations) * 1e9);
+                           run.GetAdjustedRealTime() /
+                               benchmark::GetTimeUnitMultiplier(run.time_unit) *
+                               1e9);
       }
       const auto it = run.counters.find("bytes_per_op");
       if (it != run.counters.end()) {
@@ -386,9 +407,7 @@ class KernelSummaryReporter : public benchmark::ConsoleReporter {
   obs::RunSummary summary;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const std::string summary_path =
       bench::take_string_flag(argc, argv, "summary");
   benchmark::Initialize(&argc, argv);
@@ -407,4 +426,10 @@ int main(int argc, char** argv) {
   if (!bench::write_summary(summary_path, reporter.summary)) return 1;
   benchmark::Shutdown();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

@@ -7,8 +7,11 @@
 #include "bench_common.hpp"
 #include "simnet/equivalence.hpp"
 
-int main(int, char**) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
+  (void)CliArgs(argc, argv, {});  // takes no options
   const simnet::Platform het = simnet::fully_heterogeneous();
 
   TextTable table1({"Processor", "Architecture", "Cycle-time (s/Mflop)",
@@ -53,4 +56,10 @@ int main(int, char**) {
         net.link_heterogeneity());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

@@ -109,10 +109,8 @@ void add_scenario(TextTable& table, obs::RunSummary& summary,
   summary.set_bool(prefix + ".outputs_match", outputs_match);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const auto setup = bench::make_setup(argc, argv);
+int run(int argc, char** argv) {
+  const auto setup = bench::make_setup(argc, argv, bench::Summary::kWritten);
   const simnet::Platform net = simnet::fully_heterogeneous();
   const std::vector<sched::JobSpec> stream = make_stream(setup);
   const hsi::HsiCube& scene = setup.scene.cube;
@@ -220,4 +218,10 @@ int main(int argc, char** argv) {
 
   if (!bench::write_summary(setup.summary_path, summary)) return 1;
   return status;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

@@ -151,7 +151,9 @@ double take_double_flag(int& argc, char** argv, const std::string& name,
   return value;
 }
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const std::string snap_path =
       bench::take_string_flag(argc, argv, "snapshots");
   const std::string trace_path = bench::take_string_flag(argc, argv, "trace");
@@ -162,7 +164,7 @@ int main(int argc, char** argv) {
   const auto jobs = static_cast<std::size_t>(
       take_double_flag(argc, argv, "jobs", 32));
   const double gap_s = take_double_flag(argc, argv, "gap", 0.2);
-  const auto setup = bench::make_setup(argc, argv);
+  const auto setup = bench::make_setup(argc, argv, bench::Summary::kWritten);
 
   if (!snap_path.empty() || !trace_path.empty()) {
     const int cell_status = run_snapshot_cell(setup, jobs, gap_s,
@@ -285,4 +287,10 @@ int main(int argc, char** argv) {
 
   if (!bench::write_summary(setup.summary_path, summary)) return 1;
   return status;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

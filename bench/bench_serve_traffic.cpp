@@ -117,13 +117,11 @@ void add_cell(TextTable& table, obs::RunSummary& summary,
   summary.set_count(prefix + ".riders", result.batches.riders);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const auto jobs = static_cast<std::size_t>(
       take_double_flag(argc, argv, "jobs", 1000));
   const double duration_s = take_double_flag(argc, argv, "duration", 600.0);
-  const auto setup = bench::make_setup(argc, argv);
+  const auto setup = bench::make_setup(argc, argv, bench::Summary::kWritten);
 
   const auto networks = bench::paper_networks();
   const auto net = std::find_if(
@@ -213,4 +211,10 @@ int main(int argc, char** argv) {
 
   if (!bench::write_summary(setup.summary_path, summary)) return 1;
   return status;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

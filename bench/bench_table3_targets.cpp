@@ -11,9 +11,11 @@
 #include "bench_common.hpp"
 #include "hsi/metrics.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
-  auto setup = bench::make_setup(argc, argv);
+  auto setup = bench::make_setup(argc, argv, bench::Summary::kNone);
   const auto& scene = setup.scene;
 
   struct Column {
@@ -57,4 +59,10 @@ int main(int argc, char** argv) {
               "Table 3. SAD between detected targets and known ground "
               "targets (single-processor seconds in parentheses).");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

@@ -11,9 +11,11 @@
 #include "bench_common.hpp"
 #include "hsi/accuracy.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
-  auto setup = bench::make_setup(argc, argv);
+  auto setup = bench::make_setup(argc, argv, bench::Summary::kNone);
   const auto& scene = setup.scene;
   const auto debris = hsi::debris_materials();
 
@@ -54,4 +56,10 @@ int main(int argc, char** argv) {
               "dust/debris classes (single-processor seconds in "
               "parentheses).");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

@@ -6,9 +6,11 @@
 // networks; on the fully homogeneous network the two versions coincide.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
-  const auto setup = bench::make_setup(argc, argv);
+  const auto setup = bench::make_setup(argc, argv, bench::Summary::kWritten);
   const auto records = bench::network_sweep(setup);
 
   TextTable table({"Algorithm", "Fully heterogeneous", "Fully homogeneous",
@@ -33,4 +35,10 @@ int main(int argc, char** argv) {
                           rec.report);
   }
   return bench::write_summary(setup.summary_path, summary) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

@@ -16,9 +16,11 @@
 // both tables is the committed BENCH_stream.json.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
-  const auto setup = bench::make_setup(argc, argv);
+  const auto setup = bench::make_setup(argc, argv, bench::Summary::kWritten);
   const auto records = bench::network_sweep(setup);
 
   TextTable table({"Algorithm", "Network", "COM", "SEQ", "PAR", "Total"});
@@ -79,4 +81,10 @@ int main(int argc, char** argv) {
               "Streamed tiling vs monolithic staging on accelerated gangs "
               "(virtual seconds; win = makespan saved by per-tile overlap).");
   return bench::write_summary(setup.summary_path, summary) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

@@ -7,9 +7,11 @@
 // root improves balance for the master-heavy algorithms.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
-  const auto setup = bench::make_setup(argc, argv);
+  const auto setup = bench::make_setup(argc, argv, bench::Summary::kWritten);
   const auto records = bench::network_sweep(setup);
 
   TextTable table({"Algorithm", "Network", "D_all", "D_minus"});
@@ -31,4 +33,10 @@ int main(int argc, char** argv) {
                           rec.report);
   }
   return bench::write_summary(setup.summary_path, summary) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

@@ -16,9 +16,12 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
-  const auto setup = bench::make_setup(argc, argv, /*default_rows=*/1067,
+  const auto setup = bench::make_setup(argc, argv, bench::Summary::kWritten,
+                                       /*default_rows=*/1067,
                                        /*default_cols=*/32,
                                        /*default_replication=*/32);
 
@@ -54,4 +57,10 @@ int main(int argc, char** argv) {
               "Table 8. Execution times (seconds) of the heterogeneous "
               "algorithms on Thunderhead.");
   return bench::write_summary(setup.summary_path, summary) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::bench::run_main(argc, argv, run);
 }

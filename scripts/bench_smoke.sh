@@ -93,7 +93,7 @@ gates=(
   "artifacts BENCH_resilience.json bench/bench_sched_resilience"
   "artifacts BENCH_fault.json bench/bench_fault_recovery"
   "artifacts BENCH_stream.json bench/bench_table6_breakdown"
-  "artifacts BENCH_kernels.json bench/bench_kernels"
+  "artifacts BENCH_kernels.json bench/bench_kernels --benchmark_repetitions=3"
   "artifacts BENCH_serve.json bench/bench_serve_traffic"
 )
 

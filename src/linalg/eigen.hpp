@@ -3,8 +3,13 @@
 // The principal component transform needs all eigenpairs of the bands x
 // bands covariance matrix (224 x 224 for AVIRIS), sorted by decreasing
 // eigenvalue.  A cyclic Jacobi iteration is simple, unconditionally stable
-// for symmetric input, and more than fast enough at this size; it also has a
-// clean analytic flop count (flops::jacobi_sweep) for the virtual-time model.
+// for symmetric input, and has a clean analytic flop count
+// (flops::jacobi_sweep) for the virtual-time model.  It is also the
+// largest host cost of a served PCT request, so the default path works
+// along rows only (the column half of each rotation is deferred per row)
+// while every element sees the reference loop's operations in the same
+// order: results are bit-identical to the scalar reference, which
+// use_reference_kernels() selects (linalg/kernels.hpp, DESIGN.md §7).
 #pragma once
 
 #include <vector>

@@ -5,7 +5,10 @@
 // clock is the repo's headline product (the paper's tables), so this is the
 // test that guarantees the host-side optimization cannot perturb it, even
 // through data-dependent charges (UFCLS active-set iteration counts, PCT
-// Jacobi sweeps).
+// Jacobi sweeps).  The PCT case runs the eigensolver on both paths too:
+// the scalar Jacobi loop under the reference kernels, the row-only solver
+// on the fast path (linalg/eigen.hpp; pinned bit for bit on its own in
+// tests/linalg_eigen_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cstddef>

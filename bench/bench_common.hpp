@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -94,8 +95,10 @@ inline std::string summary_prefix(core::Algorithm alg,
 
 /// Writes `summary` to `path` (no-op when the path is empty) after adding
 /// the process-wide stable metrics under "bench.metrics." and the recording
-/// conditions under "_metadata.": the host's hardware thread count and the
-/// effective HPRS_KERNEL_THREADS setting.  report_diff never compares the
+/// conditions under "_metadata.": the host's hardware thread count, its
+/// 1-minute load average (the first field of /proc/loadavg; the key is
+/// omitted where that file cannot be read) and the effective
+/// HPRS_KERNEL_THREADS setting.  report_diff never compares the
 /// "_metadata." keys.  Returns false -- after printing a diagnostic -- on
 /// I/O failure, so mains can `return write_summary(...) ? 0 : 1`.
 inline bool write_summary(const std::string& path, obs::RunSummary& summary) {
@@ -103,6 +106,9 @@ inline bool write_summary(const std::string& path, obs::RunSummary& summary) {
   add_metrics(summary, "bench", obs::Metrics::instance().snapshot());
   summary.set_count("_metadata.hw_threads",
                     std::thread::hardware_concurrency());
+  std::ifstream loadavg("/proc/loadavg");
+  double load_1m = 0.0;
+  if (loadavg >> load_1m) summary.set_number("_metadata.loadavg_1m", load_1m);
   summary.set_count("_metadata.kernel_threads", linalg::kernel_threads());
   if (!summary.write(path)) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());

@@ -12,8 +12,8 @@
 # report_diff's rule (obs/report_diff.hpp): virtual-time and count fields
 # must match bit for bit (they are deterministic by construction); keys
 # containing "host" are wall-clock measurements and are compared with loose
-# thresholds; keys under "_metadata." (hardware threads and kernel threads
-# of the recording host) are never compared.  The command table below is
+# thresholds; keys under "_metadata." (hardware threads, load average and
+# kernel threads of the recording host) are never compared.  The command table below is
 # the single source of truth for every gated command -- CI, local runs and
 # --update use the same flags.
 #

@@ -244,11 +244,6 @@ RunReport Engine::run(const std::function<void(Comm&)>& program) {
   } else {
     obs::ScopedHostTimer ranks_timer("vmpi.engine.ranks");
     Executor exec;
-    Executor::Config cfg;
-    cfg.workers = options_.executor_workers;
-    if (options_.fiber_stack_bytes != 0) {
-      cfg.stack_bytes = options_.fiber_stack_bytes;
-    }
     std::vector<std::function<void()>> bodies;
     bodies.reserve(pu);
     for (int r = 0; r < p; ++r) {
@@ -259,7 +254,7 @@ RunReport Engine::run(const std::function<void(Comm&)>& program) {
       executor_ = &exec;
     }
     try {
-      exec.run(std::move(bodies), cfg);
+      exec.run(std::move(bodies), options_.executor_workers);
     } catch (...) {
       std::lock_guard<std::mutex> lock(mutex_);
       executor_ = nullptr;
@@ -643,7 +638,7 @@ Packet Engine::match_recv_locked(int rank, int src, int tag, PendingSend& ps) {
   Group& sent_over = *groups_.at(ps.channel);
   ++sent_over.p2p_messages;
   sent_over.p2p_bytes += bytes;
-  account_transfer_locked(rank, me.clock, end, active, 0, bytes);
+  account_transfer_locked(rank, end, active, 0, bytes);
   // Record the sender's half for it to apply itself when it wakes in
   // core_send, so a rank's stats stay written by its own context.
   Packet out = std::move(ps.payload);
@@ -892,12 +887,13 @@ double Engine::schedule_transfer_locked(std::uint64_t channel, int src,
   return end;
 }
 
-void Engine::account_transfer_locked(int rank, double ready, double end,
-                                     double active, std::uint64_t bytes_out,
+void Engine::account_transfer_locked(int rank, double end, double active,
+                                     std::uint64_t bytes_out,
                                      std::uint64_t bytes_in) {
   auto& s = stats_[static_cast<std::size_t>(rank)];
+  const double done = std::max(s.clock, end);
+  const double elapsed = done - s.clock;
   s.comm += active;
-  const double elapsed = end - ready;
   if (elapsed > active) s.wait += elapsed - active;
   s.bytes_sent += bytes_out;
   s.bytes_received += bytes_in;
@@ -905,15 +901,15 @@ void Engine::account_transfer_locked(int rank, double ready, double end,
     auto& log = trace_[static_cast<std::size_t>(rank)];
     if (elapsed > active) {
       log.push_back(
-          TraceEvent{rank, TraceKind::kIdle, ready, end - active, 0});
+          TraceEvent{rank, TraceKind::kIdle, s.clock, done - active, 0});
     }
     if (active > 0.0) {
       log.push_back(TraceEvent{
           rank, bytes_out > 0 ? TraceKind::kTransmit : TraceKind::kReceive,
-          end - active, end, bytes_out > 0 ? bytes_out : bytes_in});
+          done - active, done, bytes_out > 0 ? bytes_out : bytes_in});
     }
   }
-  s.clock = std::max(s.clock, end);
+  s.clock = done;
 }
 
 void Engine::finish_collective_locked(Group& group) {
@@ -960,18 +956,33 @@ void Engine::finish_collective_locked(Group& group) {
                         const std::vector<int>& members) {
     for (const int r : members) slots[static_cast<std::size_t>(r)] = Packet{};
   };
-
-  std::vector<double> arrival(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    arrival[static_cast<std::size_t>(r)] =
-        stats_[static_cast<std::size_t>(gr(r))].clock;
-  }
+  // Each kind below only lists its transfers, in the order it sends
+  // them, and hands its payloads over; the loop after the switch times
+  // them all.
+  auto& transfers = group.transfers;
+  transfers.clear();
+  const auto send = [&transfers](int src, int dst, std::size_t bytes) {
+    transfers.push_back(Group::Transfer{src, dst, bytes});
+  };
+  // Binomial subtrees: fill the tree-order prefix sums of `bytes_of`, then
+  // subtree_bytes(v, n) is the byte sum of members [v, v + n).
+  auto& subtree = group.subtree;
+  const auto sum_subtrees = [&](const auto& bytes_of) {
+    subtree.assign(1, 0);
+    for (int v = 0; v < q; ++v) {
+      subtree.push_back(subtree.back() + bytes_of(at(v)));
+    }
+  };
+  const auto subtree_bytes = [&subtree, q](int v, int n) {
+    return subtree[static_cast<std::size_t>(std::min(v + n, q))] -
+           subtree[static_cast<std::size_t>(v)];
+  };
 
   switch (group.coll_kind) {
     case CollectiveKind::kBarrier: {
       double t = 0.0;
       for (const int r : live) {
-        t = std::max(t, arrival[static_cast<std::size_t>(r)]);
+        t = std::max(t, stats_[static_cast<std::size_t>(gr(r))].clock);
       }
       for (const int r : live) {
         const int w = gr(r);
@@ -993,59 +1004,35 @@ void Engine::finish_collective_locked(Group& group) {
       }
       Packet& payload = group.inputs[ru];
       const std::size_t bytes = payload.bytes;
-      // Freeze the root's payload once (a move, not a copy); every
-      // destination below takes a refcounted view, so the fan-out performs
-      // zero deep copies regardless of p.  With one live member there is
-      // no fan-out and the root's value passes through exclusively.
-      std::shared_ptr<const std::any> shared;
-      if (q > 1) shared = payload.share();
       if (platform_.switched_fabric()) {
         // Binomial-tree broadcast (cluster message-passing layers).  In
         // step k every holder vsrc < 2^k forwards to vsrc + 2^k, where v
         // counts members from the root.
-        std::vector<double> known(static_cast<std::size_t>(q), 0.0);
-        known[0] = arrival[ru];
         for (int step = 1; step < q; step <<= 1) {
           for (int vsrc = 0; vsrc < step && vsrc + step < q; ++vsrc) {
-            const int vdst = vsrc + step;
-            const int src = at(vsrc);
-            const int dst = at(vdst);
-            const auto du = static_cast<std::size_t>(dst);
-            double active = 0.0;
-            const double end = schedule_transfer_locked(group.id, 
-                gr(src), gr(dst), bytes, known[static_cast<std::size_t>(vsrc)],
-                &active);
-            account_transfer_locked(gr(src),
-                                    known[static_cast<std::size_t>(vsrc)],
-                                    end, active, bytes, 0);
-            account_transfer_locked(gr(dst), arrival[du],
-                                    std::max(end, arrival[du]), active, 0,
-                                    bytes);
-            known[static_cast<std::size_t>(vdst)] = std::max(end, arrival[du]);
-            group.single_out[du] = Packet::shared_view(shared, bytes);
+            send(at(vsrc), at(vsrc + step), bytes);
           }
         }
       } else {
         // Linear broadcast: the root transmits to each worker in rank
         // order; its NIC serializes the sends (network-of-workstations
         // behavior).
-        double root_busy_from = arrival[ru];
         for (const int dst : live) {
-          if (dst == root) continue;
-          const auto du = static_cast<std::size_t>(dst);
-          double active = 0.0;
-          const double end = schedule_transfer_locked(group.id, gr(root), gr(dst), bytes,
-                                                      arrival[ru], &active);
-          account_transfer_locked(gr(dst), arrival[du],
-                                  std::max(end, arrival[du]), active, 0,
-                                  bytes);
-          account_transfer_locked(gr(root), root_busy_from, end, active, bytes,
-                                  0);
-          root_busy_from = end;
-          group.single_out[du] = Packet::shared_view(shared, bytes);
+          if (dst != root) send(root, dst, bytes);
         }
       }
-      group.single_out[ru] = std::move(group.inputs[ru]);
+      // Freeze the root's payload once (a move, not a copy); every
+      // destination takes a refcounted view, so the fan-out performs zero
+      // deep copies regardless of p.  With one live member there is no
+      // fan-out and the root's value passes through exclusively.
+      if (q > 1) {
+        const auto shared = payload.share();
+        for (const auto& t : transfers) {
+          group.single_out[static_cast<std::size_t>(t.dst)] =
+              Packet::shared_view(shared, bytes);
+        }
+      }
+      group.single_out[ru] = std::move(payload);
       break;
     }
 
@@ -1054,68 +1041,32 @@ void Engine::finish_collective_locked(Group& group) {
         clear(group.inputs, live);
         break;
       }
-      auto& gathered = group.multi_out[ru];
-      gathered.resize(static_cast<std::size_t>(p));
-      clear(gathered, group.dead);
+      const auto bytes_of = [&group](int r) {
+        return group.inputs[static_cast<std::size_t>(r)].bytes;
+      };
       if (platform_.switched_fabric()) {
         // Binomial-tree gather: in step k, every vrank whose low k bits are
-        // zero and whose k-th bit is one forwards its accumulated buffer to
-        // vrank - 2^k.  Intermediate nodes concatenate, so transferred
-        // bytes grow with the subtree.
-        std::vector<double> ready(static_cast<std::size_t>(q));
-        std::vector<std::size_t> acc(static_cast<std::size_t>(q));
-        for (int v = 0; v < q; ++v) {
-          const int r = at(v);
-          ready[static_cast<std::size_t>(v)] =
-              arrival[static_cast<std::size_t>(r)];
-          acc[static_cast<std::size_t>(v)] =
-              group.inputs[static_cast<std::size_t>(r)].bytes;
-        }
+        // zero and whose k-th bit is one forwards its accumulated buffer --
+        // its subtree's bytes -- to vrank - 2^k.
+        sum_subtrees(bytes_of);
         for (int step = 1; step < q; step <<= 1) {
           for (int vsrc = step; vsrc < q; vsrc += 2 * step) {
-            const int vdst = vsrc - step;
-            const int src = at(vsrc);
-            const int dst = at(vdst);
-            const std::size_t bytes = acc[static_cast<std::size_t>(vsrc)];
-            double active = 0.0;
-            const double end = schedule_transfer_locked(group.id, 
-                gr(src), gr(dst), bytes, ready[static_cast<std::size_t>(vsrc)],
-                &active);
-            account_transfer_locked(gr(src),
-                                    ready[static_cast<std::size_t>(vsrc)],
-                                    end, active, bytes, 0);
-            account_transfer_locked(gr(dst),
-                                    ready[static_cast<std::size_t>(vdst)],
-                                    end, active, 0, bytes);
-            ready[static_cast<std::size_t>(vdst)] =
-                std::max(ready[static_cast<std::size_t>(vdst)], end);
-            acc[static_cast<std::size_t>(vdst)] += bytes;
+            send(at(vsrc), at(vsrc - step), subtree_bytes(vsrc, step));
           }
-        }
-        for (const int src : live) {
-          gathered[static_cast<std::size_t>(src)] =
-              std::move(group.inputs[static_cast<std::size_t>(src)]);
         }
       } else {
         // Workers transmit to the root in rank order; the root's NIC is the
         // serializing resource.
-        double root_busy_from = arrival[ru];
         for (const int src : live) {
-          const auto su = static_cast<std::size_t>(src);
-          if (src == root) {
-            gathered[su] = std::move(group.inputs[su]);
-            continue;
-          }
-          const std::size_t bytes = group.inputs[su].bytes;
-          double active = 0.0;
-          const double end = schedule_transfer_locked(group.id, gr(src), gr(root), bytes,
-                                                      arrival[su], &active);
-          account_transfer_locked(gr(src), arrival[su], end, active, bytes, 0);
-          account_transfer_locked(gr(root), root_busy_from, end, active, 0,
-                                  bytes);
-          root_busy_from = end;
-          gathered[su] = std::move(group.inputs[su]);
+          if (src != root) send(src, root, bytes_of(src));
         }
+      }
+      auto& gathered = group.multi_out[ru];
+      gathered.resize(static_cast<std::size_t>(p));
+      clear(gathered, group.dead);
+      for (const int src : live) {
+        gathered[static_cast<std::size_t>(src)] =
+            std::move(group.inputs[static_cast<std::size_t>(src)]);
       }
       break;
     }
@@ -1127,90 +1078,46 @@ void Engine::finish_collective_locked(Group& group) {
       }
       auto& parts = group.scatter_parts[ru];
       HPRS_ASSERT(parts.size() == static_cast<std::size_t>(p));
+      const auto bytes_of = [&parts](int r) {
+        return parts[static_cast<std::size_t>(r)].bytes;
+      };
       if (platform_.switched_fabric()) {
         // Binomial-tree scatter (mirror of the tree gather): holders pass
-        // the byte-sum of the destination subtree down in halving steps.
-        const auto vbytes = [&](int v) {
-          return parts[static_cast<std::size_t>(at(v))].bytes;
-        };
-        std::vector<double> known(static_cast<std::size_t>(q), 0.0);
-        known[0] = arrival[ru];
+        // the byte sum of the destination subtree down in halving steps.
+        sum_subtrees(bytes_of);
         int top = 1;
         while (top < q) top <<= 1;
         for (int step = top >> 1; step >= 1; step >>= 1) {
-          for (int vsrc = 0; vsrc < q; vsrc += 2 * step) {
-            const int vdst = vsrc + step;
-            if (vdst >= q) continue;
-            std::size_t bytes = 0;
-            for (int v = vdst; v < std::min(vdst + step, q); ++v) {
-              bytes += vbytes(v);
-            }
-            const int src = at(vsrc);
-            const int dst = at(vdst);
-            const auto du = static_cast<std::size_t>(dst);
-            double active = 0.0;
-            const double end = schedule_transfer_locked(group.id, 
-                gr(src), gr(dst), bytes, known[static_cast<std::size_t>(vsrc)],
-                &active);
-            account_transfer_locked(gr(src),
-                                    known[static_cast<std::size_t>(vsrc)],
-                                    end, active, bytes, 0);
-            account_transfer_locked(gr(dst), arrival[du],
-                                    std::max(end, arrival[du]), active, 0,
-                                    bytes);
-            known[static_cast<std::size_t>(vdst)] = std::max(end, arrival[du]);
+          for (int vdst = step; vdst < q; vdst += 2 * step) {
+            send(at(vdst - step), at(vdst), subtree_bytes(vdst, step));
           }
-        }
-        for (const int dst : live) {
-          group.single_out[static_cast<std::size_t>(dst)] =
-              std::move(parts[static_cast<std::size_t>(dst)]);
         }
       } else {
-        double root_busy_from = arrival[ru];
         for (const int dst : live) {
-          const auto du = static_cast<std::size_t>(dst);
-          if (dst == root) {
-            group.single_out[du] = std::move(parts[du]);
-            continue;
-          }
-          const std::size_t bytes = parts[du].bytes;
-          double active = 0.0;
-          const double end = schedule_transfer_locked(group.id, gr(root), gr(dst), bytes,
-                                                      arrival[ru], &active);
-          account_transfer_locked(gr(dst), arrival[du],
-                                  std::max(end, arrival[du]), active, 0,
-                                  bytes);
-          account_transfer_locked(gr(root), root_busy_from, end, active, bytes,
-                                  0);
-          root_busy_from = end;
-          group.single_out[du] = std::move(parts[du]);
+          if (dst != root) send(root, dst, bytes_of(dst));
         }
+      }
+      for (const int dst : live) {
+        group.single_out[static_cast<std::size_t>(dst)] =
+            std::move(parts[static_cast<std::size_t>(dst)]);
       }
       break;
     }
 
     case CollectiveKind::kExchange: {
-      // All pairwise transfers scheduled in (src, dst) order; a rank's
-      // clock advances to the end of the last transfer it participates in.
-      // Destinations in the staged sends are local ranks; packets for dead
-      // members are dropped.
+      // All pairwise transfers in (src, dst) order.  Destinations in the
+      // staged sends are local ranks; packets for dead members are
+      // dropped.
       for (const int src : live) {
         const auto su = static_cast<std::size_t>(src);
         for (auto& [dst, packet] : group.exchange_in[su]) {
           HPRS_ASSERT(dst >= 0 && dst < p && dst != src);
-          const auto du = static_cast<std::size_t>(dst);
           if (std::binary_search(group.dead.begin(), group.dead.end(), dst)) {
             continue;
           }
-          const std::size_t bytes = packet.bytes;
-          double active = 0.0;
-          const double end = schedule_transfer_locked(group.id, gr(src), gr(dst), bytes,
-                                                      arrival[su], &active);
-          account_transfer_locked(gr(src), arrival[su], end, active, bytes, 0);
-          account_transfer_locked(gr(dst), arrival[du],
-                                  std::max(end, arrival[du]), active, 0,
-                                  bytes);
-          group.exchange_out[du].emplace_back(src, std::move(packet));
+          send(src, dst, packet.bytes);
+          group.exchange_out[static_cast<std::size_t>(dst)].emplace_back(
+              src, std::move(packet));
         }
         group.exchange_in[su].clear();
       }
@@ -1219,6 +1126,20 @@ void Engine::finish_collective_locked(Group& group) {
 
     case CollectiveKind::kNone:
       HPRS_ASSERT(false);
+  }
+
+  // The one transfer loop.  A transfer starts from its sender's clock --
+  // its arrival, or the end of its previous transfer here, which its NIC
+  // is busy until anyway -- and each side is charged from its own clock.
+  for (const auto& t : transfers) {
+    const int src = gr(t.src);
+    const int dst = gr(t.dst);
+    const double ready = stats_[static_cast<std::size_t>(src)].clock;
+    double active = 0.0;
+    const double end =
+        schedule_transfer_locked(group.id, src, dst, t.bytes, ready, &active);
+    account_transfer_locked(src, end, active, t.bytes, 0);
+    account_transfer_locked(dst, end, active, 0, t.bytes);
   }
 
   // Every survivor learns the same dead set one heartbeat after the last
@@ -1440,8 +1361,7 @@ bool Engine::core_send(int rank, int dst, int tag, Packet payload,
   }
   // Apply this side of the transfer (the receiver computed it at match
   // time but deliberately left the sender's stats to the sender).
-  account_transfer_locked(rank, it->ready, it->sender_end, it->active,
-                          it->bytes, 0);
+  account_transfer_locked(rank, it->sender_end, it->active, it->bytes, 0);
   queue.erase(it);
   return true;
 }

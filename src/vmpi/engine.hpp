@@ -31,12 +31,15 @@
 // fail-stop check and blocks through one wait helper.
 //
 // Determinism: collective cost models run once -- executed by the
-// last-arriving rank under the engine lock -- scheduling member transfers
-// in rank order, so the coordinator's identity never affects results.  A
-// collective whose communicator lost a member resolves once every member
-// has either arrived or died (Comm::tolerant, DESIGN.md §9); both events
-// happen on the member's own virtual clock, so the dead set every
-// survivor observes is the same on every run and in both modes.  For
+// last-arriving rank under the engine lock.  Each collective kind only
+// lists its transfers as (src, dst, bytes) in a fixed order (rank order,
+// or the binomial tree's steps), and one loop times them all: a transfer
+// starts from its sender's clock and each side is charged from its own
+// clock (DESIGN.md §6), so the coordinator's identity never affects
+// results.  A collective whose communicator lost a member resolves once
+// every member has either arrived or died (Comm::tolerant, DESIGN.md §9);
+// both events happen on the member's own virtual clock, so the dead set
+// every survivor observes is the same on every run and in both modes.  For
 // point-to-point transfers the receiver computes the schedule and the
 // sender applies its own half of the accounting when it completes the
 // send, which keeps every rank's stats, clock, and trace owned by exactly
@@ -147,6 +150,18 @@ struct Group {
   std::vector<int> dead;
   /// Scratch: local ranks that arrived at the resolving collective.
   std::vector<int> live;
+  /// One wire transfer of a collective schedule, between local ranks.
+  struct Transfer {
+    int src = 0;
+    int dst = 0;
+    std::size_t bytes = 0;
+  };
+  /// Scratch: the resolving collective's transfers, in send order.
+  std::vector<Transfer> transfers;
+  /// Scratch: prefix sums of the members' bytes in tree order, so the
+  /// binomial subtree of members [v, v + n) carries
+  /// subtree[min(v + n, q)] - subtree[v] bytes.
+  std::vector<std::size_t> subtree;
 
   // --- counter plane (engine mutex; see obs/snapshot.hpp) ---
   /// Scope label this group's snapshot samples are filed under: "world"
@@ -192,8 +207,6 @@ struct Options {
   /// Worker-thread cap for kBoundedExecutor; 0 means
   /// min(p, hardware_concurrency).
   std::size_t executor_workers = 0;
-  /// Per-rank fiber stack for kBoundedExecutor; 0 means 1 MiB.
-  std::size_t fiber_stack_bytes = 0;
   /// Injected failures, all in virtual time (see vmpi/fault.hpp).  An empty
   /// plan leaves every run bit-identical to a fault-free engine.
   FaultPlan fault_plan;
@@ -330,9 +343,11 @@ class Engine {
       Group& group, int rank, CollectiveKind kind, int root);
   /// True once every member of `group` has arrived or died.
   [[nodiscard]] bool resolvable_locked(const Group& group) const;
-  /// Runs the pending collective's cost model over the arrived members,
-  /// records the dead ones in group.dead, and charges every survivor one
-  /// detection heartbeat when any member died.
+  /// Runs the pending collective's cost model over the arrived members:
+  /// the kind lists its transfers in send order and hands its payloads
+  /// over, then one loop times every transfer.  Records the dead members in
+  /// group.dead and charges every survivor one detection heartbeat when any
+  /// member died.
   void finish_collective_locked(Group& group);
   /// Resolves the pending collective when `rank` arrived last, else parks
   /// until it resolves; then hands the dead set to `failed` (or throws).
@@ -369,11 +384,13 @@ class Engine {
                                   std::size_t bytes, double ready,
                                   double* active_out = nullptr);
 
-  /// Charges comm/wait stats for a rank that participated in a transfer
-  /// finishing at `end`, having been ready at `ready`, with `active`
-  /// seconds of actual wire time.
-  void account_transfer_locked(int rank, double ready, double end,
-                               double active, std::uint64_t bytes_out,
+  /// Charges one side of a transfer that ends at `end` with `active`
+  /// seconds of wire time, from `rank`'s own clock: the wire time goes to
+  /// comm and the rest of [clock, max(end, clock)] to wait.  A payload that
+  /// landed before the rank arrived is handed over at its clock, so
+  /// compute + wait never exceeds the clock.
+  void account_transfer_locked(int rank, double end, double active,
+                               std::uint64_t bytes_out,
                                std::uint64_t bytes_in);
 
   /// Samples `group`'s counter plane into timeline_ if its snapshot

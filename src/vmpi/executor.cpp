@@ -43,6 +43,10 @@ namespace hprs::vmpi {
 
 namespace {
 
+/// Stack of every fiber.  Pages commit lazily, so a rank that stays
+/// shallow touches only a few of them.
+constexpr std::size_t kFiberStackBytes = std::size_t{1} << 20;
+
 void asan_start_switch([[maybe_unused]] void** fake_stack_save,
                        [[maybe_unused]] const void* target_bottom,
                        [[maybe_unused]] std::size_t target_size) {
@@ -133,7 +137,6 @@ struct Executor::Task {
   // (successive runs are ordered through mu_).
   bool started = false;
   std::unique_ptr<char[]> stack;  // default-init: pages commit lazily
-  std::size_t stack_bytes = 0;
   ucontext_t ctx{};
   Worker* resumer = nullptr;  // worker to switch back to
   EhGlobals eh{};             // C++ exception state while switched out
@@ -157,16 +160,13 @@ Executor::Executor() = default;
 Executor::~Executor() = default;
 
 void Executor::run(std::vector<std::function<void()>> bodies,
-                   const Config& config) {
+                   std::size_t workers) {
   const std::size_t n = bodies.size();
   if (n == 0) return;
 
   std::size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
-  const std::size_t workers =
-      std::min(config.workers != 0 ? config.workers : hw, n);
-  const std::size_t stack_bytes =
-      std::max<std::size_t>(config.stack_bytes, std::size_t{64} << 10);
+  workers = std::min(workers != 0 ? workers : hw, n);
 
   tasks_.clear();
   tasks_.reserve(n);
@@ -182,7 +182,6 @@ void Executor::run(std::vector<std::function<void()>> bodies,
     task->exec = this;
     task->index = i;
     task->body = std::move(bodies[i]);
-    task->stack_bytes = stack_bytes;
     ready_.push_back(task.get());
     tasks_.push_back(std::move(task));
   }
@@ -310,10 +309,10 @@ void Executor::resume(Worker& worker, Task& task) {
   task.resumer = &worker;
   if (!task.started) {
     task.started = true;
-    task.stack.reset(new char[task.stack_bytes]);
+    task.stack.reset(new char[kFiberStackBytes]);
     getcontext(&task.ctx);
     task.ctx.uc_stack.ss_sp = task.stack.get();
-    task.ctx.uc_stack.ss_size = task.stack_bytes;
+    task.ctx.uc_stack.ss_size = kFiberStackBytes;
     task.ctx.uc_link = nullptr;
     const auto ptr = reinterpret_cast<std::uintptr_t>(&task);
     makecontext(&task.ctx, reinterpret_cast<void (*)()>(&Executor::trampoline),
@@ -325,7 +324,7 @@ void Executor::resume(Worker& worker, Task& task) {
   // the scheduler's back once it switches out.
   const EhGlobals scheduler_eh = exchange_eh_globals(task.eh);
   asan_start_switch(&worker.asan_fake_stack, task.stack.get(),
-                    task.stack_bytes);
+                    kFiberStackBytes);
   tsan_switch_fiber(task.tsan_fiber);
   swapcontext(&worker.sched_ctx, &task.ctx);
   asan_finish_switch(worker.asan_fake_stack, nullptr, nullptr);

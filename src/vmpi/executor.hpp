@@ -45,22 +45,17 @@ class Executor {
  public:
   using Clock = std::chrono::steady_clock;
 
-  struct Config {
-    /// Worker thread cap; 0 means min(bodies, hardware_concurrency).
-    std::size_t workers = 0;
-    /// Stack size per fiber.
-    std::size_t stack_bytes = std::size_t{1} << 20;
-  };
-
   Executor();
   ~Executor();
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Runs every body to completion (bodies[i] is fiber/task i) and returns
-  /// when all have finished.  Rethrows the first exception that escaped a
-  /// body.  Must not be called from inside one of its own fibers.
-  void run(std::vector<std::function<void()>> bodies, const Config& config);
+  /// Runs every body to completion (bodies[i] is fiber/task i, on a 1 MiB
+  /// stack) on at most `workers` threads, 0 meaning min(bodies,
+  /// hardware_concurrency), and returns when all have finished.  Rethrows
+  /// the first exception that escaped a body.  Must not be called from
+  /// inside one of its own fibers.
+  void run(std::vector<std::function<void()>> bodies, std::size_t workers);
 
   /// Fiber-only.  Parks the calling fiber: atomically (with respect to
   /// notify) registers the park, releases `lock`, and suspends.  `lock`

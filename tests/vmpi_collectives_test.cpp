@@ -1,8 +1,14 @@
 // Hand-verified timing of the collective cost models: linear (network of
 // workstations) and binomial-tree (switched cluster fabric) schedules, NIC
-// serialization, inter-segment serial links, and the exchange collective.
+// serialization, inter-segment serial links, and the exchange collective;
+// and the charging rule every transfer obeys (compute + wait <= clock).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "simnet/platform.hpp"
 #include "vmpi/comm.hpp"
 #include "vmpi/engine.hpp"
 
@@ -283,6 +289,140 @@ TEST(AllgatherTest, BroadcastLegCarriesTheConcatenation) {
   });
   // Gather: 1 megabit at d.  Bcast back: 2 megabits -> 2d more.
   EXPECT_NEAR(report.total_time, 3 * kD, 1e-9);
+}
+
+// --- the charging rule ------------------------------------------------------
+// Each side of a transfer is charged from its own clock, and a payload that
+// landed before its receiver arrived counts as comm at the receiver's
+// clock.  So no rank is ever charged more compute plus wait than its clock
+// has advanced, whatever the collective, platform or arrival order.
+
+constexpr std::size_t kMiB = std::size_t{1} << 20;
+
+enum class Kind { kBarrier, kBcast, kGather, kScatter, kExchange, kAllreduce };
+enum class Arrival { kTogether, kStaggered, kRootLast };
+
+/// Computes until the rank's clock reaches about `t` virtual seconds.
+void compute_until(Comm& comm, double t) {
+  const double w =
+      comm.platform().cycle_time(static_cast<std::size_t>(comm.rank()));
+  comm.compute(static_cast<std::uint64_t>(t / (w * 1e-6)));
+}
+
+/// kTogether: every rank at t = 0.  kStaggered: rank r at r + 1 seconds,
+/// so the root comes first.  kRootLast: the same, but the root comes after
+/// every other rank.
+void arrive(Comm& comm, Arrival arrival) {
+  const double slot = comm.rank() + 1.0;
+  switch (arrival) {
+    case Arrival::kTogether:
+      return;
+    case Arrival::kStaggered:
+      compute_until(comm, slot);
+      return;
+    case Arrival::kRootLast:
+      compute_until(comm, comm.is_root() ? comm.size() + 1.0 : slot);
+      return;
+  }
+}
+
+/// One collective of `kind`, moving 1 MiB per payload; the exchange is a
+/// two-sided halo ring, as in MORPH's overlap borders.
+void run_collective(Comm& comm, Kind kind) {
+  const int p = comm.size();
+  const int r = comm.rank();
+  switch (kind) {
+    case Kind::kBarrier:
+      comm.barrier();
+      return;
+    case Kind::kBcast:
+      (void)comm.bcast(comm.root(), 1, kMiB);
+      return;
+    case Kind::kGather:
+      (void)comm.gather(comm.root(), r, kMiB);
+      return;
+    case Kind::kScatter: {
+      std::vector<int> parts;
+      if (comm.is_root()) parts.assign(static_cast<std::size_t>(p), 1);
+      (void)comm.scatter(comm.root(), std::move(parts),
+                         std::vector<std::size_t>(static_cast<std::size_t>(p),
+                                                  kMiB));
+      return;
+    }
+    case Kind::kExchange: {
+      std::vector<std::tuple<int, int, std::size_t>> sends;
+      sends.emplace_back((r + 1) % p, r, kMiB);
+      sends.emplace_back((r + p - 1) % p, r, kMiB);
+      (void)comm.exchange(std::move(sends));
+      return;
+    }
+    case Kind::kAllreduce:
+      (void)comm.allreduce(r, kMiB, [](int a, int b) { return a + b; });
+      return;
+  }
+}
+
+TEST(ChargingRuleTest, ComputePlusWaitNeverExceedsTheClock) {
+  const std::pair<const char*, simnet::Platform> platforms[] = {
+      {"fully-heterogeneous", simnet::fully_heterogeneous()},
+      {"thunderhead-8", simnet::thunderhead(8)},
+      {"thunderhead-5", simnet::thunderhead(5)},
+  };
+  const char* const kinds[] = {"barrier",  "bcast",    "gather",
+                               "scatter",  "exchange", "allreduce"};
+  const char* const arrivals[] = {"together", "staggered", "root-last"};
+  for (const ExecMode mode :
+       {ExecMode::kBoundedExecutor, ExecMode::kThreadPerRank}) {
+    Options options;
+    options.exec_mode = mode;
+    for (const auto& [platform_name, platform] : platforms) {
+      Engine engine(platform, options);
+      for (int k = 0; k < 6; ++k) {
+        for (int a = 0; a < 3; ++a) {
+          SCOPED_TRACE(std::string(platform_name) + " " + kinds[k] + " " +
+                       arrivals[a] +
+                       (mode == ExecMode::kThreadPerRank ? " thread-per-rank"
+                                                         : " executor"));
+          const auto report = engine.run([&](Comm& comm) {
+            arrive(comm, static_cast<Arrival>(a));
+            run_collective(comm, static_cast<Kind>(k));
+          });
+          for (std::size_t r = 0; r < report.ranks.size(); ++r) {
+            const RankStats& s = report.ranks[r];
+            EXPECT_LE(s.compute_par + s.compute_seq + s.wait,
+                      s.clock * (1.0 + 1e-12))
+                << "rank " << r << ": wait " << s.wait << " s on a "
+                << s.clock << " s clock";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ChargingRuleTest, TreeBcastRootSendingBackToBackNeverWaits) {
+  Engine engine(simnet::thunderhead(8));
+  const auto report = engine.run([](Comm& comm) {
+    (void)comm.bcast(0, 1, kMiB);
+  });
+  // The root sends in steps 1, 2 and 4, each starting as the last ends.
+  const RankStats& root = report.ranks[0];
+  EXPECT_EQ(root.comm, root.clock);
+  EXPECT_NEAR(root.wait, 0.0, 1e-12 * root.clock);
+}
+
+TEST(ChargingRuleTest, LateGatherRootTakesLandedPayloadsWithoutWaiting) {
+  Engine engine(simnet::fully_heterogeneous());
+  const auto report = engine.run([](Comm& comm) {
+    // Workers arrive a second apart, so their transfers leave gaps on the
+    // root's NIC; the root computes past the last of them.
+    compute_until(comm, comm.is_root() ? 100.0 : 1.0 * comm.rank());
+    (void)comm.gather(0, comm.rank(), kMiB);
+  });
+  const RankStats& root = report.ranks[0];
+  EXPECT_EQ(root.clock, root.compute_par);
+  EXPECT_EQ(root.wait, 0.0);
+  EXPECT_GT(root.comm, 0.0);
 }
 
 }  // namespace

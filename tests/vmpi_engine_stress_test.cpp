@@ -171,11 +171,10 @@ TEST(EngineStressTest, ExecutorMatchesThreadPerRank) {
                        "executor-vs-threads");
 }
 
-TEST(EngineStressTest, ForcedMultiWorkerAndSmallStacksMatch) {
+TEST(EngineStressTest, ForcedMultiWorkerMatches) {
   const std::size_t n = stress_ranks();
   Options narrow = stress_options(ExecMode::kBoundedExecutor);
-  narrow.executor_workers = 3;          // force cross-worker fiber migration
-  narrow.fiber_stack_bytes = 128 << 10; // clamped floor is 64 KiB
+  narrow.executor_workers = 3;  // force cross-worker fiber migration
   Engine a(stress_platform(n), stress_options(ExecMode::kBoundedExecutor));
   Engine b(stress_platform(n), narrow);
   expect_bit_identical(a.run(stress_program), b.run(stress_program),

@@ -88,5 +88,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return hprs::bench::run_main(argc, argv, run);
+  return hprs::run_main(argc, argv, run, 1);
 }

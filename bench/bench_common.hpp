@@ -202,18 +202,6 @@ inline bool take_bool_flag(int& argc, char** argv, const std::string& name) {
   return value;
 }
 
-/// The body of every bench's main: runs `body` and turns an hprs::Error --
-/// a rejected option, or a size the partitioner cannot split -- into its
-/// message on stderr and exit status 1 instead of an abort.
-inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
-  try {
-    return body(argc, argv);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-    return 1;
-  }
-}
-
 inline void emit(const TextTable& table, bool csv, const char* title) {
   std::printf("%s\n", title);
   if (csv) {

@@ -19,7 +19,9 @@
 #include "simnet/platform.hpp"
 #include "vmpi/trace.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
   const CliArgs args(argc, argv, {"rows", "cols", "seed", "targets",
                                   "outdir"});
@@ -91,4 +93,10 @@ int main(int argc, char** argv) {
   std::printf("\nper-rank timeline of the unmixing run:\n%s",
               vmpi::render_gantt(maps.report, 64).c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::run_main(argc, argv, run, 1);
 }

@@ -14,7 +14,9 @@
 #include "hsi/scene.hpp"
 #include "simnet/platform.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
   const CliArgs args(argc, argv,
                      {"rows", "cols", "seed", "classes", "iterations",
@@ -74,4 +76,10 @@ int main(int argc, char** argv) {
   std::printf("(each glyph is one of the %zu unsupervised classes)\n",
               morph_out.label_count);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::run_main(argc, argv, run, 1);
 }

@@ -26,9 +26,7 @@ hprs::core::Algorithm parse_algorithm(const std::string& s) {
   throw hprs::Error("unknown algorithm '" + s + "'");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace hprs;
   const CliArgs args(argc, argv,
                      {"rows", "cols", "algorithm", "replication", "seed"});
@@ -79,4 +77,10 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.to_string().c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::run_main(argc, argv, run, 1);
 }

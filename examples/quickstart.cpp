@@ -15,7 +15,9 @@
 #include "hsi/scene.hpp"
 #include "simnet/platform.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
   const CliArgs args(argc, argv, {"rows", "cols", "targets", "seed"});
 
@@ -66,4 +68,10 @@ int main(int argc, char** argv) {
                 hs.row, hs.col, best);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::run_main(argc, argv, run, 1);
 }

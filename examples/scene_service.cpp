@@ -23,7 +23,9 @@
 #include "serve/traffic.hpp"
 #include "simnet/platform.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
   const CliArgs args(argc, argv, {"trace", "jobs", "duration", "policy",
                                   "batch", "rows", "cols", "seed"});
@@ -104,4 +106,10 @@ int main(int argc, char** argv) {
       result.batches.saved_est_s, result.schedule.makespan_s,
       100.0 * result.schedule.utilization);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::run_main(argc, argv, run, 1);
 }

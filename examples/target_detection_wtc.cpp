@@ -23,7 +23,9 @@
 #include "hsi/vd.hpp"
 #include "simnet/platform.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hprs;
   const CliArgs args(argc, argv, {"rows", "cols", "seed", "targets", "out"});
 
@@ -84,4 +86,10 @@ int main(int argc, char** argv) {
   std::printf("(SAD 0 = exact match; the paper's UFCLS likewise misses the "
               "cool 700 F spot 'F')\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::run_main(argc, argv, run, 1);
 }

@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -70,6 +71,16 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   throw Error("option --" + name + " expects a boolean, got '" + v + "'");
+}
+
+int run_main(int argc, char** argv, int (*body)(int, char**),
+             int error_status) {
+  try {
+    return body(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return error_status;
+  }
 }
 
 }  // namespace hprs

@@ -1,4 +1,5 @@
-// Minimal command-line option parsing for examples and bench harnesses.
+// Minimal command-line option parsing for examples, tools and bench
+// harnesses, and the one main wrapper they share.
 //
 // Supports `--name value` and `--name=value` forms plus boolean flags.  Kept
 // deliberately tiny: the binaries in this repository take a handful of
@@ -40,5 +41,11 @@ class CliArgs {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// The body of every binary's main: runs `body` and turns an hprs::Error --
+/// a rejected option, or an input the program cannot run -- into its
+/// message on stderr and exit status `error_status`, never an abort.
+int run_main(int argc, char** argv, int (*body)(int, char**),
+             int error_status);
 
 }  // namespace hprs

@@ -32,13 +32,6 @@ std::size_t rep_bytes(std::size_t bands, std::size_t count) {
   return count * (bands * sizeof(float) + 16);
 }
 
-/// A worker's labeled slice.
-struct LabelBlock {
-  std::size_t row_begin = 0;
-  std::size_t row_end = 0;
-  std::vector<std::uint16_t> labels;
-};
-
 /// Tracks flop charges split between owned rows (scaled by replication) and
 /// redundant halo rows (physical cost only; halos do not grow with the
 /// virtual scene).
@@ -272,7 +265,7 @@ std::vector<MorphRep> merge_unique_sets(
 /// unique set.  Returns the block and the flop count for the caller to
 /// charge.
 struct LabelOut {
-  LabelBlock block;
+  detail::LabelBlock block;
   Count flops = 0;
 };
 
@@ -318,21 +311,6 @@ LabelOut label_partition(const hsi::HsiCube& cube, std::size_t row_begin,
     }
   }
   return out;
-}
-
-/// Step 5 (master): assembles the label image from the disjoint blocks.
-void assemble_label_image(vmpi::Comm& comm,
-                          const std::vector<LabelBlock>& blocks,
-                          const hsi::HsiCube& cube, std::size_t reps,
-                          AlgorithmOutput& result) {
-  result.labels.assign(cube.pixel_count(), 0);
-  for (const auto& blk : blocks) {
-    std::copy(blk.labels.begin(), blk.labels.end(),
-              result.labels.begin() +
-                  static_cast<std::ptrdiff_t>(blk.row_begin * cube.cols()));
-  }
-  result.label_count = std::max<std::size_t>(1, reps);
-  comm.compute(cube.pixel_count() / 8, vmpi::Phase::kSequential);
 }
 
 }  // namespace
@@ -402,10 +380,10 @@ ft::Program morph_ft_program(const hsi::HsiCube& cube,
     const std::size_t unique_bytes = rep_bytes(bands, reps);
 
     // Steps 4-5: labeling against the shipped unique set.
-    const auto blocks = ft::results_as<LabelBlock>(driver.phase(
+    const auto blocks = ft::results_as<detail::LabelBlock>(driver.phase(
         h[1], std::make_shared<const std::any>(std::move(unique)),
         unique_bytes));
-    if (root) assemble_label_image(comm, blocks, cube, reps, result);
+    if (root) detail::assemble_label_image(comm, blocks, cube, reps, result);
   };
   return prog;
 }

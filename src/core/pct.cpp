@@ -37,13 +37,6 @@ struct PctBundle {
   linalg::Matrix reduced_reps;   // label_count x c (reps in PCT space)
 };
 
-/// A worker's labeled slice.
-struct LabelBlock {
-  std::size_t row_begin = 0;
-  std::size_t row_end = 0;
-  std::vector<std::uint16_t> labels;  // owned_rows * cols
-};
-
 // --- per-chunk kernels and root-side folds ---------------------------------
 
 /// Step 2: online SAD clustering of rows [row_begin, row_end); returns the
@@ -284,7 +277,7 @@ PctBundle build_bundle(vmpi::Comm& comm,
 
 /// Steps 8-9: transform + reduced-space labeling of [row_begin, row_end).
 struct LabelOut {
-  LabelBlock block;
+  detail::LabelBlock block;
   Count flops = 0;
 };
 
@@ -365,22 +358,6 @@ LabelOut label_partition(const hsi::HsiCube& cube, std::size_t row_begin,
     }
   }
   return out;
-}
-
-/// Master assembly of the final label image (partition order irrelevant:
-/// blocks write disjoint row ranges).
-void assemble_label_image(vmpi::Comm& comm,
-                          const std::vector<LabelBlock>& blocks,
-                          const hsi::HsiCube& cube, std::size_t reps,
-                          AlgorithmOutput& result) {
-  result.labels.assign(cube.pixel_count(), 0);
-  for (const auto& blk : blocks) {
-    std::copy(blk.labels.begin(), blk.labels.end(),
-              result.labels.begin() +
-                  static_cast<std::ptrdiff_t>(blk.row_begin * cube.cols()));
-  }
-  result.label_count = std::max<std::size_t>(1, reps);
-  comm.compute(cube.pixel_count() / 8, vmpi::Phase::kSequential);
 }
 
 }  // namespace
@@ -494,10 +471,10 @@ ft::Program pct_ft_program(const hsi::HsiCube& cube,
         config.classes * config.classes * sizeof(double);
 
     // Steps 8-9: labeling against the shipped bundle.
-    const auto blocks = ft::results_as<LabelBlock>(driver.phase(
+    const auto blocks = ft::results_as<detail::LabelBlock>(driver.phase(
         h[3], std::make_shared<const std::any>(std::move(bundle)),
         bundle_bytes));
-    if (root) assemble_label_image(comm, blocks, cube, reps, result);
+    if (root) detail::assemble_label_image(comm, blocks, cube, reps, result);
   };
   return prog;
 }

@@ -190,4 +190,18 @@ UniqueSetSelection consolidate_unique_set(
   return out;
 }
 
+void assemble_label_image(vmpi::Comm& comm,
+                          const std::vector<LabelBlock>& blocks,
+                          const hsi::HsiCube& cube, std::size_t reps,
+                          AlgorithmOutput& result) {
+  result.labels.assign(cube.pixel_count(), 0);
+  for (const auto& blk : blocks) {
+    std::copy(blk.labels.begin(), blk.labels.end(),
+              result.labels.begin() +
+                  static_cast<std::ptrdiff_t>(blk.row_begin * cube.cols()));
+  }
+  result.label_count = std::max<std::size_t>(1, reps);
+  comm.compute(cube.pixel_count() / 8, vmpi::Phase::kSequential);
+}
+
 }  // namespace hprs::core::detail

@@ -7,6 +7,7 @@
 
 #include "core/ft.hpp"
 #include "core/partition.hpp"
+#include "core/runner.hpp"
 #include "core/types.hpp"
 #include "hsi/cube.hpp"
 #include "linalg/kernels.hpp"
@@ -142,5 +143,21 @@ struct UniqueSetSelection {
 [[nodiscard]] UniqueSetSelection consolidate_unique_set(
     std::span<const SpectralCandidate> pool, std::size_t c,
     double sad_threshold);
+
+/// A worker's labeled slice (PCT and MORPH): the labels of its owned rows
+/// [row_begin, row_end), row-major.
+struct LabelBlock {
+  std::size_t row_begin = 0;
+  std::size_t row_end = 0;
+  std::vector<std::uint16_t> labels;
+};
+
+/// Master assembly of the label image from the workers' disjoint blocks
+/// (block order is irrelevant): sets `reps` classes (at least one) and
+/// charges the root's sequential copy.
+void assemble_label_image(vmpi::Comm& comm,
+                          const std::vector<LabelBlock>& blocks,
+                          const hsi::HsiCube& cube, std::size_t reps,
+                          AlgorithmOutput& result);
 
 }  // namespace hprs::core::detail

@@ -191,7 +191,7 @@ std::vector<TenantProfile> default_tenant_mix() {
   TenantProfile survey;
   survey.name = "survey";
   survey.weight = 3.0;
-  survey.algorithms = {core::Algorithm::kAtdca};
+  survey.algorithm = core::Algorithm::kAtdca;
   survey.min_ranks = 2;
   survey.max_ranks = 3;
   survey.scene_uid = 0xa11ce5;
@@ -242,26 +242,19 @@ std::vector<sched::JobSpec> generate_trace(const TraceConfig& config) {
     const std::size_t ti = pick_tenant(tenants, rng);
     const TenantProfile& tenant = tenants[ti];
     sched::JobSpec spec;
+    static_cast<core::AlgorithmSpec&>(spec) = tenant;
     spec.id = k + 1;
     spec.arrival_s = arrivals[k];
     spec.tenant = tenant.name;
-    const std::vector<core::Algorithm>& algos =
-        tenant.algorithms.empty()
-            ? std::vector<core::Algorithm>{core::Algorithm::kAtdca}
-            : tenant.algorithms;
-    spec.algorithm = algos[algo_cursor[ti]++ % algos.size()];
+    if (!tenant.algorithms.empty()) {
+      spec.algorithm =
+          tenant.algorithms[algo_cursor[ti]++ % tenant.algorithms.size()];
+    }
     const int lo = std::max(tenant.min_ranks, 1);
     const int hi = std::max(tenant.max_ranks, lo);
     spec.ranks =
         lo + static_cast<int>(rng.uniform_int(
                  static_cast<std::uint64_t>(hi - lo) + 1));
-    spec.targets = tenant.targets;
-    spec.classes = tenant.classes;
-    spec.morph_iterations = tenant.iterations;
-    spec.kernel_radius = tenant.kernel_radius;
-    spec.skewers = tenant.skewers;
-    spec.seed = tenant.seed;
-    spec.replication = tenant.replication;
     spec.batch_key = batch_key(spec, tenant.scene_uid);
     trace.push_back(std::move(spec));
   }

@@ -41,13 +41,23 @@ enum class TrafficShape : std::uint8_t {
 [[nodiscard]] TrafficShape parse_traffic_shape(std::string_view name);
 
 /// One tenant's request template: every request the tenant submits is
-/// stamped from this profile (algorithm cycled, width drawn in range).
-struct TenantProfile {
+/// stamped from this profile's spec (width drawn in range).
+struct TenantProfile : core::AlgorithmSpec {
+  /// The serving defaults: smaller requests than a solo analysis.
+  TenantProfile() {
+    targets = 8;
+    classes = 5;
+    morph_iterations = 2;
+    kernel_radius = 1;
+    skewers = 64;
+  }
+
   std::string name = "default";
   /// Relative share of the trace's requests this tenant submits.
   double weight = 1.0;
-  /// Algorithms the tenant cycles through (round-robin per tenant).
-  std::vector<core::Algorithm> algorithms = {core::Algorithm::kAtdca};
+  /// Algorithms the tenant cycles through (round-robin per tenant); empty
+  /// means every request runs the spec's `algorithm`.
+  std::vector<core::Algorithm> algorithms;
   /// Requested gang width is drawn uniformly in [min_ranks, max_ranks].
   int min_ranks = 1;
   int max_ranks = 4;
@@ -55,14 +65,6 @@ struct TenantProfile {
   /// reference; requests sharing a scene_uid and parameters are
   /// batchable (serve/batcher.hpp).
   std::uint64_t scene_uid = 0;
-  // -- request parameter template (sched::JobSpec fields) -----------------
-  std::size_t targets = 8;
-  std::size_t classes = 5;
-  std::size_t iterations = 2;
-  std::size_t kernel_radius = 1;
-  std::size_t skewers = 64;
-  std::uint64_t seed = 1;
-  std::size_t replication = 1;
 };
 
 /// Seeded description of one trace.

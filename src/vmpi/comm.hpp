@@ -4,8 +4,11 @@
 // plus barrier / broadcast / gather / scatter / point-to-point), with
 // explicit wire sizes per payload -- see vmpi/packet.hpp for why sizes are
 // explicit.  One Comm instance exists per rank for the duration of
-// Engine::run and is only ever used by that rank's execution context; its
-// staging buffers give repeated collectives allocation-free steady state.
+// Engine::run and is only ever used by that rank's execution context.
+// Every collective stages this rank's packets in one buffer, hands it to
+// the engine's one collective entry point and reads the result back from
+// it; the engine swaps the buffer with its own slots instead of copying,
+// so repeated collectives reach an allocation-free steady state.
 //
 // A Comm is a view of one communicator (vmpi::Group): rank(), size(),
 // root(), and platform() all describe the *group*, so an algorithm written
@@ -257,7 +260,10 @@ class Comm {
     engine_->core_compute(rank_, flops, phase, first_in_sweep);
   }
 
-  void barrier() { engine_->core_barrier(*group_, local_, failure_sink()); }
+  void barrier() {
+    io_.clear();
+    collective(CollectiveKind::kBarrier, root());
+  }
 
   /// Broadcast from `root`.  All ranks receive (a value equal to) the
   /// root's value.  The engine fans the payload out by reference; each
@@ -266,11 +272,7 @@ class Comm {
   /// entirely.
   template <typename T>
   [[nodiscard]] T bcast(int root, T value, std::size_t bytes) {
-    check_local(root);
-    Packet out = engine_->core_bcast(*group_, local_, root,
-                                     Packet{std::move(value), bytes},
-                                     failure_sink());
-    return out.take_or_default<T>();
+    return bcast_packet(root, value, bytes).template take_or_default<T>();
   }
 
   /// Broadcast from `root`, returning a shared handle to one immutable
@@ -281,10 +283,7 @@ class Comm {
   template <typename T>
   [[nodiscard]] std::shared_ptr<const T> bcast_shared(int root, T value,
                                                       std::size_t bytes) {
-    check_local(root);
-    Packet out = engine_->core_bcast(*group_, local_, root,
-                                     Packet{std::move(value), bytes},
-                                     failure_sink());
+    Packet out = bcast_packet(root, value, bytes);
     if (out.empty()) return nullptr;  // the root died
     if (out.shared) {
       const T* typed = std::any_cast<T>(out.shared.get());
@@ -300,15 +299,14 @@ class Comm {
   template <typename T>
   [[nodiscard]] std::vector<T> gather(int root, T value, std::size_t bytes) {
     check_local(root);
-    std::vector<Packet> packets =
-        engine_->core_gather(*group_, local_, root,
-                             Packet{std::move(value), bytes}, failure_sink());
+    io_.clear();
+    io_.emplace_back(std::move(value), bytes);
+    collective(CollectiveKind::kGather, root);
     std::vector<T> out;
-    out.reserve(packets.size());
-    for (auto& p : packets) {
+    out.reserve(io_.size());
+    for (auto& p : io_) {
       out.push_back(p.take_or_default<T>());
     }
-    engine_->core_recycle_gather(rank_, std::move(packets));
     return out;
   }
 
@@ -319,20 +317,17 @@ class Comm {
   [[nodiscard]] T scatter(int root, std::vector<T> parts,
                           const std::vector<std::size_t>& bytes) {
     check_local(root);
-    scatter_stage_.clear();
+    io_.clear();
     if (local_ == root) {
       HPRS_REQUIRE(parts.size() == static_cast<std::size_t>(size()) &&
                        bytes.size() == parts.size(),
                    "scatter requires one part and size per rank");
-      scatter_stage_.reserve(parts.size());
       for (std::size_t i = 0; i < parts.size(); ++i) {
-        scatter_stage_.push_back(Packet{std::move(parts[i]), bytes[i]});
+        io_.emplace_back(std::move(parts[i]), bytes[i]);
       }
     }
-    Packet mine = engine_->core_scatter(*group_, local_, root, scatter_stage_,
-                                        failure_sink());
-    scatter_stage_.clear();
-    return mine.take_or_default<T>();
+    collective(CollectiveKind::kScatter, root);
+    return io_.empty() ? T{} : io_.front().take<T>();
   }
 
   /// Reduction to the root followed by a broadcast of the combined value
@@ -372,20 +367,16 @@ class Comm {
   template <typename T>
   [[nodiscard]] std::vector<std::pair<int, T>> exchange(
       std::vector<std::tuple<int, T, std::size_t>> sends) {
-    exchange_stage_.clear();
-    exchange_stage_.reserve(sends.size());
+    io_.clear();
     for (auto& [dst, value, bytes] : sends) {
-      exchange_stage_.emplace_back(dst, Packet{std::move(value), bytes});
+      io_.emplace_back(std::move(value), bytes, dst);
     }
-    auto received = engine_->core_exchange(*group_, local_, exchange_stage_,
-                                           failure_sink());
-    exchange_stage_.clear();
+    collective(CollectiveKind::kExchange, root());
     std::vector<std::pair<int, T>> out;
-    out.reserve(received.size());
-    for (auto& [src, packet] : received) {
-      out.emplace_back(src, packet.template take<T>());
+    out.reserve(io_.size());
+    for (auto& packet : io_) {
+      out.emplace_back(packet.peer, packet.template take<T>());
     }
-    engine_->core_recycle_exchange(rank_, std::move(received));
     return out;
   }
 
@@ -459,10 +450,23 @@ class Comm {
   }
 
  private:
-  /// Where the engine reports a collective's dead members: failed_ for a
-  /// tolerant handle, else nowhere (the engine throws instead).
-  [[nodiscard]] std::vector<int>* failure_sink() {
-    return tolerant_ ? &failed_ : nullptr;
+  /// Runs one collective over io_: this rank's contribution in, its result
+  /// out (Engine::core_collective).  A tolerant handle takes the dead set
+  /// into failed_; a default one lets the engine throw instead.
+  void collective(CollectiveKind kind, int root) {
+    engine_->core_collective(*group_, local_, kind, root, io_,
+                             tolerant_ ? &failed_ : nullptr);
+  }
+
+  /// bcast and bcast_shared: the root's packet, as every member receives
+  /// it; empty when the root died.  Only the root's value is staged.
+  template <typename T>
+  [[nodiscard]] Packet bcast_packet(int root, T& value, std::size_t bytes) {
+    check_local(root);
+    io_.clear();
+    if (local_ == root) io_.emplace_back(std::move(value), bytes);
+    collective(CollectiveKind::kBcast, root);
+    return io_.empty() ? Packet{} : std::move(io_.front());
   }
 
   void check_local(int local) const {
@@ -482,11 +486,9 @@ class Comm {
   std::uint64_t split_seq_ = 0;
   bool tolerant_ = false;
   std::vector<int> failed_;
-  // Reused staging buffers (this Comm is single-context, see the class
-  // comment): collective inputs are moved through these instead of a fresh
-  // vector per call.
-  std::vector<Packet> scatter_stage_;
-  std::vector<std::pair<int, Packet>> exchange_stage_;
+  /// The one collective staging buffer (this Comm is single-context, see
+  /// the file comment).
+  std::vector<Packet> io_;
 };
 
 }  // namespace hprs::vmpi

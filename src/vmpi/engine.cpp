@@ -45,19 +45,17 @@ bool env_thread_per_rank() {
   return !(v[0] == '0' && v[1] == '\0');
 }
 
-/// resize-without-deallocating: keeps each element's capacity so the
-/// recycled result buffers survive across runs.
-template <typename Vec>
-void resize_and_clear(Vec& v, std::size_t n) {
-  v.resize(n);
-  for (auto& e : v) e.clear();
-}
-
 /// Extra delay of each lost p2p attempt, on top of its wasted wire time
 /// (the MessageLoss model, vmpi/fault.hpp).
 constexpr double kLossRetryBackoffS = 5e-4;
 
 }  // namespace
+
+const char* to_string(CollectiveKind kind) {
+  static constexpr const char* kNames[] = {"none",   "barrier", "bcast",
+                                           "gather", "scatter", "exchange"};
+  return kNames[static_cast<std::size_t>(kind)];
+}
 
 // ---------------------------------------------------------------------------
 // RunReport
@@ -187,8 +185,6 @@ RunReport Engine::run(const std::function<void(Comm&)>& program) {
       world_ = world.get();
       groups_.emplace(0, std::move(world));
     }
-    resize_and_clear(gather_pool_, pu);
-    resize_and_clear(exchange_pool_, pu);
     rank_state_.assign(pu, RankState::kRunning);
     crash_time_.assign(pu, std::numeric_limits<double>::infinity());
     for (const auto& c : options_.fault_plan.crashes) {
@@ -335,17 +331,14 @@ void Engine::maybe_snapshot_group_locked(Group& group) {
 }
 
 obs::PvarSet Engine::group_pvars_locked(const Group& group) const {
-  static constexpr const char* kCollNames[] = {"none",    "barrier", "bcast",
-                                               "gather",  "scatter",
-                                               "exchange"};
   obs::PvarSet set;
   // Emit every collective kind unconditionally (zeros included) so each
   // scope's samples share one schema and the flat diff never sees a key
   // appear mid-run.
   for (std::size_t k = 1; k < 6; ++k) {
-    set.counter(std::string("collectives.") + kCollNames[k],
-                group.coll_count[k]);
-    set.counter(std::string("collective_wire_bytes.") + kCollNames[k],
+    const char* name = to_string(static_cast<CollectiveKind>(k));
+    set.counter(std::string("collectives.") + name, group.coll_count[k]);
+    set.counter(std::string("collective_wire_bytes.") + name,
                 group.coll_bytes[k]);
   }
   set.counter("p2p.messages", group.p2p_messages);
@@ -395,8 +388,6 @@ void Engine::publish_metrics(const RunReport& report) const {
   // virtual protocol and byte/flop counts, so it is golden-comparable.
   // Groups live until the next run() starts, so their counters sum to the
   // run's traffic totals.
-  static constexpr const char* kCollNames[] = {"none",    "barrier", "bcast",
-                                               "gather",  "scatter", "exchange"};
   std::uint64_t collectives[6] = {};
   std::uint64_t collective_bytes[6] = {};
   std::uint64_t p2p_messages = 0;
@@ -411,7 +402,7 @@ void Engine::publish_metrics(const RunReport& report) const {
   }
   for (std::size_t k = 1; k < 6; ++k) {
     if (collectives[k] == 0) continue;
-    const std::string name = kCollNames[k];
+    const std::string name = to_string(static_cast<CollectiveKind>(k));
     metrics.add("vmpi.collectives." + name, collectives[k]);
     metrics.add("vmpi.collective_wire_bytes." + name, collective_bytes[k]);
   }
@@ -684,8 +675,6 @@ void Engine::core_set_recovery(int rank, bool on) {
 }
 
 std::string Engine::describe_blocked_locked() const {
-  static constexpr const char* kCollNames[] = {"none",    "barrier", "bcast",
-                                               "gather",  "scatter", "exchange"};
   std::string out;
   const auto add = [&out](int rank, const std::string& what) {
     if (!out.empty()) out += "; ";
@@ -705,9 +694,8 @@ std::string Engine::describe_blocked_locked() const {
       case WaitInfo::What::kNone:
         break;
       case WaitInfo::What::kCollective:
-        add(rnk, std::string("in collective ") +
-                     kCollNames[static_cast<std::size_t>(w.coll)] + " (root " +
-                     peer + ")");
+        add(rnk, std::string("in collective ") + to_string(w.coll) +
+                     " (root " + peer + ")");
         break;
       case WaitInfo::What::kSend:
         add(rnk, "send to rank " + peer + " (tag " + tag + ")");
@@ -788,9 +776,9 @@ void Engine::wake_all_locked() {
 
 // --- collectives -----------------------------------------------------------
 
-std::unique_lock<std::mutex> Engine::begin_collective(Group& group, int rank,
-                                                      CollectiveKind kind,
-                                                      int root) {
+void Engine::core_collective(Group& group, int rank, CollectiveKind kind,
+                             int root, std::vector<Packet>& io,
+                             std::vector<int>* failed) {
   maybe_crash(group.world_rank(rank));
   std::unique_lock<std::mutex> lock(mutex_);
   check_poison_locked();
@@ -802,33 +790,20 @@ std::unique_lock<std::mutex> Engine::begin_collective(Group& group, int rank,
     check_poison_locked();
   }
   ++group.arrived;
-  return lock;
-}
-
-bool Engine::resolvable_locked(const Group& group) const {
-  int dead = 0;
-  if (crashed_count_ > 0) {
-    for (const int m : group.members) {
-      dead += rank_state_[static_cast<std::size_t>(m)] == RankState::kCrashed;
-    }
-  }
-  return group.arrived + dead == group.size();
-}
-
-void Engine::complete_collective(std::unique_lock<std::mutex>& lock,
-                                 Group& group, int rank,
-                                 std::vector<int>* failed) {
+  // The contribution goes into the (empty) in slot and io keeps the slot's
+  // buffer; the result comes back from the out slot the same way.
+  const auto r = static_cast<std::size_t>(rank);
+  group.in[r].swap(io);
   if (resolvable_locked(group)) {
     finish_collective_locked(group);
   } else {
     const std::uint64_t generation = group.generation;
-    // Lock held since begin_collective, so the group's coll_kind/coll_root
-    // still describe the collective this rank is parked in.
     park_locked(lock, group.world_rank(rank),
-                WaitInfo{WaitInfo::What::kCollective,
-                         group.world_rank(group.coll_root), 0, group.coll_kind},
+                WaitInfo{WaitInfo::What::kCollective, group.world_rank(root),
+                         0, kind},
                 [&] { return group.generation != generation; });
   }
+  io.swap(group.out[r]);
   // group.dead stays valid until this rank arrives at the group's next
   // collective: that one cannot resolve without it.
   if (failed != nullptr) {
@@ -844,6 +819,16 @@ void Engine::complete_collective(std::unique_lock<std::mutex>& lock,
         " resolved without it; only a Comm::tolerant() handle survives a "
         "member crash");
   }
+}
+
+bool Engine::resolvable_locked(const Group& group) const {
+  int dead = 0;
+  if (crashed_count_ > 0) {
+    for (const int m : group.members) {
+      dead += rank_state_[static_cast<std::size_t>(m)] == RankState::kCrashed;
+    }
+  }
+  return group.arrived + dead == group.size();
 }
 
 void Engine::poison_locked(const std::string& reason) {
@@ -899,7 +884,8 @@ void Engine::account_transfer_locked(int rank, double end, double active,
   s.bytes_received += bytes_in;
   if (options_.enable_trace) {
     auto& log = trace_[static_cast<std::size_t>(rank)];
-    if (elapsed > active) {
+    // A wait of a rounding error still counts, but spans no time.
+    if (elapsed > active && done - active > s.clock) {
       log.push_back(
           TraceEvent{rank, TraceKind::kIdle, s.clock, done - active, 0});
     }
@@ -938,7 +924,6 @@ void Engine::finish_collective_locked(Group& group) {
   }
   const int q = static_cast<int>(live.size());
   const int root = group.coll_root;
-  const auto ru = static_cast<std::size_t>(root);
   // The root's slot, or -1 when it died: then nothing fans out or in.
   const auto root_it = std::find(live.begin(), live.end(), root);
   const int rs = root_it == live.end()
@@ -947,18 +932,20 @@ void Engine::finish_collective_locked(Group& group) {
   const auto obs_kind = static_cast<std::size_t>(group.coll_kind);
   const std::uint64_t obs_bytes_before = obs_scheduled_bytes_;
   const auto gr = [&group](int local) { return group.world_rank(local); };
+  // Local rank r's contribution and result lists.
+  const auto in = [&group](int r) -> std::vector<Packet>& {
+    return group.in[static_cast<std::size_t>(r)];
+  };
+  const auto out = [&group](int r) -> std::vector<Packet>& {
+    return group.out[static_cast<std::size_t>(r)];
+  };
   // Local rank of the member `v` tree steps away from the root.
   const auto at = [&](int v) {
     return live[static_cast<std::size_t>((v + rs) % q)];
   };
-  // Empties the members' slots (a dead root's collective moves nothing).
-  const auto clear = [](std::vector<Packet>& slots,
-                        const std::vector<int>& members) {
-    for (const int r : members) slots[static_cast<std::size_t>(r)] = Packet{};
-  };
   // Each kind below only lists its transfers, in the order it sends
-  // them, and hands its payloads over; the loop after the switch times
-  // them all.
+  // them, and hands its payloads from `in` to `out`; the loop after the
+  // switch times them all.  A dead root's collective leaves `out` empty.
   auto& transfers = group.transfers;
   transfers.clear();
   const auto send = [&transfers](int src, int dst, std::size_t bytes) {
@@ -998,11 +985,9 @@ void Engine::finish_collective_locked(Group& group) {
     }
 
     case CollectiveKind::kBcast: {
-      if (rs < 0) {
-        clear(group.single_out, live);
-        break;
-      }
-      Packet& payload = group.inputs[ru];
+      if (rs < 0) break;
+      HPRS_ASSERT(in(root).size() == 1);
+      Packet& payload = in(root).front();
       const std::size_t bytes = payload.bytes;
       if (platform_.switched_fabric()) {
         // Binomial-tree broadcast (cluster message-passing layers).  In
@@ -1028,22 +1013,16 @@ void Engine::finish_collective_locked(Group& group) {
       if (q > 1) {
         const auto shared = payload.share();
         for (const auto& t : transfers) {
-          group.single_out[static_cast<std::size_t>(t.dst)] =
-              Packet::shared_view(shared, bytes);
+          out(t.dst).push_back(Packet::shared_view(shared, bytes));
         }
       }
-      group.single_out[ru] = std::move(payload);
+      out(root).push_back(std::move(payload));
       break;
     }
 
     case CollectiveKind::kGather: {
-      if (rs < 0) {
-        clear(group.inputs, live);
-        break;
-      }
-      const auto bytes_of = [&group](int r) {
-        return group.inputs[static_cast<std::size_t>(r)].bytes;
-      };
+      if (rs < 0) break;
+      const auto bytes_of = [&](int r) { return in(r).front().bytes; };
       if (platform_.switched_fabric()) {
         // Binomial-tree gather: in step k, every vrank whose low k bits are
         // zero and whose k-th bit is one forwards its accumulated buffer --
@@ -1061,22 +1040,18 @@ void Engine::finish_collective_locked(Group& group) {
           if (src != root) send(src, root, bytes_of(src));
         }
       }
-      auto& gathered = group.multi_out[ru];
-      gathered.resize(static_cast<std::size_t>(p));
-      clear(gathered, group.dead);
-      for (const int src : live) {
-        gathered[static_cast<std::size_t>(src)] =
-            std::move(group.inputs[static_cast<std::size_t>(src)]);
+      // One packet per member in rank order; a dead member never arrived,
+      // so its slot is empty and so is its packet.
+      for (int r = 0; r < p; ++r) {
+        auto& mine = in(r);
+        out(root).push_back(mine.empty() ? Packet{} : std::move(mine.front()));
       }
       break;
     }
 
     case CollectiveKind::kScatter: {
-      if (rs < 0) {
-        clear(group.single_out, live);
-        break;
-      }
-      auto& parts = group.scatter_parts[ru];
+      if (rs < 0) break;
+      auto& parts = in(root);
       HPRS_ASSERT(parts.size() == static_cast<std::size_t>(p));
       const auto bytes_of = [&parts](int r) {
         return parts[static_cast<std::size_t>(r)].bytes;
@@ -1098,28 +1073,25 @@ void Engine::finish_collective_locked(Group& group) {
         }
       }
       for (const int dst : live) {
-        group.single_out[static_cast<std::size_t>(dst)] =
-            std::move(parts[static_cast<std::size_t>(dst)]);
+        out(dst).push_back(std::move(parts[static_cast<std::size_t>(dst)]));
       }
       break;
     }
 
     case CollectiveKind::kExchange: {
-      // All pairwise transfers in (src, dst) order.  Destinations in the
-      // staged sends are local ranks; packets for dead members are
-      // dropped.
+      // Every send in (src, send) order, re-addressed from its destination
+      // to its source; packets for dead members are dropped.
       for (const int src : live) {
-        const auto su = static_cast<std::size_t>(src);
-        for (auto& [dst, packet] : group.exchange_in[su]) {
+        for (Packet& packet : in(src)) {
+          const int dst = packet.peer;
           HPRS_ASSERT(dst >= 0 && dst < p && dst != src);
           if (std::binary_search(group.dead.begin(), group.dead.end(), dst)) {
             continue;
           }
           send(src, dst, packet.bytes);
-          group.exchange_out[static_cast<std::size_t>(dst)].emplace_back(
-              src, std::move(packet));
+          packet.peer = src;
+          out(dst).push_back(std::move(packet));
         }
-        group.exchange_in[su].clear();
       }
       break;
     }
@@ -1141,6 +1113,7 @@ void Engine::finish_collective_locked(Group& group) {
     account_transfer_locked(src, end, active, t.bytes, 0);
     account_transfer_locked(dst, end, active, 0, t.bytes);
   }
+  for (const int r : live) in(r).clear();
 
   // Every survivor learns the same dead set one heartbeat after the last
   // death: the collective's failure notification (ULFM).
@@ -1162,80 +1135,6 @@ void Engine::finish_collective_locked(Group& group) {
   group.arrived = 0;
   ++group.generation;
   wake_all_locked();
-}
-
-void Engine::core_barrier(Group& group, int rank, std::vector<int>* failed) {
-  auto lock =
-      begin_collective(group, rank, CollectiveKind::kBarrier, group.root_local);
-  complete_collective(lock, group, rank, failed);
-}
-
-Packet Engine::core_bcast(Group& group, int rank, int root, Packet payload,
-                          std::vector<int>* failed) {
-  auto lock = begin_collective(group, rank, CollectiveKind::kBcast, root);
-  const auto r = static_cast<std::size_t>(rank);
-  if (rank == root) group.inputs[r] = std::move(payload);
-  complete_collective(lock, group, rank, failed);
-  return std::move(group.single_out[r]);
-}
-
-std::vector<Packet> Engine::core_gather(Group& group, int rank, int root,
-                                        Packet payload,
-                                        std::vector<int>* failed) {
-  auto lock = begin_collective(group, rank, CollectiveKind::kGather, root);
-  const auto r = static_cast<std::size_t>(rank);
-  const auto w = static_cast<std::size_t>(group.world_rank(rank));
-  // Adopt this rank's recycled result buffer so the coordinator's resize
-  // reuses capacity from a previous generation instead of allocating.  The
-  // pool is indexed by world rank (it is rank-confined host scratch, not
-  // communicator state).
-  auto& out_slot = group.multi_out[r];
-  out_slot.clear();
-  if (gather_pool_[w].capacity() > out_slot.capacity()) {
-    out_slot.swap(gather_pool_[w]);
-  }
-  group.inputs[r] = std::move(payload);
-  complete_collective(lock, group, rank, failed);
-  return std::move(group.multi_out[r]);
-}
-
-Packet Engine::core_scatter(Group& group, int rank, int root,
-                            std::vector<Packet>& parts,
-                            std::vector<int>* failed) {
-  auto lock = begin_collective(group, rank, CollectiveKind::kScatter, root);
-  const auto r = static_cast<std::size_t>(rank);
-  if (rank == root) {
-    // Move element contents into the (capacity-retaining) staging slot;
-    // the caller keeps its vector's capacity for the next scatter.
-    auto& staged = group.scatter_parts[r];
-    staged.resize(parts.size());
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      staged[i] = std::move(parts[i]);
-    }
-  }
-  complete_collective(lock, group, rank, failed);
-  return std::move(group.single_out[r]);
-}
-
-std::vector<std::pair<int, Packet>> Engine::core_exchange(
-    Group& group, int rank, std::vector<std::pair<int, Packet>>& sends,
-    std::vector<int>* failed) {
-  auto lock =
-      begin_collective(group, rank, CollectiveKind::kExchange, group.root_local);
-  const auto r = static_cast<std::size_t>(rank);
-  const auto w = static_cast<std::size_t>(group.world_rank(rank));
-  auto& in_slot = group.exchange_in[r];
-  in_slot.resize(sends.size());
-  for (std::size_t i = 0; i < sends.size(); ++i) {
-    in_slot[i] = std::move(sends[i]);
-  }
-  auto& out_slot = group.exchange_out[r];
-  out_slot.clear();
-  if (exchange_pool_[w].capacity() > out_slot.capacity()) {
-    out_slot.swap(exchange_pool_[w]);
-  }
-  complete_collective(lock, group, rank, failed);
-  return std::move(group.exchange_out[r]);
 }
 
 Group& Engine::ensure_group(std::uint64_t id, const std::vector<int>& members,
@@ -1296,23 +1195,6 @@ void Engine::core_sleep_until(int rank, double deadline) {
 RankStats Engine::core_stats(int rank) const {
   // Rank-confined like core_now: a rank only snapshots its own stats.
   return stats_[static_cast<std::size_t>(rank)];
-}
-
-// --- scratch recycling ------------------------------------------------------
-// The pool slots are rank-confined (slot r is only touched from rank r's
-// execution context), so these run without the engine lock.
-
-void Engine::core_recycle_gather(int rank, std::vector<Packet> buffer) {
-  buffer.clear();
-  auto& slot = gather_pool_[static_cast<std::size_t>(rank)];
-  if (buffer.capacity() > slot.capacity()) slot = std::move(buffer);
-}
-
-void Engine::core_recycle_exchange(
-    int rank, std::vector<std::pair<int, Packet>> buffer) {
-  buffer.clear();
-  auto& slot = exchange_pool_[static_cast<std::size_t>(rank)];
-  if (buffer.capacity() > slot.capacity()) slot = std::move(buffer);
 }
 
 // --- point-to-point ---------------------------------------------------------

@@ -25,10 +25,13 @@
 //    for differential testing and selectable at runtime with the
 //    HPRS_THREAD_PER_RANK environment variable.
 //
-// Each operation has one implementation: collectives take their
-// dead-member rule as the `failed` argument, point-to-point its dead-peer
-// rule as `tolerant` (DESIGN.md §9), and every operation crosses one
-// fail-stop check and blocks through one wait helper.
+// Each operation has one implementation.  Every collective enters through
+// core_collective: the caller hands its contribution over in one packet
+// list and takes its result back in the same list, which the engine swaps
+// with the group's per-member slots instead of copying.  Collectives take
+// their dead-member rule as the `failed` argument, point-to-point its
+// dead-peer rule as `tolerant` (DESIGN.md §9), and every operation crosses
+// one fail-stop check and blocks through one wait helper.
 //
 // Determinism: collective cost models run once -- executed by the
 // last-arriving rank under the engine lock.  Each collective kind only
@@ -85,6 +88,9 @@ enum class CollectiveKind : std::uint8_t {
   kExchange,
 };
 
+/// The kind's name in pvars, metrics and deadlock diagnostics.
+[[nodiscard]] const char* to_string(CollectiveKind kind);
+
 /// One communicator's identity and collective-rendezvous state.
 ///
 /// A Group maps the communicator's local ranks onto engine (world) ranks
@@ -110,12 +116,8 @@ struct Group {
         members(std::move(members_)),
         root_local(root_local_),
         platform(std::move(platform_)),
-        inputs(members.size()),
-        scatter_parts(members.size()),
-        exchange_in(members.size()),
-        single_out(members.size()),
-        multi_out(members.size()),
-        exchange_out(members.size()) {}
+        in(members.size()),
+        out(members.size()) {}
 
   std::uint64_t id = 0;
   /// Local rank -> world rank, in local-rank order.
@@ -139,12 +141,12 @@ struct Group {
   int coll_root = -1;  ///< local rank
   int arrived = 0;
   std::uint64_t generation = 0;
-  std::vector<Packet> inputs;
-  std::vector<std::vector<Packet>> scatter_parts;
-  std::vector<std::vector<std::pair<int, Packet>>> exchange_in;
-  std::vector<Packet> single_out;
-  std::vector<std::vector<Packet>> multi_out;
-  std::vector<std::vector<std::pair<int, Packet>>> exchange_out;
+  /// Per member, by local rank: its contribution to the pending collective
+  /// and its result.  core_collective swaps the caller's list with these
+  /// slots, so buffers circulate between a member's Comm and its slots and
+  /// a warm collective allocates nothing.  Both are empty outside one.
+  std::vector<std::vector<Packet>> in;
+  std::vector<std::vector<Packet>> out;
   /// Local ranks found dead when the last collective resolved (ascending);
   /// read by each survivor before it can reach the next collective.
   std::vector<int> dead;
@@ -265,32 +267,26 @@ class Engine {
   /// Snapshot of `rank`'s own stats (rank-confined, safe without the
   /// engine lock from the rank's execution context).
   [[nodiscard]] RankStats core_stats(int rank) const;
-  // Collectives take the communicator's Group and the caller's *local*
-  // rank; roots and exchange destinations are local too.  The group maps
-  // them onto world ranks for transfer scheduling and accounting.  Each
-  // resolves once every member has arrived or died; `failed` then receives
-  // the dead members (local, ascending), or, when null, a nonempty dead
-  // set throws hprs::Error naming the crash.  Dead members contribute and
-  // receive nothing (empty packets).
-  void core_barrier(Group& group, int rank, std::vector<int>* failed);
-  Packet core_bcast(Group& group, int rank, int root, Packet payload,
-                    std::vector<int>* failed);
-  std::vector<Packet> core_gather(Group& group, int rank, int root,
-                                  Packet payload, std::vector<int>* failed);
-  /// Scatter: the root fills `parts` (one per member); the engine moves the
-  /// elements out and leaves the vector's capacity with the caller for
-  /// reuse.
-  Packet core_scatter(Group& group, int rank, int root,
-                      std::vector<Packet>& parts, std::vector<int>* failed);
-  /// Deterministic generalized all-to-all: every member contributes a list
-  /// of (destination, packet) sends; the coordinator schedules all
-  /// transfers in (src, dst) order and each member receives its incoming
-  /// packets tagged with their source rank.  Used for halo exchanges.
-  /// Element contents are moved out of `sends`; its capacity stays with the
-  /// caller.
-  std::vector<std::pair<int, Packet>> core_exchange(
-      Group& group, int rank, std::vector<std::pair<int, Packet>>& sends,
-      std::vector<int>* failed);
+  /// The one collective entry point.  `rank`, `root` and exchange peers
+  /// are local to `group`, which maps them onto world ranks for transfer
+  /// scheduling and accounting.  The caller's contribution goes in through
+  /// `io` and its result comes back in the same vector:
+  ///   barrier   nothing -> nothing;
+  ///   bcast     the root's {payload} -> {payload} on every member;
+  ///   gather    {payload} -> at the root, one packet per member in rank
+  ///             order; nothing elsewhere;
+  ///   scatter   at the root, one part per member -> {its part};
+  ///   exchange  sends with peer = destination -> deliveries with
+  ///             peer = source, in (source, send) order.
+  /// `io` is swapped with the group's slots, never copied.  The collective
+  /// resolves once every member has arrived or died; `failed` then receives
+  /// the dead members (local, ascending), or, when null, a nonempty dead
+  /// set throws hprs::Error naming the crash.  Dead members contribute and
+  /// receive nothing: a dead member's gather packet is empty, packets
+  /// addressed to it are dropped, and a dead root's collective hands every
+  /// survivor an empty list.
+  void core_collective(Group& group, int rank, CollectiveKind kind, int root,
+                       std::vector<Packet>& io, std::vector<int>* failed);
   /// Idempotent registration of a sub-communicator: returns the existing
   /// group when `id` is already known (validating that `members` match) or
   /// creates it with a platform restricted to `members`, rooted at local
@@ -331,28 +327,16 @@ class Engine {
   void core_set_recovery(int rank, bool on);
   [[nodiscard]] double core_now(int rank) const;
 
-  // --- scratch recycling (rank-confined; see the pool comments below) ---
-  void core_recycle_gather(int rank, std::vector<Packet> buffer);
-  void core_recycle_exchange(int rank,
-                             std::vector<std::pair<int, Packet>> buffer);
-
-  // --- collective machinery ---
-  /// Crosses `rank`'s fail-stop boundary, takes the engine lock and
-  /// registers the arrival; the remaining helpers run with mutex_ held.
-  [[nodiscard]] std::unique_lock<std::mutex> begin_collective(
-      Group& group, int rank, CollectiveKind kind, int root);
+  // --- collective machinery (mutex_ held) ---
   /// True once every member of `group` has arrived or died.
   [[nodiscard]] bool resolvable_locked(const Group& group) const;
   /// Runs the pending collective's cost model over the arrived members:
   /// the kind lists its transfers in send order and hands its payloads
-  /// over, then one loop times every transfer.  Records the dead members in
-  /// group.dead and charges every survivor one detection heartbeat when any
-  /// member died.
+  /// from the `in` slots to the `out` slots, then one loop times every
+  /// transfer and the arrived members' `in` slots are cleared.  Records
+  /// the dead members in group.dead and charges every survivor one
+  /// detection heartbeat when any member died.
   void finish_collective_locked(Group& group);
-  /// Resolves the pending collective when `rank` arrived last, else parks
-  /// until it resolves; then hands the dead set to `failed` (or throws).
-  void complete_collective(std::unique_lock<std::mutex>& lock, Group& group,
-                           int rank, std::vector<int>* failed);
 
   // --- host-side blocking layer (two implementations, one protocol) ---
   /// Blocks `rank` until woken or the deadline expires; returns true on
@@ -510,18 +494,9 @@ class Engine {
   // Communicator groups, keyed by content-derived id.  Group 0 is the
   // world communicator, created at the top of run(); sub-communicators are
   // registered through ensure_group and live until the run ends.  Each
-  // group carries its own collective-rendezvous state (the out/in vectors
-  // persist across generations -- only elements are moved through them --
-  // so a long run's collectives stop allocating once warm).
+  // group carries its own collective-rendezvous state.
   std::map<std::uint64_t, std::unique_ptr<Group>> groups_;
   Group* world_ = nullptr;
-
-  // Recycled gather-result / exchange-result buffers.  Slot r is only ever
-  // touched by rank r (its Comm returns a drained vector here; its next
-  // core_gather/core_exchange adopts the capacity), so the slots are
-  // rank-confined and need no locking of their own.
-  std::vector<std::vector<Packet>> gather_pool_;
-  std::vector<std::vector<std::pair<int, Packet>>> exchange_pool_;
 
   // Point-to-point mailboxes keyed by (src, dst, tag).  std::list gives the
   // sender a stable element to block on while the receiver matches it.  The

@@ -35,9 +35,13 @@ struct Packet {
   std::any value;                          ///< exclusive (move-out) payload
   std::shared_ptr<const std::any> shared;  ///< shared-immutable payload
   std::size_t bytes = 0;
+  /// Exchange only: the destination of a send, or the source of a
+  /// delivery, as a local rank.
+  int peer = -1;
 
   Packet() = default;
-  Packet(std::any v, std::size_t b) : value(std::move(v)), bytes(b) {}
+  Packet(std::any v, std::size_t b, int peer_rank = -1)
+      : value(std::move(v)), bytes(b), peer(peer_rank) {}
 
   /// A fan-out reference to an already-promoted payload: O(1), no copy.
   [[nodiscard]] static Packet shared_view(std::shared_ptr<const std::any> s,

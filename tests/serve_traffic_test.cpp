@@ -280,6 +280,27 @@ TEST(ServeTrafficTest, TenantMixRespectsWeightsAndSceneKeys) {
   }
 }
 
+TEST(ServeTrafficTest, RequestsAreStampedFromTheTenantSpec) {
+  TraceConfig config;
+  config.jobs = 6;
+  TenantProfile tenant;
+  tenant.algorithm = core::Algorithm::kPct;
+  tenant.classes = 3;
+  config.tenants = {tenant};
+  for (const sched::JobSpec& spec : generate_trace(config)) {
+    EXPECT_EQ(static_cast<const core::AlgorithmSpec&>(spec),
+              static_cast<const core::AlgorithmSpec&>(tenant));
+  }
+  // A tenant listing algorithms cycles through them instead.
+  config.tenants[0].algorithms = {core::Algorithm::kMorph,
+                                  core::Algorithm::kPpi};
+  const auto trace = generate_trace(config);
+  for (std::size_t k = 0; k < trace.size(); ++k) {
+    EXPECT_EQ(trace[k].algorithm, k % 2 == 0 ? core::Algorithm::kMorph
+                                             : core::Algorithm::kPpi);
+  }
+}
+
 TEST(ServeTrafficTest, BatchKeyExcludesPlacementFields) {
   sched::JobSpec a;
   a.algorithm = core::Algorithm::kPct;

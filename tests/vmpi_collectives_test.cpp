@@ -1,7 +1,8 @@
 // Hand-verified timing of the collective cost models: linear (network of
 // workstations) and binomial-tree (switched cluster fabric) schedules, NIC
 // serialization, inter-segment serial links, and the exchange collective;
-// and the charging rule every transfer obeys (compute + wait <= clock).
+// and the charging rule every transfer obeys (compute + wait <= clock, and
+// no idle span of zero width).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -375,6 +376,7 @@ TEST(ChargingRuleTest, ComputePlusWaitNeverExceedsTheClock) {
        {ExecMode::kBoundedExecutor, ExecMode::kThreadPerRank}) {
     Options options;
     options.exec_mode = mode;
+    options.enable_trace = true;
     for (const auto& [platform_name, platform] : platforms) {
       Engine engine(platform, options);
       for (int k = 0; k < 6; ++k) {
@@ -393,6 +395,14 @@ TEST(ChargingRuleTest, ComputePlusWaitNeverExceedsTheClock) {
                       s.clock * (1.0 + 1e-12))
                 << "rank " << r << ": wait " << s.wait << " s on a "
                 << s.clock << " s clock";
+          }
+          // A wait of a rounding error is charged but logs no idle span:
+          // every idle span has width.
+          for (const TraceEvent& e : report.trace) {
+            if (e.kind == TraceKind::kIdle) {
+              EXPECT_GT(e.end, e.begin) << "rank " << e.rank << " at "
+                                        << e.begin;
+            }
           }
         }
       }

@@ -21,6 +21,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -381,8 +382,10 @@ TEST(VmpiFaultTest, FailureAwareCollectivesAgreeOnTheDeadSet) {
 }
 
 TEST(VmpiFaultTest, CollectivesOfADeadRootDeliverNothing) {
-  // The root dies before a bcast and a gather: the survivors still resolve
-  // both, learn the root is dead, get nothing from it, and cannot shrink.
+  // The root dies before a bcast (shared and plain), a gather and a
+  // scatter: the survivors still resolve each, learn the root is dead, get
+  // nothing from it -- a value-initialized T, not their own argument --
+  // and cannot shrink.
   Options opts = fault_options(ExecMode::kBoundedExecutor);
   opts.root = 2;
   opts.fault_plan.crashes.push_back({2, 0.0});
@@ -393,14 +396,57 @@ TEST(VmpiFaultTest, CollectivesOfADeadRootDeliverNothing) {
     comm.compute(1000);
     EXPECT_EQ(comm.bcast_shared(comm.root(), std::uint64_t{7}, 8), nullptr);
     EXPECT_EQ(comm.failed(), (std::vector<int>{2}));
+    EXPECT_EQ(comm.bcast(comm.root(), std::uint64_t{7}, 8), std::uint64_t{0});
+    EXPECT_EQ(comm.failed(), (std::vector<int>{2}));
     EXPECT_TRUE(comm.gather(comm.root(), std::uint64_t{1}, 8).empty());
+    EXPECT_EQ(comm.failed(), (std::vector<int>{2}));
+    EXPECT_EQ(comm.scatter(comm.root(), std::vector<std::uint64_t>{}, {}),
+              std::uint64_t{0});
     EXPECT_EQ(comm.failed(), (std::vector<int>{2}));
     EXPECT_THROW((void)comm.shrink(), Error);
     checked[static_cast<std::size_t>(comm.rank())] = 1;
   });
   EXPECT_EQ(checked, (std::vector<int>{1, 1, 0, 1}));
   EXPECT_EQ(report.recovery.crashes, 1);
-  EXPECT_EQ(report.recovery.detections, 6);  // 3 survivors x 2 collectives
+  EXPECT_EQ(report.recovery.detections, 12);  // 3 survivors x 4 collectives
+  for (const auto& s : report.ranks) EXPECT_EQ(s.bytes_received, 0u);
+}
+
+TEST(VmpiFaultTest, ExchangeDropsADeadMembersTraffic) {
+  // Rank 3 of 5 dies before an all-to-all exchange.  Every survivor
+  // receives exactly the live senders' packets, tagged with their source,
+  // in source order; the packets addressed to rank 3 are dropped.
+  Options opts = fault_options(ExecMode::kBoundedExecutor);
+  opts.fault_plan.crashes.push_back({3, 0.0});
+  Engine engine(fault_platform(5), opts);
+  std::vector<std::vector<std::pair<int, int>>> received(5);
+  const RunReport report = engine.run([&](Comm& world) {
+    Comm comm = world.tolerant();
+    comm.compute(1000);
+    // Sent in descending destination order; delivered by source.
+    std::vector<std::tuple<int, int, std::size_t>> sends;
+    for (int dst = comm.size() - 1; dst >= 0; --dst) {
+      if (dst != comm.rank()) {
+        sends.emplace_back(dst, 10 * comm.rank() + dst, 8);
+      }
+    }
+    received[static_cast<std::size_t>(comm.rank())] =
+        comm.exchange(std::move(sends));
+    EXPECT_EQ(comm.failed(), (std::vector<int>{3}));
+  });
+  for (int r = 0; r < 5; ++r) {
+    std::vector<std::pair<int, int>> want;
+    for (int src = 0; src < 5 && r != 3; ++src) {
+      if (src != r && src != 3) want.emplace_back(src, 10 * src + r);
+    }
+    EXPECT_EQ(received[static_cast<std::size_t>(r)], want) << "rank " << r;
+  }
+  // Four live senders, three live destinations each, 8 bytes apiece.
+  std::uint64_t sent = 0;
+  for (const auto& s : report.ranks) sent += s.bytes_sent;
+  EXPECT_EQ(sent, 4u * 3u * 8u);
+  EXPECT_EQ(report.ranks[3].bytes_received, 0u);
+  EXPECT_EQ(report.recovery.detections, 4);
 }
 
 TEST(VmpiFaultTest, ParseCrashesRejectsMalformedEntriesByName) {

@@ -5,7 +5,8 @@
 //       [--host-rel-tol N] [--host-abs-tol N] [--timeline]
 //
 // Exit status: 0 when the summaries agree, 1 on any mismatch (every
-// mismatching key is printed), 2 on usage / unreadable or unparsable input.
+// mismatching key is printed), 2 on usage (a bad option included) or
+// unreadable or unparsable input.
 // This is the decision procedure of the CI bench-smoke job: goldens live in
 // bench/golden/, default-size artifacts in the root BENCH_*.json, and both
 // are regenerated with scripts/bench_smoke.sh --update.
@@ -50,9 +51,7 @@ bool load_summary(const std::string& path,
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const hprs::CliArgs args(argc, argv,
                            {"host-rel-tol", "host-abs-tol", "timeline"});
   if (args.positional().size() != 2) {
@@ -104,4 +103,10 @@ int main(int argc, char** argv) {
                  m.golden.c_str(), m.actual.c_str(), m.reason.c_str());
   }
   return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::run_main(argc, argv, run, 2);
 }

@@ -166,9 +166,7 @@ void render(const obs::SnapshotTimeline& timeline) {
   render_rates(timeline);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv,
                      {"replay", "out", "csv", "interval", "jobs", "gap",
                       "policy", "network", "cpus", "accels", "rows", "cols",
@@ -215,21 +213,11 @@ int main(int argc, char** argv) {
     const auto scene = hsi::generate_wtc_scene(scene_cfg);
 
     sched::SchedulerConfig sched_cfg;
-    try {
-      sched_cfg.policy = sched::parse_policy(args.get("policy", "hetero"));
-    } catch (const Error& e) {
-      std::fprintf(stderr, "top_run: %s\n", e.what());
-      return 2;
-    }
+    sched_cfg.policy = sched::parse_policy(args.get("policy", "hetero"));
     vmpi::FaultPlan fault_plan;
     const std::string crash_spec = args.get("crash", "");
     if (!crash_spec.empty()) {
-      try {
-        fault_plan.crashes = vmpi::parse_crashes(crash_spec);
-      } catch (const Error& e) {
-        std::fprintf(stderr, "top_run: --crash: %s\n", e.what());
-        return 2;
-      }
+      fault_plan.crashes = vmpi::parse_crashes(crash_spec);
     }
     if (args.get_bool("resilient", false)) {
       sched_cfg.resilience.enabled = true;
@@ -242,13 +230,7 @@ int main(int argc, char** argv) {
     const auto jobs = static_cast<std::size_t>(args.get_int("jobs", 12));
     const std::string trace_name = args.get("trace", "");
     if (!trace_name.empty()) {
-      serve::TraceConfig trace_cfg;
-      try {
-        trace_cfg = serve::preset_trace(trace_name);
-      } catch (const Error& e) {
-        std::fprintf(stderr, "top_run: %s\n", e.what());
-        return 2;
-      }
+      serve::TraceConfig trace_cfg = serve::preset_trace(trace_name);
       trace_cfg.jobs = jobs;
       trace_cfg.duration_s = args.get_double("duration", 0.1);
       trace_cfg.seed =
@@ -317,4 +299,10 @@ int main(int argc, char** argv) {
     std::printf("timeline csv: %s\n", csv_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::run_main(argc, argv, run, 2);
 }

@@ -47,7 +47,9 @@
 
 using namespace hprs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv,
                      {"alg", "network", "cpus", "accels", "rows", "cols",
                       "bands", "seed", "replication", "targets", "classes",
@@ -55,13 +57,7 @@ int main(int argc, char** argv) {
                       "csv", "gantt", "sched", "jobs", "policy", "resilient",
                       "checkpoint", "crash"});
 
-  core::Algorithm alg = core::Algorithm::kAtdca;
-  try {
-    alg = core::parse_algorithm(args.get("alg", "ATDCA"));
-  } catch (const Error& e) {
-    std::fprintf(stderr, "trace_run: --alg: %s\n", e.what());
-    return 2;
-  }
+  const core::Algorithm alg = core::parse_algorithm(args.get("alg", "ATDCA"));
   simnet::Platform platform = simnet::fully_heterogeneous();
   if (!tools::make_platform(args.get("network", "fully-heterogeneous"),
                      static_cast<std::size_t>(args.get_int("cpus", 16)),
@@ -83,22 +79,12 @@ int main(int argc, char** argv) {
 
   if (args.get_bool("sched", false)) {
     sched::SchedulerConfig sched_cfg;
-    try {
-      sched_cfg.policy = sched::parse_policy(args.get("policy", "hetero"));
-    } catch (const Error& e) {
-      std::fprintf(stderr, "trace_run: %s\n", e.what());
-      return 2;
-    }
+    sched_cfg.policy = sched::parse_policy(args.get("policy", "hetero"));
     const bool resilient = args.get_bool("resilient", false);
     vmpi::FaultPlan fault_plan;
     const std::string crash_spec = args.get("crash", "");
     if (!crash_spec.empty()) {
-      try {
-        fault_plan.crashes = vmpi::parse_crashes(crash_spec);
-      } catch (const Error& e) {
-        std::fprintf(stderr, "trace_run: --crash: %s\n", e.what());
-        return 2;
-      }
+      fault_plan.crashes = vmpi::parse_crashes(crash_spec);
     }
     if (resilient) {
       sched_cfg.resilience.enabled = true;
@@ -261,4 +247,10 @@ int main(int argc, char** argv) {
     std::printf("%s", vmpi::render_gantt(out.report).c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hprs::run_main(argc, argv, run, 2);
 }

@@ -19,10 +19,8 @@
 // virtual time, so every cell is bit-identical across runs and executor
 // modes; the smoke-size --summary is gated as bench/golden/sched.json.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,6 +29,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/snapshot.hpp"
 #include "sched/scheduler.hpp"
+#include "serve/service.hpp"
 
 namespace {
 
@@ -62,22 +61,6 @@ std::vector<sched::JobSpec> make_stream(std::size_t jobs, int pool,
     stream.push_back(spec);
   }
   return stream;
-}
-
-/// Nearest-rank percentile of an unsorted sample (q in (0, 1]).
-double percentile(std::vector<double> xs, double q) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const auto rank = static_cast<std::size_t>(
-      std::max(1.0, std::ceil(q * static_cast<double>(xs.size()))));
-  return xs[rank - 1];
-}
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  f << text;
-  return f.good();
 }
 
 /// Counter-plane cell: one fully-heterogeneous hetero-policy run with the
@@ -219,9 +202,9 @@ int run(int argc, char** argv) {
       for (const auto& record : result.records) {
         if (record.completed()) waits.push_back(record.queue_wait_s());
       }
-      const double wait_p50_s = percentile(waits, 0.50);
-      const double wait_p90_s = percentile(waits, 0.90);
-      const double wait_max_s = percentile(waits, 1.00);
+      const double wait_p50_s = serve::percentile(waits, 0.50);
+      const double wait_p90_s = serve::percentile(waits, 0.90);
+      const double wait_max_s = serve::percentile(waits, 1.00);
       table.add_row({net.name(), sched::to_string(policy),
                      TextTable::num(result.makespan_s, 3),
                      TextTable::num(result.utilization, 3),

@@ -142,7 +142,7 @@ int run(int argc, char** argv) {
   // -- diurnal SLA cell: both executor modes, SLA plane bit-identical ----
   const auto diurnal = make_trace(serve::TrafficShape::kDiurnal, jobs,
                                   duration_s, std::min(pool, 6));
-  serve::ServiceConfig sla_config;
+  sched::SchedulerConfig sla_config;
   sla_config.batching = true;
   sla_config.quotas["adhoc"].max_inflight_ranks = 2 * std::min(pool, 6);
   sla_config.record_metrics = false;
@@ -171,9 +171,9 @@ int run(int argc, char** argv) {
   const std::size_t mix_jobs = std::max<std::size_t>(jobs / 2, 8);
   const auto mix = make_trace(serve::TrafficShape::kTenantMix, mix_jobs,
                               0.05 * duration_s, std::min(pool, 6));
-  serve::ServiceConfig mix_config;
+  sched::SchedulerConfig mix_config;
   mix_config.record_metrics = false;
-  serve::ServiceConfig batch_config = mix_config;
+  sched::SchedulerConfig batch_config = mix_config;
   batch_config.batching = true;
   const auto nobatch =
       serve::run_service(*net, setup.scene.cube, mix, mix_config);

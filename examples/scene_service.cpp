@@ -55,7 +55,7 @@ int run(int argc, char** argv) {
 
   // 3. Service policy: admission quotas for the ad-hoc tail, batching on
   //    by default so the survey tenant's shared question computes once.
-  serve::ServiceConfig config;
+  sched::SchedulerConfig config;
   config.policy = sched::parse_policy(args.get("policy", "hetero"));
   config.batching = args.get_bool("batch", true);
   config.quotas["adhoc"].max_inflight_ranks = 4;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 #include "common/error.hpp"
 
@@ -71,6 +72,13 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   throw Error("option --" + name + " expects a boolean, got '" + v + "'");
+}
+
+bool write_file(const std::string& path, const std::string& text) {
+  std::ofstream f(path, std::ios::binary);
+  if (!f) return false;
+  f << text;
+  return f.good();
 }
 
 int run_main(int argc, char** argv, int (*body)(int, char**),

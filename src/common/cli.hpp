@@ -1,5 +1,5 @@
 // Minimal command-line option parsing for examples, tools and bench
-// harnesses, and the one main wrapper they share.
+// harnesses, and the one main wrapper and output-file writer they share.
 //
 // Supports `--name value` and `--name=value` forms plus boolean flags.  Kept
 // deliberately tiny: the binaries in this repository take a handful of
@@ -41,6 +41,9 @@ class CliArgs {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// Writes `text` to `path` byte for byte; false on any I/O failure.
+[[nodiscard]] bool write_file(const std::string& path, const std::string& text);
 
 /// The body of every binary's main: runs `body` and turns an hprs::Error --
 /// a rejected option, or an input the program cannot run -- into its

@@ -1,52 +1,22 @@
 #include "obs/chrome_trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 #include <sstream>
 #include <string_view>
 
+#include "obs/json.hpp"
 #include "vmpi/trace.hpp"
 
 namespace hprs::obs {
 namespace {
-
-// Fixed-format double for JSON: enough digits to be lossless for the
-// microsecond timestamps we emit, locale-independent via snprintf.
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void meta(std::ostringstream& os, bool& first, int pid, int tid,
           std::string_view kind, std::string_view name) {
   if (!first) os << ",\n";
   first = false;
   os << R"(  {"ph":"M","pid":)" << pid << R"(,"tid":)" << tid << R"(,"name":")"
-     << kind << R"(","args":{"name":")" << escape(name) << R"("}})";
+     << kind << R"(","args":{"name":)" << json_string(name) << "}}";
 }
 
 std::string_view fault_name(vmpi::FaultEventKind kind) {
@@ -140,8 +110,8 @@ std::string chrome_trace_json(const vmpi::RunReport& report,
        << (stage ? kVirtualPid : group_pid(ev.rank, ev.begin))
        << R"(,"tid":)" << (stage ? ev.rank + kStageLaneOffset : ev.rank)
        << R"(,"name":")" << vmpi::to_string(ev.kind) << R"(","cat":"virtual")"
-       << R"(,"ts":)" << fmt(ev.begin * 1e6) << R"(,"dur":)"
-       << fmt((ev.end - ev.begin) * 1e6) << R"(,"args":{"amount":)"
+       << R"(,"ts":)" << json_number(ev.begin * 1e6) << R"(,"dur":)"
+       << json_number((ev.end - ev.begin) * 1e6) << R"(,"args":{"amount":)"
        << ev.amount << "}}";
   }
 
@@ -154,8 +124,9 @@ std::string chrome_trace_json(const vmpi::RunReport& report,
     for (const TraceInstant& mark : grp.instants) {
       os << ",\n"
          << R"(  {"ph":"i","pid":)" << pid << R"(,"tid":)" << grp.members[0]
-         << R"(,"name":")" << escape(mark.label) << R"(","cat":"resilience")"
-         << R"(,"s":"t","ts":)" << fmt(mark.t_s * 1e6) << R"(,"args":{}})";
+         << R"(,"name":)" << json_string(mark.label)
+         << R"(,"cat":"resilience","s":"t","ts":)"
+         << json_number(mark.t_s * 1e6) << R"(,"args":{}})";
     }
   }
 
@@ -165,17 +136,17 @@ std::string chrome_trace_json(const vmpi::RunReport& report,
     os << ",\n"
        << R"(  {"ph":"i","pid":)" << kVirtualPid << R"(,"tid":)" << tid
        << R"(,"name":")" << fault_name(ev.kind) << R"(","cat":"fault")"
-       << R"(,"s":"t","ts":)" << fmt(ev.time_s * 1e6) << R"(,"args":{"peer":)"
-       << ev.peer << R"(,"attempt":)" << ev.attempt << "}}";
+       << R"(,"s":"t","ts":)" << json_number(ev.time_s * 1e6)
+       << R"(,"args":{"peer":)" << ev.peer << R"(,"attempt":)" << ev.attempt << "}}";
   }
 
   // -- Host timeline: the ScopedHostTimer sections, already host-µs.
   for (const HostSpan& s : host_spans) {
     os << ",\n"
        << R"(  {"ph":"X","pid":)" << kHostPid << R"(,"tid":)" << s.tid
-       << R"(,"name":")" << escape(s.name) << R"(","cat":"host","ts":)"
-       << fmt(s.begin_us) << R"(,"dur":)" << fmt(s.end_us - s.begin_us)
-       << ",\"args\":{}}";
+       << R"(,"name":)" << json_string(s.name) << R"(,"cat":"host","ts":)"
+       << json_number(s.begin_us) << R"(,"dur":)"
+       << json_number(s.end_us - s.begin_us) << ",\"args\":{}}";
   }
 
   os << "\n]}\n";

@@ -1,50 +1,18 @@
 #include "obs/run_summary.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace hprs::obs {
-namespace {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string number_token(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-}  // namespace
 
 void RunSummary::set_count(std::string_view key, std::uint64_t value) {
   entries_[std::string(key)] = std::to_string(value);
 }
 
 void RunSummary::set_number(std::string_view key, double value) {
-  entries_[std::string(key)] = number_token(value);
+  entries_[std::string(key)] = json_number(value);
 }
 
 void RunSummary::set_bool(std::string_view key, bool value) {
@@ -52,7 +20,7 @@ void RunSummary::set_bool(std::string_view key, bool value) {
 }
 
 void RunSummary::set_string(std::string_view key, std::string_view value) {
-  entries_[std::string(key)] = json_escape(value);
+  entries_[std::string(key)] = json_string(value);
 }
 
 std::string RunSummary::to_json() const {
@@ -62,7 +30,7 @@ std::string RunSummary::to_json() const {
   for (const auto& [key, token] : entries_) {  // std::map: sorted keys
     if (!first) os << ",\n";
     first = false;
-    os << "  " << json_escape(key) << ": " << token;
+    os << "  " << json_string(key) << ": " << token;
   }
   os << "\n}\n";
   return os.str();

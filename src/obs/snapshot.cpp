@@ -6,13 +6,13 @@
 #include <sstream>
 #include <tuple>
 
+#include "obs/json.hpp"
+
 namespace hprs::obs {
 namespace {
 
 std::string number_token(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  std::string token = buf;
+  std::string token = json_number(value);
   // Force a decimal marker so a re-parse can tell a level ("3.0") from a
   // counter ("3") by the token shape alone.
   if (token.find_first_of(".eE") == std::string::npos &&

@@ -41,13 +41,13 @@ struct JobSpec : core::AlgorithmSpec {
   const hsi::HsiCube* scene = nullptr;
 
   /// Submitting tenant (serve layer); empty for untenanted jobs.  The
-  /// dispatcher files per-tenant pvar samples under "tenant:<name>" scopes
-  /// and enforces SchedulerConfig::tenant_rank_caps against it.
+  /// dispatcher files per-tenant pvar samples under "tenant:<name>" scopes,
+  /// and run_schedule applies the tenant's SchedulerConfig::quotas entry.
   std::string tenant;
   /// Shared-work key (serve/batcher.hpp): two specs with the same nonzero
   /// key *and* compute-equivalent parameters (compute_equivalent) may be
-  /// served by one gang under SchedulerConfig::batch_shared_keys.  Zero
-  /// (the default) never batches.
+  /// served by one gang under SchedulerConfig::batching.  Zero (the
+  /// default) never batches.
   std::uint64_t batch_key = 0;
 };
 
@@ -60,7 +60,7 @@ struct JobSpec : core::AlgorithmSpec {
 [[nodiscard]] bool compute_equivalent(const JobSpec& a, const JobSpec& b);
 
 /// Terminal disposition of a job.  Every job ends kCompleted, kRejected
-/// (memory admission or a tenant rank cap), kFailed (its attempts ended
+/// (a tenant quota or memory admission), kFailed (its attempts ended
 /// without a result and nothing was saved: a leader crash or a gang error,
 /// retried first under SchedulerConfig::resilience) or, under resilience,
 /// kDegraded (retries exhausted but checkpointed progress exists) instead
@@ -121,8 +121,8 @@ struct JobRecord {
   /// Summed busy time (compute + active transfer) of the members between
   /// job start and the completion barrier.
   double busy_s = 0.0;
-  /// Memory-bound admission verdict: rejected jobs never dispatch and
-  /// carry the sched::AdmissionError message in `error`.
+  /// Admission verdict: rejected jobs never dispatch and carry the named
+  /// reason in `error` (a "quota:..." reason or the AdmissionError).
   bool rejected = false;
   std::string error;
   /// Terminal disposition (kPending only while the schedule is running).

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <deque>
 #include <limits>
 #include <map>
 #include <optional>
@@ -82,7 +84,7 @@ constexpr std::uint64_t kRetryBackoffSeed = 0x5eedf00dULL;
 /// sampled series are bit-identical across runs and exec modes.
 struct TenantLive {
   /// Summed requested gang widths of admitted, not-yet-finished jobs --
-  /// the quantity SchedulerConfig::tenant_rank_caps bounds.
+  /// the quantity TenantQuota::max_inflight_ranks bounds.
   int inflight_ranks = 0;
   std::size_t ready = 0;    ///< jobs waiting in the ready queue
   std::size_t running = 0;  ///< gangs holding ranks
@@ -387,7 +389,7 @@ void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
                         " the job");
       return;
     }
-    if (config.batch_shared_keys && spec.batch_key != 0) {
+    if (config.batching && spec.batch_key != 0) {
       RunningJob* host = nullptr;
       for (RunningJob& run : running) {
         if (run.batch_key == spec.batch_key &&
@@ -403,7 +405,7 @@ void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
     }
     PendingJob pending{spec.id, idx, spec.arrival_s, records[idx].est_seconds,
                        std::min(spec.ranks, static_cast<int>(pool.size()))};
-    pending.batch_key = config.batch_shared_keys ? spec.batch_key : 0;
+    pending.batch_key = config.batching ? spec.batch_key : 0;
     pending.backoff_s = backoff_s;
     ready.push(pending);
     if (TenantLive* live = live_of(spec)) ++live->ready;
@@ -420,14 +422,15 @@ void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
       const std::size_t idx = arrivals[next_arrival++];
       const JobSpec& spec = stream[idx];
       if (TenantLive* live = live_of(spec)) {
-        const auto cap = config.tenant_rank_caps.find(spec.tenant);
-        if (cap != config.tenant_rank_caps.end() && cap->second > 0 &&
-            live->inflight_ranks + spec.ranks > cap->second) {
+        const auto quota = config.quotas.find(spec.tenant);
+        const int cap =
+            quota == config.quotas.end() ? 0 : quota->second.max_inflight_ranks;
+        if (cap > 0 && live->inflight_ranks + spec.ranks > cap) {
           JobRecord& record = records[idx];
           record.rejected = true;
           record.state = JobState::kRejected;
           record.error = "quota:inflight_ranks tenant '" + spec.tenant +
-                         "' cap " + std::to_string(cap->second) +
+                         "' cap " + std::to_string(cap) +
                          " in flight " +
                          std::to_string(live->inflight_ranks) +
                          " requested " + std::to_string(spec.ranks);
@@ -499,7 +502,7 @@ void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
       run.index = idx;
       run.est_finish_s = now + record.est_seconds;
       run.members = members;
-      run.batch_key = config.batch_shared_keys ? spec.batch_key : 0;
+      run.batch_key = config.batching ? spec.batch_key : 0;
       // Compute-once batching, dispatch side: every queued
       // compute-equivalent request with the same key skips its own
       // dispatch and takes this gang's result.
@@ -710,6 +713,49 @@ void dispatcher_loop(vmpi::Comm& comm, const std::vector<JobSpec>& stream,
 
 }  // namespace
 
+std::vector<JobSpec> apply_rate_limits(const std::vector<JobSpec>& stream,
+                                       const TenantQuotas& quotas,
+                                       std::vector<RateRejection>& rejected) {
+  rejected.clear();
+  std::vector<JobSpec> admitted;
+  admitted.reserve(stream.size());
+  // Per-tenant arrival times of previously ADMITTED requests still inside
+  // the sliding window (rejected requests do not consume budget, matching
+  // a token-bucket refused call).
+  std::map<std::string, std::deque<double>> windows;
+  double last_arrival = -1.0;
+  for (std::size_t pos = 0; pos < stream.size(); ++pos) {
+    const JobSpec& spec = stream[pos];
+    HPRS_REQUIRE(spec.arrival_s >= last_arrival,
+                 "apply_rate_limits: stream is not arrival-sorted at "
+                 "position " +
+                     std::to_string(pos));
+    last_arrival = spec.arrival_s;
+    const auto quota = quotas.find(spec.tenant);
+    if (quota == quotas.end() || quota->second.rate_limit == 0) {
+      admitted.push_back(spec);
+      continue;
+    }
+    const std::size_t limit = quota->second.rate_limit;
+    const double window_s = quota->second.rate_window_s;
+    std::deque<double>& window = windows[spec.tenant];
+    while (!window.empty() && window.front() <= spec.arrival_s - window_s) {
+      window.pop_front();
+    }
+    if (window.size() >= limit) {
+      char reason[160];
+      std::snprintf(reason, sizeof(reason),
+                    "quota:rate_limit tenant '%s' limit %zu per %gs",
+                    spec.tenant.c_str(), limit, window_s);
+      rejected.push_back(RateRejection{pos, reason});
+      continue;
+    }
+    window.push_back(spec.arrival_s);
+    admitted.push_back(spec);
+  }
+  return admitted;
+}
+
 std::size_t ScheduleResult::completed() const {
   std::size_t n = 0;
   for (const JobRecord& r : records) n += r.completed() ? 1 : 0;
@@ -769,10 +815,21 @@ ScheduleResult run_schedule(const simnet::Platform& platform,
   result.records.resize(stream.size());
   result.outputs.resize(stream.size());
 
-  // Memory-bound admission plus the canonical (full-pool placement)
-  // estimate SJF orders the ready queue by.  Both are host-side and purely
+  // The admission pre-pass, in stream order: the tenant rate limits first
+  // (only when a quota sets one, since they need an arrival-sorted
+  // stream), then memory-bound admission plus the canonical (full-pool
+  // placement) estimate SJF orders the ready queue by for every request
+  // the limiter let through.  All of it is host-side and purely
   // arithmetic, so the engine program below is already fixed before it
   // starts -- part of the determinism argument (DESIGN.md section 11).
+  std::vector<RateRejection> rate_rejected;
+  const auto rate_limited = [](const auto& quota) {
+    return quota.second.rate_limit > 0;
+  };
+  if (std::any_of(config.quotas.begin(), config.quotas.end(), rate_limited)) {
+    (void)apply_rate_limits(stream, config.quotas, rate_rejected);
+  }
+  auto next_rate_rejected = rate_rejected.begin();
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const JobSpec& spec = stream[i];
     const hsi::HsiCube& job_scene = spec.scene != nullptr ? *spec.scene : scene;
@@ -781,6 +838,14 @@ ScheduleResult run_schedule(const simnet::Platform& platform,
     record.algorithm = spec.algorithm;
     record.arrival_s = spec.arrival_s;
     record.tenant = spec.tenant;
+    if (next_rate_rejected != rate_rejected.end() &&
+        next_rate_rejected->pos == i) {
+      record.rejected = true;
+      record.error = std::move(next_rate_rejected->reason);
+      record.state = JobState::kRejected;
+      ++next_rate_rejected;
+      continue;
+    }
     try {
       check_admission(platform, pool, spec, job_scene);
       std::vector<int> canonical =
@@ -816,7 +881,7 @@ ScheduleResult run_schedule(const simnet::Platform& platform,
   // Fan batched results out: a rider's output is its leader's, bit for bit
   // (compute_equivalent guarantees the leader's run equals a solo run of
   // the rider's own spec on the same gang).
-  if (config.batch_shared_keys) {
+  if (config.batching) {
     std::map<std::uint64_t, std::size_t> index_of;
     for (std::size_t i = 0; i < stream.size(); ++i) {
       index_of[stream[i].id] = i;
@@ -843,7 +908,7 @@ ScheduleResult run_schedule(const simnet::Platform& platform,
     metrics.add("sched.jobs.rejected", result.rejected());
     // Batching counters only exist when the feature is on, so plain runs
     // publish exactly the historic metric set.
-    if (config.batch_shared_keys) {
+    if (config.batching) {
       std::size_t riders = 0;
       for (const JobRecord& record : result.records) {
         riders += record.batched_into != 0 ? 1 : 0;

@@ -1,23 +1,28 @@
 // Deterministic virtual-time multi-job scheduler over one shared engine.
 //
-// run_schedule starts one vmpi engine over the whole platform and runs an
-// SPMD control program on it: the engine's root rank becomes the
+// run_schedule is the one admission gate and the one dispatcher.  Before
+// the engine starts it runs the host-side admission pre-pass: the tenant
+// rate limits (apply_rate_limits, in stream order), then memory-bound
+// admission and the canonical estimate for every request the limiter let
+// through.  It then starts one vmpi engine over the whole platform and runs
+// an SPMD control program on it: the engine's root rank becomes the
 // *dispatcher* (it never computes); every other rank is a *worker*.  The
 // dispatcher paces the stream's virtual-time arrivals with sleep_until,
-// admits them (tenant rank caps, compute-once batching), picks the next
-// job and its rank subset with the pluggable policy (sched/policy.hpp),
-// and gang-dispatches the job by sending each member a command message;
-// the members build a sub-communicator with Comm::subset and run the job
-// on it.  One dispatcher loop serves one gang runtime: every gang runs the
-// job's ft::Program (core::make_program) as the paper's SPMD schedule under
-// core::ft::CollectiveDriver, and its leader reports one completion
-// (aligned finish time + summed busy time).  Under
+// admits them (tenant in-flight rank caps, compute-once batching), picks
+// the next job and its rank subset with the pluggable policy
+// (sched/policy.hpp), and gang-dispatches the job by sending each member a
+// command message; the members build a sub-communicator with Comm::subset
+// and run the job on it.  One dispatcher loop serves one gang runtime:
+// every gang runs the job's ft::Program (core::make_program) as the
+// paper's SPMD schedule under core::ft::CollectiveDriver, and its leader
+// reports one completion (aligned finish time + summed busy time).  Under
 // SchedulerConfig::resilience the driver is wrapped in a checkpointing
 // ResilientDriver, and failed or preempted attempts go through the same
 // loop's retry queue.  See DESIGN.md section 11 for the determinism
 // argument.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,6 +36,26 @@
 #include "vmpi/engine.hpp"
 
 namespace hprs::sched {
+
+/// One tenant's admission budget.  Zero / negative fields mean unlimited.
+/// Both quota families reject with a named reason, so clients (and tests)
+/// can tell them apart.
+struct TenantQuota {
+  /// Cap on the summed requested gang widths of the tenant's admitted,
+  /// not-yet-finished jobs (queued + running + riders).  A job arriving
+  /// over the cap is rejected at its arrival event with a
+  /// "quota:inflight_ranks ..." reason.  Retries keep their ranks in
+  /// flight; every terminal state releases them.
+  int max_inflight_ranks = 0;
+  /// Max requests admitted per sliding rate window; a request over the
+  /// window's budget is rejected with a "quota:rate_limit ..." reason.
+  std::size_t rate_limit = 0;
+  /// Width of the sliding rate window, virtual seconds.
+  double rate_window_s = 60.0;
+};
+
+/// Tenant name -> quota.  Tenants without an entry are unlimited.
+using TenantQuotas = std::map<std::string, TenantQuota>;
 
 struct SchedulerConfig {
   Policy policy = Policy::kHeteroBestFit;
@@ -55,16 +80,28 @@ struct SchedulerConfig {
   /// A failed or preempted attempt releases its riders, which re-enter
   /// like arrivals.  Off by default (streams with zero keys are unaffected
   /// either way).
-  bool batch_shared_keys = false;
-  /// Per-tenant admission cap on in-flight ranks: the summed requested
-  /// gang widths of a tenant's admitted, not-yet-finished jobs (queued +
-  /// running + riders) may not exceed its cap.  A job arriving over the
-  /// cap is rejected at its arrival event with a named
-  /// "quota:inflight_ranks ..." reason.  Tenants without an entry (and
-  /// entries <= 0) are unlimited.  Retries keep their ranks in flight;
-  /// every terminal state releases them.
-  std::map<std::string, int> tenant_rank_caps;
+  bool batching = false;
+  /// Per-tenant admission budgets, keyed by JobSpec::tenant.  With any
+  /// positive rate_limit the stream must be arrival-sorted.
+  TenantQuotas quotas;
 };
+
+/// One rate-limit rejection: the stream position that was refused and the
+/// named reason ("quota:rate_limit tenant '...' limit N per Ws").
+struct RateRejection {
+  std::size_t pos = 0;
+  std::string reason;
+};
+
+/// Sliding-window rate limiting over an arrival-sorted stream: for each
+/// tenant with a positive rate_limit, a request is admitted only while
+/// fewer than rate_limit of its previously *admitted* requests arrived
+/// within the last rate_window_s seconds.  Returns the admitted
+/// sub-stream in order; refused positions land in `rejected` (ascending).
+/// Pure function: same stream + quotas, same verdicts.
+[[nodiscard]] std::vector<JobSpec> apply_rate_limits(
+    const std::vector<JobSpec>& stream, const TenantQuotas& quotas,
+    std::vector<RateRejection>& rejected);
 
 /// Outcome of scheduling one job stream.
 struct ScheduleResult {
@@ -91,12 +128,15 @@ struct ScheduleResult {
 };
 
 /// Admits, places, and runs `stream` on `platform` under `config.policy`.
-/// Jobs that fail memory-bound admission or a tenant rank cap are marked
+/// Jobs refused by a tenant quota or by memory-bound admission are marked
 /// rejected (with the named reason) and never dispatch; every other job
 /// ends in exactly one terminal state -- completed, failed, or under
-/// resilience degraded.  Deterministic: identical streams produce
-/// bit-identical records, outputs, and stable metrics across runs and
-/// both executor modes.
+/// resilience degraded.  A request the rate limiter admits consumes its
+/// window budget even if memory admission then refuses it.  The stream may
+/// come in any order unless a quota sets a rate limit, which needs it
+/// arrival-sorted.  Deterministic: identical streams produce bit-identical
+/// records, outputs, and stable metrics across runs and both executor
+/// modes.
 [[nodiscard]] ScheduleResult run_schedule(const simnet::Platform& platform,
                                           const hsi::HsiCube& scene,
                                           const std::vector<JobSpec>& stream,

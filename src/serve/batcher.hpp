@@ -3,14 +3,14 @@
 // Concurrent requests that run the identical computation over the same
 // scene (same algorithm, same parameters, same scene/endmember-library
 // identity) waste the cluster re-deriving one result.  The batcher gives
-// such requests a shared nonzero batch key; under
-// SchedulerConfig::batch_shared_keys the dispatcher then attaches key
-// peers to the first request's gang as *riders* -- the gang computes once
-// and every rider receives a copy of the leader's output
-// (JobRecord::batched_into / batch_fanout).  Because a rider's output is
-// defined as the leader's, and the leader's run is an unmodified solo run,
-// batched outputs stay bit-identical to unbatched solo runs of the same
-// spec; per-request records keep the attribution (who computed, who rode).
+// such requests a shared nonzero batch key; under SchedulerConfig::batching
+// the dispatcher then attaches key peers to the first request's gang as
+// *riders* -- the gang computes once and every rider receives a copy of
+// the leader's output (JobRecord::batched_into / batch_fanout).  Because a
+// rider's output is defined as the leader's, and the leader's run is an
+// unmodified solo run, batched outputs stay bit-identical to unbatched solo
+// runs of the same spec; per-request records keep the attribution (who
+// computed, who rode).
 #pragma once
 
 #include <cstddef>

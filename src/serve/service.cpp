@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <map>
 #include <sstream>
+#include <utility>
 
-#include "common/error.hpp"
 #include "obs/metrics.hpp"
 
 namespace hprs::serve {
@@ -72,57 +72,14 @@ std::vector<TenantSla> tenant_slas(
 ServiceResult run_service(const simnet::Platform& platform,
                           const hsi::HsiCube& scene,
                           const std::vector<sched::JobSpec>& stream,
-                          const ServiceConfig& config, vmpi::Options options) {
-  // 1. Rate-limit admission (pure pre-pass over the arrival-sorted stream).
-  std::vector<RateRejection> rate_rejected;
-  const std::vector<sched::JobSpec> admitted =
-      apply_rate_limits(stream, config.quotas, rate_rejected);
-
-  // 2. Schedule the admitted sub-stream with batching and in-flight caps
-  //    wired through to the dispatcher.
-  sched::SchedulerConfig sched_config;
-  sched_config.policy = config.policy;
-  sched_config.record_metrics = config.record_metrics;
-  sched_config.batch_shared_keys = config.batching;
-  sched_config.tenant_rank_caps = inflight_rank_caps(config.quotas);
-  sched::ScheduleResult scheduled =
-      sched::run_schedule(platform, scene, admitted, sched_config, options);
-
-  // 3. Merge back to full stream order: scheduler records for admitted
-  //    requests, synthesized kRejected records for rate-refused ones.
+                          const sched::SchedulerConfig& config,
+                          vmpi::Options options) {
   ServiceResult result;
-  result.rate_rejected = rate_rejected.size();
-  result.schedule.policy = scheduled.policy;
-  result.schedule.report = std::move(scheduled.report);
-  result.schedule.makespan_s = scheduled.makespan_s;
-  result.schedule.utilization = scheduled.utilization;
-  result.schedule.lost_ranks = std::move(scheduled.lost_ranks);
-  result.schedule.records.resize(stream.size());
-  result.schedule.outputs.resize(stream.size());
-  std::size_t next_rejected = 0;
-  std::size_t next_admitted = 0;
-  for (std::size_t pos = 0; pos < stream.size(); ++pos) {
-    if (next_rejected < rate_rejected.size() &&
-        rate_rejected[next_rejected].pos == pos) {
-      sched::JobRecord& record = result.schedule.records[pos];
-      record.id = stream[pos].id;
-      record.algorithm = stream[pos].algorithm;
-      record.arrival_s = stream[pos].arrival_s;
-      record.tenant = stream[pos].tenant;
-      record.rejected = true;
-      record.error = rate_rejected[next_rejected].reason;
-      record.state = sched::JobState::kRejected;
-      ++next_rejected;
-      continue;
-    }
-    result.schedule.records[pos] = std::move(scheduled.records[next_admitted]);
-    result.schedule.outputs[pos] = std::move(scheduled.outputs[next_admitted]);
-    ++next_admitted;
+  result.schedule = sched::run_schedule(platform, scene, stream, config,
+                                        std::move(options));
+  for (const sched::JobRecord& record : result.schedule.records) {
+    if (record.error.rfind("quota:rate_limit", 0) == 0) ++result.rate_rejected;
   }
-  HPRS_ASSERT(next_admitted == admitted.size() &&
-              next_rejected == rate_rejected.size());
-
-  // 4. Service-level accounting.
   result.batches = summarize_batches(result.schedule.records);
   result.tenants = tenant_slas(result.schedule.records);
 

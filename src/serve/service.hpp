@@ -1,16 +1,17 @@
 // run_service: the scene service's end-to-end driver.
 //
-//   trace -> rate-limit admission -> batcher -> scheduler -> SLA reports
+//   trace -> sched::run_schedule (rate limits, memory admission, in-flight
+//            caps, batching, dispatch) -> batch stats + SLA reports
 //
-// One call takes an arrival-sorted request stream (usually from
-// serve/traffic.hpp), applies the sliding-window rate limits, hands the
-// admitted sub-stream to sched::run_schedule with batching and in-flight
-// rank caps wired through, then merges the scheduler's records back into
-// full stream order (rate-rejected requests get synthesized kRejected
-// records carrying their reasons) and derives per-tenant SLA statistics
-// (wait / makespan / slowdown percentiles).  Everything downstream of the
-// stream is a pure function of it, so reports are bit-identical across
-// runs and both executor modes.
+// One call hands a request stream (usually from serve/traffic.hpp) and a
+// sched::SchedulerConfig to sched::run_schedule, the one admission gate:
+// it applies both tenant quota families and returns one record / output
+// per request in stream order, refused requests carrying their named
+// reasons.  run_service then derives the batching statistics and the
+// per-tenant SLA statistics (wait / makespan / slowdown percentiles) and
+// publishes the serve.* metrics.  Everything downstream of the stream is
+// a pure function of it, so reports are bit-identical across runs and
+// both executor modes.
 #pragma once
 
 #include <string>
@@ -21,21 +22,10 @@
 #include "obs/run_summary.hpp"
 #include "sched/scheduler.hpp"
 #include "serve/batcher.hpp"
-#include "serve/tenant.hpp"
 #include "simnet/platform.hpp"
 #include "vmpi/engine.hpp"
 
 namespace hprs::serve {
-
-struct ServiceConfig {
-  sched::Policy policy = sched::Policy::kHeteroBestFit;
-  /// Compute-once batching of shared batch keys (serve/batcher.hpp).
-  bool batching = false;
-  /// Per-tenant admission budgets (serve/tenant.hpp).
-  TenantQuotas quotas;
-  /// Publish sched.* / serve.* metrics into the obs registry.
-  bool record_metrics = true;
-};
 
 /// Per-tenant service-level statistics over one run.  Percentiles are
 /// nearest-rank over the tenant's completed requests; slowdown is
@@ -59,25 +49,24 @@ struct TenantSla {
 };
 
 struct ServiceResult {
-  /// Scheduler outcome re-indexed to the FULL input stream: one record /
-  /// output per request, in stream order; rate-rejected requests carry
-  /// synthesized kRejected records (error = the named reason) and empty
-  /// outputs.
+  /// The scheduler's outcome: one record / output per request, in stream
+  /// order; refused requests carry kRejected records (error = the named
+  /// reason) and empty outputs.
   sched::ScheduleResult schedule;
-  /// Requests refused by the rate-limit pre-pass.
+  /// Requests refused by a tenant rate limit.
   std::size_t rate_rejected = 0;
   BatchStats batches;
   /// Per-tenant SLAs, sorted by tenant name.
   std::vector<TenantSla> tenants;
 };
 
-/// Runs the service over `stream` on `platform`.  The stream must be
-/// arrival-sorted with unique ids (generate_trace output qualifies).
-[[nodiscard]] ServiceResult run_service(const simnet::Platform& platform,
-                                        const hsi::HsiCube& scene,
-                                        const std::vector<sched::JobSpec>& stream,
-                                        const ServiceConfig& config = {},
-                                        vmpi::Options options = {});
+/// Runs the service over `stream` on `platform`.  Ids must be unique, and
+/// a config with a rate limit needs an arrival-sorted stream
+/// (generate_trace output qualifies).
+[[nodiscard]] ServiceResult run_service(
+    const simnet::Platform& platform, const hsi::HsiCube& scene,
+    const std::vector<sched::JobSpec>& stream,
+    const sched::SchedulerConfig& config = {}, vmpi::Options options = {});
 
 /// Nearest-rank percentile of an unsorted sample, q in (0, 1].
 [[nodiscard]] double percentile(std::vector<double> xs, double q);

@@ -1,62 +1,16 @@
-// Per-tenant quotas and admission control for the scene service.
-//
-// Two quota families, both deterministic and both rejecting with named
-// reasons so clients (and tests) can tell them apart:
-//
-//  * rate limits -- a sliding-window cap on admitted requests per tenant,
-//    enforced as a pure pre-pass over the arrival-sorted stream
-//    (apply_rate_limits) before anything reaches the scheduler.  A request
-//    over the window's budget is rejected with "quota:rate_limit ...".
-//  * in-flight rank caps -- a cap on the summed requested gang widths of a
-//    tenant's admitted, unfinished jobs, enforced by the dispatcher at
-//    arrival events (SchedulerConfig::tenant_rank_caps) with
-//    "quota:inflight_ranks ..." reasons, because in-flight state only
-//    exists inside the running schedule.
+// Older serve-layer names of the scheduler's admission types, still used by
+// perfbench/.  Both tenant quota families -- sliding-window rate limits and
+// in-flight rank caps -- are applied by sched::run_schedule, configured
+// through sched::SchedulerConfig::quotas (sched/scheduler.hpp).
 #pragma once
 
-#include <cstddef>
-#include <map>
-#include <string>
-#include <vector>
-
-#include "sched/job.hpp"
+#include "sched/scheduler.hpp"
 
 namespace hprs::serve {
 
-/// One tenant's admission budget.  Zero / negative fields mean unlimited.
-struct TenantQuota {
-  /// Cap on the summed requested gang widths of admitted, not-yet-finished
-  /// jobs (enforced by the dispatcher).
-  int max_inflight_ranks = 0;
-  /// Max requests admitted per sliding rate window (pre-pass).
-  std::size_t rate_limit = 0;
-  /// Width of the sliding rate window, virtual seconds.
-  double rate_window_s = 60.0;
-};
-
-/// Tenant name -> quota.  Tenants without an entry are unlimited.
-using TenantQuotas = std::map<std::string, TenantQuota>;
-
-/// One pre-pass rejection: the stream position that was refused and the
-/// named reason ("quota:rate_limit tenant '...' limit N per Ws").
-struct RateRejection {
-  std::size_t pos = 0;
-  std::string reason;
-};
-
-/// Sliding-window rate limiting over an arrival-sorted stream: for each
-/// tenant with a positive rate_limit, a request is admitted only while
-/// fewer than rate_limit of its previously *admitted* requests arrived
-/// within the last rate_window_s seconds.  Returns the admitted
-/// sub-stream in order; refused positions land in `rejected` (ascending).
-/// Pure function: same stream + quotas, same verdicts.
-[[nodiscard]] std::vector<sched::JobSpec> apply_rate_limits(
-    const std::vector<sched::JobSpec>& stream, const TenantQuotas& quotas,
-    std::vector<RateRejection>& rejected);
-
-/// The dispatcher-side cap map for run_schedule: every tenant with a
-/// positive max_inflight_ranks.
-[[nodiscard]] std::map<std::string, int> inflight_rank_caps(
-    const TenantQuotas& quotas);
+using ServiceConfig = sched::SchedulerConfig;
+using TenantQuotas = sched::TenantQuotas;
+using RateRejection = sched::RateRejection;
+using sched::apply_rate_limits;
 
 }  // namespace hprs::serve

@@ -349,7 +349,7 @@ obs::PvarSet Engine::group_pvars_locked(const Group& group) const {
   double compute = 0.0;
   double comm = 0.0;
   double wait = 0.0;
-  for (const int m : group.members) {
+  for (const int m : group.sampled_ranks) {
     const RankStats& s = stats_[static_cast<std::size_t>(m)];
     flops += s.flops;
     sent += s.bytes_sent;
@@ -1138,7 +1138,7 @@ void Engine::finish_collective_locked(Group& group) {
 }
 
 Group& Engine::ensure_group(std::uint64_t id, const std::vector<int>& members,
-                            int root_local, const Group* parent) {
+                            int root_local, Group* parent) {
   HPRS_REQUIRE(!members.empty(), "a communicator group needs at least one member");
   for (const int m : members) {
     HPRS_REQUIRE(m >= 0 && m < size(),
@@ -1172,7 +1172,19 @@ Group& Engine::ensure_group(std::uint64_t id, const std::vector<int>& members,
   simnet::Platform sub(platform_.name(), std::move(specs), std::move(seg),
                        platform_.switched_fabric());
   auto group = std::make_unique<Group>(id, members, root_local, std::move(sub));
-  if (parent != nullptr) group->snap_scope = parent->snap_scope;
+  if (parent != nullptr) {
+    // The parent runs no further collective, so moving its counters keeps
+    // the run's totals (publish_metrics) and makes the series continue, on
+    // the parent's sampling schedule.
+    group->snap_scope = parent->snap_scope;
+    group->sampled_ranks = parent->sampled_ranks;
+    group->snap_cadence = parent->snap_cadence;
+    group->snap_init = parent->snap_init;
+    std::swap(group->coll_count, parent->coll_count);
+    std::swap(group->coll_bytes, parent->coll_bytes);
+    std::swap(group->p2p_messages, parent->p2p_messages);
+    std::swap(group->p2p_bytes, parent->p2p_bytes);
+  }
   Group& ref = *group;
   groups_.emplace(id, std::move(group));
   return ref;

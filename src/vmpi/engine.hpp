@@ -117,7 +117,8 @@ struct Group {
         root_local(root_local_),
         platform(std::move(platform_)),
         in(members.size()),
-        out(members.size()) {}
+        out(members.size()),
+        sampled_ranks(members) {}
 
   std::uint64_t id = 0;
   /// Local rank -> world rank, in local-rank order.
@@ -170,9 +171,15 @@ struct Group {
   /// for group 0, set per job through Comm::label_snapshots, inherited by
   /// a shrunken communicator.  Unlabeled groups are never sampled.
   std::string snap_scope;
+  /// World ranks whose stats the ranks.* pvars sum: the members, or for a
+  /// shrunken communicator its parent's (dead members included), so the
+  /// scope's series keeps a crashed member's work.
+  std::vector<int> sampled_ranks;
   /// Per-group stable counters, sampled at collective boundaries; their
   /// sums over the run's groups are the engine's vmpi.collectives.* and
-  /// vmpi.p2p.* metrics.  Indexed by CollectiveKind; [0] stays unused.
+  /// vmpi.p2p.* metrics.  A shrunken communicator takes its parent's over,
+  /// so the series it continues never restarts.  Indexed by
+  /// CollectiveKind; [0] stays unused.
   std::uint64_t coll_count[6] = {};
   std::uint64_t coll_bytes[6] = {};
   std::uint64_t p2p_messages = 0;
@@ -290,12 +297,13 @@ class Engine {
   /// Idempotent registration of a sub-communicator: returns the existing
   /// group when `id` is already known (validating that `members` match) or
   /// creates it with a platform restricted to `members`, rooted at local
-  /// rank `root_local` and sampled under `parent`'s snapshot scope (a
-  /// shrunken communicator; unsampled without a parent).  Every member of
-  /// a new communicator calls this with identical arguments; the first
+  /// rank `root_local` and continuing `parent`'s counter series (a
+  /// shrunken communicator: same scope and sampled ranks, and the parent's
+  /// counters move over; unsampled without a parent).  Every member of a
+  /// new communicator calls this with identical arguments; the first
   /// caller creates, the rest attach.
   Group& ensure_group(std::uint64_t id, const std::vector<int>& members,
-                      int root_local = 0, const Group* parent = nullptr);
+                      int root_local = 0, Group* parent = nullptr);
   // Point-to-point takes world ranks and one dead-peer rule.  A peer that
   // is no longer running poisons the run and names it, except that a
   // `tolerant` op toward a *crashed* peer withdraws its posting, is charged

@@ -854,8 +854,8 @@ TEST(SchedResilienceTest, BatchedRidersAndTenantCapsSurviveALeaderCrash) {
   }
   serve::stamp_batch_keys(stream, /*scene_uid=*/0xfeed);
   SchedulerConfig config = resilient_config();
-  config.batch_shared_keys = true;
-  config.tenant_rank_caps["survey"] = 8;
+  config.batching = true;
+  config.quotas["survey"].max_inflight_ranks = 8;
   // A short backoff brings the crashed job's retry back while its former
   // riders' new gang still runs.
   config.resilience.retry.backoff_base_s = 1e-3;

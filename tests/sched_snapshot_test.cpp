@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/env.hpp"
@@ -175,7 +177,9 @@ TEST(SchedSnapshotTest, MidRunDriftCaughtWhileEndStateMatches) {
 TEST(SchedSnapshotTest, LastDispatcherSampleRecordsHowTheScheduleEnded) {
   // A worker of job 1 crashes halfway through the job.  The dispatcher's
   // closing sample must account for every dispatched gang, hold no running
-  // gang, and count every rank the schedule lost.
+  // gang, and count every rank the schedule lost; and no counter series
+  // may decrease, the crashed job's included: the shrunken communicator
+  // continues its parent's counters and still sums the dead member's work.
   const simnet::Platform platform = cluster(7);
   const hsi::HsiCube scene = testing::striped_cube(32, 16, 24, 4);
   const std::vector<JobSpec> stream = mixed_stream();
@@ -211,6 +215,24 @@ TEST(SchedSnapshotTest, LastDispatcherSampleRecordsHowTheScheduleEnded) {
               pvars.at("jobs.dispatched").count);
     EXPECT_EQ(pvars.at("gangs.running").value, 0.0);
     EXPECT_EQ(pvars.at("workers.lost").count, result.lost_ranks.size());
+
+    // (scope, counter) -> seq -> count.
+    std::map<std::pair<std::string, std::string>, std::map<int, std::uint64_t>>
+        series;
+    for (const auto& sample : result.report.snapshots.samples()) {
+      for (const obs::Pvar& pvar : sample.pvars.sorted()) {
+        if (pvar.cls != obs::PvarClass::kCounter) continue;
+        series[{sample.scope, pvar.name}][sample.seq] = pvar.count;
+      }
+    }
+    for (const auto& [key, by_seq] : series) {
+      std::uint64_t prev = 0;
+      for (const auto& [seq, count] : by_seq) {
+        EXPECT_GE(count, prev) << key.first << " " << key.second << " seq "
+                               << seq;
+        prev = count;
+      }
+    }
     timelines[run++] = obs::snapshot_timeline_json(result.report.snapshots);
   }
   EXPECT_EQ(timelines[0], timelines[1]);

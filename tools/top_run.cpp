@@ -204,26 +204,11 @@ int run(int argc, char** argv) {
                    "partially-homogeneous, thunderhead, accelerated-now)\n");
       return 2;
     }
-    hsi::SceneConfig scene_cfg;
-    scene_cfg.rows = static_cast<std::size_t>(args.get_int("rows", 96));
-    scene_cfg.cols = static_cast<std::size_t>(args.get_int("cols", 96));
-    scene_cfg.bands = static_cast<std::size_t>(args.get_int("bands", 224));
-    scene_cfg.seed =
-        static_cast<std::uint64_t>(args.get_int("seed", 20010916));
-    const auto scene = hsi::generate_wtc_scene(scene_cfg);
-
-    sched::SchedulerConfig sched_cfg;
-    sched_cfg.policy = sched::parse_policy(args.get("policy", "hetero"));
-    vmpi::FaultPlan fault_plan;
-    const std::string crash_spec = args.get("crash", "");
-    if (!crash_spec.empty()) {
-      fault_plan.crashes = vmpi::parse_crashes(crash_spec);
-    }
-    if (args.get_bool("resilient", false)) {
-      sched_cfg.resilience.enabled = true;
-      sched_cfg.resilience.checkpoint_interval_s =
-          args.get_double("checkpoint", 0.01);
-    }
+    const auto scene = tools::make_scene(args);
+    vmpi::Options options;
+    options.snapshot.enabled = true;
+    options.snapshot.interval_s = args.get_double("interval", 0.05);
+    sched::SchedulerConfig sched_cfg = tools::make_sched_config(args, options);
 
     const int pool = static_cast<int>(platform.size()) - 1;
     std::vector<sched::JobSpec> stream;
@@ -244,47 +229,26 @@ int run(int argc, char** argv) {
             static_cast<std::size_t>(args.get_int("replication", 8));
       }
       stream = serve::generate_trace(trace_cfg);
-      sched_cfg.batch_shared_keys = true;
+      sched_cfg.batching = true;
     } else {
-      constexpr core::Algorithm kCycle[] = {
-          core::Algorithm::kAtdca, core::Algorithm::kPct,
-          core::Algorithm::kPpi, core::Algorithm::kUfcls,
-          core::Algorithm::kMorph};
-      const double gap = args.get_double("gap", 0.005);
-      for (std::size_t k = 0; k < jobs; ++k) {
-        sched::JobSpec spec;
-        spec.id = k + 1;
-        spec.algorithm = kCycle[k % 5];
-        spec.arrival_s = gap * static_cast<double>(k);
-        spec.ranks = std::min(pool, 2 + static_cast<int>(k % 3));
-        spec.targets = static_cast<std::size_t>(args.get_int("targets", 8));
-        spec.classes = static_cast<std::size_t>(args.get_int("classes", 5));
-        spec.morph_iterations =
-            static_cast<std::size_t>(args.get_int("iters", 2));
-        spec.kernel_radius =
-            static_cast<std::size_t>(args.get_int("radius", 1));
-        spec.replication =
-            static_cast<std::size_t>(args.get_int("replication", 8));
-        stream.push_back(spec);
-      }
+      stream = tools::round_robin_stream(args, jobs,
+                                         args.get_double("gap", 0.005), pool);
     }
 
-    vmpi::Options options;
-    options.snapshot.enabled = true;
-    options.snapshot.interval_s = args.get_double("interval", 0.05);
     const auto result =
         sched::run_schedule(platform, scene.cube, stream, sched_cfg, options);
     timeline = result.report.snapshots;
     std::printf("%zu jobs on %s (%zu ranks), policy %s: makespan %.4f s\n",
                 jobs, platform.name().c_str(), platform.size(),
                 sched::to_string(result.policy), result.makespan_s);
+    tools::print_lost_ranks(result);
   }
 
   render(timeline);
 
   const std::string out_path = args.get("out", "");
   if (!out_path.empty()) {
-    if (!tools::write_file(out_path, obs::snapshot_timeline_json(timeline))) {
+    if (!write_file(out_path, obs::snapshot_timeline_json(timeline))) {
       std::fprintf(stderr, "top_run: failed to write %s\n", out_path.c_str());
       return 1;
     }
@@ -292,7 +256,7 @@ int run(int argc, char** argv) {
   }
   const std::string csv_path = args.get("csv", "");
   if (!csv_path.empty()) {
-    if (!tools::write_file(csv_path, obs::snapshot_timeline_csv(timeline))) {
+    if (!write_file(csv_path, obs::snapshot_timeline_csv(timeline))) {
       std::fprintf(stderr, "top_run: failed to write %s\n", csv_path.c_str());
       return 1;
     }

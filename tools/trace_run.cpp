@@ -70,54 +70,17 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  hsi::SceneConfig scene_cfg;
-  scene_cfg.rows = static_cast<std::size_t>(args.get_int("rows", 96));
-  scene_cfg.cols = static_cast<std::size_t>(args.get_int("cols", 96));
-  scene_cfg.bands = static_cast<std::size_t>(args.get_int("bands", 224));
-  scene_cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 20010916));
-  const auto scene = hsi::generate_wtc_scene(scene_cfg);
+  const auto scene = tools::make_scene(args);
 
   if (args.get_bool("sched", false)) {
-    sched::SchedulerConfig sched_cfg;
-    sched_cfg.policy = sched::parse_policy(args.get("policy", "hetero"));
-    const bool resilient = args.get_bool("resilient", false);
-    vmpi::FaultPlan fault_plan;
-    const std::string crash_spec = args.get("crash", "");
-    if (!crash_spec.empty()) {
-      fault_plan.crashes = vmpi::parse_crashes(crash_spec);
-    }
-    if (resilient) {
-      sched_cfg.resilience.enabled = true;
-      sched_cfg.resilience.checkpoint_interval_s =
-          args.get_double("checkpoint", 0.01);
-    }
-    const int pool = static_cast<int>(platform.size()) - 1;
-    constexpr core::Algorithm kCycle[] = {
-        core::Algorithm::kAtdca, core::Algorithm::kPct,
-        core::Algorithm::kPpi, core::Algorithm::kUfcls,
-        core::Algorithm::kMorph};
-    std::vector<sched::JobSpec> stream;
-    const auto jobs = static_cast<std::size_t>(args.get_int("jobs", 6));
-    for (std::size_t k = 0; k < jobs; ++k) {
-      sched::JobSpec spec;
-      spec.id = k + 1;
-      spec.algorithm = kCycle[k % 5];
-      spec.arrival_s = 0.005 * static_cast<double>(k);
-      spec.ranks = std::min(pool, 2 + static_cast<int>(k % 3));
-      spec.targets = static_cast<std::size_t>(args.get_int("targets", 8));
-      spec.classes = static_cast<std::size_t>(args.get_int("classes", 5));
-      spec.morph_iterations =
-          static_cast<std::size_t>(args.get_int("iters", 2));
-      spec.kernel_radius =
-          static_cast<std::size_t>(args.get_int("radius", 1));
-      spec.replication =
-          static_cast<std::size_t>(args.get_int("replication", 8));
-      stream.push_back(spec);
-    }
-
     vmpi::Options options;
     options.enable_trace = true;
-    options.fault_plan = fault_plan;
+    const sched::SchedulerConfig sched_cfg =
+        tools::make_sched_config(args, options);
+    const auto stream = tools::round_robin_stream(
+        args, static_cast<std::size_t>(args.get_int("jobs", 6)), 0.005,
+        static_cast<int>(platform.size()) - 1);
+
     const obs::ScopedHostProfile profile;
     const obs::ScopedMetrics metrics;
     const auto result =
@@ -145,7 +108,7 @@ int run(int argc, char** argv) {
                   members.c_str());
       // The resilient control plane keeps a per-attempt history; surface
       // it whenever a job needed more than one dispatch.
-      if (resilient && record.attempts.size() > 1) {
+      if (sched_cfg.resilience.enabled && record.attempts.size() > 1) {
         for (const auto& attempt : record.attempts) {
           std::printf(
               "       attempt %d: [%9.4f, %9.4f] width %d ckpts %d "
@@ -156,15 +119,7 @@ int run(int argc, char** argv) {
         }
       }
     }
-    if (!result.lost_ranks.empty()) {
-      std::string lost;
-      for (const int r : result.lost_ranks) {
-        if (!lost.empty()) lost += ",";
-        lost += std::to_string(r);
-      }
-      std::printf("lost ranks: %s (%zu degraded, %zu failed)\n", lost.c_str(),
-                  result.degraded(), result.failed());
-    }
+    tools::print_lost_ranks(result);
     std::printf(
         "policy %s: makespan %.4f s, cluster utilization %.3f on %zu ranks\n",
         sched::to_string(result.policy), result.makespan_s,
@@ -175,7 +130,7 @@ int run(int argc, char** argv) {
       const std::string json =
           obs::chrome_trace_json(result.report, sched::job_track_groups(result),
                                  obs::HostProfiler::instance().spans());
-      if (!tools::write_file(trace_path, json)) {
+      if (!write_file(trace_path, json)) {
         std::fprintf(stderr, "trace_run: failed to write %s\n",
                      trace_path.c_str());
         return 1;
@@ -185,7 +140,7 @@ int run(int argc, char** argv) {
     }
     const std::string csv_path = args.get("csv", "");
     if (!csv_path.empty()) {
-      if (!tools::write_file(csv_path, vmpi::trace_csv(result.report))) {
+      if (!write_file(csv_path, vmpi::trace_csv(result.report))) {
         std::fprintf(stderr, "trace_run: failed to write %s\n",
                      csv_path.c_str());
         return 1;
@@ -226,7 +181,7 @@ int run(int argc, char** argv) {
   if (!trace_path.empty()) {
     const std::string json = obs::chrome_trace_json(
         out.report, obs::HostProfiler::instance().spans());
-    if (!tools::write_file(trace_path, json)) {
+    if (!write_file(trace_path, json)) {
       std::fprintf(stderr, "trace_run: failed to write %s\n",
                    trace_path.c_str());
       return 1;
@@ -236,7 +191,7 @@ int run(int argc, char** argv) {
   }
   const std::string csv_path = args.get("csv", "");
   if (!csv_path.empty()) {
-    if (!tools::write_file(csv_path, vmpi::trace_csv(out.report))) {
+    if (!write_file(csv_path, vmpi::trace_csv(out.report))) {
       std::fprintf(stderr, "trace_run: failed to write %s\n",
                    csv_path.c_str());
       return 1;

@@ -5,9 +5,10 @@
 //
 // The *_Reference / *_Fast pairs pin the scalar loops against the blocked
 // kernels (linalg/kernels.hpp) on the dominant sweeps: the MORPH windowed
-// eccentricity pass, the PCT covariance accumulation, and the ATDCA OSP
-// sweep; BM_JacobiEigen_Reference/224 pins the PCT eigensolver's reference
-// loop against its row-only default (BM_JacobiEigen/224).  --summary <path>
+// eccentricity pass, the PCT covariance accumulation, the ATDCA OSP sweep
+// and the PPI projection sweep; BM_JacobiEigen_Reference/224 pins the PCT
+// eigensolver's reference loop against its row-only default
+// (BM_JacobiEigen/224).  --summary <path>
 // writes every benchmark's ns/op (a "host" key, compared by threshold) and
 // bytes/op as a run summary, the median when --benchmark_repetitions runs
 // each benchmark more than once; that summary of a three-repetition run
@@ -22,6 +23,7 @@
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "core/morph_kernel.hpp"
+#include "core/ppi.hpp"
 #include "core/spmd_common.hpp"
 #include "hsi/cube.hpp"
 #include "hsi/metrics.hpp"
@@ -372,6 +374,38 @@ void BM_OspSweep_Tiled(benchmark::State& state) {
       static_cast<double>(t * bands) * sizeof(double);
 }
 BENCHMARK(BM_OspSweep_Tiled)
+    ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PpiSweep(benchmark::State& state, bool reference) {
+  // Hetero-PPI's projection pass over a 96x96 scene: every pixel's
+  // projection extremes on 32 skewers, one skewer at a time (reference)
+  // against 64-pixel dot_strip products.
+  const linalg::ScopedKernelPath path(reference);
+  const std::size_t k = 32;
+  const std::size_t bands = 224;
+  const hsi::HsiCube cube = random_cube(96, 96, bands, 19);
+  Xoshiro256 rng(20);
+  linalg::Matrix skewers(k, bands);
+  for (auto& v : skewers.data()) v = rng.normal();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::detail::ppi_extremes(skewers, cube, 0, cube.rows()));
+  }
+  state.counters["bytes_per_op"] =
+      static_cast<double>(cube.pixel_count() * bands) * sizeof(float) +
+      static_cast<double>(k * bands) * sizeof(double);
+}
+void BM_PpiSweep_Reference(benchmark::State& state) {
+  BM_PpiSweep(state, true);
+}
+void BM_PpiSweep_Fast(benchmark::State& state) {
+  const linalg::ScopedKernelThreads threads(
+      static_cast<std::size_t>(state.range(0)));
+  BM_PpiSweep(state, false);
+}
+BENCHMARK(BM_PpiSweep_Reference)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PpiSweep_Fast)
     ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 

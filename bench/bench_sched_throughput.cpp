@@ -20,7 +20,6 @@
 // modes; the smoke-size --summary is gated as bench/golden/sched.json.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -189,15 +188,6 @@ int run(int argc, char** argv) {
       const auto result =
           sched::run_schedule(net, setup.scene.cube, stream, config);
 
-      if (std::getenv("SCHED_DEBUG") != nullptr) {
-        for (const auto& record : result.records) {
-          std::printf("DBG %s %s job %llu est %.3f actual %.3f width %zu\n",
-                      net.name().c_str(), sched::to_string(policy),
-                      static_cast<unsigned long long>(record.id),
-                      record.est_seconds, record.makespan_s(),
-                      record.members.size());
-        }
-      }
       std::vector<double> waits;
       for (const auto& record : result.records) {
         if (record.completed()) waits.push_back(record.queue_wait_s());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <any>
+#include <cmath>
 #include <limits>
 #include <memory>
 
@@ -261,59 +262,70 @@ std::vector<MorphRep> merge_unique_sets(
   return unique;
 }
 
-/// Step 4: labels rows [row_begin, row_end) by minimum SAD against the
-/// unique set.  Returns the block and the flop count for the caller to
-/// charge.
-struct LabelOut {
-  detail::LabelBlock block;
-  Count flops = 0;
-};
+}  // namespace
 
-LabelOut label_partition(const hsi::HsiCube& cube, std::size_t row_begin,
-                         std::size_t row_end,
-                         const std::vector<MorphRep>& unique) {
+namespace detail {
+
+std::vector<std::uint16_t> sad_labels(
+    const hsi::HsiCube& cube, std::size_t row_begin, std::size_t row_end,
+    std::span<const std::span<const float>> reps) {
   const std::size_t bands = cube.bands();
-  const std::size_t cols = cube.cols();
-  const std::size_t reps = unique.size();
-  LabelOut out;
-  out.block.row_begin = row_begin;
-  out.block.row_end = row_end;
-  out.block.labels.reserve((row_end - row_begin) * cols);
-  // Representative norms hoisted out of the pixel loop (fast path); with
-  // the pixel norm computed once per pixel this removes two of the three
-  // dot products per SAD.  The charge stays the full sad() cost: the
-  // virtual model prices the algorithm, not the host shortcuts.
-  const bool fast = !linalg::use_reference_kernels();
-  std::vector<double> rep_norms(reps);
-  if (fast) {
-    for (std::size_t u = 0; u < reps; ++u) {
-      rep_norms[u] = linalg::norm<float>(unique[u].spectrum);
-    }
-  }
-  for (std::size_t r = row_begin; r < row_end; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      const auto px = cube.pixel(r, c);
-      const double px_norm = fast ? linalg::norm(px) : 0.0;
-      std::uint16_t best = 0;
-      double best_d = std::numeric_limits<double>::infinity();
-      for (std::size_t u = 0; u < reps; ++u) {
-        const double dist =
-            fast ? hsi::sad_with_norms<float, float>(
-                       unique[u].spectrum, px, rep_norms[u], px_norm)
-                 : hsi::sad<float, float>(unique[u].spectrum, px);
-        if (dist < best_d) {
-          best_d = dist;
-          best = static_cast<std::uint16_t>(u);
-        }
+  const std::size_t count = (row_end - row_begin) * cube.cols();
+  const std::size_t n_reps = reps.size();
+  std::vector<std::uint16_t> labels;
+  labels.reserve(count);
+  // First representative of strictly least distance, reps in order.
+  const auto label_of = [n_reps](const auto& dist) {
+    std::uint16_t best = 0;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (std::size_t u = 0; u < n_reps; ++u) {
+      const double d = dist(u);
+      if (d < best_d) {
+        best_d = d;
+        best = static_cast<std::uint16_t>(u);
       }
-      out.block.labels.push_back(best);
-      out.flops += reps * hsi::flops::sad(bands);
+    }
+    return best;
+  };
+  const std::size_t first = row_begin * cube.cols();
+  if (linalg::use_reference_kernels()) {
+    for (std::size_t p = first; p < first + count; ++p) {
+      const auto px = cube.pixel(p);
+      labels.push_back(label_of(
+          [&](std::size_t u) { return hsi::sad<float, float>(reps[u], px); }));
+    }
+    return labels;
+  }
+  // Strip fast path.  Widening a float to double is exact, so each
+  // dot_strip element is the rep . pixel chain linalg::dot forms, and
+  // norm_sq_strip is norm_sq's chain: the SADs match the reference's bits.
+  linalg::Matrix rep_rows(n_reps, bands);
+  std::vector<double> rep_norms(n_reps);
+  for (std::size_t u = 0; u < n_reps; ++u) {
+    HPRS_ASSERT(reps[u].size() == bands);
+    std::copy(reps[u].begin(), reps[u].end(), rep_rows.row(u).begin());
+    rep_norms[u] = linalg::norm(reps[u]);
+  }
+  constexpr std::size_t kStrip = 64;
+  std::vector<double> dots(kStrip * n_reps);
+  std::vector<double> norms_sq(kStrip);
+  const float* x = cube.samples().data() + first * bands;
+  for (std::size_t p0 = 0; p0 < count; p0 += kStrip) {
+    const std::size_t m = std::min(kStrip, count - p0);
+    linalg::dot_strip(rep_rows, x + p0 * bands, m, dots);
+    linalg::norm_sq_strip(x + p0 * bands, m, bands, norms_sq);
+    for (std::size_t p = 0; p < m; ++p) {
+      const double px_norm = std::sqrt(norms_sq[p]);
+      const double* d = dots.data() + p * n_reps;
+      labels.push_back(label_of([&](std::size_t u) {
+        return hsi::sad_from_dot(d[u], rep_norms[u], px_norm);
+      }));
     }
   }
-  return out;
+  return labels;
 }
 
-}  // namespace
+}  // namespace detail
 
 /// Paper Alg. 5 as one Program (core/ft.hpp): morphology + candidate
 /// selection and labeling are the phase handlers; the root merges the
@@ -355,12 +367,19 @@ ft::Program morph_ft_program(const hsi::HsiCube& cube,
                       const std::any* payload) {
         const auto& unique =
             std::any_cast<const std::vector<MorphRep>&>(*payload);
-        LabelOut out = label_partition(cube, chunk.part.row_begin,
-                                       chunk.part.row_end, unique);
-        c.compute(out.flops * config.replication);
-        const std::size_t bytes = out.block.labels.size() *
+        std::vector<std::span<const float>> reps;
+        for (const MorphRep& rep : unique) reps.emplace_back(rep.spectrum);
+        detail::LabelBlock block{
+            chunk.part.row_begin, chunk.part.row_end,
+            detail::sad_labels(cube, chunk.part.row_begin,
+                               chunk.part.row_end, reps)};
+        // The full sad() cost per pair: the virtual model prices the
+        // algorithm, not the host shortcuts.
+        c.compute(block.labels.size() * reps.size() *
+                  hsi::flops::sad(cube.bands()) * config.replication);
+        const std::size_t bytes = block.labels.size() *
                                   sizeof(std::uint16_t) * config.replication;
-        return ft::ChunkOutcome{std::move(out.block), bytes};
+        return ft::ChunkOutcome{std::move(block), bytes};
       });
 
   prog.master = [&cube, config, &result](vmpi::Comm& comm,

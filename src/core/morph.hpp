@@ -19,8 +19,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "core/partition.hpp"
+#include "hsi/cube.hpp"
 
 namespace hprs::core {
 
@@ -29,5 +33,21 @@ namespace hprs::core {
                                            std::size_t classes,
                                            std::size_t iterations,
                                            std::size_t kernel_radius);
+
+namespace detail {
+
+/// MORPH's labeling (step 4): the label of every pixel of whole rows
+/// [row_begin, row_end), row-major, is the first representative of least
+/// SAD to it.  Dispatches between the per-pair reference loop (hsi::sad)
+/// and the strip fast path, which takes the rep . pixel products of each
+/// 64-pixel strip from one linalg::dot_strip call (the representatives
+/// widened exactly to double) and the pixel norms from
+/// linalg::norm_sq_strip; both return bit-identical labels.  The caller
+/// charges hsi::flops::sad(bands) per pixel and representative.
+[[nodiscard]] std::vector<std::uint16_t> sad_labels(
+    const hsi::HsiCube& cube, std::size_t row_begin, std::size_t row_end,
+    std::span<const std::span<const float>> reps);
+
+}  // namespace detail
 
 }  // namespace hprs::core

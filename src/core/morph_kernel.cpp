@@ -107,6 +107,8 @@ void MorphBlockEngine::refresh_sad_cache() {
   // One worker per SAD plane (stride-owned): planes are disjoint output
   // arrays, each filled in the same serial order regardless of thread
   // count.
+  const std::size_t bands = f_.bands();
+  const float* samples = f_.samples().data();
   linalg::parallel_region(
       offsets_.size(), [&](std::size_t worker, std::size_t workers) {
   for (std::size_t k = worker; k < offsets_.size(); k += workers) {
@@ -119,14 +121,39 @@ void MorphBlockEngine::refresh_sad_cache() {
         dj > 0 && static_cast<std::size_t>(dj) >= n_cols
             ? 0
             : (dj > 0 ? n_cols - static_cast<std::size_t>(dj) : n_cols);
+    // Pair p = (x, y) with q = p + shift = (x + di, y + dj); the unsigned
+    // sum wraps to the right index when dj < 0.  Neighbouring y give
+    // neighbouring pixels on both sides, so four pairs run as four
+    // independent dot chains per pass over the bands, each in ascending
+    // band order as linalg::dot adds them; sad_from_dot then finishes
+    // each pair exactly as sad_with_norms does.
+    const std::size_t shift = di * n_cols + static_cast<std::size_t>(dj);
     for (std::size_t x = 0; x < x_hi; ++x) {
-      for (std::size_t y = y_lo; y < y_hi; ++y) {
+      std::size_t y = y_lo;
+      for (; y + 4 <= y_hi; y += 4) {
         const std::size_t p = x * n_cols + y;
-        const std::size_t q =
-            (x + di) * n_cols +
-            static_cast<std::size_t>(static_cast<std::ptrdiff_t>(y) + dj);
+        const float* a = samples + p * bands;
+        const float* b = samples + (p + shift) * bands;
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (std::size_t i = 0; i < bands; ++i) {
+          s0 += static_cast<double>(a[i]) * static_cast<double>(b[i]);
+          s1 += static_cast<double>(a[bands + i]) *
+                static_cast<double>(b[bands + i]);
+          s2 += static_cast<double>(a[2 * bands + i]) *
+                static_cast<double>(b[2 * bands + i]);
+          s3 += static_cast<double>(a[3 * bands + i]) *
+                static_cast<double>(b[3 * bands + i]);
+        }
+        const double dots[4] = {s0, s1, s2, s3};
+        for (std::size_t j = 0; j < 4; ++j) {
+          plane[p + j] = hsi::sad_from_dot(dots[j], norms_[p + j],
+                                           norms_[p + j + shift]);
+        }
+      }
+      for (; y < y_hi; ++y) {
+        const std::size_t p = x * n_cols + y;
         plane[p] = hsi::sad_with_norms<float, float>(
-            f_.pixel(p), f_.pixel(q), norms_[p], norms_[q]);
+            f_.pixel(p), f_.pixel(p + shift), norms_[p], norms_[p + shift]);
       }
     }
   }

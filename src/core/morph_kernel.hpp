@@ -46,6 +46,9 @@ class MorphBlockEngine {
   /// Running per-pixel maximum eccentricity index, row-major over the block.
   [[nodiscard]] const std::vector<double>& mei() const { return mei_; }
 
+  /// The last iteration's D plane (cumulative SAD per pixel), row-major.
+  [[nodiscard]] const std::vector<double>& d() const { return d_; }
+
  private:
   [[nodiscard]] std::size_t rows() const { return f_.rows(); }
   [[nodiscard]] std::size_t cols() const { return f_.cols(); }

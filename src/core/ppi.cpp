@@ -12,6 +12,7 @@
 #include "core/ft_programs.hpp"
 #include "core/spmd_common.hpp"
 #include "linalg/flops.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/vec.hpp"
 #include "vmpi/comm.hpp"
 
@@ -28,14 +29,8 @@ struct PurityEntry {
   std::uint32_t count = 0;
 };
 
-/// Per-skewer local extremes a worker reports: projection values plus the
-/// pixel locations realizing them.
-struct SkewerExtreme {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  std::size_t lo_row = 0, lo_col = 0;
-  std::size_t hi_row = 0, hi_col = 0;
-};
+using detail::SkewerExtreme;
+
 /// Wire size of one SkewerExtreme (two doubles + four 32-bit coordinates).
 constexpr std::size_t kExtremeBytes = 2 * 8 + 4 * 4;
 
@@ -111,6 +106,66 @@ void rank_purity(vmpi::Comm& comm,
 
 }  // namespace
 
+namespace detail {
+
+std::vector<SkewerExtreme> ppi_extremes(const linalg::Matrix& skewers,
+                                        const hsi::HsiCube& cube,
+                                        std::size_t row_begin,
+                                        std::size_t row_end) {
+  const std::size_t k = skewers.rows();
+  const std::size_t cols = cube.cols();
+  std::vector<SkewerExtreme> ext(k);
+  const auto fold = [&](SkewerExtreme& e, double proj, std::size_t r,
+                        std::size_t col) {
+    if (proj < e.lo) {
+      e.lo = proj;
+      e.lo_row = r;
+      e.lo_col = col;
+    }
+    if (proj > e.hi) {
+      e.hi = proj;
+      e.hi_row = r;
+      e.hi_col = col;
+    }
+  };
+  if (linalg::use_reference_kernels()) {
+    for (std::size_t s = 0; s < k; ++s) {
+      for (std::size_t r = row_begin; r < row_end; ++r) {
+        for (std::size_t col = 0; col < cols; ++col) {
+          fold(ext[s], linalg::dot<double, float>(skewers.row(s),
+                                                   cube.pixel(r, col)),
+               r, col);
+        }
+      }
+    }
+    return ext;
+  }
+  // Strip fast path: the chunk's whole rows are one contiguous run of
+  // pixels, projected 64 at a time onto every skewer by one dot_strip
+  // product (each element bit-identical to linalg::dot).  Every skewer
+  // still meets the pixels in row-major order, so its strict updates pick
+  // the same extremes as the per-skewer loop.
+  constexpr std::size_t kStrip = 64;
+  const std::size_t first = row_begin * cols;
+  const std::size_t count = (row_end - row_begin) * cols;
+  const float* x = cube.samples().data() + first * cube.bands();
+  std::vector<double> proj(kStrip * k);
+  for (std::size_t p0 = 0; p0 < count; p0 += kStrip) {
+    const std::size_t m = std::min(kStrip, count - p0);
+    linalg::dot_strip(skewers, x + p0 * cube.bands(), m, proj);
+    for (std::size_t p = 0; p < m; ++p) {
+      const std::size_t index = first + p0 + p;
+      const std::size_t r = index / cols;
+      const std::size_t col = index % cols;
+      const double* v = proj.data() + p * k;
+      for (std::size_t s = 0; s < k; ++s) fold(ext[s], v[s], r, col);
+    }
+  }
+  return ext;
+}
+
+}  // namespace detail
+
 /// Parallel PPI as one Program (core/ft.hpp): the projection pass is the
 /// phase handler, run per chunk against the skewer matrix the root draws
 /// and ships as the phase payload; the root folds the per-chunk extremes in
@@ -129,33 +184,12 @@ ft::Program ppi_ft_program(const hsi::HsiCube& cube,
       [&cube, config](vmpi::Comm& c, const ft::Chunk& chunk,
                       const std::any* payload) {
         const auto& skewers = std::any_cast<const linalg::Matrix&>(*payload);
-        const std::size_t bands = cube.bands();
-        const std::size_t cols = cube.cols();
-        std::vector<SkewerExtreme> local(config.skewers);
-        Count flops = 0;
-        for (std::size_t s = 0; s < config.skewers; ++s) {
-          const auto skewer = skewers.row(s);
-          auto& ext = local[s];
-          for (std::size_t r = chunk.part.row_begin; r < chunk.part.row_end;
-               ++r) {
-            for (std::size_t col = 0; col < cols; ++col) {
-              const double proj =
-                  linalg::dot<double, float>(skewer, cube.pixel(r, col));
-              flops += linalg::flops::dot(bands);
-              if (proj < ext.lo) {
-                ext.lo = proj;
-                ext.lo_row = r;
-                ext.lo_col = col;
-              }
-              if (proj > ext.hi) {
-                ext.hi = proj;
-                ext.hi_row = r;
-                ext.hi_col = col;
-              }
-            }
-          }
-        }
-        c.compute(flops * config.replication);
+        std::vector<SkewerExtreme> local = detail::ppi_extremes(
+            skewers, cube, chunk.part.row_begin, chunk.part.row_end);
+        const Count pixels =
+            (chunk.part.row_end - chunk.part.row_begin) * cube.cols();
+        c.compute(pixels * config.skewers *
+                  linalg::flops::dot(cube.bands()) * config.replication);
         return ft::ChunkOutcome{std::move(local),
                                 config.skewers * kExtremeBytes};
       });

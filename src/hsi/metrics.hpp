@@ -15,18 +15,16 @@
 
 namespace hprs::hsi {
 
-/// Spectral angle distance (radians, in [0, pi]).  Equation (1) of the
-/// paper.  Degenerate (zero) spectra map to angle 0 against themselves and
-/// pi/2 against anything else, which keeps downstream argmin/argmax total.
-template <typename T, typename U>
-[[nodiscard]] double sad(std::span<const T> a, std::span<const U> b) {
-  const double na = linalg::norm(a);
-  const double nb = linalg::norm(b);
+/// The spectral angle of two spectra from their dot product and norms.
+/// Degenerate (zero) spectra map to angle 0 against themselves and pi/2
+/// against anything else, which keeps downstream argmin/argmax total.
+/// Kernels that form several pairs' dot products at once (MORPH's SAD
+/// planes and labeling) finish each pair here.
+[[nodiscard]] inline double sad_from_dot(double dot, double na, double nb) {
   if (na == 0.0 || nb == 0.0) {
     return (na == 0.0 && nb == 0.0) ? 0.0 : std::acos(0.0);
   }
-  const double c = linalg::dot(a, b) / (na * nb);
-  return std::acos(std::clamp(c, -1.0, 1.0));
+  return std::acos(std::clamp(dot / (na * nb), -1.0, 1.0));
 }
 
 /// sad() with the operand norms precomputed by the caller.  The hot sweeps
@@ -38,11 +36,14 @@ template <typename T, typename U>
 template <typename T, typename U>
 [[nodiscard]] double sad_with_norms(std::span<const T> a, std::span<const U> b,
                                     double na, double nb) {
-  if (na == 0.0 || nb == 0.0) {
-    return (na == 0.0 && nb == 0.0) ? 0.0 : std::acos(0.0);
-  }
-  const double c = linalg::dot(a, b) / (na * nb);
-  return std::acos(std::clamp(c, -1.0, 1.0));
+  return sad_from_dot(linalg::dot(a, b), na, nb);
+}
+
+/// Spectral angle distance (radians, in [0, pi]).  Equation (1) of the
+/// paper; see sad_from_dot for degenerate spectra.
+template <typename T, typename U>
+[[nodiscard]] double sad(std::span<const T> a, std::span<const U> b) {
+  return sad_with_norms(a, b, linalg::norm(a), linalg::norm(b));
 }
 
 /// Squared Euclidean distance between spectra.

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "core/ppi.hpp"
 #include "core/runner.hpp"
+#include "linalg/kernels.hpp"
+#include "linalg/vec.hpp"
 #include "simnet/platform.hpp"
 #include "test_scenes.hpp"
 
@@ -126,6 +134,111 @@ TEST(PpiTest, ValidatesInputs) {
   cfg = small_config();
   EXPECT_THROW((void)run_algorithm(simnet::thunderhead(2), hsi::HsiCube(), cfg),
                Error);
+}
+
+// --- The strip sweep against its per-skewer reference loop --------------
+
+/// A random cube.  From 8 pixels on, its pixel 1 is a scaled copy of pixel
+/// 0, so it projects to an extreme of most skewers, repeated at three later
+/// row-major positions (tied extremes), and pixel n/4 is all zero.
+hsi::HsiCube tie_cube(std::size_t rows, std::size_t cols, std::size_t bands) {
+  Xoshiro256 rng(rows * 1000 + cols);
+  hsi::HsiCube cube(rows, cols, bands);
+  for (auto& v : cube.samples()) v = static_cast<float>(rng.uniform(0.05, 1));
+  const std::size_t n = cube.pixel_count();
+  if (n < 8) return cube;
+  for (std::size_t b = 0; b < bands; ++b) {
+    cube.pixel(1)[b] = 8.0F * cube.pixel(0)[b];
+  }
+  for (const std::size_t p : {n / 3, n / 2, n - 1}) {
+    std::copy(cube.pixel(1).begin(), cube.pixel(1).end(),
+              cube.pixel(p).begin());
+  }
+  std::fill(cube.pixel(n / 4).begin(), cube.pixel(n / 4).end(), 0.0F);
+  return cube;
+}
+
+linalg::Matrix normal_skewers(std::size_t k, std::size_t bands) {
+  Xoshiro256 rng(k + 17);
+  linalg::Matrix skewers(k, bands);
+  for (auto& v : skewers.data()) v = rng.normal();
+  return skewers;
+}
+
+std::vector<detail::SkewerExtreme> extremes_on(
+    bool reference, const linalg::Matrix& skewers, const hsi::HsiCube& cube,
+    std::size_t row_begin, std::size_t row_end) {
+  const linalg::ScopedKernelPath path(reference);
+  return detail::ppi_extremes(skewers, cube, row_begin, row_end);
+}
+
+// (rows, cols, row_begin, row_end): chunks of 1 row, of pixel counts that
+// are not multiples of 4 or 64, of exactly one strip, and starting
+// mid-cube.
+using Chunk = std::tuple<std::size_t, std::size_t, std::size_t, std::size_t>;
+
+class PpiStripSweepTest
+    : public ::testing::TestWithParam<std::tuple<Chunk, std::size_t>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Chunks, PpiStripSweepTest,
+    ::testing::Combine(::testing::Values(Chunk{1, 1, 0, 1},
+                                         Chunk{3, 67, 1, 2},
+                                         Chunk{5, 7, 0, 5},
+                                         Chunk{6, 13, 2, 5},
+                                         Chunk{4, 16, 0, 4},
+                                         Chunk{9, 29, 3, 9}),
+                       ::testing::Values(1, 2, 33)));
+
+TEST_P(PpiStripSweepTest, ExtremesMatchTheReferenceLoopBitForBit) {
+  const auto [chunk, k] = GetParam();
+  const auto [rows, cols, row_begin, row_end] = chunk;
+  const std::size_t bands = 19;
+  const hsi::HsiCube cube = tie_cube(rows, cols, bands);
+  const linalg::Matrix skewers = normal_skewers(k, bands);
+  const auto ref = extremes_on(true, skewers, cube, row_begin, row_end);
+  const auto fast = extremes_on(false, skewers, cube, row_begin, row_end);
+  ASSERT_EQ(ref.size(), k);
+  ASSERT_EQ(fast.size(), k);
+  for (std::size_t s = 0; s < k; ++s) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ref[s].lo),
+              std::bit_cast<std::uint64_t>(fast[s].lo)) << "skewer " << s;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ref[s].hi),
+              std::bit_cast<std::uint64_t>(fast[s].hi)) << "skewer " << s;
+    EXPECT_EQ(ref[s].lo_row, fast[s].lo_row) << "skewer " << s;
+    EXPECT_EQ(ref[s].lo_col, fast[s].lo_col) << "skewer " << s;
+    EXPECT_EQ(ref[s].hi_row, fast[s].hi_row) << "skewer " << s;
+    EXPECT_EQ(ref[s].hi_col, fast[s].hi_col) << "skewer " << s;
+    EXPECT_GE(fast[s].lo_row, row_begin);
+    EXPECT_LT(fast[s].hi_row, row_end);
+  }
+}
+
+TEST(PpiStripSweepTest, TiedExtremesGoToTheFirstRowMajorPixel) {
+  // Pixel 1 and its copies at n/3, n/2 and n-1 tie on every skewer; on the
+  // skewers where they are extreme, both paths must name pixel (0, 1).
+  const hsi::HsiCube cube = tie_cube(5, 13, 11);
+  const linalg::Matrix skewers = normal_skewers(33, 11);
+  const auto fast = extremes_on(false, skewers, cube, 0, 5);
+  const auto ref = extremes_on(true, skewers, cube, 0, 5);
+  std::size_t ties = 0;
+  for (std::size_t s = 0; s < fast.size(); ++s) {
+    const double proj = linalg::dot<double, float>(skewers.row(s),
+                                                   cube.pixel(1));
+    for (const auto* e : {&fast[s], &ref[s]}) {
+      if (e->hi == proj) {
+        ++ties;
+        EXPECT_EQ(e->hi_row, 0U);
+        EXPECT_EQ(e->hi_col, 1U);
+      }
+      if (e->lo == proj) {
+        ++ties;
+        EXPECT_EQ(e->lo_row, 0U);
+        EXPECT_EQ(e->lo_col, 1U);
+      }
+    }
+  }
+  EXPECT_GT(ties, 20U);
 }
 
 }  // namespace

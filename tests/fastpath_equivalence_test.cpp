@@ -50,7 +50,8 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, FastPathEquivalenceTest,
                          ::testing::Values(core::Algorithm::kAtdca,
                                            core::Algorithm::kUfcls,
                                            core::Algorithm::kPct,
-                                           core::Algorithm::kMorph),
+                                           core::Algorithm::kMorph,
+                                           core::Algorithm::kPpi),
                          [](const auto& param_info) {
                            return core::to_string(param_info.param);
                          });

@@ -49,8 +49,16 @@ inline hsi::Scene make_scene(const CliArgs& args) {
   return hsi::generate_wtc_scene(config);
 }
 
+/// The fail-stop crashes of --crash <rank>@<t>[,...], into `options`.
+inline void add_crashes(const CliArgs& args, vmpi::Options& options) {
+  const std::string crashes = args.get("crash", "");
+  if (!crashes.empty()) {
+    options.fault_plan.crashes = vmpi::parse_crashes(crashes);
+  }
+}
+
 /// The scheduler config of --policy, --resilient and --checkpoint; the
-/// fail-stop crashes of --crash <rank>@<t>[,...] go into `options`.
+/// crashes of --crash go into `options`.
 inline sched::SchedulerConfig make_sched_config(const CliArgs& args,
                                                 vmpi::Options& options) {
   sched::SchedulerConfig config;
@@ -60,10 +68,7 @@ inline sched::SchedulerConfig make_sched_config(const CliArgs& args,
     config.resilience.checkpoint_interval_s =
         args.get_double("checkpoint", 0.01);
   }
-  const std::string crashes = args.get("crash", "");
-  if (!crashes.empty()) {
-    options.fault_plan.crashes = vmpi::parse_crashes(crashes);
-  }
+  add_crashes(args, options);
   return config;
 }
 

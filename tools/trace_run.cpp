@@ -26,15 +26,24 @@
 // --resilient runs the schedule under the checkpoint/retry control plane
 // (sched/resilience.hpp): each dispatch attempt becomes its own track
 // group ("job:<id>/<ALG>#<attempt>") with "checkpoint" and "restart"
-// instants on the job lane.  --checkpoint <s> sets the commit cadence and
-// --crash <rank>@<t>[,<rank>@<t>...] injects fail-stop rank crashes, e.g.
+// instants on the job lane.  --checkpoint <s> sets the commit cadence.
+// --jobs, --policy, --resilient and --checkpoint configure the scheduler,
+// so a solo run rejects them.
+//
+// --crash <rank>@<t>[,<rank>@<t>...] injects fail-stop rank crashes into
+// either run, e.g.
 //
 //   trace_run --sched --resilient --checkpoint 0.01 --crash 2@0.05
+//   trace_run --alg ATDCA --crash 3@0.0001
+//
+// A solo run recovers from non-root crashes in place and prints the ranks
+// that crashed; crashing its root is refused with a named error.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "core/runner.hpp"
 #include "hsi/scene.hpp"
 #include "obs/chrome_trace.hpp"
@@ -57,6 +66,15 @@ int run(int argc, char** argv) {
                       "csv", "gantt", "sched", "jobs", "policy", "resilient",
                       "checkpoint", "crash"});
 
+  const bool sched_run = args.get_bool("sched", false);
+  if (!sched_run) {
+    for (const char* flag : {"jobs", "policy", "resilient", "checkpoint"}) {
+      HPRS_REQUIRE(!args.has(flag), std::string("--") + flag +
+                                        " needs --sched: a solo run has no "
+                                        "scheduler to configure");
+    }
+  }
+
   const core::Algorithm alg = core::parse_algorithm(args.get("alg", "ATDCA"));
   simnet::Platform platform = simnet::fully_heterogeneous();
   if (!tools::make_platform(args.get("network", "fully-heterogeneous"),
@@ -72,7 +90,7 @@ int run(int argc, char** argv) {
 
   const auto scene = tools::make_scene(args);
 
-  if (args.get_bool("sched", false)) {
+  if (sched_run) {
     vmpi::Options options;
     options.enable_trace = true;
     const sched::SchedulerConfig sched_cfg =
@@ -168,6 +186,7 @@ int run(int argc, char** argv) {
 
   vmpi::Options options;
   options.enable_trace = true;
+  tools::add_crashes(args, options);
 
   const obs::ScopedHostProfile profile;
   const obs::ScopedMetrics metrics;
@@ -176,6 +195,15 @@ int run(int argc, char** argv) {
   std::printf("total virtual time: %.3f s on %zu ranks (%s, %s)\n",
               out.report.total_time, out.report.ranks.size(),
               core::to_string(alg), platform.name().c_str());
+  std::string crashed;
+  for (const auto& event : out.report.fault_events) {
+    if (event.kind != vmpi::FaultEventKind::kCrash) continue;
+    char entry[64];
+    std::snprintf(entry, sizeof entry, "%s%d (at %.4g s)",
+                  crashed.empty() ? "" : ", ", event.rank, event.time_s);
+    crashed += entry;
+  }
+  if (!crashed.empty()) std::printf("crashed ranks: %s\n", crashed.c_str());
 
   const std::string trace_path = args.get("out", "");
   if (!trace_path.empty()) {

@@ -6,9 +6,10 @@
 // The *_Reference / *_Fast pairs pin the scalar loops against the blocked
 // kernels (linalg/kernels.hpp) on the dominant sweeps: the MORPH windowed
 // eccentricity pass, the PCT covariance accumulation, the ATDCA OSP sweep
-// and the PPI projection sweep; BM_JacobiEigen_Reference/224 pins the PCT
-// eigensolver's reference loop against its row-only default
-// (BM_JacobiEigen/224).  --summary <path>
+// (one round, and all 17 rounds of an 18-target run from an empty
+// projection cache) and the PPI projection sweep;
+// BM_JacobiEigen_Reference/224 pins the PCT eigensolver's reference loop
+// against its row-only default (BM_JacobiEigen/224).  --summary <path>
 // writes every benchmark's ns/op (a "host" key, compared by threshold) and
 // bytes/op as a run summary, the median when --benchmark_repetitions runs
 // each benchmark more than once; that summary of a three-repetition run
@@ -16,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -313,19 +315,33 @@ BENCHMARK(BM_PctCovariance_Tiled)
     ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
+/// The first t rows of `u`, shared as ATDCA ships them.
+core::detail::SharedTargets leading_rows(const linalg::Matrix& u,
+                                         std::size_t t) {
+  linalg::Matrix rows;
+  for (std::size_t i = 0; i < t; ++i) rows.append_row(u.row(i));
+  return std::make_shared<const linalg::Matrix>(std::move(rows));
+}
+
 void BM_OspSweep(benchmark::State& state, bool reference) {
-  // ATDCA's per-round argmax of the OSP score over a 32x32 block with nine
-  // current targets.
+  // One round of ATDCA's OSP argmax over a 32x32 block with nine current
+  // targets, as a chunk runs it: the fast path's projection cache holds
+  // the first eight rows and adds the ninth; the reference projects every
+  // pixel onto all nine.
   const linalg::ScopedKernelPath path(reference);
   const std::size_t t = 9;
   const std::size_t bands = 224;
   const hsi::HsiCube cube = random_cube(32, 32, bands, 15);
-  const linalg::Matrix targets = random_targets(t, bands, 16);
-  const linalg::Cholesky gram(core::detail::ridged_row_gram(targets));
+  const linalg::Matrix all = random_targets(t, bands, 16);
+  const auto targets = leading_rows(all, t);
+  const auto previous = leading_rows(all, t - 1);
+  const linalg::Cholesky gram(core::detail::ridged_row_gram(*targets));
+  core::detail::ProjectionCache cache(cube, 0, cube.rows());
   linalg::ScratchArena arena;
   for (auto _ : state) {
+    cache.sync(previous);
     benchmark::DoNotOptimize(core::detail::osp_argmax_sweep(
-        targets, gram, cube, 0, cube.rows(), arena));
+        cache, targets, gram, 0, cube.rows(), arena));
   }
   state.counters["bytes_per_op"] =
       static_cast<double>(cube.pixel_count() * bands) * sizeof(float) +
@@ -354,17 +370,21 @@ void BM_OspSweep_Tiled(benchmark::State& state) {
   const std::size_t t = 9;
   const std::size_t bands = 224;
   const hsi::HsiCube cube = random_cube(32, 32, bands, 15);
-  const linalg::Matrix targets = random_targets(t, bands, 16);
-  const linalg::Cholesky gram(core::detail::ridged_row_gram(targets));
+  const linalg::Matrix all = random_targets(t, bands, 16);
+  const auto targets = leading_rows(all, t);
+  const auto previous = leading_rows(all, t - 1);
+  const linalg::Cholesky gram(core::detail::ridged_row_gram(*targets));
   const auto tiles = linalg::make_row_tiles(
       0, cube.rows(), cube.cols() * cube.bands() * sizeof(float), 8);
+  core::detail::ProjectionCache cache(cube, 0, cube.rows());
   linalg::ScratchArena arena;
   for (auto _ : state) {
+    cache.sync(previous);
     auto best = core::detail::osp_argmax_sweep(
-        targets, gram, cube, tiles[0].row_begin, tiles[0].row_end, arena);
+        cache, targets, gram, tiles[0].row_begin, tiles[0].row_end, arena);
     for (std::size_t i = 1; i < tiles.size(); ++i) {
       const auto cand = core::detail::osp_argmax_sweep(
-          targets, gram, cube, tiles[i].row_begin, tiles[i].row_end, arena);
+          cache, targets, gram, tiles[i].row_begin, tiles[i].row_end, arena);
       if (cand.score > best.score) best = cand;
     }
     benchmark::DoNotOptimize(best);
@@ -376,6 +396,43 @@ void BM_OspSweep_Tiled(benchmark::State& state) {
 BENCHMARK(BM_OspSweep_Tiled)
     ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+void BM_AtdcaRounds(benchmark::State& state, bool reference) {
+  // The 17 OSP rounds of an 18-target ATDCA over one 96x96 chunk, from an
+  // empty projection cache: the reference projects every pixel onto all t
+  // rows in round t (153 band-length dots per pixel), the cache adds one
+  // row per round (17 dots and one norm per pixel).
+  const linalg::ScopedKernelPath path(reference);
+  const std::size_t rounds = 17;
+  const std::size_t bands = 224;
+  const hsi::HsiCube cube = random_cube(96, 96, bands, 21);
+  const linalg::Matrix all = random_targets(rounds, bands, 22);
+  std::vector<core::detail::SharedTargets> targets;
+  std::vector<linalg::Cholesky> grams;
+  for (std::size_t t = 1; t <= rounds; ++t) {
+    targets.push_back(leading_rows(all, t));
+    grams.emplace_back(core::detail::ridged_row_gram(*targets.back()));
+  }
+  linalg::ScratchArena arena;
+  for (auto _ : state) {
+    core::detail::ProjectionCache cache(cube, 0, cube.rows());
+    for (std::size_t r = 0; r < rounds; ++r) {
+      benchmark::DoNotOptimize(core::detail::osp_argmax_sweep(
+          cache, targets[r], grams[r], 0, cube.rows(), arena));
+    }
+  }
+  state.counters["bytes_per_op"] =
+      static_cast<double>(cube.pixel_count() * bands) * sizeof(float) +
+      static_cast<double>(rounds * bands) * sizeof(double);
+}
+void BM_AtdcaRounds_Reference(benchmark::State& state) {
+  BM_AtdcaRounds(state, true);
+}
+void BM_AtdcaRounds_Fast(benchmark::State& state) {
+  BM_AtdcaRounds(state, false);
+}
+BENCHMARK(BM_AtdcaRounds_Reference)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AtdcaRounds_Fast)->Unit(benchmark::kMillisecond);
 
 void BM_PpiSweep(benchmark::State& state, bool reference) {
   // Hetero-PPI's projection pass over a 96x96 scene: every pixel's

@@ -48,13 +48,14 @@ ft::Program atdca_ft_program(const hsi::HsiCube& cube,
   // Phase 0: the chunk's brightest pixel, swept tile by tile (fold order ==
   // tile order == row-major order, so the pick is the monolithic one).
   prog.handlers.push_back(
-      [&cube, config](vmpi::Comm& c, const ft::Chunk& chunk, const std::any*) {
+      [config](vmpi::Comm& c, const ft::Chunk& chunk, const std::any*) {
         Candidate best{0, 0, -1.0};
-        detail::tiled_sweep(c, *chunk.tiles, config.replication,
+        detail::tiled_sweep(c, chunk.state->tiles, config.replication,
                             [&](const linalg::TileDesc& t) {
-                              const detail::BrightestOut out =
-                                  detail::brightest_sweep(cube, t.row_begin,
-                                                          t.row_end);
+                              const detail::SweepOut out =
+                                  detail::brightest_sweep(
+                                      chunk.state->projections, t.row_begin,
+                                      t.row_end);
                               if (out.best.score > best.score) best = out.best;
                               return out.flops;
                             });
@@ -67,19 +68,21 @@ ft::Program atdca_ft_program(const hsi::HsiCube& cube,
   prog.handlers.push_back([&cube, config](vmpi::Comm& c,
                                           const ft::Chunk& chunk,
                                           const std::any* payload) {
-    const auto& u = std::any_cast<const linalg::Matrix&>(*payload);
-    const linalg::Cholesky gram(detail::ridged_row_gram(u));
-    c.compute(linalg::flops::gram(cube.bands(), u.rows()) +
-              linalg::flops::cholesky(u.rows()));
+    const auto& u = std::any_cast<const detail::SharedTargets&>(*payload);
+    const linalg::Cholesky gram(detail::ridged_row_gram(*u));
+    c.compute(linalg::flops::gram(cube.bands(), u->rows()) +
+              linalg::flops::cholesky(u->rows()));
     linalg::ScratchArena arena;
     Candidate best{0, 0, -1.0};
     detail::tiled_sweep(
-        c, *chunk.tiles, config.replication, [&](const linalg::TileDesc& t) {
+        c, chunk.state->tiles, config.replication,
+        [&](const linalg::TileDesc& t) {
           const Candidate cand = detail::osp_argmax_sweep(
-              u, gram, cube, t.row_begin, t.row_end, arena);
+              chunk.state->projections, u, gram, t.row_begin, t.row_end,
+              arena);
           if (cand.score > best.score) best = cand;
           return static_cast<Count>(t.rows()) * cube.cols() *
-                 linalg::flops::osp_score(cube.bands(), u.rows());
+                 linalg::flops::osp_score(cube.bands(), u->rows());
         });
     return ft::ChunkOutcome{best, detail::kCandidateBytes};
   });
@@ -103,8 +106,8 @@ ft::Program atdca_ft_program(const hsi::HsiCube& cube,
     // Steps 4-6: grow U one orthogonal target at a time.
     for (std::size_t t = 1; t < config.targets; ++t) {
       const std::size_t u_bytes = targets.rows() * bands * sizeof(double);
-      const auto round = ft::results_as<Candidate>(driver.phase(
-          h[1], std::make_shared<const std::any>(targets), u_bytes));
+      const auto round = ft::results_as<Candidate>(
+          driver.phase(h[1], detail::targets_payload(targets), u_bytes));
       if (root) {
         grow(select_best(comm, round, linalg::flops::osp_score(bands, t)));
       }

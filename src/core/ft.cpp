@@ -117,10 +117,12 @@ void CollectiveDriver::deal(std::vector<Deal> deals, bool recovery) {
     if (!prog.model.tile_stream) {
       comm.stage_to_device(view.wire_bytes() * prog.replication);
     }
-    tiles_.push_back(std::make_unique<detail::TileStream>(
+    states_.push_back(std::make_unique<detail::ChunkState>(
         detail::begin_tile_stream(comm, view, prog.tile_rows,
-                                  prog.model.tile_stream, prog.replication)));
-    chunk.tiles = tiles_.back().get();
+                                  prog.model.tile_stream, prog.replication),
+        detail::ProjectionCache(*cube_, chunk.part.row_begin,
+                                chunk.part.row_end)));
+    chunk.state = states_.back().get();
     (recovery ? adopted_ : owned_).push_back(chunk);
   }
 }

@@ -40,7 +40,7 @@
 
 namespace hprs::core {
 namespace detail {
-struct TileStream;
+struct ChunkState;
 }  // namespace detail
 
 namespace ft {
@@ -51,9 +51,11 @@ namespace ft {
 struct Chunk {
   int id = -1;
   RowPartition part;
-  /// The owning rank's tile plan (core/spmd_common.hpp); sweeping handlers
-  /// walk it.
-  const detail::TileStream* tiles = nullptr;
+  /// The owning rank's state for this chunk (core/spmd_common.hpp): the
+  /// tile plan sweeping handlers walk and the projection cache ATDCA and
+  /// UFCLS keep across rounds.  Set when the chunk is dealt; owned by the
+  /// driver that dealt it.
+  detail::ChunkState* state = nullptr;
 };
 
 /// Wire size of one chunk descriptor (row range, halo range, cube geometry,
@@ -206,8 +208,9 @@ class CollectiveDriver final : public PhaseDriver {
   /// phase and are (re)computed under Comm::RecoveryScope.
   std::vector<Chunk> owned_;
   std::vector<Chunk> adopted_;
-  /// Tile plans of owned chunks (stable addresses for Chunk::tiles).
-  std::vector<std::unique_ptr<detail::TileStream>> tiles_;
+  /// States of the chunks dealt to this rank (stable addresses for
+  /// Chunk::state).
+  std::vector<std::unique_ptr<detail::ChunkState>> states_;
 };
 
 /// Runs `prog` over `comm` under a CollectiveDriver (on a tolerant handle

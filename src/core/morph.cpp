@@ -13,6 +13,7 @@
 #include "hsi/metrics.hpp"
 #include "linalg/flops.hpp"
 #include "linalg/kernels.hpp"
+#include "linalg/thread_pool.hpp"
 #include "linalg/vec.hpp"
 #include "vmpi/comm.hpp"
 
@@ -273,7 +274,6 @@ std::vector<std::uint16_t> sad_labels(
   const std::size_t count = (row_end - row_begin) * cube.cols();
   const std::size_t n_reps = reps.size();
   std::vector<std::uint16_t> labels;
-  labels.reserve(count);
   // First representative of strictly least distance, reps in order.
   const auto label_of = [n_reps](const auto& dist) {
     std::uint16_t best = 0;
@@ -289,6 +289,7 @@ std::vector<std::uint16_t> sad_labels(
   };
   const std::size_t first = row_begin * cube.cols();
   if (linalg::use_reference_kernels()) {
+    labels.reserve(count);
     for (std::size_t p = first; p < first + count; ++p) {
       const auto px = cube.pixel(p);
       labels.push_back(label_of(
@@ -299,6 +300,8 @@ std::vector<std::uint16_t> sad_labels(
   // Strip fast path.  Widening a float to double is exact, so each
   // dot_strip element is the rep . pixel chain linalg::dot forms, and
   // norm_sq_strip is norm_sq's chain: the SADs match the reference's bits.
+  // One kernel region per chunk: each lane labels its own strips, a
+  // disjoint slice of the output.
   linalg::Matrix rep_rows(n_reps, bands);
   std::vector<double> rep_norms(n_reps);
   for (std::size_t u = 0; u < n_reps; ++u) {
@@ -307,21 +310,28 @@ std::vector<std::uint16_t> sad_labels(
     rep_norms[u] = linalg::norm(reps[u]);
   }
   constexpr std::size_t kStrip = 64;
-  std::vector<double> dots(kStrip * n_reps);
-  std::vector<double> norms_sq(kStrip);
+  labels.resize(count);
   const float* x = cube.samples().data() + first * bands;
-  for (std::size_t p0 = 0; p0 < count; p0 += kStrip) {
-    const std::size_t m = std::min(kStrip, count - p0);
-    linalg::dot_strip(rep_rows, x + p0 * bands, m, dots);
-    linalg::norm_sq_strip(x + p0 * bands, m, bands, norms_sq);
-    for (std::size_t p = 0; p < m; ++p) {
-      const double px_norm = std::sqrt(norms_sq[p]);
-      const double* d = dots.data() + p * n_reps;
-      labels.push_back(label_of([&](std::size_t u) {
-        return hsi::sad_from_dot(d[u], rep_norms[u], px_norm);
-      }));
-    }
-  }
+  const std::size_t strips = (count + kStrip - 1) / kStrip;
+  linalg::for_each_lane(
+      strips, linalg::kernel_lanes(strips),
+      [&](std::size_t, std::size_t s0, std::size_t s1) {
+        std::vector<double> dots(kStrip * n_reps);
+        std::vector<double> norms_sq(kStrip);
+        for (std::size_t p0 = s0 * kStrip; p0 < std::min(count, s1 * kStrip);
+             p0 += kStrip) {
+          const std::size_t m = std::min(kStrip, count - p0);
+          linalg::dot_strip(rep_rows, x + p0 * bands, m, dots);
+          linalg::norm_sq_strip(x + p0 * bands, m, bands, norms_sq);
+          for (std::size_t p = 0; p < m; ++p) {
+            const double px_norm = std::sqrt(norms_sq[p]);
+            const double* d = dots.data() + p * n_reps;
+            labels[p0 + p] = label_of([&](std::size_t u) {
+              return hsi::sad_from_dot(d[u], rep_norms[u], px_norm);
+            });
+          }
+        }
+      });
   return labels;
 }
 

@@ -400,7 +400,7 @@ ft::Program pct_ft_program(const hsi::HsiCube& cube,
   prog.handlers.push_back(
       [&cube, config](vmpi::Comm& c, const ft::Chunk& chunk, const std::any*) {
         std::vector<double> sums(cube.bands(), 0.0);
-        detail::tiled_sweep(c, *chunk.tiles, config.replication,
+        detail::tiled_sweep(c, chunk.state->tiles, config.replication,
                             [&](const linalg::TileDesc& t) {
                               return accum_mean_rows(cube, t.row_begin,
                                                      t.row_end, sums.data());
@@ -416,7 +416,7 @@ ft::Program pct_ft_program(const hsi::HsiCube& cube,
         const auto& mean = std::any_cast<const std::vector<double>&>(*payload);
         const std::size_t tri = cube.bands() * (cube.bands() + 1) / 2;
         std::vector<double> sums(tri, 0.0);
-        detail::tiled_sweep(c, *chunk.tiles, config.replication,
+        detail::tiled_sweep(c, chunk.state->tiles, config.replication,
                             [&](const linalg::TileDesc& t) {
                               return accum_cov_rows(cube, t.row_begin,
                                                     t.row_end, mean,

@@ -13,6 +13,7 @@
 #include "core/spmd_common.hpp"
 #include "linalg/flops.hpp"
 #include "linalg/kernels.hpp"
+#include "linalg/thread_pool.hpp"
 #include "linalg/vec.hpp"
 #include "vmpi/comm.hpp"
 
@@ -142,23 +143,47 @@ std::vector<SkewerExtreme> ppi_extremes(const linalg::Matrix& skewers,
   }
   // Strip fast path: the chunk's whole rows are one contiguous run of
   // pixels, projected 64 at a time onto every skewer by one dot_strip
-  // product (each element bit-identical to linalg::dot).  Every skewer
-  // still meets the pixels in row-major order, so its strict updates pick
-  // the same extremes as the per-skewer loop.
+  // product (each element bit-identical to linalg::dot) inside one kernel
+  // region per chunk.  Each lane folds its own strips in row-major order;
+  // folding the lanes in ascending order with the same strict updates
+  // then picks the per-skewer loop's extremes at any thread count.
   constexpr std::size_t kStrip = 64;
   const std::size_t first = row_begin * cols;
   const std::size_t count = (row_end - row_begin) * cols;
   const float* x = cube.samples().data() + first * cube.bands();
-  std::vector<double> proj(kStrip * k);
-  for (std::size_t p0 = 0; p0 < count; p0 += kStrip) {
-    const std::size_t m = std::min(kStrip, count - p0);
-    linalg::dot_strip(skewers, x + p0 * cube.bands(), m, proj);
-    for (std::size_t p = 0; p < m; ++p) {
-      const std::size_t index = first + p0 + p;
-      const std::size_t r = index / cols;
-      const std::size_t col = index % cols;
-      const double* v = proj.data() + p * k;
-      for (std::size_t s = 0; s < k; ++s) fold(ext[s], v[s], r, col);
+  const std::size_t strips = (count + kStrip - 1) / kStrip;
+  const std::size_t lanes = linalg::kernel_lanes(strips);
+  std::vector<std::vector<SkewerExtreme>> lane_ext(
+      lanes, std::vector<SkewerExtreme>(k));
+  linalg::for_each_lane(strips, lanes, [&](std::size_t w, std::size_t s0,
+                                           std::size_t s1) {
+    std::vector<double> proj(kStrip * k);
+    for (std::size_t p0 = s0 * kStrip; p0 < std::min(count, s1 * kStrip);
+         p0 += kStrip) {
+      const std::size_t m = std::min(kStrip, count - p0);
+      linalg::dot_strip(skewers, x + p0 * cube.bands(), m, proj);
+      for (std::size_t p = 0; p < m; ++p) {
+        const std::size_t index = first + p0 + p;
+        const std::size_t r = index / cols;
+        const std::size_t col = index % cols;
+        const double* v = proj.data() + p * k;
+        for (std::size_t s = 0; s < k; ++s) fold(lane_ext[w][s], v[s], r, col);
+      }
+    }
+  });
+  for (const std::vector<SkewerExtreme>& lane : lane_ext) {
+    for (std::size_t s = 0; s < k; ++s) {
+      SkewerExtreme& e = ext[s];
+      if (lane[s].lo < e.lo) {
+        e.lo = lane[s].lo;
+        e.lo_row = lane[s].lo_row;
+        e.lo_col = lane[s].lo_col;
+      }
+      if (lane[s].hi > e.hi) {
+        e.hi = lane[s].hi;
+        e.hi_row = lane[s].hi_row;
+        e.hi_col = lane[s].hi_col;
+      }
     }
   }
   return ext;

@@ -1,6 +1,7 @@
 #include "core/spmd_common.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "hsi/metrics.hpp"
 #include "linalg/flops.hpp"
@@ -33,12 +34,114 @@ TileStream begin_tile_stream(vmpi::Comm& comm, const PartitionView& view,
   return ts;
 }
 
-BrightestOut brightest_sweep(const hsi::HsiCube& cube, std::size_t row_begin,
-                             std::size_t row_end) {
-  BrightestOut out;
+namespace {
+
+/// Pixels per gather of the cached sweeps: the strip the strip kernels
+/// filled, so each lane's scratch is what it was before the cache.
+constexpr std::size_t kStrip = 64;
+
+/// The cached sweeps' scan of rows [row_begin, row_end) of the cache's
+/// chunk: lane w of `lanes` owns a contiguous block of rows, gathers it from
+/// the cache a strip at a time into its `b` and `xx` scratch and calls
+/// visit(lanes[w], b_p, xx_p, row, col) for each pixel in row-major order.
+/// Each lane keeps its own results; folding them in ascending lane order
+/// with the serial scan's comparisons gives that scan's result at any
+/// thread count.
+template <typename Lane, typename Visit>
+void visit_cached_pixels(const ProjectionCache& cache, std::size_t row_begin,
+                         std::size_t row_end, std::vector<Lane>& lanes,
+                         Visit&& visit) {
+  const std::size_t t = cache.rows();
+  const std::size_t cols = cache.cube().cols();
+  const std::size_t q0 = cache.first_pixel(row_begin);
+  linalg::for_each_lane(
+      row_end - row_begin, lanes.size(),
+      [&](std::size_t w, std::size_t r0, std::size_t r1) {
+        Lane& lane = lanes[w];
+        for (std::size_t p0 = r0 * cols; p0 < r1 * cols; p0 += kStrip) {
+          const std::size_t m = std::min(kStrip, r1 * cols - p0);
+          cache.gather(q0 + p0, m, lane.b, lane.xx);
+          for (std::size_t p = 0; p < m; ++p) {
+            visit(lane, std::span<const double>(lane.b).subspan(p * t, t),
+                  lane.xx[p], row_begin + (p0 + p) / cols, (p0 + p) % cols);
+          }
+        }
+      });
+}
+
+}  // namespace
+
+ProjectionCache::ProjectionCache(const hsi::HsiCube& cube,
+                                 std::size_t row_begin, std::size_t row_end)
+    : cube_(&cube),
+      row_begin_(row_begin),
+      pixels_((row_end - row_begin) * cube.cols()) {
+  HPRS_ASSERT(row_begin <= row_end && row_end <= cube.rows());
+}
+
+std::size_t ProjectionCache::first_pixel(std::size_t row) const {
+  HPRS_ASSERT(row >= row_begin_);
+  return (row - row_begin_) * cube_->cols();
+}
+
+std::span<const double> ProjectionCache::norms() {
+  if (norms_.size() != pixels_) {
+    norms_.resize(pixels_);
+    linalg::norm_sq_strip(chunk_samples(), pixels_, cube_->bands(), norms_);
+  }
+  return norms_;
+}
+
+void ProjectionCache::sync(SharedTargets u) {
+  HPRS_ASSERT(u != nullptr && u->cols() == cube_->bands());
+  if (u == held_) return;
+  (void)norms();
+  const std::size_t row_bytes = u->cols() * sizeof(double);
+  std::size_t keep = 0;
+  while (keep < std::min(rows(), u->rows()) &&
+         std::memcmp(u->row(keep).data(), held_->row(keep).data(),
+                     row_bytes) == 0) {
+    ++keep;
+  }
+  dots_.resize(keep);
+  for (std::size_t i = keep; i < u->rows(); ++i) {
+    const std::span<const double> row = u->row(i);
+    const linalg::Matrix one(1, row.size(), {row.begin(), row.end()});
+    dots_.emplace_back(pixels_);
+    linalg::dot_strip(one, chunk_samples(), pixels_, dots_.back());
+  }
+  held_ = std::move(u);
+}
+
+void ProjectionCache::gather(std::size_t q0, std::size_t m,
+                             std::span<double> b,
+                             std::span<double> xx) const {
+  const std::size_t t = rows();
+  HPRS_ASSERT(q0 + m <= pixels_ && norms_.size() == pixels_ &&
+              b.size() >= m * t && xx.size() >= m);
+  for (std::size_t i = 0; i < t; ++i) {
+    const double* dots = dots_[i].data() + q0;
+    for (std::size_t p = 0; p < m; ++p) b[p * t + i] = dots[p];
+  }
+  std::copy_n(norms_.data() + q0, m, xx.begin());
+}
+
+const float* ProjectionCache::chunk_samples() const {
+  return cube_->samples().data() + row_begin_ * cube_->cols() * cube_->bands();
+}
+
+SweepOut brightest_sweep(ProjectionCache& cache, std::size_t row_begin,
+                         std::size_t row_end) {
+  const hsi::HsiCube& cube = cache.cube();
+  const bool reference = linalg::use_reference_kernels();
+  const std::span<const double> norms =
+      reference ? std::span<const double>() : cache.norms();
+  SweepOut out;
+  std::size_t q = cache.first_pixel(row_begin);
   for (std::size_t r = row_begin; r < row_end; ++r) {
-    for (std::size_t c = 0; c < cube.cols(); ++c) {
-      const double score = linalg::norm_sq(cube.pixel(r, c));
+    for (std::size_t c = 0; c < cube.cols(); ++c, ++q) {
+      const double score =
+          reference ? linalg::norm_sq(cube.pixel(r, c)) : norms[q];
       out.flops += linalg::flops::dot(cube.bands());
       if (score > out.best.score) out.best = Candidate{r, c, score};
     }
@@ -60,77 +163,110 @@ double osp_score(const linalg::Matrix& targets,
   return xx - bz;
 }
 
-Candidate osp_argmax_sweep(const linalg::Matrix& targets,
+Candidate osp_argmax_sweep(ProjectionCache& cache,
+                           const SharedTargets& targets,
                            const linalg::Cholesky& gram_factor,
-                           const hsi::HsiCube& cube, std::size_t row_begin,
-                           std::size_t row_end,
+                           std::size_t row_begin, std::size_t row_end,
                            linalg::ScratchArena& arena) {
-  Candidate best{0, 0, -1.0};
+  const hsi::HsiCube& cube = cache.cube();
   const std::size_t cols = cube.cols();
+  Candidate best{0, 0, -1.0};
   if (linalg::use_reference_kernels()) {
     for (std::size_t r = row_begin; r < row_end; ++r) {
       for (std::size_t c = 0; c < cols; ++c) {
-        const double score = osp_score(targets, gram_factor, cube.pixel(r, c));
+        const double score =
+            osp_score(*targets, gram_factor, cube.pixel(r, c));
         if (score > best.score) best = Candidate{r, c, score};
       }
     }
     return best;
   }
 
-  constexpr std::size_t kStrip = 64;
-  const std::size_t t = targets.rows();
-  const std::size_t bands = cube.bands();
-  const std::size_t n_rows = row_end > row_begin ? row_end - row_begin : 0;
-  // Contiguous row-block ownership with per-worker scratch (the arena's
-  // chunks are stable, so spans taken up front survive the region).  Each
-  // worker scans its rows in the serial row-major order with
-  // strictly-greater updates; folding the per-worker bests in ascending
-  // worker order with the same comparison reproduces the serial sweep's
-  // first-maximum exactly, so the thread count cannot change the pick.
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min(linalg::kernel_threads(), n_rows));
-  arena.reset();
-  struct WorkerLane {
+  cache.sync(targets);
+  const std::size_t t = targets->rows();
+  struct Lane {
     std::span<double> b, xx, z;
     Candidate best{0, 0, -1.0};
   };
-  std::vector<WorkerLane> lanes(workers);
-  for (auto& lane : lanes) {
+  std::vector<Lane> lanes(linalg::kernel_lanes(row_end - row_begin));
+  arena.reset();
+  for (Lane& lane : lanes) {
     lane.b = arena.take(kStrip * t);
     lane.xx = arena.take(kStrip);
     lane.z = arena.take(t);
   }
-  linalg::parallel_region(workers, [&](std::size_t worker,
-                                       std::size_t actual) {
-    // `actual` can be smaller than the planned lane count (a nested region
-    // runs inline); stride over lanes so every block is still scanned.
-    for (std::size_t w = worker; w < workers; w += actual) {
-    WorkerLane& lane = lanes[w];
-    const std::size_t per = (n_rows + workers - 1) / workers;
-    const std::size_t r0 = row_begin + w * per;
-    const std::size_t r1 = std::min(row_end, r0 + per);
-    for (std::size_t r = r0; r < r1; ++r) {
-      const float* row = cube.pixel(r, 0).data();
-      for (std::size_t c0 = 0; c0 < cols; c0 += kStrip) {
-        const std::size_t m = std::min(kStrip, cols - c0);
-        const float* x = row + c0 * bands;
-        linalg::dot_strip(targets, x, m, lane.b);
-        linalg::norm_sq_strip(x, m, bands, lane.xx);
-        for (std::size_t p = 0; p < m; ++p) {
-          const std::span<const double> bp = lane.b.subspan(p * t, t);
-          gram_factor.solve_into(bp, lane.z);
-          const double score =
-              lane.xx[p] - linalg::dot<double, double>(bp, lane.z);
-          if (score > lane.best.score) lane.best = Candidate{r, c0 + p, score};
-        }
-      }
-    }
-    }
-  });
-  for (const auto& lane : lanes) {
+  visit_cached_pixels(
+      cache, row_begin, row_end, lanes,
+      [&](Lane& lane, std::span<const double> b, double xx, std::size_t r,
+          std::size_t c) {
+        gram_factor.solve_into(b, lane.z);
+        const double score = xx - linalg::dot<double, double>(b, lane.z);
+        if (score > lane.best.score) lane.best = Candidate{r, c, score};
+      });
+  for (const Lane& lane : lanes) {
     if (lane.best.score > best.score) best = lane.best;
   }
   return best;
+}
+
+SweepOut fcls_error_sweep(ProjectionCache& cache, const SharedTargets& targets,
+                          const linalg::Unmixer& unmixer,
+                          std::size_t row_begin, std::size_t row_end,
+                          linalg::ScratchArena& arena) {
+  const hsi::HsiCube& cube = cache.cube();
+  const std::size_t t = targets->rows();
+  const std::size_t bands = cube.bands();
+  const std::size_t cols = cube.cols();
+  HPRS_ASSERT(unmixer.endmember_count() == t);
+  SweepOut out;
+  if (linalg::use_reference_kernels()) {
+    for (std::size_t r = row_begin; r < row_end; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const auto unmix = unmixer.fcls(cube.pixel(r, c));
+        out.flops += linalg::flops::fcls(
+            bands, t, static_cast<std::uint64_t>(unmix.iterations) + 1);
+        if (unmix.error_sq > out.best.score) {
+          out.best = Candidate{r, c, unmix.error_sq};
+        }
+      }
+    }
+    return out;
+  }
+
+  cache.sync(targets);
+  struct Lane {
+    std::span<double> b, xx;
+    SweepOut out;
+  };
+  std::vector<Lane> lanes(linalg::kernel_lanes(row_end - row_begin));
+  arena.reset();
+  for (Lane& lane : lanes) {
+    lane.b = arena.take(kStrip * t);
+    lane.xx = arena.take(kStrip);
+  }
+  visit_cached_pixels(
+      cache, row_begin, row_end, lanes,
+      [&](Lane& lane, std::span<const double> b, double xx, std::size_t r,
+          std::size_t c) {
+        const auto unmix = unmixer.fcls_with_corr(b, xx);
+        lane.out.flops += linalg::flops::fcls(
+            bands, t, static_cast<std::uint64_t>(unmix.iterations) + 1);
+        if (unmix.error_sq > lane.out.best.score) {
+          lane.out.best = Candidate{r, c, unmix.error_sq};
+        }
+      });
+  // Flop counts are integers, so their sum cannot depend on the lanes.
+  for (const Lane& lane : lanes) {
+    out.flops += lane.out.flops;
+    if (lane.out.best.score > out.best.score) out.best = lane.out.best;
+  }
+  return out;
+}
+
+std::shared_ptr<const std::any> targets_payload(
+    const linalg::Matrix& targets) {
+  return std::make_shared<const std::any>(
+      std::make_shared<const linalg::Matrix>(targets));
 }
 
 linalg::Matrix ridged_row_gram(const linalg::Matrix& u) {

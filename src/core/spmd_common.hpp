@@ -2,7 +2,10 @@
 // and the collective driver that runs them (core/ft.hpp).
 #pragma once
 
+#include <any>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/ft.hpp"
@@ -10,6 +13,7 @@
 #include "core/runner.hpp"
 #include "core/types.hpp"
 #include "hsi/cube.hpp"
+#include "linalg/fcls.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/solve.hpp"
@@ -36,6 +40,68 @@ struct TileStream {
   /// Parallel to `tiles`; empty unless `streaming`.
   std::vector<double> staged_until;
   bool streaming = false;
+};
+
+/// The target matrix U as ATDCA and UFCLS ship it each round: one immutable
+/// matrix every rank reads, which a ProjectionCache may keep after the round.
+using SharedTargets = std::shared_ptr<const linalg::Matrix>;
+
+/// ATDCA's and UFCLS's per-pixel projections of one chunk, kept across
+/// rounds: ||x_p||^2 of every owned pixel and dot(U_i, x_p) for every row of
+/// U seen so far, pixels indexed row-major from the chunk's first row.  U
+/// only grows, so each round adds one dot_strip call over the chunk where
+/// recomputing would project every pixel onto all t rows again; each value
+/// is the one linalg::dot or linalg::norm_sq forms, so every consumer stays
+/// bit-identical to the per-pixel reference loops.  Holds
+/// pixels x (rows + 1) doubles plus a handle on the U it was built from.
+class ProjectionCache {
+ public:
+  /// An empty cache over the whole rows [row_begin, row_end) of `cube`.
+  ProjectionCache(const hsi::HsiCube& cube, std::size_t row_begin,
+                  std::size_t row_end);
+
+  /// Brings the cache to `u`: the rows it holds stay while they equal u's
+  /// leading rows bit for bit, everything from the first mismatch is
+  /// dropped, and each missing row costs one dot_strip call over the chunk.
+  /// Computes the pixel norms first if they are missing.
+  void sync(SharedTargets u);
+
+  /// The owned pixels' squared norms, computed on the first call with one
+  /// norm_sq_strip call over the chunk.
+  std::span<const double> norms();
+
+  /// Copies the m pixels from local index q0 on into the layout the strip
+  /// kernels fill: b[p * rows() + i] = dot(U_i, x_{q0+p}) and xx[p] =
+  /// ||x_{q0+p}||^2.  Needs sync() first.
+  void gather(std::size_t q0, std::size_t m, std::span<double> b,
+              std::span<double> xx) const;
+
+  /// Rows of U held.
+  [[nodiscard]] std::size_t rows() const { return dots_.size(); }
+  [[nodiscard]] const hsi::HsiCube& cube() const { return *cube_; }
+  /// Local index of the first pixel of cube row `row` (row >= row_begin).
+  [[nodiscard]] std::size_t first_pixel(std::size_t row) const;
+
+ private:
+  /// The chunk's first sample: its pixels are contiguous from here.
+  [[nodiscard]] const float* chunk_samples() const;
+
+  const hsi::HsiCube* cube_;
+  std::size_t row_begin_;
+  std::size_t pixels_;
+  std::vector<double> norms_;
+  /// dots_[i][q] = dot(U_i, x_q) for the rows of held_.
+  std::vector<std::vector<double>> dots_;
+  SharedTargets held_;
+};
+
+/// What the collective driver keeps for each chunk it dealt to this rank,
+/// for the lifetime of the driver: the tile plan and the projection cache.
+/// A chunk dealt again (adopted after a crash, resumed from a checkpoint)
+/// gets a fresh one.
+struct ChunkState {
+  TileStream tiles;
+  ProjectionCache projections;
 };
 
 /// Builds the tile plan for `view`.  With streaming off the caller has
@@ -74,18 +140,22 @@ void tiled_sweep(vmpi::Comm& comm, const TileStream& ts,
   }
 }
 
-/// The brightest pixel of rows [row_begin, row_end) -- the first row-major
-/// argmax of the squared norm -- plus the flops performed, for the caller to
-/// charge.  Tiles of a partition fold their results with the same
-/// strictly-greater comparison in tile order, which reproduces the
-/// monolithic sweep's first maximum exactly.
-struct BrightestOut {
+/// What a sweep over rows [row_begin, row_end) finds: its first row-major
+/// maximum (strictly-greater updates) plus the flops it performed, for the
+/// caller to charge.  Tiles of a partition fold their bests with the same
+/// comparison in tile order, which reproduces the monolithic sweep's first
+/// maximum exactly.
+struct SweepOut {
   Candidate best{0, 0, -1.0};
   std::uint64_t flops = 0;
 };
-[[nodiscard]] BrightestOut brightest_sweep(const hsi::HsiCube& cube,
-                                           std::size_t row_begin,
-                                           std::size_t row_end);
+
+/// The brightest pixel of rows [row_begin, row_end) of the cache's chunk:
+/// the maximum of the squared norm.  Dispatches between the per-pixel
+/// reference loop (linalg::norm_sq) and the cached norms.
+[[nodiscard]] SweepOut brightest_sweep(ProjectionCache& cache,
+                                       std::size_t row_begin,
+                                       std::size_t row_end);
 
 /// OSP score ||P_U_perp x||^2 = x.x - b . G^-1 b computed against the
 /// factored Gram of the current target matrix.  Cost:
@@ -95,19 +165,38 @@ struct BrightestOut {
                                std::span<const float> pixel);
 
 /// Argmax of the OSP score over whole rows [row_begin, row_end) of the
-/// cube, scanning pixels in row-major order with strictly-greater updates.
-/// Dispatches between the per-pixel reference loop (osp_score per pixel)
-/// and the strip-blocked fast path, which forms U^T X over 64-pixel strips
-/// as one BLAS3 product (linalg::dot_strip), back-solves each column into a
-/// reusable scratch buffer, and never touches the heap per pixel.  Both
-/// paths return bit-identical candidates.  The caller charges
-/// linalg::flops::osp_score(bands, U.rows()) per pixel as before.
-[[nodiscard]] Candidate osp_argmax_sweep(const linalg::Matrix& targets,
+/// cache's chunk, scanning pixels in row-major order with strictly-greater
+/// updates.  Dispatches between the per-pixel reference loop (osp_score per
+/// pixel) and the cached path, which syncs the cache to `targets` and
+/// back-solves each pixel's cached column into lane scratch, never touching
+/// the heap per pixel; kernel lanes own contiguous blocks of rows and fold
+/// in ascending order.  Both paths return bit-identical candidates.  The
+/// caller charges linalg::flops::osp_score(bands, U.rows()) per pixel.
+[[nodiscard]] Candidate osp_argmax_sweep(ProjectionCache& cache,
+                                         const SharedTargets& targets,
                                          const linalg::Cholesky& gram_factor,
-                                         const hsi::HsiCube& cube,
                                          std::size_t row_begin,
                                          std::size_t row_end,
                                          linalg::ScratchArena& arena);
+
+/// Argmax of the FCLS reconstruction error over whole rows [row_begin,
+/// row_end) of the cache's chunk; the flops depend on each pixel's
+/// active-set iterations.  Dispatches between the per-pixel reference loop
+/// (Unmixer::fcls) and the cached path, which syncs the cache to `targets`
+/// (the unmixer's signatures) and runs Unmixer::fcls_with_corr on each
+/// pixel's cached column, in lanes like osp_argmax_sweep; both return
+/// bit-identical results.
+[[nodiscard]] SweepOut fcls_error_sweep(ProjectionCache& cache,
+                                        const SharedTargets& targets,
+                                        const linalg::Unmixer& unmixer,
+                                        std::size_t row_begin,
+                                        std::size_t row_end,
+                                        linalg::ScratchArena& arena);
+
+/// The phase payload ATDCA and UFCLS ship each round: a snapshot of the
+/// grown target matrix as SharedTargets.
+[[nodiscard]] std::shared_ptr<const std::any> targets_payload(
+    const linalg::Matrix& targets);
 
 /// Gram matrix of the rows of U with a tiny relative ridge so the Cholesky
 /// factorization survives nearly collinear targets.

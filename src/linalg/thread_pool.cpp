@@ -157,4 +157,21 @@ void parallel_region(
   KernelPool::instance().run(workers, body);
 }
 
+std::size_t kernel_lanes(std::size_t n) {
+  return std::max<std::size_t>(1, std::min(kernel_threads(), n));
+}
+
+void for_each_lane(
+    std::size_t n, std::size_t lanes,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+  HPRS_ASSERT(lanes >= 1);
+  const std::size_t per = (n + lanes - 1) / lanes;
+  parallel_region(lanes, [&](std::size_t worker, std::size_t workers) {
+    for (std::size_t lane = worker; lane < lanes; lane += workers) {
+      const std::size_t begin = std::min(n, lane * per);
+      body(lane, begin, std::min(n, begin + per));
+    }
+  });
+}
+
 }  // namespace hprs::linalg

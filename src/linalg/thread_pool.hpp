@@ -48,4 +48,18 @@ class ScopedKernelThreads {
 void parallel_region(std::size_t max_workers,
                      const std::function<void(std::size_t, std::size_t)>& body);
 
+/// Lanes of a region over `n` independent items: min(kernel_threads(), n),
+/// at least 1.  Callers size their per-lane state with it before the region.
+[[nodiscard]] std::size_t kernel_lanes(std::size_t n);
+
+/// Cuts [0, n) into `lanes` contiguous blocks of ceil(n / lanes) items and
+/// runs body(lane, begin, end) once per lane (a block may be empty) inside
+/// one parallel_region; when the region runs fewer workers (a nested region
+/// runs inline) a worker takes several lanes.  Lane l's block precedes lane
+/// l + 1's, so folding per-lane results in ascending lane order with the
+/// serial pass's comparisons reproduces that pass at any thread count.
+void for_each_lane(
+    std::size_t n, std::size_t lanes,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+
 }  // namespace hprs::linalg

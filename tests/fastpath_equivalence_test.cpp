@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 
 #include "core/runner.hpp"
 #include "hsi/scene.hpp"
@@ -251,6 +252,32 @@ void expect_identical_runs(const core::RunnerOutput& a,
     EXPECT_EQ(x.flops, y.flops) << label << " rank " << r;
     EXPECT_EQ(x.bytes_sent, y.bytes_sent) << label << " rank " << r;
     EXPECT_EQ(x.bytes_received, y.bytes_received) << label << " rank " << r;
+  }
+}
+
+TEST(FastPathEquivalenceTest, Table8TargetCountIdentical) {
+  // Table 8's 18 targets: the detectors' projection caches grow through 17
+  // rounds.  The cached runs must equal the reference runs, and at 2, 4 and
+  // 7 kernel threads the single-thread cached run, bit for bit.
+  const hsi::Scene scene = small_scene();
+  const simnet::Platform platform = simnet::fully_heterogeneous();
+  for (const core::Algorithm alg :
+       {core::Algorithm::kAtdca, core::Algorithm::kUfcls}) {
+    core::RunnerConfig cfg = config_for(alg);
+    cfg.targets = 18;
+    const std::string name = core::to_string(alg);
+    core::RunnerOutput ref;
+    {
+      const linalg::ScopedKernelPath path(true);
+      ref = core::run_algorithm(platform, scene.cube, cfg);
+    }
+    ASSERT_EQ(ref.targets.size(), 18u) << name;
+    const linalg::ScopedKernelPath path(false);
+    for (const std::size_t n : {1u, 2u, 4u, 7u}) {
+      const linalg::ScopedKernelThreads threads(n);
+      expect_identical_runs(ref, core::run_algorithm(platform, scene.cube, cfg),
+                            name + " " + std::to_string(n) + " threads");
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -175,19 +176,22 @@ TEST_P(BlockedKernelTest, OspArgmaxSweepMatchesReference) {
   const std::size_t t = 4;
   hsi::HsiCube cube(rows, cols, bands,
                     random_floats(rows * cols * bands, 1000 + rows));
-  const linalg::Matrix targets = random_matrix(t, bands, 1100 + rows);
-  const linalg::Cholesky gram(core::detail::ridged_row_gram(targets));
+  const auto targets = std::make_shared<const linalg::Matrix>(
+      random_matrix(t, bands, 1100 + rows));
+  const linalg::Cholesky gram(core::detail::ridged_row_gram(*targets));
+  core::detail::ProjectionCache cache(cube, 0, rows);
   linalg::ScratchArena arena;
 
   core::detail::Candidate ref;
   core::detail::Candidate fast;
   {
     const linalg::ScopedKernelPath path(true);
-    ref = core::detail::osp_argmax_sweep(targets, gram, cube, 0, rows, arena);
+    ref = core::detail::osp_argmax_sweep(cache, targets, gram, 0, rows, arena);
   }
   {
     const linalg::ScopedKernelPath path(false);
-    fast = core::detail::osp_argmax_sweep(targets, gram, cube, 0, rows, arena);
+    fast =
+        core::detail::osp_argmax_sweep(cache, targets, gram, 0, rows, arena);
   }
   EXPECT_EQ(ref.row, fast.row);
   EXPECT_EQ(ref.col, fast.col);

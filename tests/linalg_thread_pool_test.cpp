@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <vector>
@@ -120,6 +121,45 @@ TEST(ThreadPoolTest, BackToBackRegionsReuseThePool) {
     });
   }
   EXPECT_EQ(total.load(), 50 * (1 + 2 + 3 + 4));
+}
+
+TEST(ThreadPoolTest, LanesCoverEveryItemOnceInAscendingBlocks) {
+  // Top level and nested (where one worker takes every lane), with more
+  // lanes than items, uneven blocks and no items at all.
+  const ScopedKernelThreads scoped(4);
+  for (const bool nested : {false, true}) {
+    for (const std::size_t n : {0u, 3u, 10u, 64u}) {
+      const std::size_t lanes = kernel_lanes(n);
+      EXPECT_EQ(lanes, std::max<std::size_t>(1, std::min<std::size_t>(4, n)));
+      std::vector<std::size_t> owner(n, lanes);
+      std::vector<int> visits(n, 0);
+      std::vector<std::size_t> ends(lanes, 0);
+      const auto run = [&] {
+        for_each_lane(n, lanes, [&](std::size_t lane, std::size_t begin,
+                                    std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            owner[i] = lane;
+            ++visits[i];
+          }
+          ends[lane] = end;
+        });
+      };
+      if (nested) {
+        parallel_region(4, [&](std::size_t worker, std::size_t) {
+          if (worker == 0) run();
+        });
+      } else {
+        run();
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(visits[i], 1) << "item " << i;
+        if (i > 0) {
+          EXPECT_LE(owner[i - 1], owner[i]) << "item " << i;
+        }
+      }
+      EXPECT_EQ(ends.back(), n) << n << " items, nested " << nested;
+    }
+  }
 }
 
 }  // namespace
